@@ -285,14 +285,21 @@ class ShardRouter:
         try:
             for shard_id in sorted(self.shards):
                 self._spawn(self.shards[shard_id])
-                self.ring.add(shard_id)
         except BaseException:
             self.close()
             raise
         return self
 
     def _spawn(self, handle: ShardHandle) -> None:
-        """Spawn one worker process and wire its pump (serialised)."""
+        """Spawn one worker process, wire its pump, and publish it.
+
+        Spawning is serialised.  Publication is one step under the
+        route lock: restart accounting (a slot leaving ``backoff`` is
+        a respawn) and the ring add happen before ``state = UP``, so
+        whoever sees the shard up (:meth:`shards_status`, the
+        supervisor, a waiting test) also sees its restart counted and
+        its ring points placed.
+        """
         with self._spawn_lock:
             token = secrets.token_bytes(16)
             process = self._mp.Process(
@@ -317,12 +324,18 @@ class ShardRouter:
         handle.process = process
         handle.pump = pump
         handle.pid = process.pid
-        handle.state = UP
-        handle.started_at = time.monotonic()
-        handle.last_heartbeat = time.monotonic()
         pump.start()
-        self._m_up.set(sum(1 for h in self.shards.values()
-                           if h.state == UP))
+        with self._route_lock:
+            if handle.state == BACKOFF:
+                handle.restarts += 1
+                handle.respawn_at = 0.0
+                self._m_restarts.inc(shard=str(shard_id))
+            self.ring.add(shard_id)
+            handle.started_at = time.monotonic()
+            handle.last_heartbeat = time.monotonic()
+            handle.state = UP
+            self._m_up.set(sum(1 for h in self.shards.values()
+                               if h.state == UP))
 
     def close(self) -> None:
         """Stop shards and fail every still-pending future (idempotent)."""
@@ -894,7 +907,6 @@ class ShardRouter:
             handle = self._new_handle(shard_id)
             self.shards[shard_id] = handle
             self._spawn(handle)
-            self.ring.add(shard_id)
             if rebalance:
                 with self._state_lock:
                     parked = (set(self._failing_over) |

@@ -67,9 +67,6 @@ class Supervisor:
         self._m_crashes = registry.counter(
             "serve_shard_crashes_total",
             "Shard worker deaths detected, by shard and reason")
-        self._m_restarts = registry.counter(
-            "serve_shard_restarts_total",
-            "Shard worker processes respawned, by shard")
         self._m_checkpoints = registry.counter(
             "serve_shard_checkpoints_total",
             "Periodic per-shard session checkpoints taken")
@@ -220,10 +217,6 @@ class Supervisor:
                 handle.respawn_at = time.monotonic() + \
                     handle.backoff.next_delay_s()
             return
-        handle.restarts += 1
-        handle.respawn_at = 0.0
-        self.router.ring.add(shard_id)
-        self._m_restarts.inc(shard=str(shard_id))
         self.router.flight.event("shard_respawned", shard=shard_id,
                                  pid=handle.pid,
                                  restarts=handle.restarts)

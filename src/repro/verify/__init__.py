@@ -21,10 +21,10 @@ corpus replay + fault-injection trials) and emits a JSON report; CI
 gates on zero mismatches and non-regressing coverage.
 
 A fourth layer, :mod:`repro.verify.chaos` (``python -m repro.verify
-chaos``), pins *recovery* rather than semantics: seeded fault storms
--- frame corruption, dropped frames, stalled clients, device faults --
-against a live :class:`~repro.serve.service.VOService`, gated on zero
-unrecovered sessions and full fault attribution.
+chaos``), pins *recovery* rather than semantics: one seeded storm
+loop against the live serving stack under a fault, migration or
+SIGKILL disruption, gated on zero unrecovered sessions, full fault
+attribution and bit-identity against the disruption's reference.
 """
 
 from repro.verify.chaos import (

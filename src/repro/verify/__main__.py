@@ -5,7 +5,8 @@
     PYTHONPATH=src python -m repro.verify --seed 2026 \\
         --out verify_report.json --check-baseline tests/conformance_baseline.json
 
-The ``chaos`` subcommand runs the serving-layer fault storm instead::
+The ``chaos`` subcommand runs the serving-layer chaos storm instead
+(``--migrate`` or ``--kill`` pick the other two disruptions)::
 
     PYTHONPATH=src python -m repro.verify chaos --seed 0 --frames 40
 

@@ -1,16 +1,28 @@
-"""Chaos harness: seeded fault storms against a live ``VOService``.
+"""Chaos harness: one seeded storm loop against the live serving stack.
 
 The conformance harness (:mod:`repro.verify.matrix`) pins what the
 simulator *computes*; this module pins how the full serving stack
-*recovers*.  A chaos run builds a deterministic fault storm from one
-seed -- frame-level faults (dropped frames, bit-rotted images, depth
-holes, stalled clients) via
-:class:`~repro.dataset.synthetic.FrameCorruptor`, plus device-level
-faults via :class:`~repro.pim.faults.FaultInjector` armed on live pool
-workers mid-run -- and drives it through concurrent client sessions,
-exactly like :mod:`repro.serve.loadgen` but with the storm applied.
+*recovers*.  :func:`run_chaos` drives concurrent client sessions
+through a deterministic storm derived from one seed, exactly like
+:mod:`repro.serve.loadgen` but under one of three disruptions
+(``ChaosConfig.disruption``):
 
-Each session is then classified:
+* ``faults`` -- frame faults (dropped frames, bit-rotted images,
+  depth holes, stalled clients) via
+  :class:`~repro.dataset.synthetic.FrameCorruptor`, plus device faults
+  via :class:`~repro.pim.faults.FaultInjector` armed on live pool
+  workers mid-run, against one ``VOService``.
+* ``migrate`` -- the same frame faults; at the disruption frame every
+  client parks, one worker dies, and every session drains onto a
+  second ``VOService``.
+* ``kill`` -- clean frames through a supervised
+  :class:`~repro.shard.router.ShardRouter`; every client parks for a
+  checkpoint sweep two frames before the disruption frame, then again
+  while the busiest shard processes are SIGKILLed.
+
+Everything else is shared: one client loop, one classification, one
+bit-identity comparison and one report (``repro.verify.chaos/2``).
+Each session is classified:
 
 * ``recovered`` -- finished with tracking health ``OK`` and an ATE
   within the inflation bound of its clean solo reference.
@@ -18,13 +30,19 @@ Each session is then classified:
 * ``unrecovered`` -- ATE beyond bound, final health ``LOST``, or a
   terminal frame error with no successful frame after it.
 
-The gate (:func:`run_chaos` / ``python -m repro.verify chaos``) holds
-the SLO: **zero unrecovered sessions**, every injected fault
-attributed in the recovery report (repair events on the served frame,
-a device eviction, or a client-side record), and a pre-storm control
-phase whose served trajectory is bit-identical to the solo tracker --
-pinning that the fault-free path is unchanged by the resilience
-machinery.
+Every disruption requires zero unrecovered sessions and every
+injected fault attributed in the recovery report (repair events on
+the served frame, a device eviction, or a client-side record).  On
+top of that:
+
+* ``faults`` -- a pre-storm control session is bit-identical to the
+  solo tracker, pinning that the fault-free path is unchanged by the
+  resilience machinery.
+* ``migrate`` -- migrated poses and health are bit-identical to an
+  unmigrated control run of the same storm.
+* ``kill`` -- zero frame errors, every trajectory bit-identical to its
+  unkilled solo run, no lost sessions, at least one failover, and
+  every victim back up with restart budget left.
 """
 
 from __future__ import annotations
@@ -53,19 +71,29 @@ from repro.pim.faults import FaultInjector, FaultPlan
 from repro.serve.loadgen import (
     build_workload,
     solo_trajectories,
+    trajectories_match,
 )
 from repro.serve.scheduler import Backpressure
 from repro.serve.service import _FRONTENDS, VOService
+from repro.vo.config import TrackerConfig
 from repro.vo.health import LOST, OK
 
-__all__ = ["ChaosConfig", "InjectedFault", "build_fault_storm",
-           "run_chaos", "run_chaos_kill", "run_chaos_migration",
-           "main"]
+__all__ = ["ChaosConfig", "InjectedFault",
+           "build_fault_storm", "run_chaos", "main"]
 
 log = logging.getLogger(__name__)
 
 #: Frame-fault kinds, in injection-cycling order.
 FRAME_FAULTS = ("bitrot", "depth-holes", "drop", "stall")
+
+#: Disruption -> (frame faults, device faults) it storms with.  Device
+#: faults corrupt shared worker devices as a function of dispatch
+#: timing, so a storm compared against a second run of itself
+#: (``migrate``) cannot use them; ``kill`` compares against clean solo
+#: runs, so the kill itself is its only fault.
+_FAULT_KINDS = {"faults": (True, True), "migrate": (True, False),
+                "kill": (False, False)}
+DISRUPTIONS = tuple(_FAULT_KINDS)
 
 
 @dataclass
@@ -92,16 +120,15 @@ class ChaosConfig:
     #: ate_floor_m)``.
     ate_inflation: float = 5.0
     ate_floor_m: float = 0.05
-    #: Migration storms (:func:`run_chaos_migration`): the sequence
-    #: index every client rendezvouses at before the worker kill and
-    #: drain.  ``None`` = midpoint of the run.
-    migrate_frame: Optional[int] = None
-    #: Kill storms (:func:`run_chaos_kill`): shard worker *processes*
-    #: behind the router, how many get SIGKILLed mid-stream, and the
-    #: sequence index the kill lands on (``None`` = midpoint).
+    #: One of :data:`DISRUPTIONS`.
+    disruption: str = "faults"
+    #: Sequence index every client rendezvouses at for the migration
+    #: or the kill (``None`` = ``max(3, frames // 2)``).
+    disrupt_frame: Optional[int] = None
+    #: Kill storms: shard worker *processes* behind the router and how
+    #: many get SIGKILLed.
     shards: int = 3
     kills: int = 1
-    kill_frame: Optional[int] = None
 
 
 @dataclass
@@ -127,17 +154,18 @@ def build_fault_storm(config: ChaosConfig
                       ) -> Tuple[List[InjectedFault], List[InjectedFault]]:
     """Derive the deterministic fault schedule from the seed.
 
-    Returns ``(frame_faults, device_faults)``.  Session 0 is left
-    fault-free as the bit-identity control; every other session gets
-    at least one frame fault.  Faults land on frames >= 2 (the first
-    keyframe anchors clean) and device faults land before the final
-    stretch so the eviction that clears them is observed within the
-    run.
+    Returns ``(frame_faults, device_faults)``, restricted to the kinds
+    ``config.disruption`` storms with.  Session 0 is left fault-free
+    as the bit-identity control; every other session gets at least one
+    frame fault.  Faults land on frames >= 2 (the first keyframe
+    anchors clean) and device faults land before the final stretch so
+    the eviction that clears them is observed within the run.
     """
+    frame_on, device_on = _FAULT_KINDS[config.disruption]
     rng = np.random.default_rng(config.seed)
     frame_faults: List[InjectedFault] = []
     kind_cursor = 0
-    for i in range(1, config.sessions):
+    for i in range(1, config.sessions if frame_on else 1):
         sid = f"client-{i}"
         n = max(1, int(round(config.frame_fault_rate * config.frames)))
         lo, hi = 2, max(3, config.frames - 2)
@@ -150,7 +178,7 @@ def build_fault_storm(config: ChaosConfig
             frame_faults.append(InjectedFault(sid=sid, frame=int(frame),
                                               kind=kind))
     device_faults: List[InjectedFault] = []
-    if config.sessions > 1:
+    if config.sessions > 1 and device_on:
         hi = max(4, config.frames - 6)
         for j in range(config.device_faults):
             sid = f"client-{1 + j % (config.sessions - 1)}"
@@ -159,6 +187,43 @@ def build_fault_storm(config: ChaosConfig
             device_faults.append(InjectedFault(
                 sid=sid, frame=frame, kind="device", worker=worker))
     return frame_faults, device_faults
+
+
+def _disrupt_frame(config: ChaosConfig) -> int:
+    """Validate the disruption's knobs; returns the rendezvous frame."""
+    if config.disruption not in DISRUPTIONS:
+        raise ValueError(f"unknown disruption {config.disruption!r}; "
+                         f"choose from {list(DISRUPTIONS)}")
+    frame = (config.disrupt_frame if config.disrupt_frame is not None
+             else max(3, config.frames // 2))
+    if config.disruption == "migrate":
+        if config.sessions < 2:
+            raise ValueError("migration storm needs >= 2 sessions "
+                             "(session 0 stays the fault-free control)")
+        if not 0 < frame < config.frames:
+            raise ValueError(f"disrupt_frame {frame} outside the run "
+                             f"(1..{config.frames - 1})")
+    elif config.disruption == "kill":
+        if config.shards < 2:
+            raise ValueError("kill storm needs >= 2 shards (someone "
+                             "must survive)")
+        if not 0 < config.kills < config.shards:
+            raise ValueError("kills must leave at least one shard up")
+        # The checkpoint park sits two frames earlier, past frame 0.
+        if not 2 < frame < config.frames:
+            raise ValueError(f"disrupt_frame {frame} outside the run "
+                             f"(3..{config.frames - 1})")
+    return frame
+
+
+def _tracker_config(config: ChaosConfig) -> TrackerConfig:
+    """The one camera model: the workload renders at ``scale``, so the
+    tracker's intrinsics scale with it (as in ``repro.serve``)."""
+    tracker = TrackerConfig(pim_device_detect=config.device_detect)
+    if config.scale != 1.0:
+        tracker = dataclasses.replace(
+            tracker, camera=tracker.camera.scaled(config.scale))
+    return tracker
 
 
 @dataclass
@@ -208,14 +273,13 @@ def _arm_device_fault(service: VOService, fault: InjectedFault,
     return None
 
 
-def _apply_and_submit(service: VOService, sid: str, index: int,
+def _apply_and_submit(service, sid: str, index: int,
                       frame, fault: Optional[InjectedFault],
                       corruptor: FrameCorruptor, stall_s: float,
                       client: _ChaosClient) -> None:
     """Apply one frame's scheduled fault (if any) and submit it.
 
-    The shared per-frame body of every chaos client: fault
-    application is a pure function of ``(corruptor seed, index,
+    Fault application is a pure function of ``(corruptor seed, index,
     kind)``, so two runs fed the same schedule submit bit-identical
     pixels -- the property the migration storm's control comparison
     rests on.
@@ -237,7 +301,7 @@ def _apply_and_submit(service: VOService, sid: str, index: int,
     while True:
         try:
             result = service.submit(sid, submit.gray, submit.depth,
-                                    submit.timestamp)
+                                    submit.timestamp, timeout=120)
             client.tracked.append(index)
             client.results.append(result)
             client.last_ok_frame = index
@@ -266,27 +330,319 @@ def _apply_and_submit(service: VOService, sid: str, index: int,
             return
 
 
-def _chaos_client(service: VOService, sid: str, sequence,
-                  faults: Dict[int, InjectedFault],
-                  device_faults: Dict[int, InjectedFault],
-                  corruptor: FrameCorruptor, stall_s: float,
-                  read_flip_prob: float,
-                  client: _ChaosClient,
-                  injectors: List[FaultInjector],
-                  injectors_lock: threading.Lock) -> None:
-    for index, frame in enumerate(sequence.frames):
-        device_fault = device_faults.get(index)
-        if device_fault is not None:
-            injector = _arm_device_fault(service, device_fault,
-                                         seed=corruptor.seed + index,
-                                         read_flip_prob=read_flip_prob)
-            if injector is not None:
-                with injectors_lock:
-                    injectors.append(injector)
-                device_fault.evidence = "armed"
-        _apply_and_submit(service, sid, index, frame,
-                          faults.get(index), corruptor, stall_s,
-                          client)
+class _ServiceHolder:
+    """Mutable pointer to what clients submit to: a ``VOService`` or
+    a ``ShardRouter``.
+
+    The migration coordinator flips ``service`` from source to target
+    while every client is parked at the rendezvous, so no submit can
+    race the migration and recreate a sid as a fresh stream on the
+    source.
+    """
+
+    def __init__(self, service):
+        self.service = service
+
+
+class _Rendezvous:
+    """Clients park here at ``frame``; the coordinator disrupts, then
+    releases them."""
+
+    def __init__(self, frame: int, parties: int):
+        self.frame = frame
+        self.barrier = threading.Barrier(parties)
+        self.released = threading.Event()
+
+    def arrive(self) -> None:
+        self.barrier.wait(timeout=60.0)
+        if not self.released.wait(timeout=60.0):
+            raise TimeoutError("chaos coordinator never released "
+                               "the rendezvous")
+
+
+class _Storm:
+    """One run of the storm: the clients, their fault schedule, the
+    service they submit to, and the rendezvous they park at."""
+
+    def __init__(self, config: ChaosConfig, workload, service,
+                 faults=((), ()), stops=()):
+        self.config = config
+        self.workload = workload
+        self.holder = _ServiceHolder(service)
+        self.frame_faults, self.device_faults = map(list, faults)
+        self.stops = list(stops)
+        self.clients = {sid: _ChaosClient(sid=sid) for sid in workload}
+        self.injectors: List[FaultInjector] = []
+        self._injectors_lock = threading.Lock()
+        self._threads: List[threading.Thread] = []
+        self._t0 = 0.0
+
+    def start(self) -> "_Storm":
+        self._threads = [
+            threading.Thread(target=self._client, args=(i, sid),
+                             name=f"chaos-{sid}")
+            for i, sid in enumerate(self.workload)]
+        self._t0 = time.perf_counter()
+        for t in self._threads:
+            t.start()
+        return self
+
+    def join(self) -> float:
+        """Wait for every client; returns the storm's wall time."""
+        for t in self._threads:
+            t.join()
+        return time.perf_counter() - self._t0
+
+    def _client(self, i: int, sid: str) -> None:
+        corruptor = FrameCorruptor(seed=self.config.seed * 1000 + i)
+        faults = {f.frame: f for f in self.frame_faults if f.sid == sid}
+        device_faults = {f.frame: f for f in self.device_faults
+                         if f.sid == sid}
+        for index, frame in enumerate(self.workload[sid].frames):
+            for stop in self.stops:
+                if stop.frame == index:
+                    stop.arrive()
+            device_fault = device_faults.get(index)
+            if device_fault is not None:
+                injector = _arm_device_fault(
+                    self.holder.service, device_fault,
+                    seed=corruptor.seed + index,
+                    read_flip_prob=self.config.read_flip_prob)
+                if injector is not None:
+                    with self._injectors_lock:
+                        self.injectors.append(injector)
+                    device_fault.evidence = "armed"
+            _apply_and_submit(self.holder.service, sid, index, frame,
+                              faults.get(index), corruptor,
+                              self.config.stall_s, self.clients[sid])
+
+    def poses(self) -> Dict[str, List]:
+        return {sid: [r.pose for r in c.results]
+                for sid, c in self.clients.items()}
+
+    def health(self) -> Dict[str, List[Tuple[int, str]]]:
+        return {sid: [(i, r.health) for i, r in zip(c.tracked,
+                                                    c.results)]
+                for sid, c in self.clients.items()}
+
+
+@dataclass
+class _Disrupted:
+    """What one coordinator step hands back to :func:`run_chaos`."""
+
+    storm: _Storm                     # the run that gets classified
+    wall_s: float
+    flight: object                    # FlightRecorder to dump
+    served: Dict[str, List]           # poses under the identity gate
+    reference: Dict[str, List]        # ... and what they must equal
+    reference_name: str
+    facts: dict                       # report["disruption"]
+    #: ``migrate`` only: sid -> ((frame, health) served, ... control).
+    health: Dict[str, tuple] = field(default_factory=dict)
+    problems: List[str] = field(default_factory=list)
+
+
+def _service(config: ChaosConfig, tracker_config) -> VOService:
+    return VOService(workers=config.workers, frontend=config.frontend,
+                     config=tracker_config)
+
+
+def _disrupt_faults(config, workload, tracker_config, solo,
+                    frame, incident_dir) -> _Disrupted:
+    """Faults: a pre-storm control phase, then the storm -- device
+    faults are armed by the clients themselves."""
+    evictions = get_registry().counter("serve_device_evictions_total")
+    evictions_before = evictions.total()
+    with _service(config, tracker_config) as service:
+        # The control sequence through the full serve stack *before*
+        # any fault is armed.  Device faults corrupt a shared worker,
+        # so only a storm-free phase can pin the fault-free path
+        # bit-for-bit against the solo tracker.
+        control = _Storm(config, {"control": workload["client-0"]},
+                         service).start()
+        control.join()
+        storm = _Storm(config, workload, service,
+                       build_fault_storm(config)).start()
+        wall_s = storm.join()
+    evictions_delta = int(evictions.total() - evictions_before)
+
+    # Device-fault attribution: an armed injector makes its devices
+    # suspect, so the owning worker's next frame evicts (resets) them
+    # -- the eviction counter is the evidence.
+    armed = [f for f in storm.device_faults if f.evidence == "armed"]
+    fired = sum(inj.read_faults + inj.stored_faults
+                for inj in storm.injectors)
+    for i, fault in enumerate(armed):
+        if i < evictions_delta:
+            fault.attributed = True
+            fault.evidence = (f"worker {fault.worker} device evicted "
+                              f"({fired} bits corrupted across run)")
+    for fault in storm.device_faults:
+        if fault.evidence == "":
+            # No devices existed yet when the client tried to arm it:
+            # nothing was injected, so nothing to attribute.
+            fault.attributed = True
+            fault.evidence = "skipped: no devices materialised"
+    return _Disrupted(
+        storm=storm, wall_s=wall_s, flight=service.flight,
+        served={"client-0": control.poses()["control"]},
+        reference={"client-0": solo["client-0"]},
+        reference_name="solo client-0 run",
+        facts={"kind": "faults", "device_evictions": evictions_delta,
+               "device_bits_corrupted": fired})
+
+
+def _disrupt_migrate(config, workload, tracker_config, solo,
+                     frame, incident_dir) -> _Disrupted:
+    """Migrate: an unmigrated control run of the storm, then the same
+    storm with a worker kill and a whole-service drain at ``frame``.
+
+    Frame faults are pure functions of the seed, so both runs see
+    bit-identical inputs -- any output divergence is migration state
+    loss.
+    """
+    with _service(config, tracker_config) as service:
+        control = _Storm(config, workload, service,
+                         build_fault_storm(config)).start()
+        control.join()
+
+    migrated_ctr = get_registry().counter(
+        "serve_sessions_migrated_total")
+    migrated_before = migrated_ctr.total()
+    source = _service(config, tracker_config)
+    target = _service(config, tracker_config)
+    stop = _Rendezvous(frame, parties=len(workload) + 1)
+    with source, target:
+        storm = _Storm(config, workload, source,
+                       build_fault_storm(config), [stop]).start()
+        # Once every client is parked the "node failure" happens --
+        # one worker dies -- and the operator response is a
+        # whole-service drain onto the target.
+        stop.barrier.wait(timeout=60.0)
+        killed_worker = config.workers - 1
+        source.pool.workers[killed_worker].stop()
+        source.flight.event("worker_killed", worker=killed_worker,
+                            reason="chaos_migration_storm")
+        drained = source.drain_to(target)
+        storm.holder.service = target
+        stop.released.set()
+        wall_s = storm.join()
+    served_health, control_health = storm.health(), control.health()
+    return _Disrupted(
+        storm=storm, wall_s=wall_s, flight=source.flight,
+        served=storm.poses(), reference=control.poses(),
+        reference_name="unmigrated control run",
+        health={sid: (served_health[sid], control_health[sid])
+                for sid in workload},
+        facts={"kind": "migrate", "disrupt_frame": frame,
+               "killed_worker": killed_worker, "drained": drained,
+               "sessions_migrated": int(migrated_ctr.total() -
+                                        migrated_before)})
+
+
+def _await_respawns(router, victims: List[int],
+                    deadline_s: float) -> dict:
+    """Wait until every victim is back up with its restart counted.
+
+    Each poll reads state and restart count from one
+    ``shards_status()`` snapshot: the router publishes ``up`` under
+    its route lock only after the restart is accounted, so an ``up``
+    row with ``restarts == 0`` is the pre-kill state, never a respawn.
+    """
+    deadline = time.monotonic() + deadline_s
+    while True:
+        rows = {r["shard"]: r for r in router.shards_status()["shards"]}
+        waiting = [v for v in victims
+                   if rows[v]["state"] != "up" or not rows[v]["restarts"]]
+        if not waiting or time.monotonic() >= deadline:
+            break
+        time.sleep(0.02)
+    return {v: {"state": rows[v]["state"],
+                "restarts": rows[v]["restarts"],
+                "budget_remaining": rows[v]["restart_budget_remaining"]}
+            for v in victims}
+
+
+def _disrupt_kill(config, workload, tracker_config, solo,
+                  frame, incident_dir) -> _Disrupted:
+    """Kill: clients park once so a checkpoint sweep lands two frames
+    before ``frame``, then again while the busiest shards die.  Frames
+    between the parks ride only the router's capture-ring tail --
+    exactly the state the failover replay has to rebuild."""
+    from repro.shard import ShardRouter, ShardSpec, Supervisor
+
+    spec = ShardSpec(workers=config.workers, frontend=config.frontend,
+                     config=tracker_config,
+                     device_detect=config.device_detect,
+                     heartbeat_s=0.1)
+    checkpoint_stop = _Rendezvous(frame - 2, parties=len(workload) + 1)
+    kill_stop = _Rendezvous(frame, parties=len(workload) + 1)
+    respawn_deadline_s = 60.0
+    with ShardRouter(shards=config.shards, spec=spec,
+                     incident_dir=incident_dir) as router, \
+            Supervisor(router, poll_s=0.02,
+                       heartbeat_timeout_s=5.0,
+                       incident_dir=incident_dir) as supervisor:
+        storm = _Storm(config, workload, router,
+                       stops=[checkpoint_stop, kill_stop]).start()
+        checkpoint_stop.barrier.wait(timeout=120.0)
+        checkpointed = supervisor.checkpoint_now()
+        checkpoint_stop.released.set()
+
+        # Kill the busiest shards: maximum sessions in flight, maximum
+        # failover work.
+        kill_stop.barrier.wait(timeout=120.0)
+        by_load = sorted(
+            (s for s, h in router.shards.items() if h.state == "up"),
+            key=lambda s: -sum(1 for p in router._placement.values()
+                               if p == s))
+        victims = by_load[:config.kills]
+        for victim in victims:
+            os.kill(router.shards[victim].pid, signal.SIGKILL)
+            log.warning("chaos: SIGKILLed shard %d (pid %d)", victim,
+                        router.shards[victim].pid)
+        kill_stop.released.set()
+        wall_s = storm.join()
+        respawns = _await_respawns(router, victims, respawn_deadline_s)
+        status = router.shards_status()
+
+    problems = [f"{sid}: {c.errors} frame errors"
+                for sid, c in storm.clients.items() if c.errors]
+    if status["lost_sessions"]:
+        problems.append(
+            f"sessions lost in failover: {status['lost_sessions']}")
+    if status["failovers_total"] < 1:
+        problems.append("kill produced no failovers -- the storm "
+                        "never landed")
+    for victim, entry in respawns.items():
+        if entry["state"] != "up" or not entry["restarts"]:
+            problems.append(
+                f"shard {victim} never respawned (state "
+                f"{entry['state']} after {respawn_deadline_s:.0f}s)")
+        elif entry["budget_remaining"] <= 0:
+            problems.append(
+                f"shard {victim} exhausted its restart budget "
+                f"recovering from one kill")
+    bundles = []
+    if incident_dir is not None:
+        bundles = sorted(p.name for p in
+                         Path(incident_dir).glob("shard*_*.json"))
+    return _Disrupted(
+        storm=storm, wall_s=wall_s, flight=router.flight,
+        served=storm.poses(), reference=solo,
+        reference_name="unkilled solo runs", problems=problems,
+        facts={"kind": "kill", "disrupt_frame": frame,
+               "shards": config.shards, "kills": victims,
+               "checkpoint_frame": frame - 2,
+               "checkpointed_sessions": checkpointed,
+               "failovers_total": status["failovers_total"],
+               "lost_sessions": status["lost_sessions"],
+               "respawns": respawns, "shards_status": status,
+               "incident_bundles": bundles})
+
+
+_COORDINATORS = {"faults": _disrupt_faults, "migrate": _disrupt_migrate,
+                 "kill": _disrupt_kill}
 
 
 def _classify(client: _ChaosClient, ate_m: Optional[float],
@@ -313,699 +669,129 @@ def _classify(client: _ChaosClient, ate_m: Optional[float],
                          "clean finish within bound")
 
 
-def run_chaos(config: ChaosConfig, incident_dir=None) -> dict:
-    """Run one seeded fault storm; returns the JSON-ready report.
+def _bit_identity(run: _Disrupted) -> List[str]:
+    problems = trajectories_match(run.served, run.reference)
+    for sid, (got, want) in run.health.items():
+        if got != want:
+            first = next((g, w) for g, w in zip(got + [None],
+                                                want + [None])
+                         if g != w)
+            problems.append(f"{sid}: (frame, health) diverged from "
+                            f"the {run.reference_name}: {first[0]} vs "
+                            f"{first[1]}")
+    return problems
 
-    With ``incident_dir`` set, an unrecovered session additionally
-    dumps the service's flight-recorder bundle (recent events plus
-    captured failed-request span trees) to
-    ``<incident_dir>/chaos_incident.json`` for post-mortems.
+
+def run_chaos(config: ChaosConfig, incident_dir=None) -> dict:
+    """Run one seeded storm under ``config.disruption``; returns the
+    JSON-ready ``repro.verify.chaos/2`` report.
+
+    With ``incident_dir`` set, a failed run dumps the flight-recorder
+    bundle (recent events plus captured failed-request span trees) to
+    ``<incident_dir>/chaos_incident.json`` for post-mortems; a kill
+    storm's supervisor also writes its crash bundles there.
     """
-    tracer = get_tracer()
+    frame = _disrupt_frame(config)
     registry = get_registry()
     recovered_ctr = registry.counter(
-        "chaos_recovered_total",
-        "Chaos sessions by final outcome")
+        "chaos_recovered_total", "Chaos sessions by final outcome")
     injected_ctr = registry.counter(
         "chaos_faults_injected_total",
         "Faults injected by the chaos harness, by kind")
 
-    with tracer.span("chaos.storm", seed=config.seed,
-                     sessions=config.sessions, frames=config.frames):
+    with get_tracer().span("chaos.storm", disruption=config.disruption,
+                           seed=config.seed, sessions=config.sessions,
+                           frames=config.frames):
         workload = build_workload(sessions=config.sessions,
                                   frames=config.frames,
-                                  scale=config.scale,
-                                  seed=config.seed)
-        frame_faults, device_faults = build_fault_storm(config)
-        for fault in frame_faults + device_faults:
-            injected_ctr.inc(kind=fault.kind)
-
-        frontend_cls = _FRONTENDS[config.frontend]
-        service = VOService(workers=config.workers,
-                            frontend=config.frontend,
-                            device_detect=config.device_detect)
-
+                                  scale=config.scale, seed=config.seed)
+        tracker_config = _tracker_config(config)
         # Clean references: each sequence through an isolated tracker
-        # with the same config (also the bit-identity reference for
-        # the fault-free control session).
-        solo = solo_trajectories(workload, frontend_cls, service.config)
-        clean_ate = {
-            sid: absolute_trajectory_error(
-                solo[sid], workload[sid].groundtruth).rmse
-            for sid in workload}
+        # with the same config.
+        solo = solo_trajectories(workload, _FRONTENDS[config.frontend],
+                                 tracker_config)
+        run = _COORDINATORS[config.disruption](
+            config, workload, tracker_config, solo, frame, incident_dir)
 
-        evictions = registry.counter("serve_device_evictions_total")
-        evictions_before = evictions.total()
-
-        by_sid_frame: Dict[str, Dict[int, InjectedFault]] = {}
-        for fault in frame_faults:
-            by_sid_frame.setdefault(fault.sid, {})[fault.frame] = fault
-        dev_by_sid_frame: Dict[str, Dict[int, InjectedFault]] = {}
-        for fault in device_faults:
-            dev_by_sid_frame.setdefault(fault.sid, {})[fault.frame] = \
-                fault
-
-        clients = {sid: _ChaosClient(sid=sid) for sid in workload}
-        injectors: List[FaultInjector] = []
-        injectors_lock = threading.Lock()
-        threads = []
-        control_mismatch: List[str] = []
-        with service:
-            # Phase 1 -- fault-free bit-identity: the control
-            # sequence through the full serve stack *before* any
-            # fault is armed.  Device faults corrupt a shared worker,
-            # so only a storm-free phase can pin the fault-free path
-            # bit-for-bit against the solo tracker.
-            control_poses = []
-            for frame in workload["client-0"].frames:
-                result = service.submit("control", frame.gray,
-                                        frame.depth, frame.timestamp)
-                control_poses.append(result.pose)
-            reference = solo["client-0"]
-            if len(control_poses) != len(reference):
-                control_mismatch.append(
-                    f"{len(control_poses)} served vs "
-                    f"{len(reference)} solo frames")
-            else:
-                for i, (a, b) in enumerate(zip(control_poses,
-                                               reference)):
-                    if not (np.array_equal(a.R, b.R) and
-                            np.array_equal(a.t, b.t)):
-                        control_mismatch.append(
-                            f"pose {i} differs from solo")
-                        break
-
-            # Phase 2 -- the storm.
-            for i, (sid, sequence) in enumerate(workload.items()):
-                corruptor = FrameCorruptor(seed=config.seed * 1000 + i)
-                threads.append(threading.Thread(
-                    target=_chaos_client, name=f"chaos-{sid}",
-                    args=(service, sid, sequence,
-                          by_sid_frame.get(sid, {}),
-                          dev_by_sid_frame.get(sid, {}),
-                          corruptor, config.stall_s,
-                          config.read_flip_prob, clients[sid],
-                          injectors, injectors_lock)))
-            t0 = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            wall_s = time.perf_counter() - t0
-            final_stats = service.stats()
-        evictions_delta = int(evictions.total() - evictions_before)
-
-        # Device-fault attribution: an armed injector makes its
-        # devices suspect, so the owning worker's next frame evicts
-        # (resets) them -- the eviction counter is the evidence.
-        armed = [f for f in device_faults if f.evidence == "armed"]
-        fired = sum(inj.read_faults + inj.stored_faults
-                    for inj in injectors)
-        for i, fault in enumerate(armed):
-            if i < evictions_delta:
-                fault.attributed = True
-                fault.evidence = (
-                    f"worker {fault.worker} device evicted "
-                    f"({fired} bits corrupted across run)")
-        for fault in device_faults:
-            if fault.evidence == "":
-                # No devices existed yet when the client tried to arm
-                # it: nothing was injected, so nothing to attribute.
-                fault.attributed = True
-                fault.evidence = "skipped: no devices materialised"
-
-        # Per-session classification.
-        sessions_report = {}
-        unrecovered = []
-        for sid, client in clients.items():
-            ate_m = None
-            if client.results:
-                estimated = [r.pose for r in client.results]
-                groundtruth = [workload[sid].groundtruth[i]
-                               for i in client.tracked]
-                if len(estimated) == len(groundtruth) >= 3:
-                    ate_m = absolute_trajectory_error(
-                        estimated, groundtruth).rmse
-            bound_m = max(clean_ate[sid] * config.ate_inflation,
-                          config.ate_floor_m)
-            outcome, reason = _classify(client, ate_m, bound_m)
-            recovered_ctr.inc(outcome=outcome)
-            if outcome == "unrecovered":
-                unrecovered.append(sid)
-            session_faults = ([f for f in frame_faults
-                               if f.sid == sid] +
-                              [f for f in device_faults
-                               if f.sid == sid])
-            sessions_report[sid] = {
-                "sequence": workload[sid].name,
-                "frames": config.frames,
-                "tracked": len(client.results),
-                "dropped": client.dropped,
-                "stalls": client.stalls,
-                "errors": client.errors,
-                "backpressure_retries": client.backpressure_retries,
-                "final_health": (client.results[-1].health
-                                 if client.results else None),
-                "ate_m": ate_m,
-                "clean_ate_m": clean_ate[sid],
-                "bound_m": bound_m,
-                "outcome": outcome,
-                "reason": reason,
-                "faults": [f.to_dict() for f in session_faults],
-            }
-
-        # An unrecovered session is the chaos harness's incident: feed
-        # it to the flight recorder so the run's lead-up (events plus
-        # failed-request span trees) survives as a dumped bundle.
-        for sid in unrecovered:
-            service.flight.incident(
-                "chaos_unrecovered", session=sid,
-                detail=sessions_report[sid]["reason"])
-        if unrecovered and incident_dir is not None:
-            service.flight.dump(
-                Path(incident_dir) / "chaos_incident.json",
-                reason="chaos_unrecovered", sessions=unrecovered,
-                seed=config.seed)
-
-        unattributed = [f.to_dict() for f in frame_faults + device_faults
-                        if not f.attributed]
-        ok = (not unrecovered and not unattributed
-              and not control_mismatch)
-        report = {
-            "schema": "repro.verify.chaos/1",
-            **run_stamp(),
-            "seed": config.seed,
-            "config": {
-                "sessions": config.sessions,
-                "frames": config.frames,
-                "scale": config.scale,
-                "workers": config.workers,
-                "frontend": config.frontend,
-                "device_detect": config.device_detect,
-                "frame_fault_rate": config.frame_fault_rate,
-                "device_faults": config.device_faults,
-                "read_flip_prob": config.read_flip_prob,
-                "ate_inflation": config.ate_inflation,
-                "ate_floor_m": config.ate_floor_m,
-            },
-            "ok": ok,
-            "wall_s": wall_s,
-            "faults_injected": len(frame_faults) + len(device_faults),
-            "device_evictions": evictions_delta,
-            "device_bits_corrupted": fired,
-            "unrecovered_sessions": unrecovered,
-            "unattributed_faults": unattributed,
-            "control_bit_identity": {
-                "phase": "pre-storm",
-                "sequence": workload["client-0"].name,
-                "ok": not control_mismatch,
-                "problems": control_mismatch,
-            },
-            "sessions": sessions_report,
-            "flight": service.flight.stats(),
-            "service": {
-                "health": final_stats["health"],
-                "retries_total": final_stats["pool"]["retries_total"],
-                "checkpoints_total":
-                    final_stats["sessions"]["checkpoints_total"],
-                "restores_total":
-                    final_stats["sessions"]["restores_total"],
-            },
-        }
-        return report
-
-
-class _ServiceHolder:
-    """Mutable pointer to the service a client should submit to.
-
-    The migration coordinator flips ``service`` from source to target
-    while every client is parked at the rendezvous, so no submit can
-    race the migration and recreate a sid as a fresh stream on the
-    source.
-    """
-
-    def __init__(self, service: VOService):
-        self.service = service
-
-
-class _Rendezvous:
-    """Clients park here at ``frame``; the coordinator migrates, then
-    releases them against the target service."""
-
-    def __init__(self, frame: int, parties: int):
-        self.frame = frame
-        self.barrier = threading.Barrier(parties)
-        self.released = threading.Event()
-
-    def arrive(self) -> None:
-        self.barrier.wait(timeout=60.0)
-        if not self.released.wait(timeout=60.0):
-            raise TimeoutError("migration coordinator never released "
-                               "the rendezvous")
-
-
-def _migration_client(holder: _ServiceHolder, sid: str, sequence,
-                      faults: Dict[int, InjectedFault],
-                      corruptor: FrameCorruptor, stall_s: float,
-                      client: _ChaosClient,
-                      rendezvous: Optional[_Rendezvous]) -> None:
-    """Chaos client without device faults, with a migration stop.
-
-    Frame faults are applied exactly as in :func:`_chaos_client`; at
-    ``rendezvous.frame`` the client parks until the coordinator has
-    killed the worker, drained the source, and flipped ``holder`` to
-    the target.
-    """
-    for index, frame in enumerate(sequence.frames):
-        if rendezvous is not None and index == rendezvous.frame:
-            rendezvous.arrive()
-        _apply_and_submit(holder.service, sid, index, frame,
-                          faults.get(index), corruptor, stall_s,
-                          client)
-
-
-def run_chaos_migration(config: ChaosConfig, incident_dir=None) -> dict:
-    """Kill a worker mid-storm, drain every session to a second
-    service, and require the migrated trajectories to be bit-identical
-    to an unmigrated control run of the same storm.
-
-    Two runs of the same seeded frame-fault storm:
-
-    * **control** -- one service serves the whole storm.
-    * **migrated** -- a source service serves the first half; at the
-      rendezvous frame one source worker is killed (simulating the
-      dying node that motivates the drain), every session is
-      live-migrated (:meth:`VOService.drain_to`) onto a fresh target
-      service, and the storm finishes there.
-
-    Device faults are forced off: they corrupt shared worker devices
-    as a function of *dispatch timing*, so two runs of the same storm
-    would legitimately diverge and the bit-identity comparison would
-    be meaningless.  Frame faults are pure functions of the seed, so
-    with them alone the two runs see bit-identical inputs -- any
-    output divergence is migration state loss, which is exactly what
-    the gate pins.  The gate also holds the usual chaos SLO on the
-    migrated run: zero unrecovered sessions, every fault attributed.
-    """
-    if config.sessions < 2:
-        raise ValueError("migration storm needs >= 2 sessions "
-                         "(session 0 stays the fault-free control)")
-    registry = get_registry()
-    tracer = get_tracer()
-    migrate_frame = (config.migrate_frame
-                     if config.migrate_frame is not None
-                     else max(2, config.frames // 2))
-    if not 0 < migrate_frame < config.frames:
-        raise ValueError(
-            f"migrate_frame {migrate_frame} outside the run "
-            f"(1..{config.frames - 1})")
-
-    with tracer.span("chaos.migration_storm", seed=config.seed,
-                     sessions=config.sessions, frames=config.frames,
-                     migrate_frame=migrate_frame):
-        workload = build_workload(sessions=config.sessions,
-                                  frames=config.frames,
-                                  scale=config.scale,
-                                  seed=config.seed)
-        # Device faults off by construction; the same deterministic
-        # schedule is derived twice so control and migrated runs own
-        # independent attribution records.
-        storm_config = ChaosConfig(**{**config.__dict__,
-                                      "device_faults": 0})
-        control_faults, _ = build_fault_storm(storm_config)
-        migrated_faults, _ = build_fault_storm(storm_config)
-
-        def fault_index(faults):
-            by_sid: Dict[str, Dict[int, InjectedFault]] = {}
-            for fault in faults:
-                by_sid.setdefault(fault.sid, {})[fault.frame] = fault
-            return by_sid
-
-        def run_storm(holders, rendezvous, clients):
-            threads = []
-            for i, (sid, sequence) in enumerate(workload.items()):
-                threads.append(threading.Thread(
-                    target=_migration_client,
-                    name=f"chaos-migrate-{sid}",
-                    args=(holders[sid], sid, sequence,
-                          fault_index(clients["faults"]).get(sid, {}),
-                          FrameCorruptor(seed=config.seed * 1000 + i),
-                          config.stall_s, clients["by_sid"][sid],
-                          rendezvous)))
-            for t in threads:
-                t.start()
-            return threads
-
-        service_config = None
-
-        # -- control run: one service, no migration -------------------
-        control = {"faults": control_faults,
-                   "by_sid": {sid: _ChaosClient(sid=sid)
-                              for sid in workload}}
-        with VOService(workers=config.workers,
-                       frontend=config.frontend,
-                       device_detect=config.device_detect) as svc:
-            service_config = svc.config
-            holders = {sid: _ServiceHolder(svc) for sid in workload}
-            for t in run_storm(holders, None, control):
-                t.join()
-
-        # -- migrated run: source -> kill -> drain -> target ----------
-        migrated = {"faults": migrated_faults,
-                    "by_sid": {sid: _ChaosClient(sid=sid)
-                               for sid in workload}}
-        migrated_ctr = registry.counter("serve_sessions_migrated_total")
-        migrated_before = migrated_ctr.total()
-        killed_worker = None
-        source = VOService(workers=config.workers,
-                           frontend=config.frontend,
-                           device_detect=config.device_detect,
-                           config=service_config)
-        target = VOService(workers=config.workers,
-                           frontend=config.frontend,
-                           device_detect=config.device_detect,
-                           config=service_config)
-        t0 = time.perf_counter()
-        with source, target:
-            holders = {sid: _ServiceHolder(source) for sid in workload}
-            rendezvous = _Rendezvous(migrate_frame,
-                                     parties=len(workload) + 1)
-            threads = run_storm(holders, rendezvous, migrated)
-            # Coordinator: once every client is parked, the "node
-            # failure" happens -- one worker dies -- and the operator
-            # response is a whole-service drain onto the target.
-            rendezvous.barrier.wait(timeout=60.0)
-            killed_worker = config.workers - 1
-            source.pool.workers[killed_worker].stop()
-            source.flight.event("worker_killed",
-                                worker=killed_worker,
-                                reason="chaos_migration_storm")
-            drained = source.drain_to(target)
-            for holder in holders.values():
-                holder.service = target
-            rendezvous.released.set()
-            for t in threads:
-                t.join()
-        wall_s = time.perf_counter() - t0
-
-        # -- bit-identity: migrated trajectories vs the control run ---
-        problems: List[str] = []
-        for sid in workload:
-            a = control["by_sid"][sid]
-            b = migrated["by_sid"][sid]
-            if a.tracked != b.tracked:
-                problems.append(
-                    f"{sid}: tracked frames differ "
-                    f"({len(a.tracked)} control vs {len(b.tracked)} "
-                    f"migrated)")
-                continue
-            for i, (ra, rb) in enumerate(zip(a.results, b.results)):
-                if not (np.array_equal(ra.pose.R, rb.pose.R) and
-                        np.array_equal(ra.pose.t, rb.pose.t)):
-                    problems.append(
-                        f"{sid}: pose {i} (frame {a.tracked[i]}) "
-                        f"diverged after migration")
-                    break
-                if ra.health != rb.health:
-                    problems.append(
-                        f"{sid}: health diverged at frame "
-                        f"{a.tracked[i]}: {ra.health} vs {rb.health}")
-                    break
-
-        # -- classification of the migrated run -----------------------
-        frontend_cls = _FRONTENDS[config.frontend]
-        solo = solo_trajectories(workload, frontend_cls, service_config)
-        clean_ate = {
-            sid: absolute_trajectory_error(
-                solo[sid], workload[sid].groundtruth).rmse
-            for sid in workload}
-        sessions_report = {}
-        unrecovered = []
-        for sid, client in migrated["by_sid"].items():
-            ate_m = None
-            if client.results:
-                estimated = [r.pose for r in client.results]
-                groundtruth = [workload[sid].groundtruth[i]
-                               for i in client.tracked]
-                if len(estimated) == len(groundtruth) >= 3:
-                    ate_m = absolute_trajectory_error(
-                        estimated, groundtruth).rmse
-            bound_m = max(clean_ate[sid] * config.ate_inflation,
-                          config.ate_floor_m)
-            outcome, reason = _classify(client, ate_m, bound_m)
-            if outcome == "unrecovered":
-                unrecovered.append(sid)
-            sessions_report[sid] = {
-                "sequence": workload[sid].name,
-                "tracked": len(client.results),
-                "dropped": client.dropped,
-                "errors": client.errors,
-                "final_health": (client.results[-1].health
-                                 if client.results else None),
-                "ate_m": ate_m,
-                "bound_m": bound_m,
-                "outcome": outcome,
-                "reason": reason,
-                "faults": [f.to_dict() for f in migrated_faults
-                           if f.sid == sid],
-            }
-
-        if (problems or unrecovered) and incident_dir is not None:
-            source.flight.dump(
-                Path(incident_dir) / "chaos_migration_incident.json",
-                reason="chaos_migration_failed",
-                problems=problems, unrecovered=unrecovered,
-                seed=config.seed)
-
-        unattributed = [f.to_dict() for f in migrated_faults
-                        if not f.attributed]
-        ok = not problems and not unrecovered and not unattributed
-        return {
-            "schema": "repro.verify.chaos-migration/1",
-            **run_stamp(),
-            "seed": config.seed,
-            "ok": ok,
-            "wall_s": wall_s,
-            "migrate_frame": migrate_frame,
-            "killed_worker": killed_worker,
-            "sessions_migrated": int(migrated_ctr.total() -
-                                     migrated_before),
-            "drained": drained,
-            "faults_injected": len(migrated_faults),
-            "bit_identity": {"ok": not problems, "problems": problems},
-            "unrecovered_sessions": unrecovered,
-            "unattributed_faults": unattributed,
-            "sessions": sessions_report,
-        }
-
-
-def _kill_client(router, sid: str, sequence, client: _ChaosClient,
-                 checkpoint_stop: "_Rendezvous",
-                 kill_stop: "_Rendezvous") -> None:
-    """Closed-loop shard client with two parks: once so the
-    coordinator can checkpoint, once so it can kill.  Frames between
-    the two ride only the router's capture-ring tail -- exactly the
-    state the failover replay has to rebuild."""
-    for index, frame in enumerate(sequence.frames):
-        if index == checkpoint_stop.frame:
-            checkpoint_stop.arrive()
-        if index == kill_stop.frame:
-            kill_stop.arrive()
-        while True:
-            try:
-                result = router.submit(sid, frame.gray, frame.depth,
-                                       frame.timestamp, timeout=120)
-                client.tracked.append(index)
-                client.results.append(result)
-                client.last_ok_frame = index
-                break
-            except Backpressure as bp:
-                client.backpressure_retries += 1
-                time.sleep(max(bp.retry_after_s, 0.001))
-            except Exception as exc:  # noqa: BLE001 -- storm outcome
-                client.errors += 1
-                client.last_error_frame = index
-                log.warning("kill storm: %s frame %d failed (%s)",
-                            sid, index, type(exc).__name__)
-                break
-
-
-def run_chaos_kill(config: ChaosConfig, incident_dir=None) -> dict:
-    """SIGKILL storm against the supervised shard plane.
-
-    ``config.shards`` worker processes serve ``config.sessions``
-    closed-loop clients through a
-    :class:`~repro.shard.router.ShardRouter` under a
-    :class:`~repro.shard.supervisor.Supervisor`.  Mid-stream, after a
-    checkpoint sweep and two more frames (so the capture-ring tail is
-    non-empty), the ``config.kills`` busiest shards are SIGKILLed at
-    once.  The gate:
-
-    * **zero lost sessions** -- every session finishes;
-    * **bit-identity** -- every served trajectory equals its solo
-      (unkilled) tracker run, pose for pose;
-    * **respawn within budget** -- every victim is back ``up`` with
-      its restart budget not exhausted.
-
-    No frame or device faults are injected: the kill itself is the
-    fault, and clean inputs are what make the bit-identity comparison
-    meaningful.  Crash incident bundles land in ``incident_dir``.
-    """
-    from repro.shard import ShardRouter, ShardSpec, Supervisor
-    from repro.vo.config import TrackerConfig
-
-    if config.shards < 2:
-        raise ValueError("kill storm needs >= 2 shards (someone must "
-                         "survive)")
-    if not 0 < config.kills < config.shards:
-        raise ValueError("kills must leave at least one shard up")
-    kill_frame = (config.kill_frame if config.kill_frame is not None
-                  else max(3, config.frames // 2))
-    if not 2 < kill_frame < config.frames:
-        raise ValueError(f"kill_frame {kill_frame} outside the run "
-                         f"(3..{config.frames - 1})")
-    checkpoint_frame = kill_frame - 2
-
-    tracker_config = TrackerConfig(
-        pim_device_detect=config.device_detect)
-    if config.scale != 1.0:
-        tracker_config = dataclasses.replace(
-            tracker_config,
-            camera=tracker_config.camera.scaled(config.scale))
-    workload = build_workload(sessions=config.sessions,
-                              frames=config.frames,
-                              scale=config.scale, seed=config.seed)
-    frontend_cls = _FRONTENDS[config.frontend]
-    solo = solo_trajectories(workload, frontend_cls, tracker_config)
-
-    spec = ShardSpec(workers=config.workers,
-                     frontend=config.frontend,
-                     config=tracker_config,
-                     device_detect=config.device_detect,
-                     heartbeat_s=0.1)
-    clients = {sid: _ChaosClient(sid=sid) for sid in workload}
-    checkpoint_stop = _Rendezvous(checkpoint_frame,
-                                  parties=len(workload) + 1)
-    kill_stop = _Rendezvous(kill_frame, parties=len(workload) + 1)
-    victims: List[int] = []
-    respawn_deadline_s = 60.0
-    t0 = time.perf_counter()
-    with ShardRouter(shards=config.shards, spec=spec,
-                     incident_dir=incident_dir) as router, \
-            Supervisor(router, poll_s=0.02,
-                       heartbeat_timeout_s=5.0,
-                       incident_dir=incident_dir) as supervisor:
-        threads = [threading.Thread(
-            target=_kill_client, name=f"chaos-kill-{sid}",
-            args=(router, sid, workload[sid], clients[sid],
-                  checkpoint_stop, kill_stop))
-            for sid in workload]
-        for t in threads:
-            t.start()
-
-        # Park 1: a consistent checkpoint of every resident session.
-        checkpoint_stop.barrier.wait(timeout=120.0)
-        checkpointed = supervisor.checkpoint_now()
-        checkpoint_stop.released.set()
-
-        # Park 2: the storm.  Kill the busiest shards -- maximum
-        # sessions in flight, maximum failover work.
-        kill_stop.barrier.wait(timeout=120.0)
-        by_load = sorted(
-            (s for s, h in router.shards.items() if h.state == "up"),
-            key=lambda s: -sum(1 for p in router._placement.values()
-                               if p == s))
-        victims = by_load[:config.kills]
-        for victim in victims:
-            os.kill(router.shards[victim].pid, signal.SIGKILL)
-            log.warning("kill storm: SIGKILLed shard %d (pid %d)",
-                        victim, router.shards[victim].pid)
-        kill_stop.released.set()
-
-        for t in threads:
-            t.join()
-
-        # Victims must come back up within the restart budget.
-        respawns = {}
-        deadline = time.monotonic() + respawn_deadline_s
-        for victim in victims:
-            handle = router.shards[victim]
-            while time.monotonic() < deadline and \
-                    handle.state != "up":
-                time.sleep(0.02)
-            respawns[victim] = {
-                "state": handle.state,
-                "restarts": handle.restarts,
-                "budget_remaining": handle.backoff.remaining(),
-            }
-        wall_s = time.perf_counter() - t0
-        status = router.shards_status()
-
-    # -- the gate ---------------------------------------------------------
-    problems: List[str] = []
-    for sid in workload:
-        client = clients[sid]
-        reference = solo[sid]
-        if client.errors:
-            problems.append(f"{sid}: {client.errors} frame errors")
-        if len(client.results) != len(reference):
-            problems.append(
-                f"{sid}: tracked {len(client.results)} of "
-                f"{len(reference)} frames")
-            continue
-        for i, (result, ref) in enumerate(zip(client.results,
-                                              reference)):
-            if not (np.array_equal(result.pose.R, ref.R) and
-                    np.array_equal(result.pose.t, ref.t)):
-                problems.append(
-                    f"{sid}: pose {i} diverged from the unkilled "
-                    f"solo run")
-                break
-    if status["lost_sessions"]:
-        problems.append(
-            f"sessions lost in failover: {status['lost_sessions']}")
-    if status["failovers_total"] < 1:
-        problems.append("kill produced no failovers -- the storm "
-                        "never landed")
-    for victim, entry in respawns.items():
-        if entry["state"] != "up":
-            problems.append(
-                f"shard {victim} never respawned (state "
-                f"{entry['state']} after {respawn_deadline_s:.0f}s)")
-        elif entry["budget_remaining"] <= 0:
-            problems.append(
-                f"shard {victim} exhausted its restart budget "
-                f"recovering from one kill")
-
-    bundles = []
-    if incident_dir is not None:
-        bundles = sorted(p.name for p in
-                         Path(incident_dir).glob("shard*_*.json"))
-    return {
-        "schema": "repro.verify.chaos-kill/1",
-        **run_stamp(),
-        "seed": config.seed,
-        "ok": not problems,
-        "wall_s": wall_s,
-        "shards": config.shards,
-        "kills": victims,
-        "kill_frame": kill_frame,
-        "checkpoint_frame": checkpoint_frame,
-        "checkpointed_sessions": checkpointed,
-        "failovers_total": status["failovers_total"],
-        "lost_sessions": status["lost_sessions"],
-        "respawns": respawns,
-        "bit_identity": {"ok": not any("diverged" in p or "tracked"
-                                       in p for p in problems),
-                         "problems": problems},
-        "sessions": {sid: {
+    faults = run.storm.frame_faults + run.storm.device_faults
+    for fault in faults:
+        injected_ctr.inc(kind=fault.kind)
+    sessions_report = {}
+    unrecovered = []
+    for sid, client in run.storm.clients.items():
+        ate_m = None
+        if client.results:
+            estimated = [r.pose for r in client.results]
+            groundtruth = [workload[sid].groundtruth[i]
+                           for i in client.tracked]
+            if len(estimated) >= 3:
+                ate_m = absolute_trajectory_error(
+                    estimated, groundtruth).rmse
+        clean_ate = absolute_trajectory_error(
+            solo[sid], workload[sid].groundtruth).rmse
+        bound_m = max(clean_ate * config.ate_inflation,
+                      config.ate_floor_m)
+        outcome, reason = _classify(client, ate_m, bound_m)
+        recovered_ctr.inc(outcome=outcome)
+        if outcome == "unrecovered":
+            unrecovered.append(sid)
+        sessions_report[sid] = {
             "sequence": workload[sid].name,
-            "tracked": len(clients[sid].results),
-            "errors": clients[sid].errors,
-            "backpressure_retries": clients[sid].backpressure_retries,
-        } for sid in workload},
-        "shards_status": status,
-        "incident_bundles": bundles,
+            "frames": config.frames,
+            "tracked": len(client.results),
+            "dropped": client.dropped,
+            "stalls": client.stalls,
+            "errors": client.errors,
+            "backpressure_retries": client.backpressure_retries,
+            "final_health": (client.results[-1].health
+                             if client.results else None),
+            "ate_m": ate_m,
+            "clean_ate_m": clean_ate,
+            "bound_m": bound_m,
+            "outcome": outcome,
+            "reason": reason,
+            "faults": [f.to_dict() for f in faults if f.sid == sid],
+        }
+
+    identity = _bit_identity(run)
+    unattributed = [f.to_dict() for f in faults if not f.attributed]
+    problems = (
+        run.problems
+        + [f"bit identity vs {run.reference_name}: {p}"
+           for p in identity]
+        + [f"unrecovered {sid}: {sessions_report[sid]['reason']}"
+           for sid in unrecovered]
+        + [f"unattributed {f['kind']} fault on {f['sid']} frame "
+           f"{f['frame']}" for f in unattributed])
+
+    # A failed run is the chaos harness's incident: the flight
+    # recorder's lead-up (events plus failed-request span trees)
+    # survives as a dumped bundle.
+    for sid in unrecovered:
+        run.flight.incident("chaos_unrecovered", session=sid,
+                            detail=sessions_report[sid]["reason"])
+    if problems and incident_dir is not None:
+        run.flight.dump(
+            Path(incident_dir) / "chaos_incident.json",
+            reason=("chaos_unrecovered" if unrecovered
+                    else "chaos_failed"),
+            sessions=unrecovered, problems=problems, seed=config.seed)
+
+    return {
+        "schema": "repro.verify.chaos/2",
+        **run_stamp(),
+        "disruption": run.facts,
+        "config": dataclasses.asdict(config),
+        "ok": not problems,
+        "problems": problems,
+        "wall_s": run.wall_s,
+        "faults_injected": len(faults),
+        "unattributed_faults": unattributed,
+        "unrecovered_sessions": unrecovered,
+        "bit_identity": {"reference": run.reference_name,
+                         "ok": not identity, "problems": identity},
+        "sessions": sessions_report,
+        "flight": run.flight.stats(),
     }
 
 
@@ -1013,7 +799,7 @@ def main(argv=None) -> int:
     """``python -m repro.verify chaos``: run the storm, gate the SLO."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify chaos",
-        description="Seeded chaos storm against a live VOService")
+        description="Seeded chaos storm against the live serving stack")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sessions", type=int, default=4)
     parser.add_argument("--frames", type=int, default=40)
@@ -1024,27 +810,26 @@ def main(argv=None) -> int:
     parser.add_argument("--no-device-detect", action="store_true",
                         help="keep edge detection on the host")
     parser.add_argument("--device-faults", type=int, default=2)
-    parser.add_argument("--migrate", action="store_true",
-                        help="run the migration storm instead: kill a "
-                             "worker mid-storm, drain to a second "
-                             "service, gate bit-identity vs an "
-                             "unmigrated control run")
-    parser.add_argument("--migrate-frame", type=int, default=None,
-                        help="rendezvous frame for --migrate "
-                             "(default: midpoint)")
-    parser.add_argument("--kill", action="store_true",
-                        help="run the shard kill storm instead: "
-                             "SIGKILL worker processes mid-stream, "
-                             "gate zero lost sessions, solo "
-                             "bit-identity, and respawn within the "
-                             "restart budget")
+    disruption = parser.add_mutually_exclusive_group()
+    disruption.add_argument(
+        "--migrate", dest="disruption", action="store_const",
+        const="migrate",
+        help="kill a worker mid-storm, drain to a second service, "
+             "gate bit-identity vs an unmigrated control run")
+    disruption.add_argument(
+        "--kill", dest="disruption", action="store_const",
+        const="kill",
+        help="SIGKILL shard worker processes mid-stream, gate zero "
+             "lost sessions, solo bit-identity, and respawn within "
+             "the restart budget")
+    parser.set_defaults(disruption="faults")
+    parser.add_argument("--disrupt-frame", type=int, default=None,
+                        help="rendezvous frame for --migrate/--kill "
+                             "(default: max(3, frames // 2))")
     parser.add_argument("--shards", type=int, default=3,
                         help="shard worker processes for --kill")
     parser.add_argument("--kill-count", type=int, default=1,
                         help="how many shards get SIGKILLed")
-    parser.add_argument("--kill-frame", type=int, default=None,
-                        help="rendezvous frame for --kill "
-                             "(default: midpoint)")
     parser.add_argument("--out", default="chaos_report.json",
                         help="where to write the recovery report")
     args = parser.parse_args(argv)
@@ -1054,81 +839,29 @@ def main(argv=None) -> int:
                          workers=args.workers, frontend=args.frontend,
                          device_detect=not args.no_device_detect,
                          device_faults=args.device_faults,
-                         migrate_frame=args.migrate_frame,
-                         shards=args.shards, kills=args.kill_count,
-                         kill_frame=args.kill_frame)
+                         disruption=args.disruption,
+                         disrupt_frame=args.disrupt_frame,
+                         shards=args.shards, kills=args.kill_count)
     out = Path(args.out)
-    if args.kill:
-        report = run_chaos_kill(config, incident_dir=out.parent)
-        out.write_text(json.dumps(report, indent=1, sort_keys=True)
-                       + "\n")
-        print(f"chaos kill: SIGKILLed shard(s) {report['kills']} of "
-              f"{report['shards']} at frame {report['kill_frame']}; "
-              f"{report['failovers_total']} sessions failed over, "
-              f"{report['checkpointed_sessions']} checkpointed, "
-              f"{report['wall_s']:.1f}s wall")
-        print(f"respawns: {report['respawns']}")
-        print(f"report: {out}")
-        if not report["ok"]:
-            for problem in report["bit_identity"]["problems"]:
-                print(f"FAIL: {problem}", file=sys.stderr)
-            return 1
-        print("OK (zero lost sessions, trajectories bit-identical "
-              "to unkilled solo runs, victims respawned)")
-        return 0
-    if args.migrate:
-        report = run_chaos_migration(config, incident_dir=out.parent)
-        out.write_text(json.dumps(report, indent=1, sort_keys=True)
-                       + "\n")
-        outcomes = {sid: s["outcome"]
-                    for sid, s in report["sessions"].items()}
-        print(f"chaos migration: killed worker "
-              f"{report['killed_worker']} at frame "
-              f"{report['migrate_frame']}, migrated "
-              f"{report['sessions_migrated']} sessions in "
-              f"{report['wall_s']:.1f}s; outcomes: {outcomes}")
-        print(f"report: {out}")
-        if not report["ok"]:
-            if not report["bit_identity"]["ok"]:
-                print(f"FAIL: migrated trajectories diverged: "
-                      f"{report['bit_identity']['problems']}",
-                      file=sys.stderr)
-            if report["unrecovered_sessions"]:
-                print(f"FAIL: unrecovered sessions: "
-                      f"{report['unrecovered_sessions']}",
-                      file=sys.stderr)
-            if report["unattributed_faults"]:
-                print(f"FAIL: {len(report['unattributed_faults'])} "
-                      f"injected faults unattributed", file=sys.stderr)
-            return 1
-        print("OK (migrated trajectories bit-identical to control)")
-        return 0
+    out.parent.mkdir(parents=True, exist_ok=True)
     report = run_chaos(config, incident_dir=out.parent)
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
     outcomes = {sid: s["outcome"]
                 for sid, s in report["sessions"].items()}
+    facts = ", ".join(f"{k}={v}" for k, v in report["disruption"].items()
+                      if not isinstance(v, dict))
     print(f"chaos: {report['faults_injected']} faults over "
           f"{config.sessions} sessions x {config.frames} frames "
           f"in {report['wall_s']:.1f}s; outcomes: {outcomes}")
-    print(f"device evictions: {report['device_evictions']}, "
-          f"worker retries: {report['service']['retries_total']}, "
-          f"checkpoint restores: "
-          f"{report['service']['restores_total']}")
+    print(f"disruption: {facts}")
     print(f"report: {out}")
+    for problem in report["problems"]:
+        print(f"FAIL: {problem}", file=sys.stderr)
     if not report["ok"]:
-        if report["unrecovered_sessions"]:
-            print(f"FAIL: unrecovered sessions: "
-                  f"{report['unrecovered_sessions']}", file=sys.stderr)
-        if report["unattributed_faults"]:
-            print(f"FAIL: {len(report['unattributed_faults'])} "
-                  f"injected faults unattributed", file=sys.stderr)
-        if not report["control_bit_identity"]["ok"]:
-            print(f"FAIL: control session diverged: "
-                  f"{report['control_bit_identity']['problems']}",
-                  file=sys.stderr)
         return 1
-    print("OK")
+    print(f"OK (bit-identical to the "
+          f"{report['bit_identity']['reference']})")
     return 0
 
 

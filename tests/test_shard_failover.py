@@ -89,7 +89,8 @@ class TestKillFailover:
             os.kill(router.shards[victim].pid, signal.SIGKILL)
             _wait(lambda: router._failovers > 0, what="failover")
             _submit_all(router, workload, slice(4, 6), results)
-            _wait(lambda: router.shards[victim].state == "up",
+            _wait(lambda: router.shards[victim].state == "up" and
+                  router.shards[victim].restarts == 1,
                   what="respawn")
             status = router.shards_status()
             assert status["lost_sessions"] == []
@@ -275,7 +276,8 @@ class TestHangDetection:
             _wait(lambda: router._failovers > 0,
                   what="hang detection", timeout_s=30.0)
             _submit_all(router, workload, slice(2, 4), results)
-            _wait(lambda: router.shards[victim].state == "up",
+            _wait(lambda: router.shards[victim].state == "up" and
+                  router.shards[victim].restarts == 1,
                   what="respawn after hang")
             assert router.shards_status()["lost_sessions"] == []
         served = service_trajectories(

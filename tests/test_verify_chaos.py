@@ -1,6 +1,9 @@
 """Tests for the chaos harness (repro.verify.chaos)."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from repro.dataset.synthetic import Frame, FrameCorruptor
 from repro.verify.chaos import (
@@ -114,11 +117,11 @@ class TestChaosRun:
                              workers=2, device_detect=False,
                              device_faults=0, stall_s=0.01)
         report = run_chaos(config)
-        assert report["schema"] == "repro.verify.chaos/1"
+        assert report["schema"] == "repro.verify.chaos/2"
         assert report["ok"], (report["unrecovered_sessions"],
                               report["unattributed_faults"],
-                              report["control_bit_identity"])
-        assert report["control_bit_identity"]["ok"]
+                              report["bit_identity"])
+        assert report["bit_identity"]["ok"]
         assert report["sessions"]["client-0"]["outcome"] == "recovered"
         assert report["faults_injected"] > 0
         faults = [f for s in report["sessions"].values()
@@ -169,27 +172,25 @@ class TestChaosRun:
         assert out.exists()
         import json
         report = json.loads(out.read_text())
-        assert report["schema"] == "repro.verify.chaos/1"
+        assert report["schema"] == "repro.verify.chaos/2"
         assert "timestamp" in report
 
 
 class TestChaosMigration:
     def test_migration_storm_is_bit_identical(self):
-        from repro.verify.chaos import run_chaos_migration
-
         config = ChaosConfig(seed=0, sessions=3, frames=10,
                              workers=2, frontend="float",
                              device_detect=False, stall_s=0.01)
-        report = run_chaos_migration(config)
-        assert report["schema"] == "repro.verify.chaos-migration/1"
+        report = run_chaos(replace(config, disruption="migrate"))
+        assert report["schema"] == "repro.verify.chaos/2"
         assert report["ok"], (report["bit_identity"],
                               report["unrecovered_sessions"],
                               report["unattributed_faults"])
         assert report["bit_identity"]["ok"]
-        assert report["killed_worker"] == 1
-        assert report["migrate_frame"] == 5
-        assert report["sessions_migrated"] == 3
-        assert sorted(report["drained"]) == \
+        assert report["disruption"]["killed_worker"] == 1
+        assert report["disruption"]["disrupt_frame"] == 5
+        assert report["disruption"]["sessions_migrated"] == 3
+        assert sorted(report["disruption"]["drained"]) == \
             ["client-0", "client-1", "client-2"]
         # The storm actually stormed: faults were injected on the
         # non-control sessions and every one was attributed.
@@ -200,25 +201,19 @@ class TestChaosMigration:
         assert "unrecovered" not in outcomes
 
     def test_migration_storm_rejects_single_session(self):
-        from repro.verify.chaos import run_chaos_migration
-
-        try:
-            run_chaos_migration(ChaosConfig(sessions=1))
-        except ValueError as exc:
-            assert "2 sessions" in str(exc)
-        else:
-            raise AssertionError("expected ValueError")
+        for disruption, knobs, message in [
+                ("migrate", dict(sessions=1), "2 sessions"),
+                ("kill", dict(shards=1), "2 shards"),
+                ("kill", dict(shards=2, kills=2), "at least one shard")]:
+            with pytest.raises(ValueError, match=message):
+                run_chaos(ChaosConfig(disruption=disruption, **knobs))
 
     def test_migration_storm_rejects_bad_migrate_frame(self):
-        from repro.verify.chaos import run_chaos_migration
-
-        try:
-            run_chaos_migration(ChaosConfig(sessions=2, frames=8,
-                                            migrate_frame=8))
-        except ValueError as exc:
-            assert "migrate_frame" in str(exc)
-        else:
-            raise AssertionError("expected ValueError")
+        for disruption, frame in [("migrate", 8), ("migrate", 0),
+                                  ("kill", 8), ("kill", 2)]:
+            with pytest.raises(ValueError, match="disrupt_frame"):
+                run_chaos(ChaosConfig(disruption=disruption, sessions=2,
+                                      frames=8, disrupt_frame=frame))
 
     def test_cli_migrate_flag(self, tmp_path):
         out = tmp_path / "migrate.json"
@@ -229,6 +224,30 @@ class TestChaosMigration:
         assert code == 0
         import json
         report = json.loads(out.read_text())
-        assert report["schema"] == "repro.verify.chaos-migration/1"
+        assert report["schema"] == "repro.verify.chaos/2"
         assert report["ok"]
         assert report["bit_identity"]["ok"]
+
+
+class TestChaosKill:
+    def test_kill_storm_loses_nothing_and_respawns(self, tmp_path):
+        config = ChaosConfig(disruption="kill", seed=0, sessions=2,
+                             frames=6, shards=2, kills=1, workers=1,
+                             frontend="float", device_detect=False)
+        report = run_chaos(config, incident_dir=tmp_path)
+        assert report["schema"] == "repro.verify.chaos/2"
+        assert report["ok"] == (report["problems"] == [])
+        assert report["ok"], report["problems"]
+        kill = report["disruption"]
+        assert kill["kind"] == "kill"
+        assert all(s["errors"] == 0
+                   for s in report["sessions"].values())
+        assert report["bit_identity"]["ok"]
+        assert kill["lost_sessions"] == []
+        assert kill["failovers_total"] >= 1
+        assert len(kill["respawns"]) == 1
+        for entry in kill["respawns"].values():
+            assert entry["state"] == "up"
+            assert entry["restarts"] == 1
+            assert entry["budget_remaining"] > 0
+        assert kill["incident_bundles"]

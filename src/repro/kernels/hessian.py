@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.fixedpoint import Q29_3, ops
 from repro.kernels.common import shift_pixels
+from repro.obs.metrics import get_registry
 from repro.pim.device import TMP
 
 __all__ = ["HESSIAN_FORMAT", "SYM_PAIRS", "reduction_shifts",
@@ -39,6 +40,11 @@ SYM_PAIRS: List[Tuple[int, int]] = [(i, j) for i in range(6)
 _ACC_BITS = 32
 #: ``(Q14.2)^2 = scale 2^4`` -> Q29.3 needs one right shift.
 _PROD_SHIFT = 1
+#: Row pairs of the packed ``[J^T; r]`` array (rows 0-5 the Jacobian
+#: columns, row 6 the residuals) whose products fill the 27
+#: accumulators: the 21 ``SYM_PAIRS``, then ``J_i * r`` for ``b``.
+_LEFT = np.array([p for p, _ in SYM_PAIRS] + list(range(6)))
+_RIGHT = np.array([q for _, q in SYM_PAIRS] + [6] * 6)
 
 
 def reduction_shifts(lanes: int) -> List[int]:
@@ -64,15 +70,17 @@ def hessian_float(jacobians: np.ndarray, residuals: np.ndarray) -> tuple:
     return j.T @ j, j.T @ r
 
 
-def _sat_prod(a, b) -> np.ndarray:
-    return ops.saturate(
-        (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64))
-        >> _PROD_SHIFT, _ACC_BITS)
-
-
 def hessian_fast(j_raw: np.ndarray, r_raw: np.ndarray,
                  lanes: int = 80, acc_bits: int = _ACC_BITS) -> tuple:
     """Quantized reduction with exact PIM arithmetic and batch structure.
+
+    Bit-identical to :func:`hessian_pim` over ``lanes``-wide batches
+    followed by :func:`hessian_reduce_pim`: every product saturates to
+    the lane, the first batch is copied into the accumulators and later
+    batches add with saturation.  A saturating running sum equals the
+    plain one whenever no prefix of it leaves the lane range, so the
+    batches are summed with one ``cumsum`` and the sequential saturating
+    loop runs only when some prefix does leave it.
 
     Args:
         j_raw: (N x 6) Jacobian raws (Q14.2).
@@ -84,27 +92,27 @@ def hessian_fast(j_raw: np.ndarray, r_raw: np.ndarray,
         ``(h_raw, b_raw)``: 21 upper-triangular raws and 6 vector raws
         in Q29.3.
     """
-    j = np.asarray(j_raw, dtype=np.int64)
     r = np.asarray(r_raw, dtype=np.int64).reshape(-1)
     n = r.size
     batches = max(1, -(-n // lanes))
-    padded = batches * lanes
-    jp = np.zeros((padded, 6), dtype=np.int64)
-    rp = np.zeros(padded, dtype=np.int64)
-    jp[:n] = j
-    rp[:n] = r
+    jr = np.zeros((7, batches * lanes), dtype=np.int64)
+    jr[:6, :n] = np.asarray(j_raw).T
+    jr[6, :n] = r
 
-    acc = np.zeros((27, lanes), dtype=np.int64)
-    for start in range(0, padded, lanes):
-        jb = jp[start:start + lanes]
-        rb = rp[start:start + lanes]
-        for idx, (p, q) in enumerate(SYM_PAIRS):
-            prod = ops.saturate(
-                (jb[:, p] * jb[:, q]) >> _PROD_SHIFT, acc_bits)
-            acc[idx] = ops.sat_add(acc[idx], prod, acc_bits)
-        for i in range(6):
-            prod = ops.saturate((jb[:, i] * rb) >> _PROD_SHIFT, acc_bits)
-            acc[21 + i] = ops.sat_add(acc[21 + i], prod, acc_bits)
+    prods = ops.saturate(
+        (jr[_LEFT] * jr[_RIGHT]) >> _PROD_SHIFT, acc_bits
+    ).reshape(27, batches, lanes)
+    prefix = np.cumsum(prods, axis=1)
+    hi = (1 << (acc_bits - 1)) - 1
+    if prefix.min() >= -hi - 1 and prefix.max() <= hi:
+        acc = prefix[:, -1]
+    else:
+        get_registry().counter(
+            "kernels_hessian_saturated_total",
+            "hessian_fast calls whose lane accumulation saturated").inc()
+        acc = prods[:, 0]
+        for batch in range(1, batches):
+            acc = ops.sat_add(acc, prods[:, batch], acc_bits)
 
     for s in reduction_shifts(lanes):
         acc = ops.sat_add(acc, shift_pixels(acc, s), acc_bits)

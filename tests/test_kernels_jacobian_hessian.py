@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.fixedpoint import Q14_2, Q29_3
+from repro.fixedpoint import Q14_2, Q29_3, ops
 from repro.geometry import TUM_QVGA, inverse_depth_coords, se3_exp
+from repro.kernels.common import shift_pixels
 from repro.kernels.hessian import (
     SYM_PAIRS,
     hessian_fast,
@@ -30,9 +32,55 @@ from repro.kernels.warp import (
     warp_float,
     warp_pim,
 )
+from repro.obs.metrics import get_registry
 from repro.pim import PIMConfig, PIMDevice
 
 CAM = TUM_QVGA
+
+#: Up to three full 80-lane batches plus a partial fourth.
+MAX_FEATURES = 3 * 80 + 17
+
+
+def hessian_loop_reference(j_raw, r_raw, lanes, acc_bits):
+    """Per-batch, per-product saturating loop: the oracle for
+    ``hessian_fast`` at any lane configuration."""
+    j = np.asarray(j_raw, dtype=np.int64)
+    r = np.asarray(r_raw, dtype=np.int64).reshape(-1)
+    n = r.size
+    padded = max(1, -(-n // lanes)) * lanes
+    jp = np.zeros((padded, 6), dtype=np.int64)
+    rp = np.zeros(padded, dtype=np.int64)
+    jp[:n] = j
+    rp[:n] = r
+    acc = np.zeros((27, lanes), dtype=np.int64)
+    for start in range(0, padded, lanes):
+        jb = jp[start:start + lanes]
+        rb = rp[start:start + lanes]
+        for idx, (p, q) in enumerate(SYM_PAIRS):
+            prod = ops.saturate((jb[:, p] * jb[:, q]) >> 1, acc_bits)
+            acc[idx] = ops.sat_add(acc[idx], prod, acc_bits)
+        for i in range(6):
+            prod = ops.saturate((jb[:, i] * rb) >> 1, acc_bits)
+            acc[21 + i] = ops.sat_add(acc[21 + i], prod, acc_bits)
+    for s in reduction_shifts(lanes):
+        acc = ops.sat_add(acc, shift_pixels(acc, s), acc_bits)
+    return acc[:21, 0], acc[21:, 0]
+
+
+def lm_raws(n, extreme, seed):
+    """Jacobian and residual raws: small, or at the int16 edges
+    (+-2^15), where four batches of ``(-2^15)^2 >> 1`` overflow a
+    32-bit accumulator."""
+    rng = np.random.default_rng(seed)
+    if extreme:
+        edges = np.array([-(1 << 15), (1 << 15) - 1])
+        return rng.choice(edges, (n, 6)), rng.choice(edges, n)
+    return (rng.integers(-1200, 1201, (n, 6)),
+            rng.integers(-120, 121, n))
+
+
+def saturated_calls():
+    return get_registry().counter("kernels_hessian_saturated_total").total()
 
 
 def setup_batch(n=160, seed=0):
@@ -210,6 +258,53 @@ class TestHessian:
         raws = hessian_reduce_pim(dev, acc_rows)
         np.testing.assert_array_equal(raws[:21], h_fast)
         np.testing.assert_array_equal(raws[21:], b_fast)
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(0, MAX_FEATURES), extreme=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    # A lane saturates mid-accumulation and a cross term still shows
+    # it after the reduction tree.
+    @example(n=MAX_FEATURES, extreme=True, seed=26)
+    def test_fast_matches_device_property(self, n, extreme, seed):
+        j, r = lm_raws(n, extreme, seed)
+        dev = PIMDevice(PIMConfig(wordline_bits=2560, num_rows=64))
+        dev.set_precision(32)
+        acc_rows = list(range(7, 34))
+        for batch in range(max(1, -(-n // 80))):
+            sl = slice(batch * 80, (batch + 1) * 80)
+            for i in range(6):
+                dev.load(i, j[sl, i])
+            dev.load(6, r[sl])
+            hessian_pim(dev, list(range(6)), 6, acc_rows,
+                        first_batch=(batch == 0))
+        raws = hessian_reduce_pim(dev, acc_rows)
+        h_fast, b_fast = hessian_fast(j, r)
+        np.testing.assert_array_equal(raws[:21], h_fast)
+        np.testing.assert_array_equal(raws[21:], b_fast)
+
+    def test_fast_matches_loop_oracle_on_both_paths(self):
+        paths = set()
+
+        @settings(max_examples=30, deadline=None)
+        @given(config=st.sampled_from([(80, 32), (160, 16)]),
+               n=st.integers(0, 2 * MAX_FEATURES), extreme=st.booleans(),
+               seed=st.integers(0, 2**32 - 1))
+        @example(config=(80, 32), n=MAX_FEATURES, extreme=False, seed=0)
+        @example(config=(160, 16), n=MAX_FEATURES, extreme=False, seed=0)
+        def check(config, n, extreme, seed):
+            lanes, acc_bits = config
+            j, r = lm_raws(n, extreme, seed)
+            before = saturated_calls()
+            h_fast, b_fast = hessian_fast(j, r, lanes=lanes,
+                                          acc_bits=acc_bits)
+            paths.add(saturated_calls() > before)
+            h_ref, b_ref = hessian_loop_reference(j, r, lanes, acc_bits)
+            np.testing.assert_array_equal(h_fast, h_ref)
+            np.testing.assert_array_equal(b_fast, b_ref)
+
+        check()
+        # The prefix-sum path and the saturating fallback both ran.
+        assert paths == {False, True}
 
     def test_naive_costs_more_than_optimized(self):
         rng = np.random.default_rng(8)

@@ -1,41 +1,29 @@
 """Wall-clock speedup of compiled-program replay (simulator speed).
 
 Asserts the headline acceptance criteria of the capture/replay layer:
-the batched executor runs the QVGA LPF -> HPF -> NMS chain at least 5x
+compiled replay runs the QVGA LPF -> HPF -> NMS chain at least 10x
 faster than eagerly replaying the same programs row by row, and the
-compiled lowering backend at least 2x faster than the batched
-executor, with bit-identical SRAM contents and identical ledger totals
-on every path.  Results are archived under ``benchmarks/results/`` and
-written to the repo-root ``BENCH_pim.json``.
+warp kernel no slower than eager, with bit-identical SRAM contents,
+identical ledger totals and a mask equal to the numpy mirror (see
+:data:`repro.analysis.wallclock.SPEEDUP_FLOORS`).  Results are
+archived under ``benchmarks/results/`` and written to the repo-root
+``BENCH_pim.json``.
 """
 
 import json
 
-from repro.analysis.wallclock import run_wallclock, write_results
+from repro.analysis.wallclock import (
+    SPEEDUP_FLOORS,
+    gate_failures,
+    run_wallclock,
+    write_results,
+)
 
 
 def test_wallclock_replay_speedup(record_report):
+    assert SPEEDUP_FLOORS == {"edge_pipeline": 10.0, "warp": 1.0}
     results = run_wallclock(repeats=3)
-    edge = results["edge_pipeline"]
-    warp = results["warp"]
-
-    assert edge["mask_bit_identical"]
-    assert edge["matches_vectorized_reference"]
-    assert edge["sram_bit_identical"]
-    assert edge["ledger_identical"]
-    assert warp["ledger_identical"]
-    assert edge["speedup"] >= 5.0, (
-        f"batched replay only {edge['speedup']}x faster than eager")
-
-    # Compiled backend: same bits, same ledger, >= 2x over batched.
-    assert edge["compiled_mask_bit_identical"]
-    assert edge["compiled_sram_bit_identical"]
-    assert edge["compiled_ledger_identical"]
-    assert warp["compiled_ledger_identical"]
-    assert warp["compiled_sram_bit_identical"]
-    assert edge["compiled_speedup_vs_batched"] >= 2.0, (
-        f"compiled replay only {edge['compiled_speedup_vs_batched']}x "
-        f"faster than batched")
+    assert gate_failures(results) == []
 
     path = write_results(results)
     record_report("wallclock_replay", json.dumps(results, indent=2))

@@ -1,22 +1,22 @@
-"""Wall-clock benchmark: replay execution backends vs eager execution.
+"""Wall-clock benchmark: compiled replay vs eager execution.
 
 This measures *simulator* speed, not modelled device cycles: how much
 faster the Python simulator runs the QVGA LPF -> HPF -> NMS chain (and
-the warp kernel) when each per-row program is executed as row-batched
-2-D numpy operations with O(1) ledger accounting -- and faster still
-through the compiled lowering backend (:mod:`repro.pim.lowering`) --
-compared to replaying the same programs one micro-op at a time.  All
-paths are exercised on the *same* recorded programs, so the parity
-checks (bit-identical memory, identical ledger totals) are part of the
-benchmark contract.
+the warp kernel) when each per-row program is lowered once by
+:mod:`repro.pim.lowering` and executed as fused 2-D numpy operations
+with O(1) ledger accounting, compared to replaying the same programs
+one micro-op at a time.  Both tiers run the *same* recorded programs,
+so the parity checks (bit-identical memory, identical ledger totals)
+are part of the benchmark contract.
 
 Results are stamped with the git revision and backend versions
 (numpy, numba when importable) so BENCH_pim.json stays attributable
 across the PR sequence.
 
-The harness is shared by ``benchmarks/test_wallclock.py`` (asserts the
-speedups and parity) and ``benchmarks/run_wallclock.py`` (writes
-``BENCH_pim.json`` at the repository root).
+The harness is shared by ``benchmarks/test_wallclock.py`` (asserts
+:func:`gate_failures` is empty), ``benchmarks/run_wallclock.py``
+(writes ``BENCH_pim.json`` at the repository root) and the CI bench
+sanity step.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -43,9 +43,15 @@ from repro.obs.stamp import run_stamp
 from repro.pim import PIMDevice
 from repro.pim.lowering import NUMBA_VERSION
 
-__all__ = ["run_wallclock", "write_results", "BENCH_FILENAME"]
+__all__ = ["run_wallclock", "gate_failures", "write_results",
+           "BENCH_FILENAME", "SPEEDUP_FLOORS"]
 
 BENCH_FILENAME = "BENCH_pim.json"
+
+#: Minimum compiled-vs-eager host speedup per section.  The edge chain
+#: measures ~60x on a 2-vCPU x86_64 VM, so 10x leaves room for slow or
+#: shared CI runners; warp must simply not lose to eager.
+SPEEDUP_FLOORS = {"edge_pipeline": 10.0, "warp": 1.0}
 
 _LEDGER_FIELDS = ("cycles", "sram_reads", "sram_writes", "tmp_accesses",
                   "logic_ops", "host_transfers")
@@ -76,41 +82,27 @@ def _bench_edge_pipeline(image: np.ndarray, repeats: int) -> Dict:
         lambda: detect_edges_replay(PIMDevice(), image, th1, th2,
                                     mode="eager"),
         max(1, repeats // 2))
-    replay_s = _best_of(
-        lambda: detect_edges_replay(PIMDevice(), image, th1, th2,
-                                    mode="batched"),
-        repeats)
     compiled_s = _best_of(
-        lambda: detect_edges_replay(PIMDevice(), image, th1, th2,
-                                    mode="compiled"),
+        lambda: detect_edges_replay(PIMDevice(), image, th1, th2),
         repeats)
 
-    dev_e, dev_b, dev_c = PIMDevice(), PIMDevice(), PIMDevice()
+    dev_e, dev_c = PIMDevice(), PIMDevice()
     res_e = detect_edges_replay(dev_e, image, th1, th2, mode="eager")
-    res_b = detect_edges_replay(dev_b, image, th1, th2, mode="batched")
-    res_c = detect_edges_replay(dev_c, image, th1, th2, mode="compiled")
+    res_c = detect_edges_replay(dev_c, image, th1, th2)
     fast = detect_edges_fast(image, th1, th2)
     return {
         "stages": ["lpf", "hpf", "nms"],
         "image_shape": list(image.shape),
         "eager_ms": round(eager_s * 1e3, 3),
-        "replay_ms": round(replay_s * 1e3, 3),
         "compiled_ms": round(compiled_s * 1e3, 3),
-        "speedup": round(eager_s / replay_s, 2),
-        "compiled_speedup_vs_batched": round(replay_s / compiled_s, 2),
+        "compiled_speedup_vs_eager": round(eager_s / compiled_s, 2),
         "mask_bit_identical": bool(
-            np.array_equal(res_e.edge_map, res_b.edge_map)),
-        "compiled_mask_bit_identical": bool(
             np.array_equal(res_e.edge_map, res_c.edge_map)),
         "matches_vectorized_reference": bool(
-            np.array_equal(res_b.edge_map, fast.edge_map)),
-        "sram_bit_identical": bool(np.array_equal(dev_e._mem, dev_b._mem)),
-        "compiled_sram_bit_identical": bool(
-            np.array_equal(dev_e._mem, dev_c._mem)),
-        "ledger_identical": _ledgers_equal(dev_e.ledger, dev_b.ledger),
-        "compiled_ledger_identical": _ledgers_equal(dev_e.ledger,
-                                                    dev_c.ledger),
-        "replay_cycles": dict(res_b.cycles),
+            np.array_equal(res_c.edge_map, fast.edge_map)),
+        "sram_bit_identical": bool(np.array_equal(dev_e._mem, dev_c._mem)),
+        "ledger_identical": _ledgers_equal(dev_e.ledger, dev_c.ledger),
+        "replay_cycles": dict(res_c.cycles),
     }
 
 
@@ -135,32 +127,24 @@ def _bench_warp(num_features: int, repeats: int) -> Dict:
             warp_pim(device, qpose, block, camera, rows)
         return device
 
-    def batched() -> PIMDevice:
+    def replayed(mode: str) -> PIMDevice:
         device = PIMDevice()
-        warp_pim_batched(device, qpose, feats, camera, mode="batched")
-        return device
-
-    def compiled() -> PIMDevice:
-        device = PIMDevice()
-        warp_pim_batched(device, qpose, feats, camera, mode="compiled")
+        warp_pim_batched(device, qpose, feats, camera, mode=mode)
         return device
 
     eager_s = _best_of(eager, max(1, repeats // 2))
-    batched_s = _best_of(batched, repeats)
-    compiled_s = _best_of(compiled, repeats)
-    dev_e, dev_b, dev_c = eager(), batched(), compiled()
+    compiled_s = _best_of(lambda: replayed("auto"), repeats)
+    dev_e, dev_c = eager(), replayed("auto")
+    # The block layout differs from the eager loop's reused rows, so
+    # memory is compared against the same layout replayed eagerly.
+    dev_r = replayed("eager")
     return {
         "features": num_features,
         "eager_ms": round(eager_s * 1e3, 3),
-        "batched_ms": round(batched_s * 1e3, 3),
         "compiled_ms": round(compiled_s * 1e3, 3),
-        "speedup": round(eager_s / batched_s, 2),
-        "compiled_speedup_vs_batched": round(batched_s / compiled_s, 2),
-        "ledger_identical": _ledgers_equal(dev_e.ledger, dev_b.ledger),
-        "compiled_ledger_identical": _ledgers_equal(dev_e.ledger,
-                                                    dev_c.ledger),
-        "compiled_sram_bit_identical": bool(
-            np.array_equal(dev_b._mem, dev_c._mem)),
+        "compiled_speedup_vs_eager": round(eager_s / compiled_s, 2),
+        "ledger_identical": _ledgers_equal(dev_e.ledger, dev_c.ledger),
+        "sram_bit_identical": bool(np.array_equal(dev_r._mem, dev_c._mem)),
     }
 
 
@@ -171,7 +155,7 @@ def run_wallclock(repeats: int = 5, image_shape=(240, 320),
     Returns a JSON-serializable result dict; timings are best-of-N to
     suppress scheduler noise.  The eager reference replays the *same*
     recorded programs through the per-row micro-op path, so the
-    speedup isolates the batched executor and the O(1) accounting.
+    speedup isolates the compiled plan and the O(1) accounting.
     """
     rng = np.random.default_rng(seed)
     image = rng.integers(0, 256, size=image_shape, dtype=np.uint8)
@@ -183,6 +167,21 @@ def run_wallclock(repeats: int = 5, image_shape=(240, 320),
         "edge_pipeline": _bench_edge_pipeline(image, repeats),
         "warp": _bench_warp(num_features, repeats),
     }
+
+
+def gate_failures(results: Dict) -> List[str]:
+    """Parity checks and speedup floors a :func:`run_wallclock` result
+    misses (empty when it passes)."""
+    failures = [f"{section}: {key} is false"
+                for section in SPEEDUP_FLOORS
+                for key, value in results[section].items()
+                if isinstance(value, bool) and not value]
+    for section, floor in SPEEDUP_FLOORS.items():
+        speedup = results[section]["compiled_speedup_vs_eager"]
+        if speedup < floor:
+            failures.append(f"{section}: compiled only {speedup}x "
+                            f"eager (floor {floor}x)")
+    return failures
 
 
 def write_results(results: Dict, path=None) -> Path:

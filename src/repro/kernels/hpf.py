@@ -139,7 +139,7 @@ def _hpf_row_body(rec, scratch_base: int) -> None:
     batching), this body recomputes the five shifted operands of the
     current window into absolute scratch rows, writing each before it
     is read.  The only relative write -- the final in-place store to
-    ``Rel(-1)`` -- is the last op, so batched replay is provably
+    ``Rel(-1)`` -- is the last op, so compiled replay is provably
     equivalent to the eager loop.  The price is 2 extra shift cycles
     per row over the pipelined ring.
     """
@@ -173,8 +173,9 @@ def hpf_pim_replay(device, height: int, base_row: int = 0,
     """HPF via compiled program replay; output matches :func:`hpf_pim`.
 
     Uses 6 scratch rows from ``scratch_base`` (default: directly below
-    the image).  Row-batched on devices that support it; ``mode`` is
-    forwarded to :meth:`~repro.pim.device.PIMDevice.run_program`.
+    the image).  Row-batched on devices that support it; ``mode``
+    (``"auto"`` or ``"eager"``) is forwarded to
+    :meth:`~repro.pim.device.PIMDevice.run_program`.
     """
     if scratch_base is None:
         scratch_base = base_row + height

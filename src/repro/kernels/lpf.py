@@ -126,7 +126,8 @@ def lpf_pim(device, height: int, base_row: int = 0,
     :data:`~repro.kernels.common.KERNEL_PROGRAM_CACHE`) and replayed
     row-batched when the device supports it; cost accounting and
     memory state are identical to the eager loop either way.  ``mode``
-    is forwarded to :meth:`~repro.pim.device.PIMDevice.run_program`.
+    (``"auto"`` or ``"eager"``) is forwarded to
+    :meth:`~repro.pim.device.PIMDevice.run_program`.
     """
     program = lpf_program(device.config)
     bases = range(base_row, base_row + height - 1)

@@ -194,8 +194,9 @@ def nms_pim_replay(device, height: int, th1: int, th2: int,
     """NMS via compiled program replay; output matches :func:`nms_pim`.
 
     Uses 7 scratch rows from ``scratch_base`` (default: directly below
-    the image).  Row-batched on devices that support it; ``mode`` is
-    forwarded to :meth:`~repro.pim.device.PIMDevice.run_program`.
+    the image).  Row-batched on devices that support it; ``mode``
+    (``"auto"`` or ``"eager"``) is forwarded to
+    :meth:`~repro.pim.device.PIMDevice.run_program`.
     """
     if scratch_base is None:
         scratch_base = base_row + height

@@ -329,8 +329,9 @@ def warp_pim_batched(device, qpose: QuantizedPose,
     rows starting at ``base_row + block * WARP_BLOCK_ROWS``.  The
     compute body is recorded once and replayed across all block bases,
     vectorized; outputs and ledger totals are identical to looping
-    :func:`warp_pim` over the blocks.  ``mode`` selects the
-    :meth:`~repro.pim.device.PIMDevice.run_program` replay backend.
+    :func:`warp_pim` over the blocks.  ``mode`` (``"auto"`` or
+    ``"eager"``) selects the
+    :meth:`~repro.pim.device.PIMDevice.run_program` replay tier.
     """
     lanes = device.config.lanes(_LANE_BITS)
     n = len(feats)

@@ -1,8 +1,8 @@
 """A small, dependency-free metrics registry (counters/gauges/histograms).
 
 Instruments are named, typed, and optionally labelled (Prometheus
-style, e.g. ``pim_replay_total{mode="batched"}``).  The stack's
-standing instruments -- program-cache hits/misses, batched-vs-eager
+style, e.g. ``pim_replay_total{mode="eager"}``).  The stack's
+standing instruments -- program-cache hits/misses, compiled-vs-eager
 replay decisions with fallback reason, LM iterations, keyframe
 insertions, per-frame cycles/energy/edge counts -- all live in the
 process-wide default registry so one :func:`snapshot` (or the JSONL

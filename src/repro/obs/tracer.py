@@ -65,7 +65,7 @@ class SimClock:
     """Process-wide simulated-cycle clock.
 
     Instrumented devices advance it by every cycle they charge (the
-    per-step hook in eager execution, one aggregate bump in batched
+    per-step hook in eager execution, one aggregate bump in compiled
     replay), but only while ``enabled`` -- the flag keeps the
     uninstrumented hot path to a single attribute check.
     """

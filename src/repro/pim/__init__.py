@@ -16,11 +16,12 @@ The package models the architecture of paper section 4:
 * :mod:`repro.pim.cost` / :mod:`repro.pim.energy` -- the cycle ledger and
   the 90 nm energy/area model.
 * :mod:`repro.pim.program` -- program capture (:class:`ProgramRecorder`)
-  and row-batched replay (:meth:`PIMDevice.run_program`) with an LRU
-  :class:`ProgramCache`, bit-exact and cost-exact against the eager
-  per-row path.
-* :mod:`repro.pim.lowering` -- the compiled replay backend: programs
-  lowered once into fused vectorized plans (``mode="compiled"``).
+  and replay (:meth:`PIMDevice.run_program`) with an LRU
+  :class:`ProgramCache`.  Replay has two tiers: eager, the per-row
+  reference, and compiled, bit-exact and cost-exact against it.
+* :mod:`repro.pim.lowering` -- the compiled tier: programs lowered
+  once into fused vectorized plans, run by ``mode="auto"`` whenever
+  the hazard analysis proves them eager-equivalent.
 * :mod:`repro.pim.store` -- :class:`ProgramStore`, content-addressed
   on-disk persistence layered under :class:`ProgramCache` so new
   processes warm-start without re-recording.

@@ -110,7 +110,7 @@ class CostLedger:
                        reps: int = 1) -> None:
         """Charge a recorded program's aggregate cost ``reps`` times.
 
-        This is the O(1) accounting path of batched replay
+        This is the O(1) accounting path of compiled replay
         (:meth:`PIMDevice.run_program`): one recorded iteration's totals
         are scaled by the repetition count instead of re-charging every
         micro-op.  The result is exactly what ``reps`` eager replays

@@ -43,7 +43,7 @@ program's aggregate ledger can be multiplied out analytically by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,9 +100,9 @@ def _compute(method: str, n: int, vals: Tuple[np.ndarray, ...],
 
     ``vals`` holds the already-read source operands as int64 arrays;
     the same function serves the eager path (1-D, one row) and the
-    batched replay path (2-D, all target rows at once) because every
-    underlying :mod:`repro.fixedpoint.ops` primitive is elementwise and
-    lane shifts index the last axis.
+    compiled plan's fallback ops (2-D, all target rows at once)
+    because every underlying :mod:`repro.fixedpoint.ops` primitive is
+    elementwise and lane shifts index the last axis.
     """
     signed = bool(kwargs.get("signed", True))
     if method == "add":
@@ -216,6 +216,21 @@ class _DeviceCore:
     def lanes(self) -> int:
         """SIMD lanes at the current precision."""
         return self.config.lanes(self._precision)
+
+    def _check_imm(self, imm: Imm, signed: bool) -> int:
+        """An immediate's value, checked against the lane range the op
+        reads it with (the same rule at record and execution time).
+
+        64-bit lanes are host-bound signed, so no unsigned immediate
+        exceeds the int64 maximum.
+        """
+        val = int(imm.value)
+        n = self._precision
+        lo, hi = (-(1 << (n - 1)), (1 << (n - 1)) - 1) if signed else \
+            (0, (1 << min(n, 63)) - 1)
+        if not lo <= val <= hi:
+            raise ValueError(f"immediate {val} exceeds {n}-bit range")
+        return val
 
     # -- cost accounting -----------------------------------------------
 
@@ -377,23 +392,14 @@ class PIMDevice(_DeviceCore):
         u = np.asarray(values, dtype=np.int64)
         if n < 64:
             u = u & ((1 << n) - 1)
-            # order="C": inputs that went through a broadcast (batched
-            # replay of absolute-row reads) can arrive F-ordered, which
-            # the byte view below cannot reinterpret.
-            return u.astype(_LANE_DTYPES[n], order="C").view(np.uint8)
+            return u.astype(_LANE_DTYPES[n]).view(np.uint8)
         return np.ascontiguousarray(u).view(np.uint64).astype(
             "<u8").view(np.uint8)
 
     def _read(self, src: Src, signed: bool) -> np.ndarray:
         if isinstance(src, Imm):
-            val = int(src.value)
-            lo, hi = (-(1 << (self._precision - 1)),
-                      (1 << (self._precision - 1)) - 1) if signed else \
-                (0, (1 << self._precision) - 1)
-            if not lo <= val <= hi:
-                raise ValueError(
-                    f"immediate {val} exceeds {self._precision}-bit range")
-            return np.full(self.lanes, val, dtype=np.int64)
+            return np.full(self.lanes, self._check_imm(src, signed),
+                           dtype=np.int64)
         if isinstance(src, _TmpSentinel):
             self._check_tmp(src)
             return self._unpack(self._tmp[src.index], signed)
@@ -684,32 +690,28 @@ class PIMDevice(_DeviceCore):
             base_rows: Row indices substituted for the program's
                 :class:`~repro.pim.isa.Rel` operands, one replay each,
                 in order.
-            mode: ``"auto"`` runs the compiled plan when provably
-                equivalent (falling back to the interpreted batched
-                executor if lowering declined the program, and to
-                eager on a hazard); ``"compiled"`` is ``"auto"`` with
-                the explicit intent recorded in metrics/spans;
+            mode: ``"auto"`` runs the compiled plan (see
+                :mod:`repro.pim.lowering`) when it is provably
+                equivalent and falls back to eager on a hazard;
                 ``"eager"`` forces one-by-one replay through the
-                ordinary micro-op methods; ``"batched"`` demands the
-                interpreted vectorized executor and raises if the
-                program/bases combination cannot be batched.
+                ordinary micro-op methods (the reference).
 
-        Vectorized execution (batched or compiled, see
-        :mod:`repro.pim.lowering`) performs the recorded ops across
-        all base rows at once and charges the ledger in O(1) (program
-        aggregate x number of bases).  Memory contents, ledger totals
-        and (when tracing) the trace stream are identical to the eager
-        path; the program's hazard analysis plus the base-row checks
-        below guarantee it, and equivalence tests pin it.
+        Compiled execution performs the recorded ops across all base
+        rows at once and charges the ledger in O(1) (program aggregate
+        x number of bases).  Memory contents, Tmp registers, ledger
+        totals and (when tracing) the trace stream are identical to
+        the eager path; the program's hazard analysis plus the
+        base-row checks below guarantee it, and equivalence tests pin
+        it.
 
         Every call records its decision in the metrics registry
-        (``pim_replay_total{mode=...}``; auto/compiled-mode fallbacks
-        also bump ``pim_replay_fallback_total{reason=...}`` with the
-        hazard rule that fired, see :meth:`batch_rejection_reason`,
-        or ``"lowering-unsupported"``) and, when tracing, runs under a
-        ``run_program:<name>`` span carrying the same attributes.
+        (``pim_replay_total{mode=...}``; auto-mode fallbacks also bump
+        ``pim_replay_fallback_total{reason=...}`` with the hazard rule
+        that fired, see :meth:`batch_rejection_reason`) and, when
+        tracing, runs under a ``run_program:<name>`` span carrying the
+        same attributes.
         """
-        if mode not in ("auto", "eager", "batched", "compiled"):
+        if mode not in ("auto", "eager"):
             raise ValueError(f"unknown replay mode {mode!r}")
         if program.config_digest != self.config.digest():
             raise ValueError(
@@ -721,37 +723,21 @@ class PIMDevice(_DeviceCore):
             reason: Optional[str] = "mode-forced-eager"
         else:
             reason = self.batch_rejection_reason(program, bases)
-        if mode == "batched" and reason is not None:
-            raise ValueError(
-                f"program cannot be replayed in batched mode for these "
-                f"base rows: {reason} (see PIMProgram.batchable)")
-        plan = None
-        fallback: Optional[str] = reason
-        if reason is None and mode in ("auto", "compiled"):
-            from repro.pim.lowering import compiled_plan
-            plan = compiled_plan(program, self.config)
-            if plan is None:
-                fallback = "lowering-unsupported"
-        if reason is not None:
-            executed = "eager"
-        elif plan is not None:
-            executed = "compiled"
-        else:
-            executed = "batched"
+        executed = "eager" if reason is not None else "compiled"
         registry = get_registry()
         registry.counter(
             "pim_replay_total",
             "run_program calls by executed replay mode").inc(
                 mode=executed)
-        if mode in ("auto", "compiled") and fallback is not None:
+        if mode == "auto" and reason is not None:
             registry.counter(
                 "pim_replay_fallback_total",
-                "auto-mode compiled/batched->eager fallbacks by rule"
-            ).inc(reason=fallback)
+                "auto-mode compiled->eager fallbacks by hazard rule"
+            ).inc(reason=reason)
         attrs = {"program": program.name, "bases": len(bases),
                  "requested_mode": mode, "executed_mode": executed}
-        if fallback is not None:
-            attrs["fallback_reason"] = fallback
+        if reason is not None:
+            attrs["fallback_reason"] = reason
         with get_tracer().span(f"run_program:{program.name}",
                                device=self, category="replay",
                                **attrs):
@@ -760,11 +746,10 @@ class PIMDevice(_DeviceCore):
                 for base in bases:
                     program.replay(self, base)
                 return
-            base_arr = np.asarray(bases, dtype=np.int64)
-            if plan is not None:
-                self._replay_compiled(program, plan, base_arr)
-            else:
-                self._replay_batched(program, base_arr)
+            from repro.pim.lowering import compiled_plan
+            self._replay_compiled(
+                program, compiled_plan(program, self.config),
+                np.asarray(bases, dtype=np.int64))
 
     def _replay_compiled(self, program, plan,
                          bases: np.ndarray) -> None:
@@ -779,7 +764,8 @@ class PIMDevice(_DeviceCore):
 
     def batch_rejection_reason(self, program,
                                bases: List[int]) -> Optional[str]:
-        """Why batched replay is not provably equivalent (None = it is).
+        """Why compiled replay is not provably eager-equivalent (None =
+        it is).
 
         The structural half (:attr:`PIMProgram.batchable`) covers
         relative-operand and register hazards; the rest checks the
@@ -787,20 +773,25 @@ class PIMDevice(_DeviceCore):
         increasing (eager order equals row order) and no collision
         between absolute rows and the rows addressed relatively.
         A program whose relative op order is *not* provably safe can
-        still batch when the bases are spread further apart than the
-        program's relative footprint (disjoint footprints cannot
-        alias across elements).
+        still run compiled when the bases are spread further apart
+        than the program's relative footprint (disjoint footprints
+        cannot alias across elements).
 
-        With a single base row the cross-element hazards vanish: the
-        batched executor's per-element Tmp/abs buffers reproduce eager
-        visibility exactly at ``reps == 1`` (read-before-first-write
-        broadcasts the pre-state, later reads see the buffered write,
-        and the lone element's value is what gets written back), so
-        the ``registers_ok`` and ``rel_order_safe`` structural checks
-        are skipped.  The fault-injection and abs/rel aliasing checks
-        still apply: the compiled executor defers relative-row
-        scatters to section boundaries, so an absolute read of a
-        relatively-written row could otherwise observe stale memory.
+        With a single base row the cross-element hazards vanish.  The
+        compiled executor's section caches then hold exactly one
+        element per slot: a read before the slot's first write loads
+        the pre-state (memory, register, or the byte carrier of an
+        earlier section), every later read returns the cached last
+        write, and that lone element is what gets written back --
+        eager visibility, op by op.  With no second base there is no
+        minimum gap, so distinct relative offsets never alias and no
+        cached relative read is stale.  Hence the ``registers_ok`` and
+        ``rel_order_safe`` structural checks are skipped.  The
+        fault-injection and abs/rel aliasing checks still apply:
+        absolute and relative slots are cached under different keys
+        and relative writes are scattered only at section boundaries,
+        so an absolute read of a relatively-written row could
+        otherwise observe stale memory.
 
         Returns the name of the first hazard rule that fired --
         ``"fault-injection-active"``, ``"bases-not-increasing"``,
@@ -814,7 +805,7 @@ class PIMDevice(_DeviceCore):
                 self._fault_injector.transient:
             # Transient read errors must hit each per-row read in
             # eager order so the seeded draw sequence is well defined;
-            # the batched path reads memory wholesale and would skip
+            # the compiled plan reads memory wholesale and would skip
             # the corruption hook.
             return "fault-injection-active"
         if len(bases) > 1 and any(b2 <= b1 for b1, b2 in
@@ -847,84 +838,6 @@ class PIMDevice(_DeviceCore):
         if program.abs_read_rows & rel_written:
             return "abs-read-aliases-rel-write"
         return None
-
-    def _bases_batchable(self, program, bases: List[int]) -> bool:
-        """Back-compat wrapper: batched replay provably equivalent?"""
-        return self.batch_rejection_reason(program, bases) is None
-
-    def _replay_batched(self, program, bases: np.ndarray) -> None:
-        reps = int(bases.size)
-        self.ledger.charge_program(program.aggregate, reps)
-        # O(1) counterpart of the per-step clock hook in _charge_step.
-        if CLOCK.enabled and self._advances_clock:
-            CLOCK.advance(program.aggregate.cycles * reps)
-        # Per-element views of Tmp registers and absolute rows: each
-        # base row gets its own copy (created lazily on first write;
-        # the hazard rules guarantee write-before-first-read), and the
-        # final memory/register state is the last base's value --
-        # exactly what sequential eager replay leaves behind.
-        tmp_buf: Dict[int, np.ndarray] = {}
-        abs_buf: Dict[int, np.ndarray] = {}
-
-        def read(src: Src, signed: bool) -> np.ndarray:
-            if isinstance(src, Imm):
-                return np.full((reps, self.lanes), int(src.value),
-                               dtype=np.int64)
-            if isinstance(src, _TmpSentinel):
-                self._check_tmp(src)
-                buf = tmp_buf.get(src.index)
-                if buf is not None:
-                    return self._unpack(buf, signed)
-                return np.broadcast_to(
-                    self._unpack(self._tmp[src.index], signed),
-                    (reps, self.lanes))
-            if isinstance(src, Rel):
-                return self._unpack(self._mem[bases + int(src)], signed)
-            self._check_row(src)
-            buf = abs_buf.get(int(src))
-            if buf is not None:
-                return self._unpack(buf, signed)
-            return np.broadcast_to(self._unpack(self._mem[src], signed),
-                                   (reps, self.lanes))
-
-        def write(dst: Dst, values: np.ndarray) -> None:
-            packed = self._pack(values)
-            if isinstance(dst, _TmpSentinel):
-                self._check_tmp(dst)
-                buf = tmp_buf.get(dst.index)
-                if buf is None:
-                    buf = tmp_buf[dst.index] = np.empty(
-                        (reps, self.config.row_bytes), dtype=np.uint8)
-                buf[:] = packed
-            elif isinstance(dst, Rel):
-                self._mem[bases + int(dst)] = packed
-            else:
-                self._check_row(dst)
-                buf = abs_buf.get(int(dst))
-                if buf is None:
-                    buf = abs_buf[int(dst)] = np.empty(
-                        (reps, self.config.row_bytes), dtype=np.uint8)
-                buf[:] = packed
-
-        for op in program.ops:
-            if op.method == "set_precision":
-                self.set_precision(op.kwargs["precision"])
-                continue
-            signed = _read_signedness(op.method, op.kwargs)
-            vals = tuple(read(s, signed) for s in op.srcs)
-            if op.method == "mul":
-                _check_multiplier(vals[1],
-                                  op.kwargs.get("multiplier_bits"),
-                                  bool(op.kwargs.get("signed", True)))
-            write(op.dst, _compute(op.method, self._precision, vals,
-                                   op.kwargs))
-
-        for index, buf in tmp_buf.items():
-            self._tmp[index][:] = buf[-1]
-        for row, buf in abs_buf.items():
-            self._mem[row][:] = buf[-1]
-        if self._trace_enabled:
-            self._emit_program_trace(program, bases)
 
     def _emit_program_trace(self, program, bases: np.ndarray) -> None:
         """Emit the eager-identical trace stream for a vectorized run."""

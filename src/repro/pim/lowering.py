@@ -1,13 +1,13 @@
 """Compiled replay: lower :class:`~repro.pim.program.PIMProgram` IR to
 fused NumPy execution plans.
 
-The batched replay path (:meth:`PIMDevice._replay_batched`) interprets
-the recorded op stream once per ``run_program`` call: every op unpacks
-its source rows from bytes into int64 lane values, dispatches through
-:func:`repro.pim.device._compute`, and packs the result back to bytes.
-Profiling shows the byte<->int64 conversions dominate (the arithmetic
-itself is a fraction of the cost), so this module compiles the same IR
-*once* into a :class:`CompiledPlan`:
+Interpreting a recorded op stream costs one bytes -> int64 unpack,
+one :func:`repro.pim.device._compute` dispatch and one pack per op;
+the byte<->int64 conversions dominate (the arithmetic itself is a
+fraction of the cost).  This module compiles the IR *once* into a
+:class:`CompiledPlan`, the vectorized tier of
+:meth:`PIMDevice.run_program` (eager replay is the other, and the
+reference):
 
 * the op stream is split into *sections* at ``set_precision``
   boundaries; within a section every slot (Tmp register, relative
@@ -20,17 +20,18 @@ itself is a fraction of the cost), so this module compiles the same IR
   semantics are risky to re-derive (division always; multiplication at
   widths whose exact product exceeds int64; extreme bit shifts)
   fall back to converting their operands to int64 and calling the very
-  same :func:`~repro.pim.device._compute` the interpreted paths use,
-  so divergence is impossible by construction;
+  same :func:`~repro.pim.device._compute` eager replay uses, so
+  divergence is impossible by construction;
 * dirty slots are flushed to SRAM bytes only at section boundaries and
-  at the end of the plan, with the same last-base-wins write-back rule
-  as batched replay.
+  at the end of the plan, and the last base's value of each Tmp
+  register and absolute row is written back -- what sequential eager
+  replay leaves behind.
 
 Equivalence contract: executing a plan leaves memory, Tmp registers and
-the trace stream bit-identical to batched (hence eager) replay whenever
-:meth:`PIMDevice.batch_rejection_reason` returns ``None`` -- the same
-hazard precondition batched replay uses, plus the bind-time minimum
-base gap rule below for relative-operand visibility.  Ledger charging
+the trace stream bit-identical to eager replay whenever
+:meth:`PIMDevice.batch_rejection_reason` returns ``None`` -- the hazard
+precondition, plus the bind-time minimum base gap rule below for
+relative-operand visibility.  Ledger charging
 is not done here at all: :meth:`PIMDevice.run_program` keeps the O(1)
 ``aggregate x reps`` charge, so cycles/energy stay bit-exact trivially.
 
@@ -44,10 +45,12 @@ bases, so ``|w - r| < min_gap`` proves disjointness -- the warp kernel
 scatters all dirty relative slots before the gather and drops cached
 reads that may have been overwritten.
 
-Lowering may refuse a program (``None`` from :func:`compiled_plan`)
-when an op cannot be proven exactly lowerable; ``run_program`` then
-falls back to the interpreted batched executor and counts the fallback
-(``pim_replay_fallback_total{reason="lowering-unsupported"}``).
+Lowering is total: an op that cannot be proven exactly hand-lowerable
+becomes a fallback closure around ``_compute`` (counted in
+:attr:`CompiledPlan.fallback_ops`), so :func:`compiled_plan` returns a
+plan for every program the recorder accepts.  An immediate outside
+int64 -- only a tampered stored program can hold one -- raises
+``ValueError``, as eager replay does.
 
 ``numba.njit`` is used opportunistically when the package is
 importable (it is not a dependency): the hot unsigned saturating-add
@@ -176,9 +179,9 @@ class _Exec:
         self.dirty: Dict[Tuple[str, int], bool] = {}
         self.rel_seq: Dict[int, int] = {}
         self._seq = 0
-        #: Byte images of written Tmp/abs slots, carried across
-        #: precision sections (reinterpretation happens on bytes,
-        #: exactly as in batched replay's per-base buffers).
+        #: Byte images of written Tmp/abs slots, one row per base,
+        #: carried across precision sections (reinterpretation happens
+        #: on bytes, exactly as eager replay's register/row state).
         self.carriers: Dict[Tuple[str, int], np.ndarray] = {}
 
     # -- section lifecycle ------------------------------------------
@@ -203,7 +206,7 @@ class _Exec:
         self.dirty.clear()
 
     def finalize(self) -> None:
-        """Last-base-wins write-back, identical to batched replay."""
+        """Last-base-wins write-back, identical to eager replay."""
         for key, carrier in self.carriers.items():
             kind, index = key
             if kind == "t":
@@ -290,14 +293,15 @@ def _src_reader(src, n: int, D, sign_convert: bool,
     signed values (needed by sign-sensitive ops under a signed read;
     unsigned patterns already *are* their semantic values).
     ``imm_semantic`` keeps an immediate's raw value instead of its
-    masked pattern -- batched replay broadcasts ``np.full(src.value)``
-    for every value-sensitive op, even a negative immediate under an
-    unsigned read, and compiled execution must agree.
+    masked pattern -- eager replay broadcasts ``np.full(src.value)``
+    to every value-sensitive op, and compiled execution must agree.
+    An immediate outside int64 raises ``ValueError``: no tier can
+    broadcast it, and the recorder never accepts one.
     """
     if isinstance(src, Imm):
         value = _imm_value(src)
         if not -(1 << 63) <= value < (1 << 63):
-            raise _Unsupported("immediate exceeds int64")
+            raise ValueError(f"immediate {value} exceeds int64")
         if imm_semantic or n >= 64:
             const = np.array(value, dtype=D)
         else:
@@ -587,7 +591,7 @@ class CompiledPlan:
         return sum(len(s.steps) for s in self.sections)
 
     def execute(self, device, bases: np.ndarray) -> None:
-        """Run the plan; bit-identical to batched replay.
+        """Run the plan; bit-identical to eager replay.
 
         The caller (``run_program``) has already verified the hazard
         precondition and charged the ledger aggregate.
@@ -607,8 +611,8 @@ class CompiledPlan:
         device.set_precision(self.final_precision)
 
 
-def compiled_plan(program, config) -> Optional[CompiledPlan]:
-    """The memoized compiled plan for a program (None: never fails).
+def compiled_plan(program, config) -> CompiledPlan:
+    """The memoized compiled plan for a program.
 
     The plan is cached on the program object itself
     (``object.__setattr__`` on the frozen dataclass, the same pattern
@@ -619,9 +623,9 @@ def compiled_plan(program, config) -> Optional[CompiledPlan]:
     counts go to the metrics registry (``pim_plan_compile_seconds``,
     ``pim_plan_cache_{hits,misses}_total``).
     """
-    plan = getattr(program, "_compiled_plan", False)
+    plan = getattr(program, "_compiled_plan", None)
     registry = get_registry()
-    if plan is not False:
+    if plan is not None:
         registry.counter(
             "pim_plan_cache_hits_total",
             "Compiled-plan lookups served from the per-program memo"
@@ -631,10 +635,7 @@ def compiled_plan(program, config) -> Optional[CompiledPlan]:
         "pim_plan_cache_misses_total",
         "Compiled-plan lookups that required lowering").inc()
     start = time.perf_counter()
-    try:
-        built: Optional[CompiledPlan] = CompiledPlan(program, config)
-    except _Unsupported:
-        built = None
+    built = CompiledPlan(program, config)
     registry.histogram(
         "pim_plan_compile_seconds",
         "Wall-clock seconds spent lowering PIMPrograms",

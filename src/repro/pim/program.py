@@ -11,7 +11,8 @@ it for many rows at a cost of one numpy operation per recorded op:
   Row operands are either absolute ``int`` rows or base-relative
   :class:`~repro.pim.isa.Rel` offsets, resolved at replay time.
 * :meth:`PIMDevice.run_program` replays a program for a list of base
-  rows -- vectorized across all rows at once when the program's hazard
+  rows -- through the compiled plan of :mod:`repro.pim.lowering`,
+  vectorized across all rows at once, when the program's hazard
   analysis proves that equivalent, eagerly otherwise -- and charges the
   :class:`~repro.pim.cost.CostLedger` in O(1) per replay (the recorded
   aggregate times the number of base rows).
@@ -19,7 +20,7 @@ it for many rows at a cost of one numpy operation per recorded op:
   ``(kernel, shape, precision, config digest)`` so a frontend compiles
   each kernel once per pyramid level and replays it every frame.
 
-Batched replay is *bit-exact and cost-exact*: memory state, ledger
+Compiled replay is *bit-exact and cost-exact*: memory state, ledger
 totals and trace streams match the eager per-row path.  The hazard
 rules that make this provable are documented on
 :attr:`PIMProgram.batchable`.
@@ -36,7 +37,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.obs.metrics import get_registry
 from repro.pim.config import DEFAULT_CONFIG, PIMConfig
 from repro.pim.cost import CostLedger
-from repro.pim.device import _DeviceCore
+from repro.pim.device import _DeviceCore, _read_signedness
 from repro.pim.isa import (
     ChargeStep,
     Dst,
@@ -88,7 +89,7 @@ def _first_access_ok(ops: List[ProgramOp], key_of) -> bool:
     ``key_of`` maps an operand to a hashable resource key (or ``None``
     to ignore it).  Resources that are only ever read are fine -- every
     replay sees the same pre-program state.  Resources that are written
-    get a private per-base copy during batched replay, which is only
+    get a private per-base copy during compiled replay, which is only
     equivalent to sequential replay if no base reads another base's
     leftover state: i.e. the first access within the program must be a
     write.
@@ -118,16 +119,17 @@ def _rel_hazards_ok(ops: List[ProgramOp]) -> bool:
     increasing bases a write at offset ``w`` and a read at offset ``r``
     of *different* rows alias across neighbouring bases exactly when
     their offsets differ.  Matching visibility between the element-major
-    eager order and the op-major batched order requires:
+    eager order and the op-major vectorized order requires:
 
     * ``w > r`` (the writer runs on an *earlier* base): the write is
-      visible eagerly, so the batched write must precede the read --
+      visible eagerly, so the vectorized write must precede the read --
       write op strictly before read op.
     * ``w < r`` (the writer runs on a *later* base): the write is not
-      visible eagerly, so the batched write must not precede the read
-      (same-op is safe: batched ops gather before they scatter).
+      visible eagerly, so the vectorized write must not precede the
+      read (same-op is safe: vectorized ops gather before they
+      scatter).
     * two writes at offsets ``w1`` (earlier op) and ``w2`` (later op)
-      collide across bases when ``w2 > w1``; the batched final value
+      collide across bases when ``w2 > w1``; the vectorized final value
       would come from the later op while eager leaves the earlier op's
       value from a later base.
     """
@@ -155,7 +157,7 @@ class PIMProgram:
     Produced by :meth:`ProgramRecorder.finish`; executed by
     :meth:`PIMDevice.run_program`.  The aggregate ledger holds exactly
     what one eager replay charges, so ``aggregate x len(base_rows)`` is
-    the O(1) batched charge.
+    the O(1) compiled charge.
     """
 
     name: str
@@ -216,7 +218,7 @@ class PIMProgram:
         """Width of the relative footprint (max offset - min offset).
 
         When consecutive base rows are further apart than this span the
-        footprints of different bases cannot alias, so batched replay is
+        footprints of different bases cannot alias, so compiled replay is
         equivalent even without :attr:`rel_order_safe` (the per-element
         op order is preserved; only cross-element visibility could
         differ, and disjoint footprints rule it out).
@@ -254,7 +256,7 @@ class PIMProgram:
 
         Every micro-op goes through the ordinary device methods, so
         execution, cost accounting and tracing are the device's own --
-        this path *is* the equivalence reference for batched replay.
+        this path *is* the equivalence reference for compiled replay.
         """
         for op in self.ops:
             if op.method == "set_precision":
@@ -298,7 +300,7 @@ class ProgramRecorder(_DeviceCore):
         if self._finished:
             raise RuntimeError(
                 "recorder already finished; start a new one")
-        self._validate(dst, srcs)
+        self._validate(dst, srcs, _read_signedness(method, kwargs))
         plan = charge_plan(method, dst, srcs, **kwargs)
         costs = tuple(step_cost(s, self._precision) for s in plan)
         for step in plan:
@@ -307,16 +309,10 @@ class ProgramRecorder(_DeviceCore):
                                    dict(kwargs), self._precision,
                                    plan, costs))
 
-    def _validate(self, dst, srcs) -> None:
+    def _validate(self, dst, srcs, signed: bool) -> None:
         for operand in (dst, *srcs):
             if isinstance(operand, Imm):
-                val = int(operand.value)
-                lo = -(1 << (self._precision - 1))
-                hi = (1 << self._precision) - 1
-                if not lo <= val <= hi:
-                    raise ValueError(
-                        f"immediate {val} exceeds "
-                        f"{self._precision}-bit range")
+                self._check_imm(operand, signed)
             elif isinstance(operand, _TmpSentinel):
                 if not 0 <= operand.index < \
                         self.config.num_tmp_registers:

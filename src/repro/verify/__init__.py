@@ -8,7 +8,7 @@ Three layers pin the simulator's numerical semantics:
   stateful :class:`~repro.verify.golden.GoldenMachine`.
 * :mod:`repro.verify.matrix` -- the conformance matrix runner:
   OpKind x lane width x signed/saturation config, every backend
-  (word device, bit-true device, eager and batched program replay)
+  (word device, bit-true device, eager and compiled program replay)
   differentially checked on directed edge vectors and seeded random
   vectors, with a :mod:`repro.verify.coverage` ledger and a baseline
   gate so coverage can only grow.

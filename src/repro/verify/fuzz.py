@@ -159,7 +159,7 @@ class FuzzCase:
                     dev.run_program(
                         recorder.finish(), [0],
                         mode="eager" if backend == "replay"
-                        else "compiled")
+                        else "auto")
                 else:
                     self._apply(dev)
             except Exception as exc:  # noqa: BLE001

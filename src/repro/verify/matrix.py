@@ -8,12 +8,11 @@ execution backends against the pure-python golden model
 * ``pim`` -- the word-level :class:`~repro.pim.device.PIMDevice`;
 * ``bitpim`` -- the bit-true :class:`~repro.pim.device.BitPIMDevice`
   (per-op cycle charges are also pinned against ``pim``);
-* ``replay-eager`` / ``replay-batched`` / ``replay-compiled`` -- the
-  op recorded as a one-op relative
-  :class:`~repro.pim.program.PIMProgram` and replayed through every
-  :meth:`~repro.pim.device.PIMDevice.run_program` execution path
-  (the compiled column exercises the :mod:`repro.pim.lowering`
-  backend, falling back per its documented rules).
+* ``replay-eager`` / ``replay-compiled`` -- the op recorded as a
+  one-op relative :class:`~repro.pim.program.PIMProgram` and replayed
+  through both :meth:`~repro.pim.device.PIMDevice.run_program` tiers
+  (the compiled column runs ``mode="auto"``, which exercises the
+  :mod:`repro.pim.lowering` backend).
 
 Every cell sees *directed* edge vectors (zero, +-1, the lane MIN/MAX,
 their neighbours, alternating 01/10 patterns, and the carry patterns
@@ -44,12 +43,10 @@ from repro.verify.golden import golden_op, sign_value, to_pattern
 __all__ = ["Mismatch", "ConformanceReport", "ConformanceRunner",
            "directed_patterns", "DEFAULT_BACKENDS"]
 
-DEFAULT_BACKENDS = ("pim", "bitpim", "replay-eager", "replay-batched",
-                    "replay-compiled")
+DEFAULT_BACKENDS = ("pim", "bitpim", "replay-eager", "replay-compiled")
 
 #: run_program mode driven by each replay-* conformance backend.
-_REPLAY_MODES = {"replay-eager": "eager", "replay-batched": "batched",
-                 "replay-compiled": "compiled"}
+_REPLAY_MODES = {"replay-eager": "eager", "replay-compiled": "auto"}
 
 #: Row layout inside the runner's device: two independent operand
 #: groups (A, B -> DST) at bases 0 and 4, far enough apart that the
@@ -307,7 +304,7 @@ class ConformanceRunner:
             report.ledger.record(method, bits, cfg, backend,
                                  vectors=len(a_pats) * len(_BASES))
         # Cost contract: every backend charges identical cycles for
-        # the same op stream (batched replay is cost-exact by design).
+        # the same op stream (compiled replay is cost-exact by design).
         if len(set(cycles.values())) > 1:
             report.cycle_disagreements.append(
                 f"{method}[{bits}b,{cfg}] cycles diverged: " +

@@ -1,4 +1,4 @@
-"""Shared test fixtures: resource-leak detection.
+"""Shared test fixtures: resource-leak detection and replay spans.
 
 Every test in the suite runs under :func:`no_leaked_workers`, which
 fails the *leaking* test (not some innocent later one) when it leaves
@@ -27,6 +27,8 @@ import threading
 import time
 
 import pytest
+
+from repro.obs.tracer import Tracer, get_tracer, set_tracer
 
 #: Thread-name prefixes owned by service/shard planes; anything else
 #: (e.g. pytest's own machinery) is not this fixture's business.
@@ -74,3 +76,23 @@ def no_leaked_workers():
             f"leaked child processes: "
             f"{[(p.name, p.pid) for p in children]}")
     assert not problems, "; ".join(problems)
+
+
+@pytest.fixture
+def replay_spans():
+    """A private, enabled tracer for the test.
+
+    Yields a function returning the attributes of every
+    ``run_program`` span recorded so far (``requested_mode``,
+    ``executed_mode`` and, on a fallback, ``fallback_reason``).
+    """
+    old = get_tracer()
+    tracer = Tracer()
+    set_tracer(tracer)
+    tracer.enable()
+    try:
+        yield lambda: [s.attrs for s in tracer.spans
+                       if s.category == "replay"]
+    finally:
+        tracer.disable()
+        set_tracer(old)

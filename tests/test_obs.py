@@ -118,8 +118,7 @@ class TestSpanAttribution:
         kernel_ids = {s.span_id for s in tracer.spans
                       if s.category == "kernel"}
         assert all(s.parent_id in kernel_ids for s in replay)
-        assert all(s.attrs["executed_mode"] in ("eager", "batched",
-                                                "compiled")
+        assert all(s.attrs["executed_mode"] in ("eager", "compiled")
                    for s in replay)
 
 
@@ -223,11 +222,11 @@ class TestConsoleSummary:
 class TestMetricsRegistry:
     def test_counter_labels_and_total(self):
         c = Counter("replays")
-        c.inc(mode="batched")
-        c.inc(mode="batched")
-        c.inc(mode="eager")
-        assert c.value(mode="batched") == 2
-        assert c.value(mode="eager") == 1
+        c.inc(tier="compiled")
+        c.inc(tier="compiled")
+        c.inc(tier="eager")
+        assert c.value(tier="compiled") == 2
+        assert c.value(tier="eager") == 1
         assert c.total() == 3
         with pytest.raises(ValueError):
             c.inc(-1)
@@ -387,12 +386,17 @@ class TestReplayReasons:
             mode="eager") == 1
         assert registry.counter("pim_replay_fallback_total").total() == 0
 
-    def test_batched_mode_error_names_reason(self):
+    def test_auto_fallback_span_names_reason(self, fresh_obs):
+        tracer, _ = fresh_obs
         program = self._program(
-            lambda r: r.add(Rel(0), Rel(0), Imm(1), signed=False))
+            lambda r: r.add(8, Rel(0), Imm(1), signed=False))
         device = PIMDevice(self.CONFIG)
-        with pytest.raises(ValueError, match="bases-not-increasing"):
-            device.run_program(program, [2, 1], mode="batched")
+        reason = device.batch_rejection_reason(program, [7, 8])
+        assert reason == "abs-write-aliases-rel-row"
+        device.run_program(program, [7, 8], mode="auto")
+        rp = [s for s in tracer.spans if s.category == "replay"][-1]
+        assert rp.attrs["executed_mode"] == "eager"
+        assert rp.attrs["fallback_reason"] == reason
 
 
 class TestLogging:

@@ -49,11 +49,11 @@ class TestRender:
 
     def test_labelled_series(self, registry):
         counter = registry.counter("replays_total")
-        counter.inc(2, mode="batched")
-        counter.inc(1, mode="eager")
+        counter.inc(2, tier="compiled")
+        counter.inc(1, tier="eager")
         text = render_prometheus_text(registry)
-        assert 'replays_total{mode="batched"} 2' in text
-        assert 'replays_total{mode="eager"} 1' in text
+        assert 'replays_total{tier="compiled"} 2' in text
+        assert 'replays_total{tier="eager"} 1' in text
 
     def test_label_escaping(self, registry):
         registry.counter("odd_total").inc(

@@ -1,15 +1,20 @@
 """The compiled replay backend: bit-, ledger- and trace-exactness.
 
-Property tests drive ``mode="compiled"`` against eager replay on
-randomized recorded programs (random op mixes, Rel offsets, base-row
-sets) and assert complete machine-state equality; directed tests pin
-the plan cache metrics, the fallback accounting, and the single-base
-hazard relaxation that lets every one-base replay take the vectorized
-path.
+Property tests drive auto-mode (compiled) replay against eager replay
+on randomized recorded programs (random op mixes, Rel offsets,
+base-row sets) and assert complete machine-state equality; a totality
+property pins that every program the recorder accepts lowers to a
+plan, immediates at the validated range ends included.  Directed tests
+pin the plan cache metrics, the fallback accounting, and the
+single-base hazard relaxation that lets every one-base replay take the
+vectorized path.
 """
 
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.hpf import hpf_program
@@ -24,7 +29,7 @@ from repro.pim import (
     Rel,
     TMP,
 )
-from repro.pim.lowering import compiled_plan
+from repro.pim.lowering import CompiledPlan, compiled_plan
 
 CONFIG = PIMConfig(wordline_bits=64, num_rows=16)
 
@@ -39,39 +44,52 @@ _LEDGER_FIELDS = ("cycles", "sram_reads", "sram_writes", "tmp_accesses",
                   "logic_ops", "host_transfers")
 
 _dst = st.sampled_from(_DSTS)
-_src = st.sampled_from(_SRCS)
 _flag = st.booleans()
 
-_op = st.one_of(
-    st.tuples(st.sampled_from(["add", "sub"]), _dst, _src, _src,
-              _flag, _flag).map(
-        lambda t: (t[0], (t[1], t[2], t[3]),
-                   {"saturate": t[4], "signed": t[5]})),
-    st.tuples(st.sampled_from(["avg", "abs_diff", "maximum", "minimum",
-                               "cmp_gt"]), _dst, _src, _src, _flag).map(
-        lambda t: (t[0], (t[1], t[2], t[3]), {"signed": t[4]})),
-    st.tuples(st.sampled_from(["logic_and", "logic_or", "logic_xor",
-                               "logic_nor"]), _dst, _src, _src).map(
-        lambda t: (t[0], (t[1], t[2], t[3]), {})),
-    st.tuples(st.just("shift_lanes"), _dst, _src,
-              st.integers(-2, 2)).map(
-        lambda t: (t[0], (t[1], t[2]), {"pixels": t[3]})),
-    st.tuples(st.just("shift_bits"), _dst, _src,
-              st.integers(-3, 3), _flag).map(
-        lambda t: (t[0], (t[1], t[2]),
-                   {"amount": t[3], "signed": t[4]})),
-    st.tuples(st.just("copy"), _dst, _src, _flag).map(
-        lambda t: (t[0], (t[1], t[2]), {"signed": t[3]})),
-    st.tuples(st.just("mul"), _dst, _src, _src, st.integers(0, 3),
-              _flag, _flag).map(
-        lambda t: (t[0], (t[1], t[2], t[3]),
-                   {"rshift": t[4], "saturate": t[5], "signed": t[6]})),
-    st.tuples(st.just("div"), _dst, _src, _src, st.integers(0, 2),
-              _flag).map(
-        lambda t: (t[0], (t[1], t[2], t[3]),
-                   {"lshift": t[4], "signed": t[5]})),
-)
 
+def _edge_imms(n):
+    """The recorder's validated immediate range ends at lane width n:
+    signed MIN/MAX, -1, and the unsigned-only values above the signed
+    MAX (at 64 bits, 2**63 and 2**64 - 1 must be rejected)."""
+    half = 1 << (n - 1)
+    return [Imm(v) for v in (-half, -1, 0, 1, half - 1, half,
+                             (1 << n) - 1)]
+
+
+def _ops(src):
+    """One recorded op drawn over the source operand strategy."""
+    return st.one_of(
+        st.tuples(st.sampled_from(["add", "sub"]), _dst, src, src,
+                  _flag, _flag).map(
+            lambda t: (t[0], (t[1], t[2], t[3]),
+                       {"saturate": t[4], "signed": t[5]})),
+        st.tuples(st.sampled_from(["avg", "abs_diff", "maximum", "minimum",
+                                   "cmp_gt"]), _dst, src, src, _flag).map(
+            lambda t: (t[0], (t[1], t[2], t[3]), {"signed": t[4]})),
+        st.tuples(st.sampled_from(["logic_and", "logic_or", "logic_xor",
+                                   "logic_nor"]), _dst, src, src).map(
+            lambda t: (t[0], (t[1], t[2], t[3]), {})),
+        st.tuples(st.just("shift_lanes"), _dst, src,
+                  st.integers(-2, 2)).map(
+            lambda t: (t[0], (t[1], t[2]), {"pixels": t[3]})),
+        st.tuples(st.just("shift_bits"), _dst, src,
+                  st.integers(-3, 3), _flag).map(
+            lambda t: (t[0], (t[1], t[2]),
+                       {"amount": t[3], "signed": t[4]})),
+        st.tuples(st.just("copy"), _dst, src, _flag).map(
+            lambda t: (t[0], (t[1], t[2]), {"signed": t[3]})),
+        st.tuples(st.just("mul"), _dst, src, src, st.integers(0, 3),
+                  _flag, _flag).map(
+            lambda t: (t[0], (t[1], t[2], t[3]),
+                       {"rshift": t[4], "saturate": t[5], "signed": t[6]})),
+        st.tuples(st.just("div"), _dst, src, src, st.integers(0, 2),
+                  _flag).map(
+            lambda t: (t[0], (t[1], t[2], t[3]),
+                       {"lshift": t[4], "signed": t[5]})),
+    )
+
+
+_op = _ops(st.sampled_from(_SRCS))
 _bases = st.sets(st.integers(1, 10), min_size=1, max_size=8).map(sorted)
 
 
@@ -117,13 +135,13 @@ def _assert_state_equal(a: PIMDevice, b: PIMDevice) -> None:
        seed=st.integers(0, 2**16))
 def test_compiled_matches_eager(ops, precision, switch_precision,
                                 switch_at, bases, seed):
-    """mode="compiled" is bit-, ledger- and trace-exact vs eager."""
+    """Compiled replay is bit-, ledger- and trace-exact vs eager."""
     switch = None if switch_precision is None else \
         (switch_at, switch_precision)
     program = _record(ops, precision, switch)
     dev_c = _fresh_device(seed)
     dev_e = _fresh_device(seed)
-    dev_c.run_program(program, bases, mode="compiled")
+    dev_c.run_program(program, bases, mode="auto")
     dev_e.run_program(program, bases, mode="eager")
     _assert_state_equal(dev_c, dev_e)
 
@@ -135,9 +153,9 @@ def test_single_base_always_vectorizes(ops, seed):
     """At one base row every program takes a vectorized path.
 
     The single-base hazard relaxation skips the register-reuse and
-    rel-order structural checks (the private per-element buffers are
-    provably eager-equivalent at one rep), so ``mode="compiled"`` must
-    never fall back to eager -- and must still match it exactly.
+    rel-order structural checks (the compiled section caches are
+    provably eager-equivalent at one rep), so auto mode must never
+    fall back to eager -- and must still match it exactly.
     """
     program = _record(ops, 8)
     counter = get_registry().counter(
@@ -145,20 +163,19 @@ def test_single_base_always_vectorizes(ops, seed):
     eager_before = counter.value(mode="eager")
     dev_c = _fresh_device(seed)
     dev_e = _fresh_device(seed)
-    dev_c.run_program(program, [5], mode="compiled")
+    dev_c.run_program(program, [5], mode="auto")
     assert counter.value(mode="eager") == eager_before
     dev_e.run_program(program, [5], mode="eager")
     _assert_state_equal(dev_c, dev_e)
 
 
-def test_compiled_matches_eager_on_kernel_programs():
-    """The real LPF/HPF/NMS stage programs compile and match eager."""
+def test_compiled_matches_eager_on_kernel_programs(replay_spans):
+    """The real LPF/HPF/NMS stage programs run compiled and match eager."""
     cfg = PIMConfig()
     for name, program in (
             ("lpf", lpf_program(cfg)),
             ("hpf", hpf_program(cfg, scratch_base=200)),
             ("nms", nms_program(cfg, th1=20, th2=40, scratch_base=210))):
-        assert compiled_plan(program, cfg) is not None, name
         ref, dev = PIMDevice(cfg), PIMDevice(cfg)
         rng = np.random.default_rng(11)
         image = rng.integers(0, 256, ref._mem.shape, dtype=np.uint8)
@@ -166,7 +183,8 @@ def test_compiled_matches_eager_on_kernel_programs():
         dev._mem[:] = image
         bases = [5, 20, 35, 50]
         ref.run_program(program, bases, mode="eager")
-        dev.run_program(program, bases, mode="compiled")
+        dev.run_program(program, bases, mode="auto")
+        assert replay_spans()[-1]["executed_mode"] == "compiled", name
         assert np.array_equal(ref._mem, dev._mem), name
         for field in _LEDGER_FIELDS:
             assert getattr(ref.ledger, field) == \
@@ -183,9 +201,9 @@ def test_plan_is_compiled_once_per_program():
     program = rec.finish()
     h0, m0 = hits.total(), misses.total()
     device = PIMDevice(CONFIG)
-    device.run_program(program, [1], mode="compiled")
-    device.run_program(program, [1], mode="compiled")
-    device.run_program(program, [1], mode="compiled")
+    device.run_program(program, [1], mode="auto")
+    device.run_program(program, [1], mode="auto")
+    device.run_program(program, [1], mode="auto")
     assert misses.total() == m0 + 1, "plan compiled more than once"
     assert hits.total() == h0 + 2
 
@@ -204,7 +222,7 @@ def test_compiled_mode_falls_back_on_hazard():
     reason = dev_c.batch_rejection_reason(program, [1, 2])
     assert reason == "register-reuse-hazard"
     before = fallback.value(reason=reason)
-    dev_c.run_program(program, [1, 2], mode="compiled")
+    dev_c.run_program(program, [1, 2], mode="auto")
     assert fallback.value(reason=reason) == before + 1
     dev_e.run_program(program, [1, 2], mode="eager")
     _assert_state_equal(dev_c, dev_e)
@@ -229,7 +247,7 @@ def test_mid_program_precision_switch_falls_back_multi_base():
         "precision-switch-mid-program"
     dev_c = _fresh_device(7)
     dev_e = _fresh_device(7)
-    dev_c.run_program(program, [1, 2], mode="compiled")
+    dev_c.run_program(program, [1, 2], mode="auto")
     dev_e.run_program(program, [1, 2], mode="eager")
     _assert_state_equal(dev_c, dev_e)
 
@@ -266,29 +284,75 @@ def test_abs_rel_alias_checks_survive_relaxation():
         "abs-read-aliases-rel-write"
     dev_c = _fresh_device(9)
     dev_e = _fresh_device(9)
-    dev_c.run_program(program, [5], mode="compiled")   # falls back
+    dev_c.run_program(program, [5], mode="auto")   # falls back
     dev_e.run_program(program, [5], mode="eager")
     _assert_state_equal(dev_c, dev_e)
 
 
-def test_compiled_requested_mode_recorded_in_span():
+def test_compiled_requested_mode_recorded_in_span(replay_spans):
     """Spans carry requested vs executed mode for the compiled path."""
-    from repro.obs.tracer import Tracer, get_tracer, set_tracer
     rec = ProgramRecorder(CONFIG, name="spanprog")
     rec.add(Rel(0), Rel(0), Imm(2))
     program = rec.finish()
     device = PIMDevice(CONFIG, trace=True)
-    old = get_tracer()
-    tracer = Tracer()
-    set_tracer(tracer)
-    tracer.enable()
-    try:
-        device.run_program(program, [1], mode="compiled")
-    finally:
-        tracer.disable()
-        set_tracer(old)
-    replay = [s for s in tracer.spans
-              if s.name.startswith("run_program")]
-    assert replay
-    assert replay[-1].attrs["requested_mode"] == "compiled"
-    assert replay[-1].attrs["executed_mode"] == "compiled"
+    device.run_program(program, [1], mode="auto")
+    attrs = replay_spans()[-1]
+    assert attrs["requested_mode"] == "auto"
+    assert attrs["executed_mode"] == "compiled"
+    assert "fallback_reason" not in attrs
+
+
+def _record_accepted(ops, precision):
+    """Record every op the recorder accepts; skip the ones it rejects."""
+    rec = ProgramRecorder(CONFIG, name="edges")
+    if precision != 8:
+        rec.set_precision(precision)
+    for method, operands, kwargs in ops:
+        try:
+            getattr(rec, method)(*operands, **kwargs)
+        except ValueError:
+            pass  # an immediate outside the op's read range
+    return rec.finish()
+
+
+_edge_programs = st.sampled_from([8, 16, 32, 64]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        _ops(st.sampled_from(_DSTS + _edge_imms(n))),
+        min_size=1, max_size=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_edge_programs, bases=_bases, seed=st.integers(0, 2**16))
+@example(drawn=(64, [("add", (Rel(0), Rel(0), Imm(1 << 63)),
+                      {"saturate": False, "signed": False})]),
+         bases=[1], seed=0)
+def test_lowering_is_total(drawn, bases, seed):
+    """Every program the recorder accepts lowers to a plan and runs
+    compiled == eager, immediates at the validated range ends too."""
+    precision, ops = drawn
+    program = _record_accepted(ops, precision)
+    assert isinstance(compiled_plan(program, CONFIG), CompiledPlan)
+    dev_c = _fresh_device(seed)
+    dev_e = _fresh_device(seed)
+    dev_c.run_program(program, bases, mode="auto")
+    dev_e.run_program(program, bases, mode="eager")
+    _assert_state_equal(dev_c, dev_e)
+
+
+def test_out_of_int64_immediate_fails_closed():
+    """A stored program tampered past the recorder's checks raises in
+    both tiers instead of lowering or computing a wrapped value."""
+    rec = ProgramRecorder(CONFIG, name="tampered")
+    rec.set_precision(64)
+    rec.add(Rel(0), Rel(0), Imm(1), signed=False)
+    program = rec.finish()
+    index = next(i for i, op in enumerate(program.ops)
+                 if op.method == "add")
+    ops = list(program.ops)
+    ops[index] = replace(ops[index], srcs=(Rel(0), Imm(1 << 64)))
+    tampered = replace(program, ops=tuple(ops))
+    with pytest.raises(ValueError, match="immediate"):
+        compiled_plan(tampered, CONFIG)
+    for mode in ("auto", "eager"):
+        with pytest.raises(ValueError, match="immediate"):
+            PIMDevice(CONFIG).run_program(tampered, [1], mode=mode)

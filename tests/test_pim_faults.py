@@ -136,7 +136,7 @@ class TestResetContract:
         dev.run_program(program, [0])
         assert _rows(dev) == want
 
-    def test_transient_injector_forces_eager_replay(self):
+    def test_transient_injector_forces_eager_replay(self, replay_spans):
         program = self._program()
         dev = PIMDevice(CFG)
         assert dev.batch_rejection_reason(program, [0]) is None
@@ -144,13 +144,15 @@ class TestResetContract:
             seed=1, read_flip_prob=0.01)))
         assert dev.batch_rejection_reason(program, [0]) == \
             "fault-injection-active"
-        with pytest.raises(ValueError, match="fault-injection-active"):
-            dev.run_program(program, [0], mode="batched")
+        dev.run_program(program, [0], mode="auto")
+        attrs = replay_spans()[-1]
+        assert attrs["executed_mode"] == "eager"
+        assert attrs["fallback_reason"] == "fault-injection-active"
         dev.detach_fault_injector()
         assert dev.batch_rejection_reason(program, [0]) is None
 
     def test_stored_only_injector_still_batches(self):
-        # Stored flips corrupt the array once at attach time; batched
+        # Stored flips corrupt the array once at attach time; compiled
         # replay reads the corrupted memory wholesale, so there is no
         # per-read hook to preserve and batching stays legal.
         program = self._program()

@@ -30,6 +30,15 @@ def _record_lpf_row(rec):
     rec.avg(Rel(0), Rel(0), TMP)
 
 
+def _assert_auto_runs_eager(device, program, bases, rule, replay_spans):
+    """The hazard analysis names ``rule`` and auto mode runs eager."""
+    assert device.batch_rejection_reason(program, bases) == rule
+    device.run_program(program, bases, mode="auto")
+    attrs = replay_spans()[-1]
+    assert attrs["executed_mode"] == "eager"
+    assert attrs["fallback_reason"] == rule
+
+
 class TestRecorder:
     def test_records_ops_and_aggregate(self):
         rec = ProgramRecorder(SMALL, name="lpf")
@@ -49,9 +58,16 @@ class TestRecorder:
             rec.add(Rel(0), Rel(0), Imm(1))
 
     def test_validates_immediates(self):
-        rec = ProgramRecorder(SMALL)
-        with pytest.raises(ValueError):
-            rec.add(Rel(0), Rel(0), Imm(300))
+        for precision, imm, signed in ((8, 300, True),
+                                       (64, 1 << 63, False)):
+            rec = ProgramRecorder(SMALL)
+            rec.set_precision(precision)
+            with pytest.raises(ValueError, match="exceeds"):
+                rec.add(Rel(0), Rel(0), Imm(imm), signed=signed)
+            device = PIMDevice(SMALL)
+            device.set_precision(precision)
+            with pytest.raises(ValueError, match="exceeds"):
+                device.add(1, 1, Imm(imm), signed=signed)
 
     def test_validates_rows_and_registers(self):
         rec = ProgramRecorder(SMALL)
@@ -97,7 +113,7 @@ class TestBatchability:
 
     def test_read_below_after_write_is_hazard(self):
         # Writing Rel(0) then reading Rel(-1) later: eager order would
-        # see the freshly-written value, batched would not.
+        # see the freshly-written value, vectorized would not.
         rec = ProgramRecorder(SMALL)
         rec.copy(Rel(0), Imm(1))
         rec.add(Rel(1), Rel(-1), Imm(1))
@@ -118,19 +134,19 @@ class TestBatchability:
         rec.copy(12, Rel(0))
         assert not rec.finish().batchable
 
-    def test_batched_mode_raises_on_hazard(self):
+    def test_hazard_names_rule_and_auto_runs_eager(self, replay_spans):
         rec = ProgramRecorder(SMALL)
         rec.add(Rel(0), Rel(0), TMP)
         rec.copy(TMP, Rel(0))
         program = rec.finish()
         device = PIMDevice(SMALL)
-        with pytest.raises(ValueError):
-            device.run_program(program, [1, 2], mode="batched")
-        device.run_program(program, [1, 2])  # auto falls back to eager
+        _assert_auto_runs_eager(device, program, [1, 2],
+                                "register-reuse-hazard", replay_spans)
 
-    def test_footprint_disjoint_bases_batch_unsafe_order(self):
+    def test_footprint_disjoint_bases_batch_unsafe_order(self,
+                                                          replay_spans):
         # Write offset 0, then read offset 1: with stride-1 bases the
-        # batched op order would leak a later base's write into an
+        # vectorized op order would leak a later base's write into an
         # earlier base's read (the warp-kernel shape).
         rec = ProgramRecorder(SMALL)
         rec.copy(Rel(0), Imm(9))
@@ -139,23 +155,24 @@ class TestBatchability:
         assert not program.rel_order_safe
         assert program.rel_span == 1
         device = PIMDevice(SMALL)
-        # ...batches fine when bases are strided past the footprint,
-        with pytest.raises(ValueError):
-            device.run_program(program, [1, 2], mode="batched")
+        _assert_auto_runs_eager(device, program, [1, 2],
+                                "rel-aliasing-within-span", replay_spans)
+        # ...but runs compiled when bases are strided past the footprint.
         _seed(device)
         reference = PIMDevice(SMALL)
         _seed(reference)
-        device.run_program(program, [1, 4, 7], mode="batched")
+        device.run_program(program, [1, 4, 7], mode="auto")
+        assert replay_spans()[-1]["executed_mode"] == "compiled"
         reference.run_program(program, [1, 4, 7], mode="eager")
         assert np.array_equal(device._mem, reference._mem)
 
-    def test_decreasing_bases_fall_back(self):
+    def test_decreasing_bases_fall_back(self, replay_spans):
         rec = ProgramRecorder(SMALL)
         _record_lpf_row(rec)
         program = rec.finish()
         device = PIMDevice(SMALL)
-        with pytest.raises(ValueError):
-            device.run_program(program, [5, 3], mode="batched")
+        _assert_auto_runs_eager(device, program, [5, 3],
+                                "bases-not-increasing", replay_spans)
 
     def test_out_of_range_bases_raise(self):
         rec = ProgramRecorder(SMALL)
@@ -170,9 +187,11 @@ class TestRunProgram:
     def test_rejects_unknown_mode(self):
         rec = ProgramRecorder(SMALL)
         _record_lpf_row(rec)
+        program = rec.finish()
         device = PIMDevice(SMALL)
-        with pytest.raises(ValueError):
-            device.run_program(rec.finish(), [0], mode="sideways")
+        for mode in ("sideways", "batched", "compiled"):
+            with pytest.raises(ValueError, match="unknown replay mode"):
+                device.run_program(program, [0], mode=mode)
 
     def test_rejects_geometry_mismatch(self):
         rec = ProgramRecorder(SMALL)
@@ -189,7 +208,7 @@ class TestRunProgram:
         device.run_program(rec.finish(), [])
         assert device.ledger.cycles == 0
 
-    def test_batched_equals_eager_memory_ledger_trace(self):
+    def test_batched_equals_eager_memory_ledger_trace(self, replay_spans):
         rec = ProgramRecorder(SMALL)
         _record_lpf_row(rec)
         program = rec.finish()
@@ -198,7 +217,8 @@ class TestRunProgram:
         _seed(dev_b, 3)
         _seed(dev_e, 3)
         bases = list(range(2, 9))
-        dev_b.run_program(program, bases, mode="batched")
+        dev_b.run_program(program, bases, mode="auto")
+        assert replay_spans()[-1]["executed_mode"] == "compiled"
         dev_e.run_program(program, bases, mode="eager")
         assert np.array_equal(dev_b._mem, dev_e._mem)
         assert all(np.array_equal(a, b)
@@ -356,13 +376,17 @@ class TestTraceRing:
             device.add(TMP, 0, Imm(1))
         assert len(device.trace) == 10
 
-    def test_ring_applies_to_batched_replay(self):
+    def test_ring_applies_to_batched_replay(self, replay_spans):
         rec = ProgramRecorder(SMALL)
         _record_lpf_row(rec)
         program = rec.finish()
         device = PIMDevice(SMALL, trace=True, max_trace=3)
-        device.run_program(program, range(0, 8), mode="batched")
+        device.run_program(program, range(0, 8), mode="auto")
+        assert replay_spans()[-1]["executed_mode"] == "compiled"
         assert len(device.trace) == 3
+        reference = PIMDevice(SMALL, trace=True)
+        reference.run_program(program, range(0, 8), mode="eager")
+        assert device.trace == reference.trace[-3:]
 
 
 class TestBlockDMA:

@@ -1,7 +1,7 @@
-"""Property tests: batched replay is bit- and cost-exact vs eager.
+"""Property tests: vectorized replay is bit- and cost-exact vs eager.
 
 Randomized programs over the full micro-op surface are replayed through
-``run_program`` in ``auto`` (batched whenever the hazard analysis
+``run_program`` in ``auto`` (compiled whenever the hazard analysis
 allows) and ``eager`` mode on identically-seeded devices.  Whatever
 path ``auto`` picks, the SRAM bytes, Tmp registers, every ledger
 counter (including the per-op and per-precision profiles) and the
@@ -113,27 +113,6 @@ def test_auto_replay_matches_eager(ops, precision, bases, seed):
     assert dict(dev_auto.ledger.op_profile) == \
         dict(dev_eager.ledger.op_profile)
     assert dev_auto.trace == dev_eager.trace
-
-
-@settings(max_examples=40, deadline=None)
-@given(ops=st.lists(_op, min_size=1, max_size=8),
-       precision=st.sampled_from([8, 16, 32]),
-       bases=_bases,
-       seed=st.integers(0, 2**16))
-def test_forced_batched_matches_eager_when_allowed(ops, precision,
-                                                   bases, seed):
-    """Whenever batched mode is accepted, it must equal eager exactly."""
-    program = _record(ops, precision)
-    dev_b = _fresh_device(seed)
-    dev_e = _fresh_device(seed)
-    try:
-        dev_b.run_program(program, bases, mode="batched")
-    except ValueError:
-        return  # legitimately not batchable for these bases
-    dev_e.run_program(program, bases, mode="eager")
-    assert np.array_equal(dev_b._mem, dev_e._mem)
-    assert dev_b.ledger.cycles == dev_e.ledger.cycles
-    assert dict(dev_b.ledger.op_profile) == dict(dev_e.ledger.op_profile)
 
 
 @settings(max_examples=30, deadline=None)

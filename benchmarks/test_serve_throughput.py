@@ -55,8 +55,8 @@ def test_pool_scaling_and_isolation(record_report):
     config = TrackerConfig(camera=TUM_QVGA.scaled(SCALE),
                            pim_device_detect=True)
     iso_load = build_workload(sessions=3, frames=6, scale=SCALE)
-    with VOService(workers=2, frontend="pim", config=config,
-                   max_batch=4) as service:
+    with VOService(workers=2, frontend="pim",
+                   config=config) as service:
         iso_report, clients = run_load(service, iso_load)
     served = service_trajectories(
         [r for c in clients for r in c.results])

@@ -10,8 +10,7 @@ This package is that serving layer for the simulated stack:
   (:class:`SessionManager`).
 * :mod:`repro.serve.scheduler` -- a bounded FIFO admission queue with
   per-session ordering, explicit :class:`Backpressure` rejection, and
-  cross-session micro-batching of frames that share an edge-detect
-  program key (:class:`FifoScheduler`).
+  one frame per worker pull (:class:`FifoScheduler`).
 * :mod:`repro.serve.pool` -- N worker threads, each owning one
   tracker + PIM devices, dwelling for the simulated device service
   time so wall-clock reflects device occupancy, not host speed

@@ -44,8 +44,6 @@ def main(argv=None) -> int:
                         help="device-pool workers")
     parser.add_argument("--queue", type=int, default=64,
                         help="admission queue capacity")
-    parser.add_argument("--batch", type=int, default=4,
-                        help="max frames per micro-batch")
     parser.add_argument("--frontend", choices=sorted(_FRONTENDS),
                         default="pim", help="tracker arithmetic")
     parser.add_argument("--device-detect", action="store_true",
@@ -103,7 +101,6 @@ def main(argv=None) -> int:
                               seed=args.seed)
     with VOService(workers=args.workers, frontend=args.frontend,
                    config=config, max_queue=args.queue,
-                   max_batch=args.batch,
                    min_service_s=args.min_service_s,
                    device_clock_hz=args.clock_hz,
                    program_store=args.program_store,

@@ -472,8 +472,8 @@ class PoolWorker:
                 # the cooldown elapses and the breaker half-opens.
                 self._stop.wait(min(0.05, self.breaker.cooldown_s))
                 continue
-            batch = self.scheduler.next_batch(timeout=0.05)
-            for item in batch:
+            item = self.scheduler.next_item(timeout=0.05)
+            if item is not None:
                 self._process(item)
 
     # -- lifecycle -------------------------------------------------------

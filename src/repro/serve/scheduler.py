@@ -3,12 +3,14 @@
 One bounded FIFO feeds every pool worker.  Two invariants shape the
 dispatch loop:
 
-* **Per-session ordering** -- frames of one session execute strictly in
-  submission order and never concurrently, so tracker state evolves
-  exactly as it would in a solo run.  The queue scan keeps a
-  ``blocked`` set: once a session is skipped (in flight, or an earlier
-  frame of it was skipped), every later frame of that session is
-  skipped too.
+* **Per-session ordering** -- at most one frame per session is in
+  flight, and dispatch order is queue order among sessions not in
+  flight.  A worker pull (:meth:`FifoScheduler.next_item`) hands out
+  exactly one frame: the first queued item whose session is not in
+  flight.  A session's earliest queued frame always precedes its later
+  ones, so frames of one session execute strictly in submission order
+  and never concurrently, and tracker state evolves exactly as it
+  would in a solo run.
 * **Explicit backpressure** -- a full queue rejects at admission with
   :class:`Backpressure` carrying a ``retry_after_s`` hint derived from
   the *observed queue drain rate* (an EMA over the intervals between
@@ -27,12 +29,9 @@ Two failure-containment features ride on the queue:
   queued item into a caller-supplied exception; the service uses it on
   close so no client blocks forever on a future that will never run.
 
-Workers pull with :meth:`FifoScheduler.next_batch`, which may
-*micro-batch*: after fixing the head-of-line item, later eligible items
-from other sessions that share the same ``batch_key`` (the edge-detect
-program key -- same shape, precision, device geometry) join the batch
-up to ``max_batch``, so one worker replays the same compiled program
-back-to-back without re-dispatching.
+A frame is stamped ``dequeued_at`` only when a worker is about to run
+it, so ``queue_s`` and the deadline check cover the whole wait before
+execution.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Set
 
 from repro.obs.context import NULL_HANDLE, TraceContext
 from repro.obs.flight import FlightRecorder
@@ -88,13 +87,11 @@ class WorkItem:
     """One queued frame with its result future.
 
     ``payload`` is opaque to the scheduler (the service puts the frame
-    arrays and timestamp there); ``batch_key`` is ``None`` when the
-    frame must not be micro-batched.
+    arrays and timestamp there).
     """
 
     session: str
     seq: int
-    batch_key: Optional[Tuple]
     payload: object
     future: Future = field(default_factory=Future)
     enqueued_at: float = 0.0
@@ -111,19 +108,15 @@ class WorkItem:
 
 
 class FifoScheduler:
-    """Bounded FIFO with per-session ordering and micro-batching."""
+    """Bounded FIFO with per-session ordering, one frame per pull."""
 
-    def __init__(self, max_queue: int = 64, max_batch: int = 1,
-                 workers: int = 1,
+    def __init__(self, max_queue: int = 64, workers: int = 1,
                  clock: Callable[[], float] = time.monotonic,
                  slo: Optional[SloEngine] = None,
                  flight: Optional[FlightRecorder] = None):
         if max_queue < 1:
             raise ValueError("max_queue must be positive")
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
         self.max_queue = max_queue
-        self.max_batch = max_batch
         self.workers = max(1, workers)
         self._clock = clock
         # Optional serve-plane observability: the scheduler owns the
@@ -132,7 +125,8 @@ class FifoScheduler:
         self.slo = slo
         self.flight = flight
         self._queue: Deque[WorkItem] = deque()
-        self._inflight: Dict[str, int] = {}
+        #: Sessions with a frame dispatched and not yet done.
+        self._inflight: Set[str] = set()
         self._cond = threading.Condition()
         self._closed = False
         #: EMA of per-frame service time (kept as the cold-start
@@ -149,11 +143,6 @@ class FifoScheduler:
             "Frames rejected at admission because the queue was full")
         self._depth_gauge = registry.gauge(
             "serve_queue_depth", "Frames waiting in the admission queue")
-        self._batch_hist = registry.histogram(
-            "serve_batch_size", "Frames dispatched per worker pull")
-        self._batched = registry.counter(
-            "serve_microbatched_frames_total",
-            "Frames that rode in a batch behind another session's frame")
         self._expired = registry.counter(
             "serve_deadline_expired_total",
             "Frames expired in queue past their deadline")
@@ -223,77 +212,52 @@ class FifoScheduler:
         if overdue:
             self._depth_gauge.set(len(self._queue))
 
-    def _scan(self) -> List[WorkItem]:
-        """Pick the next batch (caller holds the lock); [] if none."""
-        batch: List[WorkItem] = []
-        blocked = set(self._inflight)
-        key: Optional[Tuple] = None
+    def _scan(self) -> Optional[WorkItem]:
+        """First queued item whose session is not in flight (caller
+        holds the lock); ``None`` if there is none."""
         for item in self._queue:
-            if item.session in blocked:
-                continue
-            if not batch:
-                batch.append(item)
-                key = item.batch_key
-                if key is None or self.max_batch == 1:
-                    break
-                blocked.add(item.session)
-                continue
-            if item.batch_key == key:
-                batch.append(item)
-                if len(batch) >= self.max_batch:
-                    break
-            # Whether it joined or not, later frames of this session
-            # must wait for it, so the session is blocked either way.
-            blocked.add(item.session)
-        return batch
+            if item.session not in self._inflight:
+                return item
+        return None
 
-    def next_batch(self, timeout: Optional[float] = None
-                   ) -> List[WorkItem]:
-        """Dequeue the next batch, blocking up to ``timeout`` seconds.
+    def next_item(self, timeout: Optional[float] = None
+                  ) -> Optional[WorkItem]:
+        """Dequeue the next frame, blocking up to ``timeout`` seconds.
 
-        Returns ``[]`` when the timeout elapses or the scheduler is
+        Returns ``None`` when the timeout elapses or the scheduler is
         closed with an empty queue -- worker loops treat both as "poll
-        again / shut down".  Every returned item's session is marked
-        in flight until :meth:`done` is called for it.
+        again / shut down".  The returned item's session is marked in
+        flight until :meth:`done` is called for it.
         """
         deadline = None if timeout is None else self._clock() + timeout
         with self._cond:
             while True:
                 self._expire_overdue(self._clock())
-                batch = self._scan()
-                if batch:
+                item = self._scan()
+                if item is not None:
                     break
                 if self._closed and not self._queue:
-                    return []
+                    return None
                 remaining = None if deadline is None else \
                     deadline - self._clock()
                 if remaining is not None and remaining <= 0:
-                    return []
+                    return None
                 self._cond.wait(remaining)
             now = self._clock()
-            for item in batch:
-                self._queue.remove(item)
-                item.dequeued_at = now
-                item.queue_handle.finish(
-                    outcome="dispatched",
-                    queue_s=max(0.0, now - item.enqueued_at))
-                self._inflight[item.session] = \
-                    self._inflight.get(item.session, 0) + 1
+            self._queue.remove(item)
+            item.dequeued_at = now
+            item.queue_handle.finish(
+                outcome="dispatched",
+                queue_s=max(0.0, now - item.enqueued_at))
+            self._inflight.add(item.session)
             self._depth_gauge.set(len(self._queue))
-            self._batch_hist.observe(len(batch))
-            if len(batch) > 1:
-                self._batched.inc(len(batch) - 1)
-            return batch
+            return item
 
     def done(self, item: WorkItem,
              service_s: Optional[float] = None) -> None:
         """Release the item's session and fold in its service time."""
         with self._cond:
-            count = self._inflight.get(item.session, 0) - 1
-            if count > 0:
-                self._inflight[item.session] = count
-            else:
-                self._inflight.pop(item.session, None)
+            self._inflight.discard(item.session)
             if service_s is not None and service_s >= 0:
                 self._service_ema_s += 0.2 * (service_s -
                                               self._service_ema_s)
@@ -343,7 +307,7 @@ class FifoScheduler:
         re-submitted to the target service's scheduler, so the original
         clients' futures complete with results computed on the target
         pool.  Items already dispatched are *not* touched -- callers
-        wait for :meth:`session_inflight` to reach zero and extract
+        wait for :meth:`session_inflight` to turn false and extract
         again, because a frame completing mid-extraction may already
         have unblocked a later frame of the same session.
         """
@@ -356,10 +320,10 @@ class FifoScheduler:
                 self._depth_gauge.set(len(self._queue))
             return items
 
-    def session_inflight(self, sid: str) -> int:
-        """Frames of ``sid`` currently dispatched to workers."""
+    def session_inflight(self, sid: str) -> bool:
+        """Whether a frame of ``sid`` is dispatched to a worker."""
         with self._cond:
-            return self._inflight.get(sid, 0)
+            return sid in self._inflight
 
     def queued_items(self) -> List[WorkItem]:
         """Point-in-time copy of the queue contents (for snapshots)."""
@@ -378,7 +342,6 @@ class FifoScheduler:
             return {
                 "depth": len(self._queue),
                 "max_queue": self.max_queue,
-                "max_batch": self.max_batch,
                 "inflight_sessions": len(self._inflight),
                 "service_ema_s": self._service_ema_s,
                 "drain_ema_s": drain,

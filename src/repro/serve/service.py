@@ -21,8 +21,7 @@ Frames submitted under one session id execute strictly in submission
 order against that session's own tracker state, so a session's
 trajectory is bit-identical to running its frames through a solo
 :class:`~repro.vo.tracker.EBVOTracker` -- regardless of how many other
-sessions interleave, which worker serves each frame, or how frames are
-micro-batched.
+sessions interleave or which worker serves each frame.
 
 ``close`` is idempotent and exception-safe: it always joins the
 workers and then fails any still-queued futures, so no client blocks
@@ -37,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -68,7 +67,7 @@ class VOService:
     def __init__(self, workers: int = 2, frontend: str = "pim",
                  config: Optional[TrackerConfig] = None,
                  device_detect: bool = False,
-                 max_queue: int = 64, max_batch: int = 4,
+                 max_queue: int = 64,
                  idle_timeout_s: float = 60.0, max_sessions: int = 64,
                  min_service_s: float = 0.0,
                  device_clock_hz: Optional[float] = None,
@@ -113,7 +112,6 @@ class VOService:
             else FlightRecorder()
         self.incident_dir = incident_dir
         self.scheduler = FifoScheduler(max_queue=max_queue,
-                                       max_batch=max_batch,
                                        workers=workers,
                                        slo=self.slo,
                                        flight=self.flight)
@@ -207,23 +205,6 @@ class VOService:
 
     # -- the request path ------------------------------------------------
 
-    def _batch_key(self, shape: Tuple[int, int]) -> Optional[Tuple]:
-        """Micro-batch key of one frame: its edge-detect program key.
-
-        Frames are batchable only when the workers actually replay
-        compiled programs (PIM frontend with device detect on); then
-        frames of the same shape share the detect program and device
-        geometry, so a worker can run them back-to-back.
-        """
-        if self.frontend != "pim" or not self.config.pim_device_detect:
-            return None
-        from repro.pim import PIMConfig
-        from repro.pim.program import program_key
-        height, width = shape
-        return program_key("edge_detect", shape, 8,
-                           PIMConfig(wordline_bits=width * 8,
-                                     num_rows=height + 8))
-
     def submit(self, session_id: str, gray: np.ndarray,
                depth: np.ndarray, timestamp: float = 0.0,
                timeout: Optional[float] = None,
@@ -240,7 +221,6 @@ class VOService:
         """
         if self._closed:
             raise RuntimeError("service is closed")
-        gray = np.asarray(gray)
         self.sessions.touch(session_id)
         seq = self._next_seq()
         # The request root span: begun here on the client thread,
@@ -251,8 +231,7 @@ class VOService:
         request = tracer.begin("request", category="serve",
                                session=session_id, seq=seq)
         item = WorkItem(session=session_id, seq=seq,
-                        batch_key=self._batch_key(gray.shape),
-                        payload=(gray, np.asarray(depth),
+                        payload=(np.asarray(gray), np.asarray(depth),
                                  float(timestamp)),
                         ctx=request.context,
                         queue_handle=tracer.begin(
@@ -301,15 +280,13 @@ class VOService:
         """
         if self._closed:
             raise RuntimeError("service is closed")
-        gray = np.asarray(gray)
         self.sessions.touch(session_id)
         seq = self._next_seq()
         tracer = get_tracer()
         request = tracer.begin("request", category="serve",
                                session=session_id, seq=seq)
         item = WorkItem(session=session_id, seq=seq,
-                        batch_key=self._batch_key(gray.shape),
-                        payload=(gray, np.asarray(depth),
+                        payload=(np.asarray(gray), np.asarray(depth),
                                  float(timestamp)),
                         ctx=request.context,
                         queue_handle=tracer.begin(
@@ -405,10 +382,8 @@ class VOService:
         """
         if self._closed:
             raise RuntimeError("service is closed")
-        gray = np.asarray(gray)
         item = WorkItem(session=session_id, seq=seq,
-                        batch_key=self._batch_key(gray.shape),
-                        payload=(gray, np.asarray(depth),
+                        payload=(np.asarray(gray), np.asarray(depth),
                                  float(timestamp)))
         if deadline_s is not None:
             item.deadline = self.scheduler._clock() + deadline_s
@@ -449,7 +424,7 @@ class VOService:
             session = self.sessions.get(session_id)
             busy = bool(session is not None and session.busy)
             if not busy and \
-                    self.scheduler.session_inflight(session_id) == 0:
+                    not self.scheduler.session_inflight(session_id):
                 # One final sweep: a frame completing during the scan
                 # may have re-exposed a later queued frame.
                 tail = self.scheduler.extract_session(session_id)
@@ -499,10 +474,7 @@ class VOService:
         target.restore_seq(max((item.seq for item in extracted),
                                default=0))
         for item in extracted:
-            # Re-key for the target's geometry and hand the item --
-            # future and all -- to the target's queue.
-            item.batch_key = target._batch_key(
-                np.asarray(item.payload[0]).shape)
+            # Hand the item -- future and all -- to the target's queue.
             target.scheduler.submit(item)
         get_registry().counter(
             "serve_sessions_migrated_total",

@@ -74,7 +74,6 @@ class ShardSpec:
     config: Optional[TrackerConfig] = None
     device_detect: bool = False
     max_queue: int = 64
-    max_batch: int = 4
     idle_timeout_s: float = 3600.0
     max_sessions: int = 256
     min_service_s: float = 0.0
@@ -95,7 +94,6 @@ class ShardSpec:
             "config": self.config,
             "device_detect": self.device_detect,
             "max_queue": self.max_queue,
-            "max_batch": self.max_batch,
             "idle_timeout_s": self.idle_timeout_s,
             "max_sessions": self.max_sessions,
             "min_service_s": self.min_service_s,

@@ -41,9 +41,8 @@ class FakeClock:
         self.now += seconds
 
 
-def _item(session, seq, key=None):
-    return WorkItem(session=session, seq=seq, batch_key=key,
-                    payload=None)
+def _item(session, seq):
+    return WorkItem(session=session, seq=seq, payload=None)
 
 
 class TestScheduler:
@@ -53,7 +52,7 @@ class TestScheduler:
             sched.submit(_item("a", seq))
         seen = []
         for _ in range(3):
-            (item,) = sched.next_batch(timeout=0)
+            item = sched.next_item(timeout=0)
             seen.append(item.seq)
             sched.done(item)
         assert seen == [0, 1, 2]
@@ -79,45 +78,23 @@ class TestScheduler:
         sched.submit(_item("a", 0))
         sched.submit(_item("a", 1))
         sched.submit(_item("b", 0))
-        (first,) = sched.next_batch(timeout=0)
+        first = sched.next_item(timeout=0)
         assert (first.session, first.seq) == ("a", 0)
         # a-1 must wait for a-0; b-0 overtakes without breaking
         # a's internal order.
-        (second,) = sched.next_batch(timeout=0)
+        second = sched.next_item(timeout=0)
         assert (second.session, second.seq) == ("b", 0)
-        assert sched.next_batch(timeout=0) == []
+        assert sched.next_item(timeout=0) is None
         sched.done(first)
-        (third,) = sched.next_batch(timeout=0)
+        third = sched.next_item(timeout=0)
         assert (third.session, third.seq) == ("a", 1)
-
-    def test_microbatch_same_key_across_sessions(self):
-        sched = FifoScheduler(max_queue=8, max_batch=4)
-        sched.submit(_item("a", 0, key=("k1",)))
-        sched.submit(_item("a", 1, key=("k1",)))   # same session: no
-        sched.submit(_item("b", 0, key=("k1",)))   # joins
-        sched.submit(_item("c", 0, key=("k2",)))   # different key: no
-        sched.submit(_item("d", 0, key=("k1",)))   # joins
-        batch = sched.next_batch(timeout=0)
-        assert [(i.session, i.seq) for i in batch] == \
-            [("a", 0), ("b", 0), ("d", 0)]
-
-    def test_batch_capped_and_none_key_never_batches(self):
-        sched = FifoScheduler(max_queue=8, max_batch=2)
-        sched.submit(_item("a", 0, key=("k",)))
-        sched.submit(_item("b", 0, key=("k",)))
-        sched.submit(_item("c", 0, key=("k",)))
-        assert len(sched.next_batch(timeout=0)) == 2
-        sched2 = FifoScheduler(max_queue=8, max_batch=4)
-        sched2.submit(_item("a", 0, key=None))
-        sched2.submit(_item("b", 0, key=None))
-        assert len(sched2.next_batch(timeout=0)) == 1
 
     def test_close_refuses_new_work(self):
         sched = FifoScheduler(max_queue=4)
         sched.close()
         with pytest.raises(RuntimeError):
             sched.submit(_item("a", 0))
-        assert sched.next_batch(timeout=0) == []
+        assert sched.next_item(timeout=0) is None
 
 
 class TestSessionManager:
@@ -296,21 +273,6 @@ class TestService:
         with pytest.raises(ValueError):
             VOService(frontend="quantum")
 
-    def test_device_detect_batch_key_shared_across_sessions(self):
-        config = TrackerConfig(camera=TINY_CAMERA,
-                               pim_device_detect=True)
-        service = VOService(workers=1, frontend="pim", config=config)
-        shape = (TINY_CAMERA.height, TINY_CAMERA.width)
-        key = service._batch_key(shape)
-        assert key is not None
-        assert key == service._batch_key(shape)
-        assert key != service._batch_key((shape[0] // 2,
-                                          shape[1] // 2))
-        # Without device replay there is nothing to co-schedule.
-        plain = VOService(workers=1, frontend="pim",
-                          config=TrackerConfig(camera=TINY_CAMERA))
-        assert plain._batch_key(shape) is None
-
 
 class FlakyTracker:
     """A scriptable tracker: fails the attempts listed in ``failures``.
@@ -362,8 +324,7 @@ def _flaky_pool(failures, workers=1, max_retries=1,
 
 
 def _submit(scheduler, sid, seq):
-    item = WorkItem(session=sid, seq=seq, batch_key=None,
-                    payload=(None, None, 0.0))
+    item = WorkItem(session=sid, seq=seq, payload=(None, None, 0.0))
     scheduler.submit(item)
     return item.future
 
@@ -460,14 +421,13 @@ class TestResilience:
     def test_deadline_expires_queued_item(self):
         clock = FakeClock()
         sched = FifoScheduler(max_queue=8, clock=clock)
-        fresh = WorkItem(session="a", seq=0, batch_key=None,
-                         payload=None)
-        stale = WorkItem(session="b", seq=0, batch_key=None,
-                         payload=None, deadline=clock.now + 5.0)
+        fresh = WorkItem(session="a", seq=0, payload=None)
+        stale = WorkItem(session="b", seq=0, payload=None,
+                         deadline=clock.now + 5.0)
         sched.submit(fresh)
         sched.submit(stale)
         clock.advance(10.0)
-        (item,) = sched.next_batch(timeout=0)
+        item = sched.next_item(timeout=0)
         assert item is fresh  # the undeadlined item still dispatches
         with pytest.raises(DeadlineExceeded) as exc:
             stale.future.result(0)
@@ -493,7 +453,7 @@ class TestResilience:
         assert sched.stats()["drain_ema_s"] is None
         for seq in range(3):
             sched.submit(_item("a", seq))
-            (item,) = sched.next_batch(timeout=0)
+            item = sched.next_item(timeout=0)
             clock.advance(0.2)  # each frame takes 0.2s of clock
             sched.done(item)
         stats = sched.stats()
@@ -513,8 +473,7 @@ class TestResilience:
         service.start()
         # Trap a frame in the queue with no worker able to run it:
         # close() must fail its future rather than leave it hanging.
-        item = WorkItem(session="z", seq=1, batch_key=None,
-                        payload=(None, None, 0.0))
+        item = WorkItem(session="z", seq=1, payload=(None, None, 0.0))
         service.pool.stop()
         service.scheduler.submit(item)
         service.close()

@@ -217,7 +217,7 @@ class TestRetryAndDeadlineTracing:
             request = tracer.begin("request", category="serve",
                                    session="a", seq=seq)
             item = WorkItem(
-                session="a", seq=seq, batch_key=None,
+                session="a", seq=seq,
                 payload=(None, None, 0.0), ctx=request.context,
                 queue_handle=tracer.begin("queue", category="serve",
                                           parent=request.context))
@@ -261,7 +261,7 @@ class TestRetryAndDeadlineTracing:
         scheduler = FifoScheduler(max_queue=8, clock=clock,
                                   slo=slo, flight=flight)
         request = tracer.begin("request", category="serve")
-        item = WorkItem(session="a", seq=0, batch_key=None,
+        item = WorkItem(session="a", seq=0,
                         payload=None, ctx=request.context,
                         queue_handle=tracer.begin(
                             "queue", category="serve",
@@ -269,7 +269,7 @@ class TestRetryAndDeadlineTracing:
         item.deadline = clock.now + 1.0
         scheduler.submit(item)
         clock.now += 5.0
-        assert scheduler.next_batch(timeout=0) == []
+        assert scheduler.next_item(timeout=0) is None
         with pytest.raises(DeadlineExceeded):
             item.future.result(0)
         request.finish(outcome="deadline_miss")

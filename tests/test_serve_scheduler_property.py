@@ -6,6 +6,8 @@ the interleaving:
 
 * frames of one session are delivered strictly in submission order
   and never run concurrently (per-session FIFO);
+* every pull hands out the earliest queued frame whose session is not
+  in flight (head-of-line order among idle sessions);
 * :class:`~repro.serve.scheduler.Backpressure` always carries a
   positive ``retry_after_s`` hint, whatever service times fed the EMA.
 """
@@ -21,28 +23,34 @@ from repro.serve import Backpressure, FifoScheduler, WorkItem
 def test_per_session_fifo_under_random_interleavings(data):
     n_sessions = data.draw(st.integers(1, 4), label="sessions")
     n_items = data.draw(st.integers(1, 24), label="items")
-    max_batch = data.draw(st.integers(1, 4), label="max_batch")
-    keys = (None, ("edge", 8), ("edge", 16))
 
-    sched = FifoScheduler(max_queue=64, max_batch=max_batch)
+    sched = FifoScheduler(max_queue=64)
     pending = []
     for i in range(n_items):
         session = f"s{data.draw(st.integers(0, n_sessions - 1))}"
-        key = keys[data.draw(st.integers(0, len(keys) - 1))]
         seq = sum(1 for it in pending if it.session == session)
         pending.append(WorkItem(session=session, seq=seq,
-                                batch_key=key, payload=None))
+                                payload=None))
     submitted = 0
+    queued = []      # model of the scheduler queue, in order
     inflight = []
     delivered = {}
 
     def pull():
-        batch = sched.next_batch(timeout=0)
-        for item in batch:
-            # No two frames of one session may be in flight at once.
-            assert all(it.session != item.session for it in inflight)
-            delivered.setdefault(item.session, []).append(item.seq)
-            inflight.append(item)
+        busy = {it.session for it in inflight}
+        expected = next(
+            (it for it in queued if it.session not in busy), None)
+        item = sched.next_item(timeout=0)
+        # Head-of-line: the earliest queued frame of a session that
+        # is not in flight, or nothing when every session is busy.
+        assert item is expected
+        if item is None:
+            return
+        # No two frames of one session may be in flight at once.
+        assert item.session not in busy
+        queued.remove(item)
+        delivered.setdefault(item.session, []).append(item.seq)
+        inflight.append(item)
 
     while submitted < len(pending) or inflight or sched.depth():
         choices = []
@@ -55,6 +63,7 @@ def test_per_session_fifo_under_random_interleavings(data):
         action = data.draw(st.sampled_from(choices), label="action")
         if action == "submit":
             sched.submit(pending[submitted])
+            queued.append(pending[submitted])
             submitted += 1
         elif action == "pull":
             pull()
@@ -83,13 +92,11 @@ def test_backpressure_retry_after_is_always_positive(
     # Drive the service-time EMA through arbitrary observations,
     # including zero-cost frames that shrink it toward zero.
     for service_s in service_times:
-        sched.done(WorkItem(session="warm", seq=0, batch_key=None,
-                            payload=None), service_s=service_s)
+        sched.done(WorkItem(session="warm", seq=0, payload=None),
+                   service_s=service_s)
     for i in range(max_queue):
-        sched.submit(WorkItem(session=f"s{i}", seq=0,
-                              batch_key=None, payload=None))
-    with_full_queue = WorkItem(session="late", seq=0,
-                               batch_key=None, payload=None)
+        sched.submit(WorkItem(session=f"s{i}", seq=0, payload=None))
+    with_full_queue = WorkItem(session="late", seq=0, payload=None)
     try:
         sched.submit(with_full_queue)
         raise AssertionError("full queue accepted a frame")

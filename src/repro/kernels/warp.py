@@ -19,6 +19,7 @@ points, same shift amounts) so the tracker's numerics equal the device.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,49 +152,103 @@ def warp_float(pose: SE3, a, b, c, camera: CameraIntrinsics) -> WarpResult:
     return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid)
 
 
-def _mac_row(qpose_row, t_raw, feats: QuantizedFeatures) -> np.ndarray:
-    """One row of ``R (a, b, 1) + T c`` with PIM op order and saturation.
+_LANE_MIN = -(1 << (_LANE_BITS - 1))
+_LANE_MAX = (1 << (_LANE_BITS - 1)) - 1
 
-    ``X = sat(sat(sat(r0 a + r1 b) + r2') + t c)`` where every product
-    is ``(Q1.15 x Q4.f) >> 15`` and ``r2' = r2 >> (15 - f)``.
+
+@functools.lru_cache(maxsize=16)
+def _intrinsic_raws(camera: CameraIntrinsics, fraction_bits: int) -> tuple:
+    """``(fx, fy, cx, cy, shift)`` raws of the intrinsic mapping.
+
+    ``fx``/``fy`` in :data:`INTRINSIC_FORMAT`, ``cx``/``cy`` in
+    :data:`UV_FORMAT`; ``(f * r) >> shift`` takes a product of a focal
+    length and a ``fraction_bits`` ratio to :data:`UV_FORMAT`.
     """
-    f = feats.fmt.fraction_bits
-    r0, r1, r2 = (int(qpose_row[0]), int(qpose_row[1]), int(qpose_row[2]))
-    m0 = ops.saturate(ops.multiply(np.full_like(feats.a, r0), feats.a,
-                                   _LANE_BITS) >> 15, _LANE_BITS)
-    m1 = ops.saturate(ops.multiply(np.full_like(feats.b, r1), feats.b,
-                                   _LANE_BITS) >> 15, _LANE_BITS)
-    m2 = ops.saturate(ops.multiply(np.full_like(feats.c, int(t_raw)),
-                                   feats.c, _LANE_BITS) >> 15, _LANE_BITS)
-    r2_conv = r2 >> (15 - f)
-    acc = ops.sat_add(m0, m1, _LANE_BITS)
-    acc = ops.sat_add(acc, np.int64(r2_conv), _LANE_BITS)
-    return ops.sat_add(acc, m2, _LANE_BITS)
+    shift = (INTRINSIC_FORMAT.fraction_bits + fraction_bits
+             - UV_FORMAT.fraction_bits)
+    return (int(INTRINSIC_FORMAT.quantize(camera.fx)),
+            int(INTRINSIC_FORMAT.quantize(camera.fy)),
+            int(UV_FORMAT.quantize(camera.cx)),
+            int(UV_FORMAT.quantize(camera.cy)), shift)
+
+
+def _sat16(x: np.ndarray) -> np.ndarray:
+    """Saturate an int32 array to the 16-bit lane, in place."""
+    return np.clip(x, _LANE_MIN, _LANE_MAX, out=x)
 
 
 def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
               camera: CameraIntrinsics) -> WarpResult:
-    """Quantized warp with exact PIM arithmetic (vectorized)."""
+    """Quantized warp with exact PIM arithmetic, as one int32 lane pass.
+
+    Bit-identical to :func:`warp_pim`: every product, shift, divide and
+    saturation of the device program, in the same order, with the
+    nine MAC products of X, Y and Z as one ``(3, 3, n)`` pass, the two
+    divides as one ``(2, n)`` pass and both intrinsic products as one
+    ``(2, n)`` pass.
+
+    The lanes are 16-bit, so int32 holds every intermediate exactly: a
+    16 x 16-bit product is at most ``2**30`` in magnitude, a sum of
+    two saturated lanes (plus the ``r2`` immediate, clamped to
+    ``+-2**16`` without changing the saturated sum) at most ``2**17``,
+    and the divide's numerator ``x << f`` below ``2**30`` for any
+    16-bit feature format (``f <= 15``).  The multiply operands (``a``,
+    ``b``, ``c`` and the ``R[:, :2]``, ``T`` raws) are checked against
+    the 16-bit lane like :func:`repro.fixedpoint.ops.multiply`, with
+    the same :class:`ValueError`.  Fields are returned as int64.
+    """
     f = feats.fmt.fraction_bits
-    x = _mac_row(qpose.r[0], qpose.t[0], feats)
-    y = _mac_row(qpose.r[1], qpose.t[1], feats)
-    z = _mac_row(qpose.r[2], qpose.t[2], feats)
-    rx = qdiv_lanes(x, z, lshift=f)
-    ry = qdiv_lanes(y, z, lshift=f)
-    fx_q = int(INTRINSIC_FORMAT.quantize(camera.fx))
-    fy_q = int(INTRINSIC_FORMAT.quantize(camera.fy))
-    cx_q = int(UV_FORMAT.quantize(camera.cx))
-    cy_q = int(UV_FORMAT.quantize(camera.cy))
-    shift = INTRINSIC_FORMAT.fraction_bits + f - UV_FORMAT.fraction_bits
-    u = ops.sat_add(
-        ops.saturate(ops.multiply(np.full_like(rx, fx_q), rx, 32) >> shift,
-                     _LANE_BITS), np.int64(cx_q), _LANE_BITS)
-    v = ops.sat_add(
-        ops.saturate(ops.multiply(np.full_like(ry, fy_q), ry, 32) >> shift,
-                     _LANE_BITS), np.int64(cy_q), _LANE_BITS)
+    abc = np.array((feats.a, feats.b, feats.c), dtype=np.int64)
+    n = abc.shape[1]
+    r = np.asarray(qpose.r, dtype=np.int64)
+    t = np.asarray(qpose.t, dtype=np.int64).reshape(3, 1)
+    # Per axis, the multiplier of a, b and c: r0, r1 and t.
+    coef = np.concatenate((r[:, :2], t), axis=1)
+    if n and (abc.min() < _LANE_MIN or abc.max() > _LANE_MAX
+              or coef.min() < _LANE_MIN or coef.max() > _LANE_MAX):
+        raise ValueError(f"operands exceed {_LANE_BITS}-bit lane range")
+    r2 = np.array([[max(-(1 << 16), min(int(v) >> (15 - f), 1 << 16))]
+                   for v in r[:, 2]], dtype=np.int32)
+
+    # (axis, term, feature): products >> 15 lie in [-2**15 + 1, 2**15],
+    # so their saturation only ever clamps from above.
+    m = coef.astype(np.int32)[:, :, None] * abc.astype(np.int32)
+    m >>= 15
+    np.minimum(m, _LANE_MAX, out=m)
+    xyz = _sat16(m[:, 0] + m[:, 1])
+    xyz += r2
+    _sat16(xyz)
+    xyz += m[:, 2]
+    _sat16(xyz)
+
+    # Restoring divide: truncation toward zero; a zero divisor gives
+    # the signed lane bound +-(2**15 - 1) by the numerator's sign.
+    out = np.empty((5, n), dtype=np.int32)   # u, v, rx, ry, z
+    out[4] = xyz[2]
+    num = xyz[:2] << f
+    den = xyz[2]
+    zero = den == 0
+    q, rem = np.divmod(num, den + zero)
+    q += (rem != 0) & (q < 0)
+    rxy = _sat16(q)
+    if zero.any():
+        rxy[:, zero] = np.where(num[:, zero] >= 0, _LANE_MAX, -_LANE_MAX)
+    out[2:4] = rxy
+
+    fx_q, fy_q, cx_q, cy_q, shift = _intrinsic_raws(camera, f)
+    uv = out[:2]
+    np.multiply(rxy, np.array([[fx_q], [fy_q]], dtype=np.int32), out=uv)
+    uv >>= shift
+    _sat16(uv)
+    uv += np.array([[cx_q], [cy_q]], dtype=np.int32)
+    _sat16(uv)
+
     scale = UV_FORMAT.scale
-    valid = (z > 0) & (u >= 0) & (u <= (camera.width - 1) * scale) & \
-        (v >= 0) & (v <= (camera.height - 1) * scale)
+    lim = np.array([[(camera.width - 1) * scale],
+                    [(camera.height - 1) * scale]])
+    inside = (uv >= 0) & (uv <= lim)
+    valid = (den > 0) & inside[0] & inside[1]
+    u, v, rx, ry, z = out.astype(np.int64)
     return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid)
 
 
@@ -244,11 +299,7 @@ def warp_pim(device, qpose: QuantizedPose, feats: QuantizedFeatures,
     device.div(rows.rx, rows.x, rows.z, lshift=f)
     device.div(rows.ry, rows.y, rows.z, lshift=f)
 
-    fx_q = int(INTRINSIC_FORMAT.quantize(camera.fx))
-    fy_q = int(INTRINSIC_FORMAT.quantize(camera.fy))
-    cx_q = int(UV_FORMAT.quantize(camera.cx))
-    cy_q = int(UV_FORMAT.quantize(camera.cy))
-    shift = INTRINSIC_FORMAT.fraction_bits + f - UV_FORMAT.fraction_bits
+    fx_q, fy_q, cx_q, cy_q, shift = _intrinsic_raws(camera, f)
     device.mul(TMP, rows.rx, Imm(fx_q), rshift=shift)
     device.add(rows.u, TMP, Imm(cx_q), saturate=True)
     device.mul(TMP, rows.ry, Imm(fy_q), rshift=shift)
@@ -306,11 +357,7 @@ def warp_program(qpose: QuantizedPose, fraction_bits: int,
     rec.div(Rel(_W.rx), Rel(_W.x), Rel(_W.z), lshift=f)
     rec.div(Rel(_W.ry), Rel(_W.y), Rel(_W.z), lshift=f)
 
-    fx_q = int(INTRINSIC_FORMAT.quantize(camera.fx))
-    fy_q = int(INTRINSIC_FORMAT.quantize(camera.fy))
-    cx_q = int(UV_FORMAT.quantize(camera.cx))
-    cy_q = int(UV_FORMAT.quantize(camera.cy))
-    shift = INTRINSIC_FORMAT.fraction_bits + f - UV_FORMAT.fraction_bits
+    fx_q, fy_q, cx_q, cy_q, shift = _intrinsic_raws(camera, f)
     rec.mul(TMP, Rel(_W.rx), Imm(fx_q), rshift=shift)
     rec.add(Rel(_W.u), TMP, Imm(cx_q), saturate=True)
     rec.mul(TMP, Rel(_W.ry), Imm(fy_q), rshift=shift)

@@ -111,6 +111,7 @@ class FloatFrontend:
                                     features.v, features.depth)
 
     def _warp_and_lookup(self, feats, pose: SE3, maps: KeyframeMaps):
+        """``(warp, residuals, valid)`` at a pose: the lookup."""
         a, b, c = feats
         res = warp_float(pose, a, b, c, self.config.camera)
         valid = res.valid
@@ -119,19 +120,31 @@ class FloatFrontend:
         r = np.minimum(r, self.config.residual_clamp)
         return res, r, valid
 
-    def error(self, feats, pose: SE3, maps: KeyframeMaps) -> Tuple[float,
-                                                                   int]:
-        """Mean squared residual and valid count at a pose."""
-        _, r, valid = self._warp_and_lookup(feats, pose, maps)
+    def error(self, feats, pose: SE3, maps: KeyframeMaps
+              ) -> Tuple[float, int, tuple]:
+        """Mean squared residual, valid count and lookup at a pose.
+
+        The lookup may be passed to :meth:`linearize` at the same pose,
+        which then does not warp again.
+        """
+        lookup = self._warp_and_lookup(feats, pose, maps)
+        _, r, valid = lookup
         n = int(valid.sum())
         if n == 0:
-            return np.inf, 0
-        return float(np.mean(r[valid] ** 2)), n
+            return np.inf, 0, lookup
+        return float(np.mean(r[valid] ** 2)), n, lookup
 
-    def linearize(self, feats, pose: SE3, maps: KeyframeMaps):
-        """Gauss-Newton system ``(H, b, err, n_valid)`` at a pose."""
+    def linearize(self, feats, pose: SE3, maps: KeyframeMaps,
+                  lookup: Optional[tuple] = None):
+        """Gauss-Newton system ``(H, b, err, n_valid)`` at a pose.
+
+        ``lookup`` is :meth:`error`'s lookup at this pose; without it
+        the pose is warped here.
+        """
         a, b, c = feats
-        res, r, valid = self._warp_and_lookup(feats, pose, maps)
+        if lookup is None:
+            lookup = self._warp_and_lookup(feats, pose, maps)
+        res, r, valid = lookup
         n = int(valid.sum())
         if n == 0:
             return np.zeros((6, 6)), np.zeros(6), np.inf, 0
@@ -163,6 +176,7 @@ class PIMFrontend:
 
     def __init__(self, config: TrackerConfig):
         self.config = config
+        self._clamp_raw = int(Q14_2.quantize(config.residual_clamp))
         # One simulated device per frame shape (pyramid level), reused
         # across frames; the compiled kernel programs themselves live in
         # the process-wide KERNEL_PROGRAM_CACHE, keyed by geometry, so
@@ -255,38 +269,56 @@ class PIMFrontend:
         return ((4 - fv) * top + fv * bot) >> 4
 
     def _warp_and_lookup(self, qfeats, pose: SE3, maps: KeyframeMaps):
+        """Warp at a pose and look the residuals up: the lookup.
+
+        Returns ``(warp, r_raw, ui, vi, valid)``: the
+        :func:`~repro.kernels.warp.warp_fast` result, the clamped Q14.2
+        DT residual per feature (zero where invalid) and the nearest
+        keyframe pixel ``(ui, vi)`` for the gradient lookups.  The
+        residual clamp is quantized once, at construction.
+        """
         qpose = quantize_pose(pose)
         res = warp_fast(qpose, qfeats, self.config.camera)
         valid = res.valid
         h, w = maps.dt_raw.shape
         # Nearest integer pixel for the gradient lookups.
         half = UV_FORMAT.scale // 2
-        ui = np.clip((res.u + half) >> 2, 0, w - 1).astype(np.int64)
-        vi = np.clip((res.v + half) >> 2, 0, h - 1).astype(np.int64)
-        clamp_raw = int(Q14_2.quantize(self.config.residual_clamp))
+        ui = np.clip((res.u + half) >> 2, 0, w - 1)
+        vi = np.clip((res.v + half) >> 2, 0, h - 1)
         r_raw = np.zeros_like(res.u)
         if self.config.pim_bilinear_residual:
             looked_up = self._bilinear_q2(maps.dt_raw, res.u[valid],
                                           res.v[valid])
         else:
             looked_up = maps.dt_raw[vi[valid], ui[valid]]
-        r_raw[valid] = np.minimum(looked_up, clamp_raw)
+        r_raw[valid] = np.minimum(looked_up, self._clamp_raw)
         return res, r_raw, ui, vi, valid
 
-    def error(self, qfeats, pose: SE3, maps: KeyframeMaps) -> Tuple[float,
-                                                                    int]:
-        """Mean squared residual (in pixels) and valid count."""
-        _, r_raw, _, _, valid = self._warp_and_lookup(qfeats, pose, maps)
+    def error(self, qfeats, pose: SE3, maps: KeyframeMaps
+              ) -> Tuple[float, int, tuple]:
+        """Mean squared residual (in pixels), valid count and lookup.
+
+        The lookup may be passed to :meth:`linearize` at the same pose,
+        which then does not warp again.
+        """
+        lookup = self._warp_and_lookup(qfeats, pose, maps)
+        _, r_raw, _, _, valid = lookup
         n = int(valid.sum())
         if n == 0:
-            return np.inf, 0
+            return np.inf, 0, lookup
         r = Q14_2.to_float(r_raw[valid])
-        return float(np.mean(r ** 2)), n
+        return float(np.mean(r ** 2)), n, lookup
 
-    def linearize(self, qfeats, pose: SE3, maps: KeyframeMaps):
-        """Gauss-Newton system from the quantized kernels."""
-        res, r_raw, ui, vi, valid = self._warp_and_lookup(qfeats, pose,
-                                                          maps)
+    def linearize(self, qfeats, pose: SE3, maps: KeyframeMaps,
+                  lookup: Optional[tuple] = None):
+        """Gauss-Newton system from the quantized kernels.
+
+        ``lookup`` is :meth:`error`'s lookup at this pose; without it
+        the pose is warped here.
+        """
+        if lookup is None:
+            lookup = self._warp_and_lookup(qfeats, pose, maps)
+        res, r_raw, ui, vi, valid = lookup
         n = int(valid.sum())
         if n == 0:
             return np.zeros((6, 6)), np.zeros(6), np.inf, 0

@@ -37,6 +37,8 @@ class LMStats:
     #: a cheap conditioning signal: healthy solves reject a handful,
     #: a solve fighting corrupted residuals rejects most attempts.
     rejected_steps: int = 0
+    #: Trial steps that lowered the error and moved the pose.
+    accepted_steps: int = 0
 
     @property
     def outcome(self) -> str:
@@ -62,8 +64,13 @@ def lm_estimate(frontend, feats, maps, init_pose: SE3,
     """Estimate the relative pose by LM over the DT residual.
 
     Args:
-        frontend: Object with ``linearize(feats, pose, maps)`` and
-            ``error(feats, pose, maps)``.
+        frontend: Object with ``error(feats, pose, maps)``, returning
+            ``(err, n_valid, lookup)``, and ``linearize(feats, pose,
+            maps, lookup)``, returning ``(H, b, err, n_valid)``.
+            ``lookup`` is the frontend's warp+lookup result at ``pose``:
+            the solver hands the one from the ``error()`` call that
+            accepted ``pose`` to the next ``linearize()``, so each
+            accepted pose is warped once.
         feats: Frontend-specific feature representation.
         maps: Keyframe lookup maps.
         init_pose: Initial relative pose (current -> keyframe).
@@ -80,6 +87,8 @@ def lm_estimate(frontend, feats, maps, init_pose: SE3,
         lm_span.set_attr("iterations", stats.iterations)
         lm_span.set_attr("converged", stats.converged)
         lm_span.set_attr("lost", stats.lost)
+        lm_span.set_attr("accepted_steps", stats.accepted_steps)
+        lm_span.set_attr("rejected_steps", stats.rejected_steps)
     registry = get_registry()
     registry.histogram(
         "lm_iterations", "LM iterations per solve").observe(
@@ -95,7 +104,7 @@ def _lm_loop(frontend, feats, maps, init_pose: SE3,
     pose = init_pose
     lam = config.lm_lambda_init
     stats = LMStats()
-    err, n = frontend.error(feats, pose, maps)
+    err, n, lookup = frontend.error(feats, pose, maps)
     stats.initial_error = err
     stats.final_error = err
     stats.valid_features = n
@@ -104,7 +113,7 @@ def _lm_loop(frontend, feats, maps, init_pose: SE3,
         return pose, stats
 
     for _ in range(config.lm_max_iterations):
-        h, b, err, n = frontend.linearize(feats, pose, maps)
+        h, b, err, n = frontend.linearize(feats, pose, maps, lookup)
         if n < config.min_features:
             stats.lost = True
             break
@@ -114,11 +123,13 @@ def _lm_loop(frontend, feats, maps, init_pose: SE3,
         for _attempt in range(6):
             delta = _solve_step(h, b, lam, scale_free_damping)
             candidate = se3_exp(delta) @ pose
-            new_err, new_n = frontend.error(feats, candidate, maps)
+            new_err, new_n, new_lookup = frontend.error(feats, candidate,
+                                                        maps)
             if new_n >= config.min_features and new_err < err:
-                pose = candidate
+                pose, lookup = candidate, new_lookup
                 lam = max(lam * 0.5, 1e-9)
                 accepted = True
+                stats.accepted_steps += 1
                 stats.final_error = new_err
                 stats.valid_features = new_n
                 break

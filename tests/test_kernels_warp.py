@@ -6,11 +6,15 @@ warps with sub-pixel error; 8-bit quantization is unusable.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.fixedpoint import QFormat
 from repro.geometry import SE3, TUM_QVGA, inverse_depth_coords, se3_exp
 from repro.kernels.warp import (
     FEATURE_FORMAT,
+    QuantizedFeatures,
+    QuantizedPose,
     WarpRows,
     quantize_features,
     quantize_pose,
@@ -140,6 +144,7 @@ class TestWarpPim:
         np.testing.assert_array_equal(res_dev.u, res_fast.u)
         np.testing.assert_array_equal(res_dev.v, res_fast.v)
         np.testing.assert_array_equal(res_dev.rx, res_fast.rx)
+        np.testing.assert_array_equal(res_dev.ry, res_fast.ry)
         np.testing.assert_array_equal(res_dev.z, res_fast.z)
         np.testing.assert_array_equal(res_dev.valid, res_fast.valid)
 
@@ -161,3 +166,80 @@ class TestWarpPim:
         with pytest.raises(ValueError):
             warp_pim(dev, quantize_pose(small_pose()),
                      quantize_features(a, b, c), CAM, rows)
+
+    def test_operand_out_of_lane_rejected(self):
+        qf = QuantizedFeatures(a=np.array([1 << 15]), b=np.array([0]),
+                               c=np.array([0]))
+        with pytest.raises(ValueError, match="16-bit lane range"):
+            warp_fast(quantize_pose(SE3.identity()), qf, CAM)
+
+
+LANE_MIN, LANE_MAX = -(1 << 15), (1 << 15) - 1
+_ROWS = WarpRows(a=0, b=1, c=2, x=3, y=4, z=5, rx=6, ry=7, u=8, v=9)
+
+
+def _raw_pose(r, t) -> QuantizedPose:
+    return QuantizedPose(r=np.array(r, dtype=np.int64),
+                         t=np.array(t, dtype=np.int64))
+
+
+def _raw_feats(a, b, c) -> QuantizedFeatures:
+    return QuantizedFeatures(*(np.array(x, dtype=np.int64)
+                               for x in (a, b, c)))
+
+
+@st.composite
+def warp_inputs(draw):
+    """A pose and up to 160 features (one 16-bit lane batch).
+
+    Features are either anchored pixels in Q4.12 or raw lanes over the
+    whole 16-bit range (which saturates the MAC and the divide).  The
+    pose is ``se3_exp`` of a twist up to +-1 per axis, optionally with
+    its depth row zeroed (``z == 0``, the divide-by-zero lanes) or
+    negated (``z < 0``).
+    """
+    n = draw(st.integers(1, 160))
+    if draw(st.booleans()):
+        u = draw(arrays(np.float64, n, elements=st.floats(0, CAM.width)))
+        v = draw(arrays(np.float64, n, elements=st.floats(0, CAM.height)))
+        d = draw(arrays(np.float64, n, elements=st.floats(0.1, 10.0)))
+        qf = quantize_features(*inverse_depth_coords(CAM, u, v, d))
+    else:
+        lanes = draw(arrays(np.int64, (3, n),
+                            elements=st.integers(LANE_MIN, LANE_MAX)))
+        qf = _raw_feats(*lanes)
+    xi = draw(arrays(np.float64, 6, elements=st.floats(-1.0, 1.0)))
+    qp = quantize_pose(se3_exp(xi))
+    depth_row = draw(st.sampled_from(["keep", "zero", "negate"]))
+    if depth_row == "zero":
+        # r22 >> 3 == 0 for r22 in [0, 7]: Z is exactly zero.
+        qp.r[2] = [0, 0, draw(st.integers(0, 7))]
+        qp.t[2] = 0
+    elif depth_row == "negate":
+        qp.r[2] = np.minimum(-qp.r[2], LANE_MAX)
+        qp.t[2] = min(-qp.t[2], LANE_MAX)
+    return qp, qf
+
+
+class TestWarpFastMatchesDevice:
+    @given(warp_inputs())
+    @settings(max_examples=60, deadline=None)
+    @example(inputs=(_raw_pose([[LANE_MIN, LANE_MAX, LANE_MIN]] * 3,
+                               [LANE_MIN] * 3),
+                     _raw_feats([LANE_MIN, LANE_MAX], [LANE_MIN, LANE_MAX],
+                                [LANE_MIN, LANE_MAX])))
+    @example(inputs=(_raw_pose(np.eye(3, dtype=int) * LANE_MAX * [1, 1, 0],
+                               [0, 0, 0]),
+                     _raw_feats([1000, -1000, 0], [5, -5, 0], [1, 1, 1])))
+    @example(inputs=(_raw_pose([[LANE_MAX, 0, 0], [0, LANE_MAX, 0],
+                                [0, 0, LANE_MIN]], [0, 0, 0]),
+                     _raw_feats([100, -100], [50, 50], [4096, 4096])))
+    def test_fast_equals_device_program(self, inputs):
+        qp, qf = inputs
+        dev = PIMDevice(PIMConfig(wordline_bits=2560, num_rows=32))
+        res_dev = warp_pim(dev, qp, qf, CAM, _ROWS)
+        res_fast = warp_fast(qp, qf, CAM)
+        for name in ("u", "v", "rx", "ry", "z", "valid"):
+            got, want = getattr(res_fast, name), getattr(res_dev, name)
+            assert got.dtype == (bool if name == "valid" else np.int64)
+            np.testing.assert_array_equal(got, want, err_msg=name)

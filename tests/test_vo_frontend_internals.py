@@ -89,6 +89,6 @@ class TestKeyframeMaps:
         feats = fe.make_features(FeatureSet(
             u=np.full(40, 80.0), v=np.arange(40, 80, dtype=np.float64),
             depth=np.full(40, 2.0)))
-        err, n = fe.error(feats, SE3.identity(), maps)
+        err, n, _ = fe.error(feats, SE3.identity(), maps)
         assert n == 40
         assert err < 0.4  # sub-pixel quantization residue only

@@ -7,7 +7,11 @@ the warp kernel) when each per-row program is lowered once by
 with O(1) ledger accounting, compared to replaying the same programs
 one micro-op at a time.  Both tiers run the *same* recorded programs,
 so the parity checks (bit-identical memory, identical ledger totals)
-are part of the benchmark contract.
+are part of the benchmark contract.  Each section also times the
+numpy mirror (``mirror_ms``: :func:`detect_edges_fast`,
+:func:`warp_fast`) and checks compiled replay against it
+(``matches_vectorized_reference``), so the choice between mirror and
+compiled replay as the production path is read off this artifact.
 
 Results are stamped with the git revision and backend versions
 (numpy, numba when importable) so BENCH_pim.json stays attributable
@@ -36,6 +40,7 @@ from repro.kernels.warp import (
     QuantizedFeatures,
     quantize_features,
     quantize_pose,
+    warp_fast,
     warp_pim,
     warp_pim_batched,
 )
@@ -85,6 +90,8 @@ def _bench_edge_pipeline(image: np.ndarray, repeats: int) -> Dict:
     compiled_s = _best_of(
         lambda: detect_edges_replay(PIMDevice(), image, th1, th2),
         repeats)
+    mirror_s = _best_of(lambda: detect_edges_fast(image, th1, th2),
+                        repeats)
 
     dev_e, dev_c = PIMDevice(), PIMDevice()
     res_e = detect_edges_replay(dev_e, image, th1, th2, mode="eager")
@@ -96,6 +103,7 @@ def _bench_edge_pipeline(image: np.ndarray, repeats: int) -> Dict:
         "eager_ms": round(eager_s * 1e3, 3),
         "compiled_ms": round(compiled_s * 1e3, 3),
         "compiled_speedup_vs_eager": round(eager_s / compiled_s, 2),
+        "mirror_ms": round(mirror_s * 1e3, 3),
         "mask_bit_identical": bool(
             np.array_equal(res_e.edge_map, res_c.edge_map)),
         "matches_vectorized_reference": bool(
@@ -127,24 +135,31 @@ def _bench_warp(num_features: int, repeats: int) -> Dict:
             warp_pim(device, qpose, block, camera, rows)
         return device
 
-    def replayed(mode: str) -> PIMDevice:
+    def replayed(mode: str) -> tuple:
         device = PIMDevice()
-        warp_pim_batched(device, qpose, feats, camera, mode=mode)
-        return device
+        return device, warp_pim_batched(device, qpose, feats, camera,
+                                        mode=mode)
 
     eager_s = _best_of(eager, max(1, repeats // 2))
     compiled_s = _best_of(lambda: replayed("auto"), repeats)
-    dev_e, dev_c = eager(), replayed("auto")
+    mirror_s = _best_of(lambda: warp_fast(qpose, feats, camera), repeats)
+    dev_e = eager()
+    dev_c, res_c = replayed("auto")
+    fast = warp_fast(qpose, feats, camera)
     # The block layout differs from the eager loop's reused rows, so
     # memory is compared against the same layout replayed eagerly.
-    dev_r = replayed("eager")
+    dev_r, _ = replayed("eager")
     return {
         "features": num_features,
         "eager_ms": round(eager_s * 1e3, 3),
         "compiled_ms": round(compiled_s * 1e3, 3),
         "compiled_speedup_vs_eager": round(eager_s / compiled_s, 2),
+        "mirror_ms": round(mirror_s * 1e3, 3),
         "ledger_identical": _ledgers_equal(dev_e.ledger, dev_c.ledger),
         "sram_bit_identical": bool(np.array_equal(dev_r._mem, dev_c._mem)),
+        "matches_vectorized_reference": all(
+            np.array_equal(getattr(res_c, f), getattr(fast, f))
+            for f in ("u", "v", "rx", "ry", "z", "valid")),
     }
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from repro.pim.program import ProgramCache
 
 __all__ = ["KERNEL_PROGRAM_CACHE", "load_image", "read_image",
-           "shift_pixels"]
+           "shift_pixels", "pixels_u8", "zero_extend"]
 
 #: Process-wide LRU of compiled kernel programs.  Keys include the
 #: device geometry digest (see :func:`repro.pim.program.program_key`),
@@ -64,4 +64,34 @@ def shift_pixels(array: np.ndarray, pixels: int) -> np.ndarray:
         out[..., :-pixels or None] = array[..., pixels:]
     else:
         out[..., -pixels:] = array[..., :pixels]
+    return out
+
+
+def pixels_u8(image) -> np.ndarray:
+    """An 8-bit image as uint8 lanes, refusing what the device refuses.
+
+    Values are truncated to int64 first, as
+    :meth:`~repro.pim.device.PIMDevice.load_rows` does, and anything
+    outside ``[0, 255]`` raises the same :class:`ValueError`, so a
+    mirror never computes on a frame :func:`load_image` would reject.
+    """
+    image = np.asarray(image)
+    if image.dtype == np.uint8:
+        return image
+    img = np.asarray(image, dtype=np.int64)
+    if img.size and (img.min() < 0 or img.max() > 255):
+        raise ValueError("values exceed 8-bit range")
+    return img.astype(np.uint8)
+
+
+def zero_extend(array: np.ndarray, pixels: int) -> np.ndarray:
+    """``array`` with ``pixels`` zero lanes appended on the right.
+
+    Slice ``[..., k:k + width]`` of the result is then
+    ``shift_pixels(array, k)`` for any ``0 <= k <= pixels``, so shifted
+    operands are views instead of copies.
+    """
+    out = np.zeros(array.shape[:-1] + (array.shape[-1] + pixels,),
+                   dtype=array.dtype)
+    out[..., :array.shape[-1]] = array
     return out

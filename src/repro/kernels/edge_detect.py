@@ -24,10 +24,10 @@ from typing import Dict
 
 import numpy as np
 
-from repro.kernels.common import load_image, read_image
-from repro.kernels.hpf import hpf_fast, hpf_pim, hpf_pim_replay
-from repro.kernels.lpf import lpf_fast, lpf_pim
-from repro.kernels.nms import nms_fast, nms_pim, nms_pim_replay
+from repro.kernels.common import load_image, pixels_u8, read_image
+from repro.kernels.hpf import hpf_pim, hpf_pim_replay, hpf_u8
+from repro.kernels.lpf import lpf_pim, lpf_u8
+from repro.kernels.nms import nms_pim, nms_pim_replay, nms_u8
 from repro.obs.tracer import span as obs_span
 from repro.vision.edges import DEFAULT_TH1, DEFAULT_TH2
 
@@ -75,11 +75,14 @@ def mask_to_image_coords(mask: np.ndarray, height: int,
 
 def detect_edges_fast(image: np.ndarray, th1: int = DEFAULT_TH1,
                       th2: int = DEFAULT_TH2) -> EdgeDetectionResult:
-    """Edge detection with exact PIM arithmetic, vectorized."""
-    img = np.asarray(image)
-    smooth = lpf_fast(img)
-    response = hpf_fast(smooth)
-    mask = nms_fast(response, th1, th2)
+    """Edge detection with exact PIM arithmetic, vectorized.
+
+    The three stages chain on uint8 lanes, as the device's 8-bit rows
+    do.  The image is truncated to integers and refused outside
+    ``[0, 255]`` exactly like :func:`load_image` refuses it.
+    """
+    img = pixels_u8(image)
+    mask = nms_u8(hpf_u8(lpf_u8(img)), th1, th2)
     return EdgeDetectionResult(
         edge_map=mask_to_image_coords(mask, *img.shape))
 

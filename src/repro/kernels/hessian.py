@@ -40,11 +40,6 @@ SYM_PAIRS: List[Tuple[int, int]] = [(i, j) for i in range(6)
 _ACC_BITS = 32
 #: ``(Q14.2)^2 = scale 2^4`` -> Q29.3 needs one right shift.
 _PROD_SHIFT = 1
-#: Row pairs of the packed ``[J^T; r]`` array (rows 0-5 the Jacobian
-#: columns, row 6 the residuals) whose products fill the 27
-#: accumulators: the 21 ``SYM_PAIRS``, then ``J_i * r`` for ``b``.
-_LEFT = np.array([p for p, _ in SYM_PAIRS] + list(range(6)))
-_RIGHT = np.array([q for _, q in SYM_PAIRS] + [6] * 6)
 
 
 def reduction_shifts(lanes: int) -> List[int]:
@@ -77,10 +72,18 @@ def hessian_fast(j_raw: np.ndarray, r_raw: np.ndarray,
     Bit-identical to :func:`hessian_pim` over ``lanes``-wide batches
     followed by :func:`hessian_reduce_pim`: every product saturates to
     the lane, the first batch is copied into the accumulators and later
-    batches add with saturation.  A saturating running sum equals the
-    plain one whenever no prefix of it leaves the lane range, so the
-    batches are summed with one ``cumsum`` and the sequential saturating
-    loop runs only when some prefix does leave it.
+    batches add with saturation.
+
+    One bound, taken before any product is formed, decides whether any
+    of that saturation can happen.  With ``m = max|[J | r]|`` every
+    shifted product lies in ``[-ceil(m*m/2), floor(m*m/2)]``
+    (``floor(-m*m/2) = -ceil(m*m/2)``), so every lane prefix over
+    ``batches`` batches lies within ``batches * ceil(m*m/2)`` of zero.
+    When that is at most the lane maximum, and ``m <= 2**15`` (the
+    16-bit multiplier operand, so ``|J_p * J_q| <= 2**30``), nothing
+    saturates: the 27 products are formed in int32 and each lane is one
+    plain sum over the batches.  Otherwise the sequential saturating
+    loop runs and the call is counted.
 
     Args:
         j_raw: (N x 6) Jacobian raws (Q14.2).
@@ -92,24 +95,34 @@ def hessian_fast(j_raw: np.ndarray, r_raw: np.ndarray,
         ``(h_raw, b_raw)``: 21 upper-triangular raws and 6 vector raws
         in Q29.3.
     """
+    j = np.asarray(j_raw, dtype=np.int64)
     r = np.asarray(r_raw, dtype=np.int64).reshape(-1)
     n = r.size
     batches = max(1, -(-n // lanes))
-    jr = np.zeros((7, batches * lanes), dtype=np.int64)
-    jr[:6, :n] = np.asarray(j_raw).T
-    jr[6, :n] = r
-
-    prods = ops.saturate(
-        (jr[_LEFT] * jr[_RIGHT]) >> _PROD_SHIFT, acc_bits
-    ).reshape(27, batches, lanes)
-    prefix = np.cumsum(prods, axis=1)
     hi = (1 << (acc_bits - 1)) - 1
-    if prefix.min() >= -hi - 1 and prefix.max() <= hi:
-        acc = prefix[:, -1]
+    m = max(-int(j.min()), int(j.max()), -int(r.min()), int(r.max())) \
+        if n else 0
+    fits = m <= 1 << 15 and batches * -((-m * m) >> _PROD_SHIFT) <= hi
+
+    jr = np.zeros((7, batches * lanes),
+                  dtype=np.int32 if fits else np.int64)
+    jr[:6, :n] = j.T
+    jr[6, :n] = r
+    prods = np.empty((27, batches * lanes), dtype=jr.dtype)
+    k = 0
+    for p in range(6):                    # SYM_PAIRS row p: J_p * J_p..5
+        np.multiply(jr[p], jr[p:6], out=prods[k:k + 6 - p])
+        k += 6 - p
+    np.multiply(jr[:6], jr[6], out=prods[21:])    # J_i * r for b
+    prods >>= _PROD_SHIFT
+    if fits:
+        acc = prods.reshape(27, batches, lanes).sum(axis=1, dtype=np.int64)
     else:
         get_registry().counter(
             "kernels_hessian_saturated_total",
-            "hessian_fast calls whose lane accumulation saturated").inc()
+            "hessian_fast calls the overflow bound could not clear, "
+            "which ran the sequential saturating loop").inc()
+        prods = ops.saturate(prods, acc_bits).reshape(27, batches, lanes)
         acc = prods[:, 0]
         for batch in range(1, batches):
             acc = ops.sat_add(acc, prods[:, batch], acc_bits)

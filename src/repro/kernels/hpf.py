@@ -22,7 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fixedpoint import ops
-from repro.kernels.common import KERNEL_PROGRAM_CACHE, shift_pixels
+from repro.kernels.common import (
+    KERNEL_PROGRAM_CACHE,
+    pixels_u8,
+    shift_pixels,
+    zero_extend,
+)
 from repro.obs.tracer import span as obs_span
 from repro.pim.device import TMP, Rel, Tmp
 from repro.pim.program import PIMProgram, program_key
@@ -35,31 +40,45 @@ __all__ = ["hpf_fast", "hpf_naive_fast", "hpf_pim", "hpf_pim_naive",
 HPF_ROW_OFFSET = 1
 
 
+def _abs_diff_u8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a - b|`` on uint8 lanes as ``max - min`` (never wraps)."""
+    return np.maximum(a, b) - np.minimum(a, b)
+
+
+def hpf_u8(img: np.ndarray) -> np.ndarray:
+    """The SAD response on uint8 lanes (same layout as :func:`hpf_fast`).
+
+    The four absolute differences are non-negative, so the device's
+    three sequential saturating adds equal one clamp of their plain
+    sum; that sum (at most ``4 * 255``) is formed in uint16.  Operand
+    shifts are slices of the zero-extended image.
+    """
+    p = zero_extend(img, 2)
+    a, b, c = p[:-2], p[1:-1], p[2:]
+    w = img.shape[1] - 1   # response columns 0 .. W-2 land at 1 .. W-1
+    acc = _abs_diff_u8(a[:, :w], c[:, 2:w + 2]).astype(np.uint16)
+    acc += _abs_diff_u8(a[:, 2:w + 2], c[:, :w])
+    acc += _abs_diff_u8(b[:, :w], b[:, 2:w + 2])
+    acc += _abs_diff_u8(a[:, 1:w + 1], c[:, 1:w + 1])
+    out = np.zeros_like(img)
+    out[:-2, 1:] = np.minimum(acc, 255)
+    return out
+
+
 def hpf_fast(image: np.ndarray) -> np.ndarray:
     """Optimized SAD HPF with exact PIM arithmetic (vectorized).
 
     Args:
-        image: Smoothed 8-bit image (rows x cols).
+        image: Smoothed 8-bit image (rows x cols); values outside
+            ``[0, 255]`` raise :class:`ValueError`.
 
     Returns:
-        Response array of the same shape; row ``i`` is centred at input
-        row ``i + 1``; columns are centre-aligned; column 0 and the two
-        rightmost columns are invalid, as are the two bottom rows.
+        Int64 response array of the same shape; row ``i`` is centred
+        at input row ``i + 1``; columns are centre-aligned; column 0
+        and the two rightmost columns are invalid, as are the two
+        bottom rows.
     """
-    img = np.asarray(image, dtype=np.int64)
-    a = img[:-2]
-    b = img[1:-1]
-    c = img[2:]
-    d1 = ops.abs_diff(a, shift_pixels(c, 2))
-    d2 = ops.abs_diff(shift_pixels(a, 2), c)
-    d3 = ops.abs_diff(b, shift_pixels(b, 2))
-    d4 = ops.abs_diff(shift_pixels(a, 1), shift_pixels(c, 1))
-    acc = ops.sat_add(d1, d2, 8, signed=False)
-    acc = ops.sat_add(acc, d3, 8, signed=False)
-    acc = ops.sat_add(acc, d4, 8, signed=False)
-    out = np.zeros_like(img)
-    out[:-2] = shift_pixels(acc, -1)
-    return out
+    return hpf_u8(pixels_u8(image)).astype(np.int64)
 
 
 def hpf_naive_fast(image: np.ndarray) -> np.ndarray:

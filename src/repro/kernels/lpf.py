@@ -26,6 +26,7 @@ from repro.fixedpoint import ops
 from repro.kernels.common import (
     KERNEL_PROGRAM_CACHE,
     load_image,
+    pixels_u8,
     read_image,
     shift_pixels,
 )
@@ -46,28 +47,52 @@ _NAIVE_TAPS = [(-1, -1, 4), (-1, 0, 3), (-1, 1, 4),
                (1, -1, 4), (1, 0, 3), (1, 1, 4)]
 
 
-def _box_pass(a: np.ndarray) -> np.ndarray:
-    """One in-place 2x2 averaging pass (numpy mirror of the device)."""
-    c = a.copy()
-    c[:-1] = ops.average(a[:-1], a[1:])
-    e = c.copy()
-    e[:-1] = ops.average(c[:-1], shift_pixels(c[:-1], 1))
-    return e
+def _avg_u8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lane average ``floor((a + b) / 2)`` without widening.
+
+    ``a + b = 2 (a & b) + (a ^ b)``: the shared bits count twice and
+    the differing bits once, so the halved sum is
+    ``(a & b) + ((a ^ b) >> 1)``, which never exceeds the larger
+    operand and so stays in uint8.
+    """
+    out = np.bitwise_xor(a, b)
+    out >>= 1
+    out += a & b
+    return out
+
+
+def lpf_u8(img: np.ndarray) -> np.ndarray:
+    """Both 2x2 averaging passes on uint8 lanes (the device's rows).
+
+    Per pass: ``C = avg(row_r, row_{r+1})`` over every row but the
+    last, then ``E = avg(C, C << 1pix)``; the last lane of ``C << 1pix``
+    is the shifted-in zero, so it averages to ``C >> 1``.  The last
+    row is never written, exactly as on the device.
+    """
+    a = img
+    for _ in range(2):
+        c = a.copy()
+        c[:-1] = _avg_u8(a[:-1], a[1:])
+        e = c.copy()
+        e[:-1, :-1] = _avg_u8(c[:-1, :-1], c[:-1, 1:])
+        e[:-1, -1] >>= 1
+        a = e
+    return a
 
 
 def lpf_fast(image: np.ndarray) -> np.ndarray:
     """Optimized LPF with exact PIM arithmetic (vectorized).
 
     Args:
-        image: 8-bit grayscale image.
+        image: 8-bit grayscale image (truncated to integers; values
+            outside ``[0, 255]`` raise :class:`ValueError`).
 
     Returns:
-        Smoothed image, same shape; entry ``(r, c)`` is the binomial
-        response at input ``(r + 1, c + 1)``; the last two rows/cols
-        are invalid.
+        Smoothed image as int64, same shape; entry ``(r, c)`` is the
+        binomial response at input ``(r + 1, c + 1)``; the last two
+        rows/cols are invalid.
     """
-    a = np.asarray(image, dtype=np.int64)
-    return _box_pass(_box_pass(a))
+    return lpf_u8(pixels_u8(image)).astype(np.int64)
 
 
 def lpf_naive_fast(image: np.ndarray) -> np.ndarray:

@@ -26,7 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fixedpoint import ops
-from repro.kernels.common import KERNEL_PROGRAM_CACHE, shift_pixels
+from repro.kernels.common import (
+    KERNEL_PROGRAM_CACHE,
+    pixels_u8,
+    shift_pixels,
+    zero_extend,
+)
 from repro.obs.tracer import span as obs_span
 from repro.pim.device import TMP, Imm, Rel, Tmp
 from repro.pim.program import PIMProgram, program_key
@@ -39,39 +44,59 @@ __all__ = ["nms_fast", "nms_naive_fast", "nms_pim", "nms_pim_naive",
 NMS_ROW_OFFSET = 1
 
 
+def _check_threshold(value) -> int:
+    """A threshold as the unsigned 8-bit immediate the device accepts."""
+    value = int(value)
+    if not 0 <= value <= 255:
+        raise ValueError(f"immediate {value} exceeds 8-bit range")
+    return value
+
+
+def nms_u8(img: np.ndarray, th1: int, th2: int) -> np.ndarray:
+    """Branch-free NMS on uint8 lanes; boolean mask, same layout as
+    :func:`nms_fast`.
+
+    The pair maxima and their minimum ``K`` are uint8 max/min; the
+    saturating ``sat(b2 - th2)`` is ``b2 - min(b2, th2)``, which never
+    wraps.  ``K`` is centre-aligned by writing it one column right of
+    a zero column (the device's shifted-in lane).  Operand shifts are
+    slices of the zero-extended response.
+    """
+    th1, th2 = _check_threshold(th1), _check_threshold(th2)
+    width = img.shape[1]
+    p = zero_extend(img, 2)
+    a, b, c = p[:-2], p[1:-1], p[2:]
+    w = width - 1
+    k = np.zeros(b.shape[:1] + (width,), dtype=np.uint8)
+    kc = k[:, 1:]
+    # K = min over the pairs {a1,c3}, {a3,c1}, {b1,b3}, {a2,c2} of max.
+    np.maximum(a[:, :w], c[:, 2:w + 2], out=kc)
+    np.minimum(kc, np.maximum(a[:, 2:w + 2], c[:, :w]), out=kc)
+    np.minimum(kc, np.maximum(b[:, :w], b[:, 2:w + 2]), out=kc)
+    np.minimum(kc, np.maximum(a[:, 1:w + 1], c[:, 1:w + 1]), out=kc)
+    b = b[:, :width]
+    low = b - np.minimum(b, th2)       # L = sat(b2 - th2)
+    out = np.zeros(img.shape, dtype=bool)
+    out[:-2] = (low > k) & (b > th1)
+    return out
+
+
 def nms_fast(response: np.ndarray, th1: int, th2: int) -> np.ndarray:
     """Branch-free NMS with exact PIM arithmetic (vectorized).
 
     Args:
-        response: 8-bit HPF response image.
+        response: 8-bit HPF response image; values outside
+            ``[0, 255]`` raise :class:`ValueError`.
         th1: Absolute strength threshold.
-        th2: Local-maximum margin.
+        th2: Local-maximum margin.  Both thresholds are 8-bit
+            immediates on the device, checked like one.
 
     Returns:
-        0/1 mask, same shape; row ``i`` is the decision for input row
-        ``i + 1``, columns centre-aligned; two bottom rows and the
+        Int64 0/1 mask, same shape; row ``i`` is the decision for input
+        row ``i + 1``, columns centre-aligned; two bottom rows and the
         outermost columns are invalid.
     """
-    img = np.asarray(response, dtype=np.int64)
-    a = img[:-2]
-    b = img[1:-1]
-    c = img[2:]
-    # Pair maxima, aligned at (centre - 1) like the HPF pipeline.
-    m1 = ops.branchfree_max(a, shift_pixels(c, 2), 8, signed=False)
-    m2 = ops.branchfree_max(shift_pixels(a, 2), c, 8, signed=False)
-    m3 = ops.branchfree_max(b, shift_pixels(b, 2), 8, signed=False)
-    m4 = ops.branchfree_max(shift_pixels(a, 1), shift_pixels(c, 1), 8,
-                            signed=False)
-    k = ops.branchfree_min(m1, m2, 8, signed=False)
-    k = ops.branchfree_min(k, m3, 8, signed=False)
-    k = ops.branchfree_min(k, m4, 8, signed=False)
-    k = shift_pixels(k, -1)  # centre-align
-    low = ops.sat_sub(b, np.int64(th2), 8, signed=False)
-    strong = ops.greater_than(b, np.int64(th1))
-    local_max = ops.greater_than(low, k)
-    out = np.zeros_like(img)
-    out[:-2] = local_max & strong
-    return out
+    return nms_u8(pixels_u8(response), th1, th2).astype(np.int64)
 
 
 def nms_naive_fast(response: np.ndarray, th1: int, th2: int) -> np.ndarray:

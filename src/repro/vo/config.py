@@ -58,9 +58,11 @@ class TrackerConfig:
         pim_device_detect: Run the PIM frontend's edge detection
             through the simulated device with compiled-program replay
             (bit-identical to the default vectorized path, and it
-            fills a per-frame cycle ledger).  Off by default: the
-            numpy mirror is faster when no device accounting is
-            wanted.
+            fills a per-frame cycle ledger).  Off by default: on a
+            QVGA frame the uint8 numpy mirror takes ~0.6-0.8 ms and
+            compiled replay ~4-5 ms (``edge_pipeline`` ``mirror_ms``
+            and ``compiled_ms`` in ``BENCH_pim.json``), so turn it on
+            when the per-frame device cycles are wanted.
         validate_inputs: Reject/repair corrupted gray/depth frames
             (:func:`repro.vo.health.validate_frame`) before they reach
             the frontends.  Clean frames pass through untouched, so

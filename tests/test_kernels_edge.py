@@ -8,10 +8,13 @@ costing more cycles.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.kernels import (
     detect_edges_fast,
     detect_edges_pim,
+    detect_edges_replay,
     hpf_fast,
     hpf_pim,
     hpf_pim_naive,
@@ -228,3 +231,87 @@ class TestEdgeDetectPipeline:
     def test_no_edges_on_flat_image(self):
         img = np.full((H, W), 128, dtype=np.int64)
         assert detect_edges_fast(img).edge_map.sum() == 0
+
+
+def checkerboard(shape=(H, W)):
+    return (np.indices(shape).sum(axis=0) % 2) * 255
+
+
+@st.composite
+def images(draw):
+    """8-bit images from 1x1 up to the test array's 24x40."""
+    shape = (draw(st.integers(1, H)), draw(st.integers(1, W)))
+    return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 255)))
+
+
+class TestMirrorEqualsDevice:
+    """The uint8 mirrors against the device programs on any 8-bit
+    image and thresholds.  All-0, all-255 and the 0/255 checkerboard
+    drive the uint8 average and the single HPF clamp to their ends."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(img=images(), th1=st.integers(0, 255), th2=st.integers(0, 255))
+    @example(img=np.zeros((H, W), dtype=np.int64), th1=0, th2=0)
+    @example(img=np.full((H, W), 255), th1=0, th2=0)
+    @example(img=checkerboard(), th1=254, th2=0)
+    @example(img=checkerboard(), th1=0, th2=255)
+    def test_every_stage_and_the_chain(self, img, th1, th2):
+        height = img.shape[0]
+        dev = fresh_device()
+        load_image(dev, img)
+        lpf_pim(dev, height)
+        np.testing.assert_array_equal(
+            read_image(dev, *img.shape), lpf_fast(img))
+
+        # The device leaves its last two input rows in place; the
+        # mirrors zero them.
+        for stage_pim, stage_fast in (
+                (lambda d: hpf_pim(d, height), hpf_fast),
+                (lambda d: nms_pim(d, height, th1, th2),
+                 lambda x: nms_fast(x, th1, th2))):
+            dev = fresh_device()
+            load_image(dev, img)
+            stage_pim(dev)
+            np.testing.assert_array_equal(
+                read_image(dev, *img.shape)[:height - 2],
+                stage_fast(img)[:height - 2])
+
+        replay = detect_edges_replay(fresh_device(), img, th1, th2)
+        np.testing.assert_array_equal(
+            detect_edges_fast(img, th1, th2).edge_map, replay.edge_map)
+
+    @pytest.mark.parametrize("value", [-1, 256])
+    def test_out_of_range_pixels_refused_like_the_device(self, value):
+        img = random_image(0)
+        img[5, 7] = value
+        with pytest.raises(ValueError, match="values exceed 8-bit range"):
+            detect_edges_replay(fresh_device(), img)
+        for mirror in (detect_edges_fast, lpf_fast, hpf_fast,
+                       lambda x: nms_fast(x, 40, 2)):
+            with pytest.raises(ValueError,
+                               match="values exceed 8-bit range"):
+                mirror(img)
+
+    @pytest.mark.parametrize("th1, th2", [(256, 2), (40, -1)])
+    def test_out_of_range_thresholds_refused_like_the_device(self, th1,
+                                                             th2):
+        img = random_image(0)
+        bad = th1 if th1 != 40 else th2
+        message = f"immediate {bad} exceeds 8-bit range"
+        with pytest.raises(ValueError, match=message):
+            detect_edges_replay(fresh_device(), img, th1, th2)
+        with pytest.raises(ValueError, match=message):
+            detect_edges_fast(img, th1, th2)
+
+    def test_fractional_pixels_truncate_like_the_device(self):
+        rng = np.random.default_rng(9)
+        img = rng.uniform(-0.99, 255.99, (H, W))
+        replay = detect_edges_replay(fresh_device(), img)
+        np.testing.assert_array_equal(detect_edges_fast(img).edge_map,
+                                      replay.edge_map)
+        dev = fresh_device()
+        load_image(dev, img)
+        lpf_pim(dev, H)
+        np.testing.assert_array_equal(read_image(dev, H, W), lpf_fast(img))
+        np.testing.assert_array_equal(lpf_fast(img),
+                                      lpf_fast(img.astype(np.int64)))

@@ -79,6 +79,19 @@ def lm_raws(n, extreme, seed):
             rng.integers(-120, 121, n))
 
 
+def worst_raws(n, m, lanes):
+    """The worst case at magnitude ``m``: every ``J = -m``; ``r = +m``
+    in lane 0 and ``-m`` in the lane the reduction tree folds onto
+    lane 0 first, zero elsewhere.  Lane 0 of each ``b`` accumulator
+    then sums ``(-m*m) >> 1 = -ceil(m*m/2)`` once per batch, and the
+    first fold adds an opposite-signed lane, so an unsaturated lane 0
+    would show in the result."""
+    lane = np.arange(n) % lanes
+    r = np.where(lane == 0, m, 0) - np.where(
+        lane == reduction_shifts(lanes)[0], m, 0)
+    return np.full((n, 6), -m), r
+
+
 def saturated_calls():
     return get_registry().counter("kernels_hessian_saturated_total").total()
 
@@ -285,25 +298,51 @@ class TestHessian:
     def test_fast_matches_loop_oracle_on_both_paths(self):
         paths = set()
 
+        # The pinned worst cases sit at the bound, batches * ceil(m*m/2)
+        # <= 2^(acc_bits-1) - 1, and one batch past it; equality is out
+        # of reach at test sizes (2^31 - 1 is prime), so "at" is the
+        # largest batch count that clears it.  m = 2^15 + 1 fails only
+        # the operand limit.  m = 71 at 16 bits is where ceil matters:
+        # 13 batches of floor(71*71/2) = 2520 fit, 13 of ceil = 2521
+        # do not, and only the loop gets lane 0 right.
         @settings(max_examples=30, deadline=None)
         @given(config=st.sampled_from([(80, 32), (160, 16)]),
                n=st.integers(0, 2 * MAX_FEATURES), extreme=st.booleans(),
-               seed=st.integers(0, 2**32 - 1))
-        @example(config=(80, 32), n=MAX_FEATURES, extreme=False, seed=0)
-        @example(config=(160, 16), n=MAX_FEATURES, extreme=False, seed=0)
-        def check(config, n, extreme, seed):
+               seed=st.integers(0, 2**32 - 1), worst=st.just(0))
+        @example(config=(80, 32), n=MAX_FEATURES, extreme=False, seed=0,
+                 worst=0)
+        @example(config=(160, 16), n=MAX_FEATURES, extreme=False, seed=0,
+                 worst=0)
+        @example(config=(80, 32), n=3 * 80, extreme=False, seed=0,
+                 worst=1 << 15)
+        @example(config=(80, 32), n=3 * 80 + 1, extreme=False, seed=0,
+                 worst=1 << 15)
+        @example(config=(80, 32), n=80, extreme=False, seed=0,
+                 worst=(1 << 15) + 1)
+        @example(config=(160, 16), n=12 * 160, extreme=False, seed=0,
+                 worst=71)
+        @example(config=(160, 16), n=12 * 160 + 1, extreme=False, seed=0,
+                 worst=71)
+        def check(config, n, extreme, seed, worst):
             lanes, acc_bits = config
-            j, r = lm_raws(n, extreme, seed)
+            j, r = worst_raws(n, worst, lanes) if worst else \
+                lm_raws(n, extreme, seed)
             before = saturated_calls()
             h_fast, b_fast = hessian_fast(j, r, lanes=lanes,
                                           acc_bits=acc_bits)
-            paths.add(saturated_calls() > before)
+            looped = saturated_calls() > before
+            paths.add(looped)
+            if worst:
+                batches = -(-n // lanes)
+                cleared = worst <= 1 << 15 and batches * -(
+                    (-worst * worst) >> 1) <= (1 << (acc_bits - 1)) - 1
+                assert looped is not cleared
             h_ref, b_ref = hessian_loop_reference(j, r, lanes, acc_bits)
             np.testing.assert_array_equal(h_fast, h_ref)
             np.testing.assert_array_equal(b_fast, b_ref)
 
         check()
-        # The prefix-sum path and the saturating fallback both ran.
+        # The bound-cleared sum and the saturating fallback both ran.
         assert paths == {False, True}
 
     def test_naive_costs_more_than_optimized(self):

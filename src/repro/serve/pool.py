@@ -403,7 +403,9 @@ class PoolWorker:
             # known-good state instead of whatever the failed attempt
             # left behind.
             restored = self.sessions.restore_checkpoint(session)
-            self.sessions.checkin(session)
+            # The rollback *is* this frame's outcome: the watermark
+            # settles past it like any other frame.
+            self.sessions.checkin(session, applied_seq=item.seq)
             self.scheduler.done(item)
             self.breaker.record_fault()
             host_s = time.perf_counter() - t0

@@ -53,13 +53,16 @@ class Session:
     created_at: float = 0.0
     last_active: float = 0.0
     frames: int = 0
-    #: Highest caller-assigned sequence number of a frame that was
-    #: *successfully applied* to this session's state.  ``frames``
-    #: counts every processed frame (including terminal failures whose
-    #: state was rolled back), so it cannot serve as a replay
-    #: watermark; this can -- the shard plane exports it as the
-    #: checkpoint watermark so failover replays exactly the frames the
-    #: checkpoint does not cover.
+    #: Highest caller-assigned sequence number whose outcome this
+    #: session's state reflects -- the *settled* watermark.  A worker
+    #: settles every frame it runs: applied ones and terminally failed
+    #: ones alike, because the rollback to the last good keyframe is
+    #: that frame's outcome.  Shed and expired frames never reach a
+    #: worker, so ``frames`` (a per-process count) cannot stand in for
+    #: it; the shard plane exports this as the checkpoint watermark so
+    #: failover replays exactly the frames the checkpoint does not
+    #: cover.  The field keeps its historical name so existing
+    #: snapshots still decode.
     applied_seq: int = 0
     busy: bool = False
     #: Deep snapshot of ``state`` at the last good keyframe (``None``
@@ -174,9 +177,10 @@ class SessionManager:
                 applied_seq: Optional[int] = None) -> None:
         """Return a checked-out session after processing one frame.
 
-        ``applied_seq`` is the frame's sequence number when it was
-        applied successfully; failed frames (state rolled back) pass
-        ``None`` so the applied watermark never covers them.
+        ``applied_seq`` is the frame's sequence number: the settled
+        watermark advances to it whether the frame applied or rolled
+        back, and never moves backwards on an out-of-order checkin;
+        ``None`` leaves it alone.
         """
         with self._lock:
             session.busy = False

@@ -18,12 +18,13 @@ property-test suite can pin them without processes or sockets:
   gives up and marks the shard failed instead of flapping forever.
   A shard that stays up for ``reset_after_s`` earns its budget back.
 * :func:`failover_replay_plan` -- given the last checkpoint watermark
-  and the captured tail (completed frames from the router's
-  :class:`~repro.snap.capture.CaptureRing` plus still-pending
+  and the captured tail (the router's
+  :class:`~repro.snap.capture.CaptureRing` records plus still-pending
   requests), produce the exact ordered frame list that rebuilds the
   session bit-identically on the target shard.  Raises
-  :class:`ReplayGap` when the tail is not contiguous (ring overflow),
-  because replaying across a gap would silently corrupt the stream.
+  :class:`ReplayGap` when the tail cannot (ring overflow, or a frame
+  that failed terminally), because replaying across either would
+  silently corrupt the stream.
 """
 
 from __future__ import annotations
@@ -163,51 +164,61 @@ class RestartBackoff:
 
 
 class ReplayGap(RuntimeError):
-    """The captured tail is not contiguous after the watermark.
+    """The captured tail cannot rebuild the session bit-identically.
 
-    Raised when the capture ring overflowed past the last checkpoint:
-    replaying across the gap would rebuild a *different* stream, so
-    failover refuses and reports the session lost instead of serving
-    silently-corrupt state.
+    Raised for a seq past the watermark that nothing explains (the
+    capture ring overflowed past the last checkpoint) or that failed
+    terminally (``reason`` says which): replaying across either would
+    rebuild a *different* stream, so failover refuses and reports the
+    session lost instead of serving silently-corrupt state.
     """
 
     def __init__(self, session: str, watermark: int,
-                 missing: Sequence[int]):
-        super().__init__(
-            f"session {session!r}: frames {list(missing)} missing "
-            f"from the capture tail after watermark {watermark}")
+                 missing: Sequence[int] = (),
+                 reason: Optional[str] = None):
         self.session = session
         self.watermark = watermark
         self.missing = list(missing)
+        if reason is None:
+            reason = (f"frames {self.missing} missing from the capture "
+                      f"tail")
+        super().__init__(
+            f"session {session!r}: {reason} after watermark {watermark}")
 
 
 def failover_replay_plan(session: str, watermark: int,
-                         tail: Sequence[Tuple[int, object]],
-                         pending: Sequence[Tuple[int, object]],
-                         holes: Iterable[int] = ()
+                         tail: Sequence[Tuple[int, str, object]],
+                         orphans: Sequence[Tuple[int, object]]
                          ) -> List[Tuple[int, object]]:
     """Ordered ``(seq, frame)`` list that rebuilds a session's state.
 
-    ``watermark`` is the **applied** sequence watermark covered by the
-    restored checkpoint (max seq whose frame mutated the exported
-    state); ``tail`` holds the completed frames captured by the router
-    after that point, and ``pending`` the in-flight requests whose
-    replies never arrived.  ``holes`` are sequence numbers the router
-    *knows* never touched the session's state -- admission sheds
-    (``Backpressure``) and queue expiries (``DeadlineExceeded``) --
-    so their absence from the tail is expected, not a gap.  The plan
-    is every non-hole frame past the watermark exactly once, in
-    strictly increasing sequence order -- per-session ordering across
-    failover is exactly this function's output contract.
+    This is the replay invariant of the shard plane.  ``watermark`` is
+    the last seq whose outcome the restored checkpoint reflects -- the
+    worker settles it on every frame it runs, rolled-back ones
+    included.  ``tail`` holds the router's ``(seq, kind, frame)``
+    capture records past it and ``orphans`` the ``(seq, request)``
+    pairs whose replies never arrived.  Every seq in
+    ``(watermark, last]`` must be explained exactly once:
 
-    Raises :class:`ReplayGap` when the combined tail has an
-    unexplained hole, and ``ValueError`` on duplicate sequence
-    numbers (two frames claiming one slot can never both be
-    replayed).
+    * an ``"ok"`` record -- the client saw it applied: replay it;
+    * a ``"skipped"`` record -- shed or expired before it touched
+      state: skip it;
+    * an orphan -- still owed to its client: re-dispatch it.
+
+    An ``"error"`` record past the watermark refuses the plan: the
+    worker rolled the session back to its last good keyframe there,
+    so the stream alone no longer determines the state.  Entries at or
+    below the watermark are already in the checkpoint and ignored.
+    The plan lists the replayed and re-dispatched frames in strictly
+    increasing seq order -- per-session ordering across failover is
+    exactly this function's output contract.
+
+    Raises :class:`ReplayGap` on an error record or an unexplained
+    seq, and ``ValueError`` on a seq explained twice.
     """
-    holes = {int(h) for h in holes}
-    merged: Dict[int, object] = {}
-    for seq, frame in list(tail) + list(pending):
+    merged: Dict[int, Tuple[str, object]] = {}
+    for seq, kind, frame in list(tail) + [(seq, "orphan", req)
+                                          for seq, req in orphans]:
         seq = int(seq)
         if seq <= watermark:
             continue
@@ -215,12 +226,15 @@ def failover_replay_plan(session: str, watermark: int,
             raise ValueError(
                 f"session {session!r}: duplicate frame seq {seq} in "
                 f"the failover tail")
-        merged[seq] = frame
-    if not merged:
-        return []
-    ordered = sorted(merged)
-    expected = set(range(watermark + 1, ordered[-1] + 1)) - holes
-    missing = sorted(expected - set(ordered))
+        merged[seq] = (kind, frame)
+    errors = [seq for seq, (kind, _) in merged.items() if kind == "error"]
+    if errors:
+        raise ReplayGap(session, watermark,
+                        reason=f"frame {min(errors)} failed terminally")
+    missing = [seq for seq in range(watermark + 1,
+                                    max(merged, default=watermark) + 1)
+               if seq not in merged]
     if missing:
         raise ReplayGap(session, watermark, missing)
-    return [(seq, merged[seq]) for seq in ordered]
+    return [(seq, frame) for seq, (kind, frame) in sorted(merged.items())
+            if kind != "skipped"]

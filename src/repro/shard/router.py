@@ -9,31 +9,29 @@ per-shard bounded send queues, and keeps everything it needs to
 survive a worker's death:
 
 * a per-session **sequence counter** (1-based, contiguous) -- every
-  frame of a session carries its stream index, and the worker exports
-  the **applied** watermark with each checkpoint (the max seq whose
-  frame actually mutated the state; shed, expired and rolled-back
-  frames never advance it);
-* per-session **hole** and **taint** ledgers -- sheds/expiries never
-  touched state (replay skips them), while a terminal error rolled
-  the session back to its keyframe (replay refuses until the next
-  checkpoint covers the rollback);
+  frame of a session carries its stream index;
+* the latest **checkpoint record** per session, refreshed by the
+  supervisor's periodic ``checkpoint`` RPC, with the worker's
+  **settled** watermark (the last seq whose outcome the exported state
+  reflects);
+* a router-side :class:`~repro.snap.capture.CaptureRing` holding one
+  record per client reply -- ok, error, or skipped (shed/expired, no
+  arrays) -- pruned up to each session's checkpoint watermark: the
+  replay *tail*;
 * a **pending table** of every request whose reply has not arrived,
   holding the inbound arrays so an orphaned request can be
-  re-dispatched verbatim;
-* a router-side :class:`~repro.snap.capture.CaptureRing` of completed
-  frames, pruned up to each session's last checkpoint watermark -- the
-  replay *tail*;
-* the latest **checkpoint record** per session, refreshed by the
-  supervisor's periodic ``checkpoint`` RPC.
+  re-dispatched verbatim.
 
-Failover (:meth:`fail_over`) composes those: restore the dead shard's
-checkpoint onto a healthy shard, replay the captured tail in sequence
-order to rebuild post-checkpoint state, then re-dispatch the pending
-requests -- so the recovered trajectory is bit-identical from the last
-checkpoint and no client future is ever dropped.  A session whose tail
-has a gap (capture ring overflow) raises
-:class:`~repro.shard.placement.ReplayGap` and is counted lost rather
-than silently corrupted.
+Failover (:meth:`fail_over`) composes those through
+:func:`~repro.shard.placement.failover_replay_plan`, which states the
+replay invariant: restore the dead shard's checkpoint onto a healthy
+shard, replay the ok tail in sequence order to rebuild
+post-checkpoint state, then re-dispatch the pending requests -- so the
+recovered trajectory is bit-identical from the last checkpoint and no
+client future is ever dropped.  A session whose tail cannot be
+rebuilt (capture ring overflow, or a terminal error past the
+checkpoint) raises :class:`~repro.shard.placement.ReplayGap` and is
+counted lost rather than silently corrupted.
 
 With ``shards=0`` the router runs **inline**: one in-process
 ``VOService``, no transport, no supervision -- bit-identical to the
@@ -227,27 +225,9 @@ class ShardRouter:
         self._lost_sessions: Dict[str, str] = {}
         self._failing_over: set = set()
         self._failovers = 0
-        # Per-session sequence numbers that are definitively *not*
-        # part of the applied stream (guarded by _state_lock, pruned
-        # at each checkpoint):
-        #
-        # _holes  -- shed (Backpressure) or expired (DeadlineExceeded)
-        #            frames: they never touched session state, so a
-        #            failover replay plan skips them without calling
-        #            the tail gapped.
-        # _taints -- terminally-failed frames: the worker rolled the
-        #            session back to its last good keyframe, so state
-        #            past a taint is *not* a pure function of the
-        #            applied stream and cannot be rebuilt
-        #            bit-identically until the next checkpoint covers
-        #            the rollback.  Failover refuses (session lost)
-        #            rather than silently rebuilding a different
-        #            trajectory.
-        self._holes: Dict[str, set] = {}
-        self._taints: Dict[str, set] = {}
 
-        # Failover inputs: latest checkpoint per session, and the
-        # completed-frame tail since that checkpoint.
+        # Failover inputs: latest checkpoint per session, and one
+        # record per client reply since that checkpoint.
         self.capture = CaptureRing(capacity=capture_capacity)
         self.capture.bind(self.spec.frontend, self.spec.config)
         self._checkpoints: Dict[str, dict] = {}
@@ -432,22 +412,26 @@ class ShardRouter:
                 exc, (Backpressure, DeadlineExceeded)):
             handle.breaker.record_fault()
         if not pending.internal:
-            # Bookkeep what this failure means for the applied
-            # stream: a shed/expiry never touched state (a *hole* the
-            # replay plan may skip), while a terminal error rolled the
-            # session back (a *taint* that poisons replay until the
-            # next checkpoint covers it).
-            with self._state_lock:
-                if isinstance(exc, (Backpressure, DeadlineExceeded)):
-                    self._holes.setdefault(
-                        pending.session, set()).add(pending.seq)
-                else:
-                    self._taints.setdefault(
-                        pending.session, set()).add(pending.seq)
+            self._record_failure(pending, exc)
         # Internal replay futures complete too: the failover path
         # waits on them, so a failed replay is never silently
         # swallowed (it retries the shed or marks the session lost).
         pending.future.set_exception(exc)
+
+    def _record_failure(self, pending: _Pending,
+                        exc: BaseException) -> None:
+        """Ring record of a failed client reply: a shed or expiry
+        never touched state (skipped, no arrays kept); anything else
+        is terminal -- the worker rolled the session back."""
+        if isinstance(exc, (Backpressure, DeadlineExceeded)):
+            self.capture.record(
+                pending.session, pending.seq, None, None,
+                pending.timestamp, self.capture.skipped_outcome(exc))
+        else:
+            self.capture.record(
+                pending.session, pending.seq, pending.gray,
+                pending.depth, pending.timestamp,
+                self.capture.error_outcome(exc))
 
     @staticmethod
     def _rebuild_error(pending: _Pending, msg: dict) -> BaseException:
@@ -613,13 +597,6 @@ class ShardRouter:
         this periodically; it is also safe to call by hand (e.g. right
         before a planned kill in tests).
         """
-        # Taints recorded before the checkpoint request goes out are
-        # certainly covered by the cut (the frame completed -- and
-        # rolled back -- before the worker quiesced), even when no
-        # later frame advanced the applied watermark past them.
-        with self._state_lock:
-            pre_taints = {sid: set(seqs)
-                          for sid, seqs in self._taints.items()}
         reply = self._rpc(shard_id, {"op": "checkpoint"},
                           timeout_s=timeout_s)
         sessions = reply.get("sessions", {})
@@ -631,36 +608,8 @@ class ShardRouter:
                     "watermark": watermark,
                     "shard": shard_id,
                 }
-                self._prune_stream_gaps(
-                    sid, watermark,
-                    covered_taints=pre_taints.get(sid, ()))
             self.capture.prune(sid, watermark)
         return len(sessions)
-
-    def _prune_stream_gaps(self, sid: str, watermark: int,
-                           covered_taints=()) -> None:
-        """Drop hole/taint seqs a new checkpoint covers (state-lock
-        held).  A hole stays relevant until the applied watermark
-        passes it (the replay plan needs it to explain the missing
-        seq); a taint is resolved once the watermark passes it *or*
-        the checkpoint cut demonstrably postdates the rollback
-        (``covered_taints``) -- the exported state already reflects
-        it, so replay from this checkpoint is pure again."""
-        holes = self._holes.get(sid)
-        if holes:
-            kept = {s for s in holes if s > watermark}
-            if kept:
-                self._holes[sid] = kept
-            else:
-                self._holes.pop(sid, None)
-        taints = self._taints.get(sid)
-        if taints:
-            kept = {s for s in taints
-                    if s > watermark and s not in covered_taints}
-            if kept:
-                self._taints[sid] = kept
-            else:
-                self._taints.pop(sid, None)
 
     # -- failover ----------------------------------------------------------
 
@@ -673,9 +622,9 @@ class ShardRouter:
         post-checkpoint state, then re-dispatch the orphaned pending
         requests so their original client futures complete with
         results from the new shard.  Sessions that cannot be rebuilt
-        losslessly (tail gap, post-checkpoint terminal error, failed
-        replay) fail their pending futures with :class:`SessionLost`
-        and are counted, never silently reset.
+        losslessly (a refused replay plan, a failed replay) fail
+        their pending futures with :class:`SessionLost` and are
+        counted, never silently reset.
 
         The route lock is held only for the bookkeeping edges; the
         per-session restore/replay RPCs run without it, so failing
@@ -745,30 +694,16 @@ class ShardRouter:
             raise SessionLost(sid, "no healthy shard to fail over to")
         with self._state_lock:
             checkpoint = self._checkpoints.get(sid)
-            holes = set(self._holes.get(sid, ()))
-            taints = sorted(self._taints.get(sid, ()))
         watermark = int(checkpoint["watermark"]) \
             if checkpoint is not None else 0
-        tainted = [t for t in taints if t > watermark]
-        if tainted:
-            # A terminal error past the checkpoint rolled the session
-            # back to its last good keyframe: state from there on is
-            # not a pure function of the applied stream, so no replay
-            # can be bit-identical.  Refuse rather than rebuild a
-            # silently different trajectory.
-            raise SessionLost(
-                sid, f"frame {tainted[0]} failed terminally after "
-                     f"the last checkpoint; the rollback makes the "
-                     f"tail non-replayable")
+        orphans = self._orphaned(sid, dead_shard)
+        tail = [(rec["seq"], rec["outcome"]["kind"], rec)
+                for rec in self.capture.tail(sid, watermark)]
+        plan = failover_replay_plan(sid, watermark, tail,
+                                    [(p.seq, p) for p in orphans])
         if checkpoint is not None:
             self._rpc(target, {"op": "restore_session",
                                "record": checkpoint["record"]})
-        orphans = self._orphaned(sid, dead_shard)
-        tail = [(rec["seq"], rec)
-                for rec in self.capture.tail(sid, watermark)]
-        plan = failover_replay_plan(sid, watermark, tail,
-                                    [(p.seq, p) for p in orphans],
-                                    holes=holes)
         orphan_seqs = {p.seq for p in orphans}
         shed_rest = False
         for seq, entry in plan:
@@ -805,7 +740,7 @@ class ShardRouter:
             except Backpressure:
                 shed_rest = True
             except DeadlineExceeded:
-                # Expired in the target's queue: the hole is already
+                # Expired in the target's queue: the skip is already
                 # recorded and state was never touched -- later
                 # frames proceed, matching live expiry semantics.
                 pass
@@ -815,7 +750,7 @@ class ShardRouter:
                          f"complete during failover") from exc
             except Exception:
                 # Terminal frame error on the new shard: the client
-                # saw it and the taint is recorded; the live
+                # saw it and the error is recorded; the live
                 # contract continues the stream from the restored
                 # keyframe, so later orphans still run.
                 pass
@@ -866,14 +801,13 @@ class ShardRouter:
                  f"failover target")
 
     def _shed_orphan(self, entry: _Pending) -> None:
-        """Fail one orphaned request as a shed (hole, not a loss)."""
+        """Fail one orphaned request as a shed (skipped, not a loss)."""
         with self._state_lock:
-            self._pending.pop(entry.req_id, None)
-            self._holes.setdefault(entry.session,
-                                   set()).add(entry.seq)
-        if not entry.future.done():
-            entry.future.set_exception(
-                Backpressure(depth=0, retry_after_s=0.25))
+            if self._pending.pop(entry.req_id, None) is None:
+                return  # its reply already completed it
+        exc = Backpressure(depth=0, retry_after_s=0.25)
+        self._record_failure(entry, exc)
+        entry.future.set_exception(exc)
 
     def _mark_lost(self, sid: str, reason: str) -> None:
         error = SessionLost(sid, reason)
@@ -883,9 +817,10 @@ class ShardRouter:
                        if p.session == sid]
             for entry in entries:
                 self._pending.pop(entry.req_id, None)
-            self._holes.pop(sid, None)
-            self._taints.pop(sid, None)
             self._checkpoints.pop(sid, None)
+            last_seq = self._session_seq.get(sid, 0)
+        # A lost session never checkpoints again: release its tail.
+        self.capture.prune(sid, last_seq)
         self._m_lost.inc()
         for entry in entries:
             # Internal replay futures fail too, so a failover thread
@@ -964,13 +899,18 @@ class ShardRouter:
             return drained
 
     def _migrate(self, sid: str, source: int, target: int) -> None:
-        """Live-migrate one session between up shards (lossless)."""
-        with self._state_lock:
-            pre_taints = set(self._taints.get(sid, ()))
+        """Live-migrate one session between up shards (lossless).
+
+        The placement flips as soon as the target holds the session --
+        the source has already dropped it.  An orphan the target
+        cannot take sheds, and so does every later one: the clients
+        retry them in order, exactly as after a failover.
+        """
         reply = self._rpc(source, {"op": "export_session",
                                    "session": sid})
         self._rpc(target, {"op": "restore_session",
                            "record": reply["record"]})
+        self._placement[sid] = target
         # Checkpoint bookkeeping moves with the session: the exported
         # record is strictly fresher than any stored checkpoint.
         watermark = int(reply["watermark"])
@@ -978,14 +918,17 @@ class ShardRouter:
             self._checkpoints[sid] = {"record": reply["record"],
                                       "watermark": watermark,
                                       "shard": target}
-            self._prune_stream_gaps(sid, watermark,
-                                    covered_taints=pre_taints)
         self.capture.prune(sid, watermark)
         handle = self.shards[target]
-        for entry in self._orphaned(sid, source):
+        orphans = self._orphaned(sid, source)
+        for index, entry in enumerate(orphans):
             entry.shard = target
-            self._send_frame(handle, entry)
-        self._placement[sid] = target
+            try:
+                self._send_frame(handle, entry)
+            except Backpressure:
+                for rest in orphans[index:]:
+                    self._shed_orphan(rest)
+                break
         self.flight.event("session_migrated", session=sid,
                           source=source, target=target)
 

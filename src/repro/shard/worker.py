@@ -17,8 +17,9 @@ one :class:`~repro.shard.transport.MessagePump`:
 ``checkpoint``
     Quiesce every resident session, export each one through the
     ``repro.snap`` codec, resubmit the extracted queued frames, and
-    reply with the encoded records plus per-session applied-seq
-    watermarks (the max router seq each exported state covers).
+    reply with the encoded records plus per-session settled
+    watermarks (the last router seq whose outcome each exported state
+    reflects).
     This runs *on the pump's reader thread* deliberately: no new
     frames are admitted while state is being exported, so each record
     is a consistent cut at a known watermark.
@@ -167,11 +168,11 @@ class _ShardWorker:
     def _checkpoint_sessions(self) -> dict:
         """Consistent per-session export of everything resident.
 
-        The watermark is the session's **applied** sequence watermark
-        (max router-assigned seq whose frame mutated the exported
-        state), *not* the processed-frame count: shed/expired frames
-        never reach the state and terminally-failed ones are rolled
-        back, so only the applied watermark lines up with the router's
+        The watermark is the session's **settled** watermark: the last
+        router-assigned seq whose outcome the exported state reflects,
+        a terminally failed frame's rollback included.  It is *not*
+        the processed-frame count -- shed/expired frames never reach
+        the state -- so only it lines up with the router's
         capture-tail pruning and failover replay plans.
         """
         out = {}

@@ -106,12 +106,17 @@ class CaptureRing:
 
     def record(self, session: str, seq: int, gray, depth,
                timestamp: float, outcome: dict) -> None:
-        """Append one completed frame and its live outcome."""
+        """Append one completed frame and its live outcome.
+
+        A skipped frame passes ``None`` arrays: it never reached the
+        tracker, so there is nothing to replay.
+        """
         record = {
             "seq": int(seq),
             "timestamp": float(timestamp),
-            "gray": np.array(gray, copy=True),
-            "depth": np.array(depth, copy=True),
+            "gray": None if gray is None else np.array(gray, copy=True),
+            "depth": None if depth is None
+            else np.array(depth, copy=True),
             "outcome": outcome,
         }
         with self._lock:
@@ -149,6 +154,12 @@ class CaptureRing:
             "error": type(exc).__name__,
             "message": str(exc),
         }
+
+    @staticmethod
+    def skipped_outcome(exc: BaseException) -> dict:
+        """Live outcome of a frame shed or expired before it touched
+        the session state (``Backpressure`` / ``DeadlineExceeded``)."""
+        return {"kind": "skipped", "error": type(exc).__name__}
 
     # -- failover tails --------------------------------------------------
 

@@ -41,8 +41,9 @@ top of that:
 * ``migrate`` -- migrated poses and health are bit-identical to an
   unmigrated control run of the same storm.
 * ``kill`` -- zero frame errors, every trajectory bit-identical to its
-  unkilled solo run, no lost sessions, at least one failover, and
-  every victim back up with restart budget left.
+  unkilled solo run, no lost sessions, at least one failover, every
+  victim back up with restart budget left, and (with an incident
+  directory) at least one crash incident bundle.
 """
 
 from __future__ import annotations
@@ -627,6 +628,8 @@ def _disrupt_kill(config, workload, tracker_config, solo,
     if incident_dir is not None:
         bundles = sorted(p.name for p in
                          Path(incident_dir).glob("shard*_*.json"))
+        if not bundles:
+            problems.append("crash produced no incident bundle")
     return _Disrupted(
         storm=storm, wall_s=wall_s, flight=router.flight,
         served=storm.poses(), reference=solo,

@@ -179,22 +179,22 @@ class TestSessionManager:
         assert not np.array_equal(fresh.pose.t, moved_pose.t) or \
             np.allclose(moved_pose.t, 0)
 
-    def test_checkin_advances_applied_seq_only_on_success(self):
-        """frames counts every processed frame; applied_seq only the
-        ones that actually mutated state (failed frames pass None),
-        and it never moves backwards on out-of-order checkins."""
+    def test_checkin_settles_applied_seq_on_every_frame(self):
+        """Every processed frame settles the watermark -- a rolled-back
+        one too, since the rollback is its outcome -- and it never
+        moves backwards on out-of-order checkins."""
         sm = SessionManager()
         session = sm.checkout("cam-1")
         sm.checkin(session, applied_seq=3)
         assert session.frames == 1
         assert session.applied_seq == 3
         sm.checkout("cam-1")
-        sm.checkin(session)  # rolled-back frame: no watermark move
+        sm.checkin(session, applied_seq=4)  # rolled back: settled
         assert session.frames == 2
-        assert session.applied_seq == 3
+        assert session.applied_seq == 4
         sm.checkout("cam-1")
         sm.checkin(session, applied_seq=2)  # stale: never regresses
-        assert session.applied_seq == 3
+        assert session.applied_seq == 4
 
     def test_applied_seq_survives_export_import_round_trip(self):
         sm = SessionManager()
@@ -366,6 +366,36 @@ class TestResilience:
         assert resumed.frame_index == 1
         assert sessions.stats()["restores_total"] >= 1
         assert sessions.stats()["checkpoints_total"] >= 1
+
+    def test_terminal_failure_settles_the_exported_watermark(
+            self, monkeypatch):
+        """A frame that fails past its retries is still settled: the
+        exported record's watermark is that frame's seq, because the
+        exported state *is* its rollback."""
+        config = TrackerConfig(camera=TINY_CAMERA)
+        frames = build_workload(sessions=1, frames=3,
+                                scale=0.25)["client-0"].frames
+        process = EBVOTracker.process
+
+        def flaky(self, gray, depth, *args, **kwargs):
+            if gray is frames[2].gray:
+                raise RuntimeError("persistent fault")
+            return process(self, gray, depth, *args, **kwargs)
+
+        monkeypatch.setattr(EBVOTracker, "process", flaky)
+        with VOService(workers=1, frontend="float", config=config,
+                       max_retries=1) as svc:
+            for f in frames[:2]:
+                svc.submit("cam", f.gray, f.depth, f.timestamp,
+                           timeout=60)
+            with pytest.raises(RuntimeError, match="persistent"):
+                svc.submit("cam", frames[2].gray, frames[2].depth,
+                           frames[2].timestamp, timeout=60)
+            failed_seq = svc.seq_watermark()
+            svc.quiesce_session("cam")
+            record = svc.sessions.export_session("cam")
+        assert failed_seq == 3
+        assert record["applied_seq"] == failed_seq
 
     def test_circuit_breaker_state_machine(self):
         clock = FakeClock()

@@ -181,9 +181,10 @@ class TestAppliedWatermark:
                 assert all(
                     router._checkpoints[sid]["watermark"] == 5
                     for sid in workload)
-                # And the checkpoint pruned the hole (3 <= 5):
-                # nothing left to explain.
-                assert router._holes == {}
+            # And the checkpoint pruned the ring up to it, the skipped
+            # seq 3 included: no entry is left above the watermark.
+            assert all(router.capture.tail(sid, 0) == []
+                       for sid in workload)
             _submit_all(router, workload, slice(4, 5), results)
             victim = _busiest_shard(router)
             os.kill(router.shards[victim].pid, signal.SIGKILL)

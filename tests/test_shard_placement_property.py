@@ -7,7 +7,8 @@ rather than example tests:
 * consistent hashing -- adding/removing one shard moves only the keys
   that touch that shard (~K/N of K keys), everything else stays put;
 * failover replay plans -- strictly increasing, duplicate-free,
-  gap-refusing, exactly the frames past the checkpoint watermark;
+  gap- and error-refusing, exactly the ok and orphan frames past the
+  checkpoint watermark;
 * restart backoff -- monotone non-decreasing, never above its cap,
   budget bookkeeping exact.
 """
@@ -100,7 +101,7 @@ class TestFailoverReplayPlan:
         seqs = list(range(watermark + 1, watermark + 1 + extra))
         pending_set = set(data.draw(st.sets(st.sampled_from(seqs))
                                     if seqs else st.just(set())))
-        tail = [(s, f"frame-{s}") for s in seqs
+        tail = [(s, "ok", f"frame-{s}") for s in seqs
                 if s not in pending_set]
         pending = [(s, f"frame-{s}") for s in sorted(pending_set)]
         plan = failover_replay_plan("s", watermark, tail, pending)
@@ -115,7 +116,7 @@ class TestFailoverReplayPlan:
                                                  length, data):
         seqs = list(range(watermark + 1, watermark + 1 + length))
         hole = data.draw(st.sampled_from(seqs[:-1]))
-        tail = [(s, None) for s in seqs if s != hole]
+        tail = [(s, "ok", None) for s in seqs if s != hole]
         with pytest.raises(ReplayGap) as err:
             failover_replay_plan("s", watermark, tail, [])
         assert hole in err.value.missing
@@ -127,8 +128,8 @@ class TestFailoverReplayPlan:
                                                       below):
         """The checkpoint already covers them; replaying would double-
         apply.  Even a stale duplicate under the watermark is benign."""
-        tail = [(max(0, watermark - below), "old"),
-                (watermark, "old"), (watermark + 1, "new")]
+        tail = [(max(0, watermark - below), "ok", "old"),
+                (watermark, "ok", "old"), (watermark + 1, "ok", "new")]
         plan = failover_replay_plan("s", watermark, tail, [])
         assert plan == [(watermark + 1, "new")]
 
@@ -138,47 +139,81 @@ class TestFailoverReplayPlan:
     def test_duplicate_seq_is_an_error(self, watermark, dup):
         seq = watermark + dup
         with pytest.raises(ValueError):
-            failover_replay_plan("s", watermark, [(seq, "a")],
+            failover_replay_plan("s", watermark, [(seq, "ok", "a")],
                                  [(seq, "b")])
+
+    @staticmethod
+    def _split(data, watermark, length):
+        """Draw a split of (watermark, watermark + length] into ok
+        records, skipped records and orphans: ``(tail, orphans)``."""
+        seqs = list(range(watermark + 1, watermark + 1 + length))
+        kinds = data.draw(st.lists(
+            st.sampled_from(["ok", "skipped", "orphan"]),
+            min_size=length, max_size=length))
+        tail = [(s, k, f"frame-{s}") for s, k in zip(seqs, kinds)
+                if k != "orphan"]
+        orphans = [(s, f"req-{s}") for s, k in zip(seqs, kinds)
+                   if k == "orphan"]
+        return tail, orphans
+
+    @given(watermark=st.integers(min_value=0, max_value=20),
+           length=st.integers(min_value=1, max_value=20),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_known_holes_are_skipped_not_gaps(self, watermark,
+                                              length, data):
+        """Any split of (w, last] into ok, skipped and orphan entries
+        plans exactly the ok and orphan seqs, in order: a skipped
+        record (shed or expiry) explains its seq without replaying
+        it."""
+        tail, orphans = self._split(data, watermark, length)
+        plan = failover_replay_plan("s", watermark, tail, orphans)
+        expected = sorted(
+            [(s, f) for s, k, f in tail if k == "ok"] + orphans)
+        assert plan == expected
 
     @given(watermark=st.integers(min_value=0, max_value=20),
            length=st.integers(min_value=2, max_value=20),
            data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_known_holes_are_skipped_not_gaps(self, watermark,
-                                              length, data):
-        """Seqs the router knows never touched state (sheds/expiries)
-        are expected absences: the plan skips them silently and never
-        lists them as missing."""
-        seqs = list(range(watermark + 1, watermark + 1 + length))
-        holes = set(data.draw(st.sets(st.sampled_from(seqs[:-1]),
-                                      min_size=1)))
-        tail = [(s, f"frame-{s}") for s in seqs if s not in holes]
-        plan = failover_replay_plan("s", watermark, tail, [],
-                                    holes=holes)
-        assert [s for s, _ in plan] == [s for s in seqs
-                                        if s not in holes]
-
-    @given(watermark=st.integers(min_value=0, max_value=20),
-           length=st.integers(min_value=3, max_value=20),
-           data=st.data())
-    @settings(max_examples=80, deadline=None)
     def test_unexplained_gap_still_refuses_despite_holes(
             self, watermark, length, data):
-        """A hole only explains its own seq: any *other* missing seq
-        still raises ReplayGap, and the declared holes never appear
-        in the missing list."""
-        seqs = list(range(watermark + 1, watermark + 1 + length))
-        interior = seqs[:-1]
-        hole = data.draw(st.sampled_from(interior))
-        gap = data.draw(st.sampled_from(
-            [s for s in interior if s != hole]))
-        tail = [(s, None) for s in seqs if s not in (hole, gap)]
+        """Removing any one entry below the last one leaves its seq
+        unexplained: ReplayGap names exactly that seq, whatever kinds
+        explain the others."""
+        tail, orphans = self._split(data, watermark, length)
+        gone = data.draw(st.integers(min_value=watermark + 1,
+                                     max_value=watermark + length - 1))
+        tail = [e for e in tail if e[0] != gone]
+        orphans = [e for e in orphans if e[0] != gone]
         with pytest.raises(ReplayGap) as err:
-            failover_replay_plan("s", watermark, tail, [],
-                                 holes={hole})
-        assert gap in err.value.missing
-        assert hole not in err.value.missing
+            failover_replay_plan("s", watermark, tail, orphans)
+        assert err.value.missing == [gone]
+
+    @given(watermark=st.integers(min_value=0, max_value=20),
+           length=st.integers(min_value=1, max_value=20),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_error_record_past_watermark_refuses(self, watermark,
+                                                 length, data):
+        """A terminal error above the watermark refuses the plan (the
+        worker rolled the session back there); error records at or
+        below it are settled in the checkpoint and ignored."""
+        tail, orphans = self._split(data, watermark, length)
+        settled = [(s, "error", None)
+                   for s in range(max(1, watermark - 3), watermark + 1)]
+        plan = failover_replay_plan("s", watermark, settled + tail,
+                                    orphans)
+        assert plan == failover_replay_plan("s", watermark, tail,
+                                            orphans)
+        bad = data.draw(st.integers(min_value=watermark + 1,
+                                    max_value=watermark + length))
+        tail = [e for e in tail if e[0] != bad] + [(bad, "error", None)]
+        orphans = [e for e in orphans if e[0] != bad]
+        with pytest.raises(ReplayGap) as err:
+            failover_replay_plan("s", watermark, tail, orphans)
+        assert err.value.missing == []
+        assert f"frame {bad} failed terminally" in str(err.value)
 
 
 class TestRestartBackoff:

@@ -24,7 +24,7 @@ from repro.serve import (
     solo_trajectories,
     trajectories_match,
 )
-from repro.shard import SessionLost, ShardRouter, ShardSpec
+from repro.shard import ReplayGap, SessionLost, ShardRouter, ShardSpec
 from repro.vo import PIMFrontend, TrackerConfig
 
 TINY_CAMERA = TUM_QVGA.scaled(0.25)
@@ -257,7 +257,8 @@ class TestRouterGuards:
 
 class TestReplyPlumbing:
     """The _on_message contract: internal replay futures always
-    complete, and failures land in the right ledger."""
+    complete, and every client reply lands in the capture ring under
+    the right outcome kind."""
 
     def _pending(self, router, shard_id, seq, internal):
         from repro.shard.router import _Pending
@@ -273,6 +274,11 @@ class TestReplyPlumbing:
             {"op": "result", "id": entry.req_id, "ok": False,
              "error": error, "message": "boom"}, **extra))
 
+    @staticmethod
+    def _kinds(router, sid="sess"):
+        return [(rec["seq"], rec["outcome"]["kind"])
+                for rec in router.capture.tail(sid, 0)]
+
     def test_internal_replay_failure_completes_the_future(self):
         """An error reply for an internal replay must fail its future
         -- the failover thread awaits it; silently dropping the reply
@@ -284,21 +290,21 @@ class TestReplyPlumbing:
             assert entry.future.done()
             with pytest.raises(RuntimeError):
                 entry.future.result(timeout=0)
-            with router._state_lock:
-                # Internal outcomes never touch the client-stream
-                # ledgers: the replay is the failover's business.
-                assert "sess" not in router._taints
-                assert "sess" not in router._holes
+            # Internal outcomes never enter the client-reply ring:
+            # the replay is the failover's business.
+            assert self._kinds(router) == []
 
     def test_client_shed_records_a_hole(self):
+        """A shed or expiry is a skipped record that keeps no arrays:
+        it explains its seq without ever being replayed."""
         with ShardRouter(shards=2, spec=_spec()) as router:
             entry = self._pending(router, 0, 7, internal=False)
             self._fail(router, 0, entry, "DeadlineExceeded")
             with pytest.raises(DeadlineExceeded):
                 entry.future.result(timeout=0)
-            with router._state_lock:
-                assert router._holes["sess"] == {7}
-                assert "sess" not in router._taints
+            assert self._kinds(router) == [(7, "skipped")]
+            rec = router.capture.tail("sess", 0)[0]
+            assert rec["gray"] is None and rec["depth"] is None
 
     def test_client_terminal_error_records_a_taint(self):
         with ShardRouter(shards=2, spec=_spec()) as router:
@@ -306,24 +312,73 @@ class TestReplyPlumbing:
             self._fail(router, 0, entry, "RuntimeError")
             with pytest.raises(RuntimeError):
                 entry.future.result(timeout=0)
-            with router._state_lock:
-                assert router._taints["sess"] == {9}
-                assert "sess" not in router._holes
+            assert self._kinds(router) == [(9, "error")]
 
     def test_tainted_tail_refuses_failover_as_session_lost(self):
         """A terminal error past the checkpoint rolled the session
         back on the worker: replay cannot be bit-identical, so the
-        failover refuses instead of rebuilding a different stream."""
+        failover refuses instead of rebuilding a different stream,
+        counts the session lost, and releases its capture stream."""
         with ShardRouter(shards=2, spec=_spec()) as router:
+            entry = self._pending(router, 0, 4, internal=False)
+            self._fail(router, 0, entry, "RuntimeError")
             with router._state_lock:
-                router._taints["sess"] = {4}
                 router._checkpoints["sess"] = {
                     "record": None, "watermark": 3, "shard": 0}
-            with pytest.raises(SessionLost):
+                router._session_seq["sess"] = 4
+            with pytest.raises(ReplayGap, match="frame 4 failed"):
                 router._fail_over_session("sess", 0)
-            # A checkpoint whose watermark passes the taint (or whose
-            # cut demonstrably postdates the rollback) prunes it --
-            # the refusal clears.
+            with router._route_lock:
+                router._placement["sess"] = 0
+            outcome = router.fail_over(0)
+            assert outcome["lost"] == ["sess"]
+            assert router.shards_status()["lost_sessions"] == ["sess"]
+            assert router.capture.tail("sess", 0) == []
+
+
+class TestMigration:
+    def test_failed_orphan_redispatch_still_publishes_placement(
+            self, monkeypatch):
+        """The source has already exported and dropped the session,
+        so a re-dispatch that sheds must not leave the placement on
+        the source (the next frame would silently start a fresh
+        session there): the placement moves to the target, and the
+        orphans fail as sheds -- futures done, skipped records."""
+        from repro.shard.router import _Pending
+        workload = build_workload(sessions=1, frames=2, scale=0.25)
+        frames = next(iter(workload.values())).frames
+        with ShardRouter(shards=2, spec=_spec()) as router:
+            first = router.submit("s", frames[0].gray, frames[0].depth,
+                                  frames[0].timestamp, timeout=120)
+            source = router._placement["s"]
+            target = 1 - source
+            orphans = []
+            for seq in (2, 3):
+                entry = _Pending(router._alloc_id(), "s", seq,
+                                 frames[1].gray, frames[1].depth,
+                                 frames[1].timestamp, None, source)
+                orphans.append(entry)
             with router._state_lock:
-                router._prune_stream_gaps("sess", 4)
-                assert "sess" not in router._taints
+                router._session_seq["s"] = 3
+                for entry in orphans:
+                    router._pending[entry.req_id] = entry
+
+            def refuse(handle, pending):
+                raise Backpressure(depth=0, retry_after_s=0.05)
+
+            monkeypatch.setattr(router, "_send_frame", refuse)
+            with router._route_lock:
+                router._migrate("s", source, target)
+            monkeypatch.undo()
+            assert router._placement["s"] == target
+            for entry in orphans:
+                with pytest.raises(Backpressure):
+                    entry.future.result(timeout=0)
+            assert [(rec["seq"], rec["outcome"]["kind"])
+                    for rec in router.capture.tail("s", 1)] == [
+                (2, "skipped"), (3, "skipped")]
+            # The client's retry continues the migrated stream.
+            second = router.submit("s", frames[1].gray,
+                                   frames[1].depth,
+                                   frames[1].timestamp, timeout=120)
+        assert (first.frame_index, second.frame_index) == (0, 1)

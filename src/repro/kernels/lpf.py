@@ -25,9 +25,7 @@ import numpy as np
 from repro.fixedpoint import ops
 from repro.kernels.common import (
     KERNEL_PROGRAM_CACHE,
-    load_image,
     pixels_u8,
-    read_image,
     shift_pixels,
 )
 from repro.obs.tracer import span as obs_span
@@ -201,10 +199,3 @@ def lpf_pim_naive(device, image: np.ndarray, base_row: int = 0,
         out[r] = device.store(acc_row, signed=False)[:width]
     return out
 
-
-def run_lpf_pim(device, image: np.ndarray, base_row: int = 0) -> np.ndarray:
-    """Convenience: load, run the optimized program, read back."""
-    image = np.asarray(image)
-    load_image(device, image, base_row)
-    lpf_pim(device, image.shape[0], base_row)
-    return read_image(device, image.shape[0], image.shape[1], base_row)

@@ -298,18 +298,19 @@ class FifoScheduler:
             self._cond.notify_all()
             return len(pending)
 
-    # -- migration / snapshot support ------------------------------------
+    # -- quiesce / snapshot support --------------------------------------
 
     def extract_session(self, sid: str) -> List[WorkItem]:
         """Remove and return every queued item of one session, in order.
 
-        The migration path: the extracted items (futures and all) are
-        re-submitted to the target service's scheduler, so the original
-        clients' futures complete with results computed on the target
-        pool.  Items already dispatched are *not* touched -- callers
-        wait for :meth:`session_inflight` to turn false and extract
-        again, because a frame completing mid-extraction may already
-        have unblocked a later frame of the same session.
+        The quiesce path (``VOService.quiesce_session``): a shard
+        worker's checkpoint re-submits the extracted items (futures and
+        all) once the session is exported, and its ``export_session``
+        cancels them for the router to re-dispatch on the new owner.
+        Items already dispatched are *not* touched -- callers wait for
+        :meth:`session_inflight` to turn false and extract again,
+        because a frame completing mid-extraction may already have
+        unblocked a later frame of the same session.
         """
         with self._cond:
             items = [item for item in self._queue

@@ -41,7 +41,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import get_registry
 from repro.obs.slo import SloEngine, SloTargets
 from repro.obs.tracer import get_tracer
 from repro.serve.pool import DevicePool, TrackResult
@@ -66,7 +65,6 @@ class VOService:
 
     def __init__(self, workers: int = 2, frontend: str = "pim",
                  config: Optional[TrackerConfig] = None,
-                 device_detect: bool = False,
                  max_queue: int = 64,
                  idle_timeout_s: float = 60.0, max_sessions: int = 64,
                  min_service_s: float = 0.0,
@@ -97,7 +95,7 @@ class VOService:
             self.program_store = program_store
             KERNEL_PROGRAM_CACHE.attach_store(program_store)
         if config is None:
-            config = TrackerConfig(pim_device_detect=device_detect)
+            config = TrackerConfig()
         self.config = config
         self.frontend = frontend
         frontend_cls = _FRONTENDS[frontend]
@@ -217,16 +215,35 @@ class VOService:
         queued that long after submission fails with
         :class:`~repro.serve.scheduler.DeadlineExceeded` instead of
         being served stale.  Any tracking error surfaces here as the
-        original exception.
+        original exception.  ``timeout`` bounds only this wait: the
+        frame stays in its stream and its outcome is recorded when a
+        worker settles it.
+        """
+        return self.submit_nowait(
+            session_id, gray, depth, timestamp=timestamp,
+            deadline_s=deadline_s).result(timeout)
+
+    def submit_nowait(self, session_id: str, gray: np.ndarray,
+                      depth: np.ndarray, timestamp: float = 0.0,
+                      deadline_s: Optional[float] = None) -> Future:
+        """Admit one frame without blocking; returns its future.
+
+        Admission (:class:`~repro.serve.scheduler.Backpressure`) raises
+        here on the caller's thread; the result -- or the failure,
+        including :class:`~repro.serve.scheduler.DeadlineExceeded` --
+        is delivered through the returned future.  That future
+        completes only after the request span is finished, the
+        capture ring holds the frame's record and any flight-recorder
+        incident is filed, so whoever reads the result also sees them.
         """
         if self._closed:
             raise RuntimeError("service is closed")
         self.sessions.touch(session_id)
         seq = self._next_seq()
-        # The request root span: begun here on the client thread,
-        # finished here once the result (or failure) comes back, with
-        # the queue and worker-side track spans as its children.  With
-        # tracing disabled both handles are the shared no-op.
+        # The request root span: begun here on the client thread and
+        # finished when the worker settles the frame, with the queue
+        # and worker-side track spans as its children.  With tracing
+        # disabled both handles are the shared no-op.
         tracer = get_tracer()
         request = tracer.begin("request", category="serve",
                                session=session_id, seq=seq)
@@ -247,14 +264,31 @@ class VOService:
             request.finish(outcome="rejected",
                            error=type(exc).__name__)
             raise
-        try:
-            result = item.future.result(timeout)
-        except BaseException as exc:
-            request.finish(outcome="error",
-                           error=type(exc).__name__)
+        reply: Future = Future()
+
+        def _settle(future: Future) -> None:
+            try:
+                self._finish_request(item, request, future)
+            finally:
+                exc = future.exception()
+                if exc is not None:
+                    reply.set_exception(exc)
+                else:
+                    reply.set_result(future.result())
+
+        item.future.add_done_callback(_settle)
+        return reply
+
+    def _finish_request(self, item: WorkItem, request,
+                        future: Future) -> None:
+        """Close one settled request: its span, incident and capture."""
+        exc = future.exception()
+        if exc is not None:
+            request.finish(outcome="error", error=type(exc).__name__)
             self._capture_incident(type(exc).__name__, item, request)
             self._capture_frame(item, error=exc)
-            raise
+            return
+        result = future.result()
         if result.retries:
             # The request succeeded but needed worker retries: keep
             # its span tree for post-mortems all the same.
@@ -263,65 +297,6 @@ class VOService:
         else:
             request.finish(outcome="ok")
         self._capture_frame(item, result=result, request=request)
-        return result
-
-    def submit_nowait(self, session_id: str, gray: np.ndarray,
-                      depth: np.ndarray, timestamp: float = 0.0,
-                      deadline_s: Optional[float] = None) -> Future:
-        """Admit one frame without blocking; returns its future.
-
-        The open-loop counterpart of :meth:`submit`: admission
-        (:class:`~repro.serve.scheduler.Backpressure`) still raises
-        here on the caller's thread, but the result -- or the failure,
-        including :class:`~repro.serve.scheduler.DeadlineExceeded` --
-        is delivered through the returned future.  Capture-ring
-        recording and flight-recorder incidents fire from the
-        future's completion, exactly as the blocking path does.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        self.sessions.touch(session_id)
-        seq = self._next_seq()
-        tracer = get_tracer()
-        request = tracer.begin("request", category="serve",
-                               session=session_id, seq=seq)
-        item = WorkItem(session=session_id, seq=seq,
-                        payload=(np.asarray(gray), np.asarray(depth),
-                                 float(timestamp)),
-                        ctx=request.context,
-                        queue_handle=tracer.begin(
-                            "queue", category="serve",
-                            parent=request.context,
-                            session=session_id, seq=seq))
-        if deadline_s is not None:
-            item.deadline = self.scheduler._clock() + deadline_s
-        try:
-            self.scheduler.submit(item)   # may raise Backpressure
-        except BaseException as exc:
-            item.queue_handle.finish(outcome="rejected")
-            request.finish(outcome="rejected",
-                           error=type(exc).__name__)
-            raise
-
-        def _finish(future: Future) -> None:
-            exc = future.exception()
-            if exc is not None:
-                request.finish(outcome="error",
-                               error=type(exc).__name__)
-                self._capture_incident(type(exc).__name__, item,
-                                       request)
-                self._capture_frame(item, error=exc)
-                return
-            result = future.result()
-            if result.retries:
-                request.finish(outcome="ok", retries=result.retries)
-                self._capture_incident("retried", item, request)
-            else:
-                request.finish(outcome="ok")
-            self._capture_frame(item, result=result, request=request)
-
-        item.future.add_done_callback(_finish)
-        return item.future
 
     def _capture_frame(self, item: WorkItem, result=None, error=None,
                        request=None) -> None:
@@ -363,7 +338,7 @@ class VOService:
                              session=item.session, seq=item.seq,
                              spans=spans)
 
-    # -- snapshots, migration, drain -------------------------------------
+    # -- snapshots and quiesce -------------------------------------------
 
     def requeue_frame(self, session_id: str, seq: int,
                       gray: np.ndarray, depth: np.ndarray,
@@ -392,19 +367,6 @@ class VOService:
         self.restore_seq(seq)
         self.scheduler.submit(item)
         return item.future
-
-    def _require_migration_compatible(self,
-                                      target: "VOService") -> None:
-        if target is self:
-            raise ValueError("cannot migrate a session onto itself")
-        if target.frontend != self.frontend:
-            raise ValueError(
-                f"migration target runs the {target.frontend!r} "
-                f"frontend; source runs {self.frontend!r}")
-        if target.config != self.config:
-            raise ValueError(
-                "migration target's TrackerConfig differs; migrated "
-                "trajectories would not be bit-identical")
 
     def quiesce_session(self, session_id: str,
                         timeout_s: float = 10.0) -> List[WorkItem]:
@@ -439,68 +401,6 @@ class VOService:
                     f"session {session_id!r} did not quiesce within "
                     f"{timeout_s}s")
             time.sleep(0.002)
-
-    def migrate_session(self, session_id: str, target: "VOService",
-                        timeout_s: float = 10.0):
-        """Live-migrate one session onto another service, losslessly.
-
-        Quiesces the session (in-flight frames finish here, queued
-        ones are pulled), exports its full state (tracker state,
-        checkpoint, generation), imports it on ``target`` with a
-        forced device reset, and replays the pulled frames through the
-        target's scheduler -- **the original clients' futures complete
-        with results computed on the target pool**.  Because tracker
-        state is host-side and complete, the migrated trajectory is
-        bit-identical to one that never moved (the chaos harness
-        gates exactly this).
-
-        The caller owns redirecting *new* traffic to the target;
-        a submit racing the migration on this service would recreate
-        the sid as a fresh stream.
-        """
-        self._require_migration_compatible(target)
-        extracted = self.quiesce_session(session_id,
-                                         timeout_s=timeout_s)
-        try:
-            record = self.sessions.export_session(session_id)
-        except KeyError:
-            # Evicted while quiescing (idle sweep): nothing to move.
-            for item in extracted:
-                self.scheduler.submit(item)
-            raise
-        imported = target.sessions.import_session(
-            record, force_device_reset=True)
-        self.sessions.remove(session_id, reason="migrated")
-        target.restore_seq(max((item.seq for item in extracted),
-                               default=0))
-        for item in extracted:
-            # Hand the item -- future and all -- to the target's queue.
-            target.scheduler.submit(item)
-        get_registry().counter(
-            "serve_sessions_migrated_total",
-            "Sessions live-migrated to another service").inc()
-        self.flight.event("session_migrated", session=session_id,
-                          queued_frames=len(extracted),
-                          generation=record["generation"])
-        return imported
-
-    def drain_to(self, target: "VOService",
-                 timeout_s: float = 30.0) -> List[str]:
-        """Whole-service drain: migrate every resident session.
-
-        The shutdown-for-maintenance path: after this returns, every
-        session (state, checkpoints, queued frames) lives on
-        ``target`` and this service is empty but still running.
-        Returns the migrated session ids.
-        """
-        migrated = []
-        deadline = time.monotonic() + timeout_s
-        for sid in self.sessions.sids():
-            remaining = max(0.1, deadline - time.monotonic())
-            self.migrate_session(sid, target, timeout_s=remaining)
-            migrated.append(sid)
-        self.flight.event("drained", sessions=len(migrated))
-        return migrated
 
     def snapshot(self, seeds: Optional[dict] = None) -> dict:
         """Whole-service snapshot document (see :mod:`repro.snap`)."""

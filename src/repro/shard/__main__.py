@@ -107,7 +107,7 @@ def main(argv=None) -> int:
         config = dataclasses.replace(
             config, camera=config.camera.scaled(args.scale))
     spec = ShardSpec(workers=args.workers, frontend=args.frontend,
-                     config=config, device_detect=args.device_detect,
+                     config=config,
                      program_store=args.program_store,
                      start_method=args.start_method)
     workload = build_workload(sessions=args.sessions,

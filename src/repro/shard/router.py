@@ -541,11 +541,6 @@ class ShardRouter:
                deadline_s: Optional[float] = None):
         """Blocking :meth:`submit_nowait` (the ``VOService.submit``
         shape, so clients and loadgen drive either transparently)."""
-        if self.inline:
-            return self.local.submit(session_id, gray, depth,
-                                     timestamp=timestamp,
-                                     timeout=timeout,
-                                     deadline_s=deadline_s)
         return self.submit_nowait(
             session_id, gray, depth, timestamp=timestamp,
             deadline_s=deadline_s).result(timeout)

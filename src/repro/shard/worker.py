@@ -27,8 +27,9 @@ one :class:`~repro.shard.transport.MessagePump`:
     The drain/rebalance pair: export quiesces one session, cancels its
     still-queued frames (the router re-dispatches them from its own
     pending table), removes it, and ships the encoded record; restore
-    imports a record with a forced device reset, exactly like a
-    migration.
+    imports a record with a forced device reset.  The router's
+    ``remove_shard`` and ``add_shard(rebalance=True)`` run this pair;
+    it is the only live-migration path.
 ``stats`` / ``shutdown``
     Health introspection and clean teardown.
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.serve.scheduler import Backpressure
@@ -73,7 +74,6 @@ class ShardSpec:
     workers: int = 1
     frontend: str = "pim"
     config: Optional[TrackerConfig] = None
-    device_detect: bool = False
     max_queue: int = 64
     idle_timeout_s: float = 3600.0
     max_sessions: int = 256
@@ -86,14 +86,12 @@ class ShardSpec:
     heartbeat_s: float = 0.25
     quiesce_timeout_s: float = 10.0
     start_method: str = "forkserver"
-    extra: dict = field(default_factory=dict)
 
     def service_kwargs(self) -> dict:
         return {
             "workers": self.workers,
             "frontend": self.frontend,
             "config": self.config,
-            "device_detect": self.device_detect,
             "max_queue": self.max_queue,
             "idle_timeout_s": self.idle_timeout_s,
             "max_sessions": self.max_sessions,

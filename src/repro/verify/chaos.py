@@ -12,9 +12,10 @@ through a deterministic storm derived from one seed, exactly like
   :class:`~repro.dataset.synthetic.FrameCorruptor`, plus device faults
   via :class:`~repro.pim.faults.FaultInjector` armed on live pool
   workers mid-run, against one ``VOService``.
-* ``migrate`` -- the same frame faults; at the disruption frame every
-  client parks, one worker dies, and every session drains onto a
-  second ``VOService``.
+* ``migrate`` -- the same frame faults through a
+  :class:`~repro.shard.router.ShardRouter`; at the disruption frame
+  every client parks while ``remove_shard`` drains the busiest shard
+  onto the others.
 * ``kill`` -- clean frames through a supervised
   :class:`~repro.shard.router.ShardRouter`; every client parks for a
   checkpoint sweep two frames before the disruption frame, then again
@@ -38,8 +39,9 @@ top of that:
 * ``faults`` -- a pre-storm control session is bit-identical to the
   solo tracker, pinning that the fault-free path is unchanged by the
   resilience machinery.
-* ``migrate`` -- migrated poses and health are bit-identical to an
-  unmigrated control run of the same storm.
+* ``migrate`` -- the removal drained at least one session, and
+  migrated poses and health are bit-identical to an unmigrated
+  control run of the same storm on one ``VOService``.
 * ``kill`` -- zero frame errors, every trajectory bit-identical to its
   unkilled solo run, no lost sessions, at least one failover, every
   victim back up with restart budget left, and (with an incident
@@ -126,8 +128,8 @@ class ChaosConfig:
     #: Sequence index every client rendezvouses at for the migration
     #: or the kill (``None`` = ``max(3, frames // 2)``).
     disrupt_frame: Optional[int] = None
-    #: Kill storms: shard worker *processes* behind the router and how
-    #: many get SIGKILLed.
+    #: Migrate and kill storms: shard worker *processes* behind the
+    #: router; kill storms: how many get SIGKILLed.
     shards: int = 3
     kills: int = 1
 
@@ -201,6 +203,9 @@ def _disrupt_frame(config: ChaosConfig) -> int:
         if config.sessions < 2:
             raise ValueError("migration storm needs >= 2 sessions "
                              "(session 0 stays the fault-free control)")
+        if config.shards < 2:
+            raise ValueError("migration storm needs >= 2 shards (the "
+                             "removed shard drains onto the rest)")
         if not 0 < frame < config.frames:
             raise ValueError(f"disrupt_frame {frame} outside the run "
                              f"(1..{config.frames - 1})")
@@ -331,20 +336,6 @@ def _apply_and_submit(service, sid: str, index: int,
             return
 
 
-class _ServiceHolder:
-    """Mutable pointer to what clients submit to: a ``VOService`` or
-    a ``ShardRouter``.
-
-    The migration coordinator flips ``service`` from source to target
-    while every client is parked at the rendezvous, so no submit can
-    race the migration and recreate a sid as a fresh stream on the
-    source.
-    """
-
-    def __init__(self, service):
-        self.service = service
-
-
 class _Rendezvous:
     """Clients park here at ``frame``; the coordinator disrupts, then
     releases them."""
@@ -369,7 +360,7 @@ class _Storm:
                  faults=((), ()), stops=()):
         self.config = config
         self.workload = workload
-        self.holder = _ServiceHolder(service)
+        self.service = service
         self.frame_faults, self.device_faults = map(list, faults)
         self.stops = list(stops)
         self.clients = {sid: _ChaosClient(sid=sid) for sid in workload}
@@ -406,14 +397,14 @@ class _Storm:
             device_fault = device_faults.get(index)
             if device_fault is not None:
                 injector = _arm_device_fault(
-                    self.holder.service, device_fault,
+                    self.service, device_fault,
                     seed=corruptor.seed + index,
                     read_flip_prob=self.config.read_flip_prob)
                 if injector is not None:
                     with self._injectors_lock:
                         self.injectors.append(injector)
                     device_fault.evidence = "armed"
-            _apply_and_submit(self.holder.service, sid, index, frame,
+            _apply_and_submit(self.service, sid, index, frame,
                               faults.get(index), corruptor,
                               self.config.stall_s, self.clients[sid])
 
@@ -493,52 +484,65 @@ def _disrupt_faults(config, workload, tracker_config, solo,
                "device_bits_corrupted": fired})
 
 
+def _shard_spec(config: ChaosConfig, tracker_config):
+    from repro.shard import ShardSpec
+    return ShardSpec(workers=config.workers, frontend=config.frontend,
+                     config=tracker_config, heartbeat_s=0.1)
+
+
+def _busiest_shards(router) -> List[int]:
+    """Up shards, most placed sessions first: the disruption that hits
+    them moves the most state."""
+    rows = [r for r in router.shards_status()["shards"]
+            if r["state"] == "up"]
+    return [r["shard"] for r in sorted(rows, key=lambda r: -r["sessions"])]
+
+
 def _disrupt_migrate(config, workload, tracker_config, solo,
                      frame, incident_dir) -> _Disrupted:
-    """Migrate: an unmigrated control run of the storm, then the same
-    storm with a worker kill and a whole-service drain at ``frame``.
+    """Migrate: an unmigrated control run of the storm on one
+    ``VOService``, then the same storm through a ``ShardRouter`` whose
+    busiest shard is removed at ``frame`` -- the router's own
+    export/restore drain, the path ``remove_shard`` and
+    ``add_shard(rebalance=True)`` run.
 
     Frame faults are pure functions of the seed, so both runs see
     bit-identical inputs -- any output divergence is migration state
     loss.
     """
+    from repro.shard import ShardRouter
+
     with _service(config, tracker_config) as service:
         control = _Storm(config, workload, service,
                          build_fault_storm(config)).start()
         control.join()
 
-    migrated_ctr = get_registry().counter(
-        "serve_sessions_migrated_total")
-    migrated_before = migrated_ctr.total()
-    source = _service(config, tracker_config)
-    target = _service(config, tracker_config)
     stop = _Rendezvous(frame, parties=len(workload) + 1)
-    with source, target:
-        storm = _Storm(config, workload, source,
+    with ShardRouter(shards=config.shards,
+                     spec=_shard_spec(config, tracker_config),
+                     incident_dir=incident_dir) as router:
+        storm = _Storm(config, workload, router,
                        build_fault_storm(config), [stop]).start()
-        # Once every client is parked the "node failure" happens --
-        # one worker dies -- and the operator response is a
-        # whole-service drain onto the target.
-        stop.barrier.wait(timeout=60.0)
-        killed_worker = config.workers - 1
-        source.pool.workers[killed_worker].stop()
-        source.flight.event("worker_killed", worker=killed_worker,
-                            reason="chaos_migration_storm")
-        drained = source.drain_to(target)
-        storm.holder.service = target
+        # Every client is parked, so no frame is in flight while the
+        # removed shard's sessions move.
+        stop.barrier.wait(timeout=120.0)
+        removed = _busiest_shards(router)[0]
+        drained = router.remove_shard(removed)
         stop.released.set()
         wall_s = storm.join()
     served_health, control_health = storm.health(), control.health()
+    problems = [] if drained else [
+        f"removing shard {removed} drained no session -- the storm "
+        f"never migrated"]
     return _Disrupted(
-        storm=storm, wall_s=wall_s, flight=source.flight,
+        storm=storm, wall_s=wall_s, flight=router.flight,
         served=storm.poses(), reference=control.poses(),
-        reference_name="unmigrated control run",
+        reference_name="unmigrated control run", problems=problems,
         health={sid: (served_health[sid], control_health[sid])
                 for sid in workload},
         facts={"kind": "migrate", "disrupt_frame": frame,
-               "killed_worker": killed_worker, "drained": drained,
-               "sessions_migrated": int(migrated_ctr.total() -
-                                        migrated_before)})
+               "removed_shard": removed, "drained": drained,
+               "sessions_migrated": len(drained)})
 
 
 def _await_respawns(router, victims: List[int],
@@ -570,16 +574,13 @@ def _disrupt_kill(config, workload, tracker_config, solo,
     before ``frame``, then again while the busiest shards die.  Frames
     between the parks ride only the router's capture-ring tail --
     exactly the state the failover replay has to rebuild."""
-    from repro.shard import ShardRouter, ShardSpec, Supervisor
+    from repro.shard import ShardRouter, Supervisor
 
-    spec = ShardSpec(workers=config.workers, frontend=config.frontend,
-                     config=tracker_config,
-                     device_detect=config.device_detect,
-                     heartbeat_s=0.1)
     checkpoint_stop = _Rendezvous(frame - 2, parties=len(workload) + 1)
     kill_stop = _Rendezvous(frame, parties=len(workload) + 1)
     respawn_deadline_s = 60.0
-    with ShardRouter(shards=config.shards, spec=spec,
+    with ShardRouter(shards=config.shards,
+                     spec=_shard_spec(config, tracker_config),
                      incident_dir=incident_dir) as router, \
             Supervisor(router, poll_s=0.02,
                        heartbeat_timeout_s=5.0,
@@ -593,11 +594,7 @@ def _disrupt_kill(config, workload, tracker_config, solo,
         # Kill the busiest shards: maximum sessions in flight, maximum
         # failover work.
         kill_stop.barrier.wait(timeout=120.0)
-        by_load = sorted(
-            (s for s, h in router.shards.items() if h.state == "up"),
-            key=lambda s: -sum(1 for p in router._placement.values()
-                               if p == s))
-        victims = by_load[:config.kills]
+        victims = _busiest_shards(router)[:config.kills]
         for victim in victims:
             os.kill(router.shards[victim].pid, signal.SIGKILL)
             log.warning("chaos: SIGKILLed shard %d (pid %d)", victim,
@@ -817,8 +814,9 @@ def main(argv=None) -> int:
     disruption.add_argument(
         "--migrate", dest="disruption", action="store_const",
         const="migrate",
-        help="kill a worker mid-storm, drain to a second service, "
-             "gate bit-identity vs an unmigrated control run")
+        help="drain the busiest shard mid-storm with "
+             "ShardRouter.remove_shard, gate bit-identity vs an "
+             "unmigrated control run")
     disruption.add_argument(
         "--kill", dest="disruption", action="store_const",
         const="kill",
@@ -830,7 +828,8 @@ def main(argv=None) -> int:
                         help="rendezvous frame for --migrate/--kill "
                              "(default: max(3, frames // 2))")
     parser.add_argument("--shards", type=int, default=3,
-                        help="shard worker processes for --kill")
+                        help="shard worker processes for --migrate "
+                             "and --kill")
     parser.add_argument("--kill-count", type=int, default=1,
                         help="how many shards get SIGKILLed")
     parser.add_argument("--out", default="chaos_report.json",

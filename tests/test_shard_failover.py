@@ -147,6 +147,29 @@ class TestKillFailover:
         assert bundle["context"]["lost"] == []
 
 
+    def test_signal_death_seen_as_transport_is_filed_as_crash(
+            self, tmp_path):
+        # A SIGKILLed worker's socket can close before its process is
+        # reapable, so the monitor may see the transport go first.
+        class _Killed:
+            exitcode = -signal.SIGKILL
+
+            def join(self, timeout=None):
+                pass
+
+        router = ShardRouter(shards=1, spec=_spec())
+        supervisor = Supervisor(router, incident_dir=tmp_path)
+        handle = router.shards[0]
+        handle.process = _Killed()
+        try:
+            supervisor._handle_death(handle, "transport")
+        finally:
+            handle.process = None
+            router.close()
+        assert [p.name for p in tmp_path.glob("shard0_*.json")] == \
+            ["shard0_crash_1.json"]
+
+
 class TestAppliedWatermark:
     def test_expiry_before_checkpoint_diverges_watermark_from_count(
             self):

@@ -84,8 +84,7 @@ class TestCaptureReplayExact:
     def test_pim_replay_reproduces_device_cycles(self):
         config = TrackerConfig(camera=TINY_CAMERA,
                                pim_device_detect=True)
-        bundle, clients = _captured_run(frontend="pim", config=config,
-                                        device_detect=True)
+        bundle, clients = _captured_run(frontend="pim", config=config)
         report = replay_bundle(bundle)
         assert report.ok, report.summary()
         assert report.recorded_device_cycles > 0
@@ -244,6 +243,37 @@ class TestCaptureRing:
         assert report.faults[0]["index"] == 1
         assert report.faults[0]["reproduced"] is False
         assert report.ok  # non-reproducing faults don't fail the gate
+
+    def test_submit_timeout_records_the_settled_outcome(self):
+        # A client that stops waiting does not fail the frame: it
+        # stays in its stream, tracks, and is recorded as ok.
+        workload = build_workload(sessions=1, frames=2, scale=0.25)
+        frames = workload["client-0"].frames
+        svc = VOService(workers=1, frontend="float", config=_config(),
+                        capture=True, min_service_s=0.3)
+        with svc:
+            with pytest.raises(TimeoutError):
+                svc.submit("s", frames[0].gray, frames[0].depth,
+                           frames[0].timestamp, timeout=0.05)
+            second = svc.submit("s", frames[1].gray, frames[1].depth,
+                                frames[1].timestamp, timeout=30)
+        assert second.frame_index == 1
+        assert [(r["seq"], r["outcome"]["kind"])
+                for r in svc.capture.tail("s", 0)] == \
+            [(1, "ok"), (2, "ok")]
+
+    def test_nowait_result_implies_capture_record(self):
+        # The future completes only after its capture record is
+        # written, so a reader of the result sees the record too.
+        workload = build_workload(sessions=1, frames=20, scale=0.25)
+        svc = VOService(workers=1, frontend="float", config=_config(),
+                        capture=True)
+        with svc:
+            for seq, frame in enumerate(workload["client-0"].frames, 1):
+                svc.submit_nowait("s", frame.gray, frame.depth,
+                                  frame.timestamp).result(timeout=30)
+                assert [r["seq"] for r in svc.capture.tail("s", 0)] \
+                    == list(range(1, seq + 1))
 
     def test_flight_dump_gains_replay_sibling(self, tmp_path):
         config = _config()

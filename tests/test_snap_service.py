@@ -1,10 +1,11 @@
-"""Tests for whole-service snapshots and live migration.
+"""Tests for whole-service snapshots and session export/restore.
 
 Covers the service layer of :mod:`repro.snap`: bit-exact
 snapshot/restore of a full ``VOService`` (sessions, generations,
-devices, breakers, queued frames, sequence watermark), live session
-migration between services, whole-worker drain, and the health-gauge
-restore regression.
+devices, breakers, queued frames, sequence watermark), the session
+export/restore pair the shard router migrates with, and the
+health-gauge restore regression.  Live migration itself is gated by
+``tests/test_shard_router.py`` and the chaos ``migrate`` storm.
 """
 
 import numpy as np
@@ -19,9 +20,9 @@ from repro.serve import (
     build_workload,
     service_trajectories,
     solo_trajectories,
-    trajectories_match,
 )
-from repro.snap import SnapshotError
+from repro.snap import SnapshotError, encode
+from repro.snap.state import restore_session_record
 from repro.vo import TrackerConfig
 from repro.vo.frontend import FloatFrontend
 from repro.vo.health import DEGRADED, HEALTH_LEVELS, OK
@@ -168,93 +169,35 @@ class TestServiceSnapshotRestore:
 
 
 class TestMigration:
-    def test_migrated_trajectories_bit_identical(self):
-        config = _config()
-        workload = _workload(sessions=2, frames=6)
-        source = _service(config)
-        target = _service(config)
-        results = []
-        with source, target:
-            for sid, seq in workload.items():
-                for frame in seq.frames[:3]:
-                    results.append(source.submit(
-                        sid, frame.gray, frame.depth,
-                        frame.timestamp))
-            for sid in workload:
-                source.migrate_session(sid, target)
-            assert source.sessions.sids() == []
-            assert sorted(workload) == target.sessions.sids()
-            for sid, seq in workload.items():
-                for frame in seq.frames[3:]:
-                    results.append(target.submit(
-                        sid, frame.gray, frame.depth,
-                        frame.timestamp))
-        solo = solo_trajectories(workload, FloatFrontend, config)
-        problems = trajectories_match(service_trajectories(results),
-                                      solo)
-        assert not problems, problems
-
     def test_migration_preserves_generation_and_checkpoint(self):
+        # The shard worker's export/restore pair, as the router's
+        # remove_shard / add_shard(rebalance=True) drain runs it.
         config = _config()
         workload = _workload(sessions=1)
-        source = _service(config)
-        target = _service(config)
-        with source, target:
+        with _service(config) as source:
             for frame in workload["client-0"].frames:
                 source.submit("client-0", frame.gray, frame.depth,
                               frame.timestamp)
             before = source.sessions.get("client-0")
             generation = before.generation
             checkpoint_frame = before.checkpoint_frame
-            migrated = source.migrate_session("client-0", target)
-            assert migrated.generation == generation
-            assert migrated.checkpoint_frame == checkpoint_frame
-            assert migrated.force_device_reset
-            # The target can never reuse a generation this id had.
-            marks = target.sessions.generation_watermarks()
-            assert marks["client-0"] >= generation + 1
-
-    def test_drain_to_moves_every_session(self):
-        config = _config()
-        workload = _workload(sessions=3, frames=2)
-        source = _service(config)
-        target = _service(config)
-        with source, target:
-            for sid, seq in workload.items():
-                for frame in seq.frames:
-                    source.submit(sid, frame.gray, frame.depth,
-                                  frame.timestamp)
-            drained = source.drain_to(target)
-            assert sorted(drained) == sorted(workload)
-            assert len(source.sessions) == 0
-            assert len(target.sessions) == len(workload)
-
-    def test_migration_rejects_incompatible_target(self):
-        config = _config()
-        source = _service(config)
-        other = _service(TrackerConfig(camera=TUM_QVGA.scaled(0.5)))
-        try:
-            with pytest.raises(ValueError, match="itself"):
-                source.migrate_session("x", source)
-            with pytest.raises(ValueError, match="TrackerConfig"):
-                source.migrate_session("x", other)
-        finally:
-            source.close()
-            other.close()
-
-    def test_migrate_unknown_session_raises(self):
-        config = _config()
-        source = _service(config)
-        target = _service(config)
-        try:
-            with pytest.raises(KeyError):
-                source.migrate_session("ghost", target)
-        finally:
-            source.close()
-            target.close()
+            record = encode(source.sessions.export_session("client-0"))
+        target = SessionManager()
+        migrated = restore_session_record(target, record,
+                                          force_device_reset=True)
+        assert migrated.generation == generation
+        assert migrated.checkpoint_frame == checkpoint_frame
+        assert migrated.force_device_reset
+        # The target can never reuse a generation this id had.
+        marks = target.generation_watermarks()
+        assert marks["client-0"] >= generation + 1
 
 
 class TestSessionExportImport:
+    def test_export_unknown_session_raises(self):
+        with pytest.raises(KeyError):
+            SessionManager().export_session("ghost")
+
     def test_export_busy_session_refused(self):
         manager = SessionManager()
         session = manager.touch("s")

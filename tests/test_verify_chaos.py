@@ -187,11 +187,11 @@ class TestChaosMigration:
                               report["unrecovered_sessions"],
                               report["unattributed_faults"])
         assert report["bit_identity"]["ok"]
-        assert report["disruption"]["killed_worker"] == 1
-        assert report["disruption"]["disrupt_frame"] == 5
-        assert report["disruption"]["sessions_migrated"] == 3
-        assert sorted(report["disruption"]["drained"]) == \
-            ["client-0", "client-1", "client-2"]
+        migrate = report["disruption"]
+        assert migrate["disrupt_frame"] == 5
+        assert migrate["removed_shard"] in range(config.shards)
+        assert migrate["drained"]
+        assert migrate["sessions_migrated"] == len(migrate["drained"])
         # The storm actually stormed: faults were injected on the
         # non-control sessions and every one was attributed.
         assert report["faults_injected"] > 0
@@ -203,6 +203,7 @@ class TestChaosMigration:
     def test_migration_storm_rejects_single_session(self):
         for disruption, knobs, message in [
                 ("migrate", dict(sessions=1), "2 sessions"),
+                ("migrate", dict(shards=1), "2 shards"),
                 ("kill", dict(shards=1), "2 shards"),
                 ("kill", dict(shards=2, kills=2), "at least one shard")]:
             with pytest.raises(ValueError, match=message):

@@ -163,13 +163,13 @@ class Supervisor:
         if process is not None:
             try:
                 process.join(timeout=5.0)
+                # A killed worker's socket can close before its process
+                # is reapable, so the monitor may see the transport go
+                # first: a death by signal is a crash either way.
+                if reason == "transport" and (process.exitcode or 0) < 0:
+                    reason = "crash"
             except ValueError:
                 pass
-            # A killed worker's socket can close before its process is
-            # reapable, so the monitor may see the transport go first:
-            # a death by signal is a crash either way.
-            if reason == "transport" and (process.exitcode or 0) < 0:
-                reason = "crash"
         self._m_crashes.inc(shard=str(shard_id), reason=reason)
         outcome = self.router.fail_over(shard_id, reason=reason)
         self._dump_incident(handle, reason, outcome)

@@ -169,6 +169,29 @@ class TestKillFailover:
         assert [p.name for p in tmp_path.glob("shard0_*.json")] == \
             ["shard0_crash_1.json"]
 
+    def test_closed_process_keeps_the_given_reason(self, tmp_path):
+        # A closed Process raises ValueError from join() and exitcode
+        # alike; the death is still failed over under its own reason.
+        class _Closed:
+            def join(self, timeout=None):
+                raise ValueError("process object is closed")
+
+            @property
+            def exitcode(self):
+                raise ValueError("process object is closed")
+
+        router = ShardRouter(shards=1, spec=_spec())
+        supervisor = Supervisor(router, incident_dir=tmp_path)
+        handle = router.shards[0]
+        handle.process = _Closed()
+        try:
+            supervisor._handle_death(handle, "transport")
+        finally:
+            handle.process = None
+            router.close()
+        assert [p.name for p in tmp_path.glob("shard0_*.json")] == \
+            ["shard0_transport_1.json"]
+
 
 class TestAppliedWatermark:
     def test_expiry_before_checkpoint_diverges_watermark_from_count(

@@ -9,6 +9,7 @@ not replayable rather than silently diverging.
 """
 
 import json
+from concurrent.futures import TimeoutError as FutureTimeout
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +253,7 @@ class TestCaptureRing:
         svc = VOService(workers=1, frontend="float", config=_config(),
                         capture=True, min_service_s=0.3)
         with svc:
-            with pytest.raises(TimeoutError):
+            with pytest.raises(FutureTimeout):
                 svc.submit("s", frames[0].gray, frames[0].depth,
                            frames[0].timestamp, timeout=0.05)
             second = svc.submit("s", frames[1].gray, frames[1].depth,

@@ -52,7 +52,6 @@ from repro.kernels.hessian import (
 )
 from repro.kernels.lm_pipeline import (
     LMCycleBreakdown,
-    lm_iteration_fast,
     lm_iteration_pim,
 )
 from repro.kernels.conv2d import Conv2dLayer, conv2d_fast, conv2d_pim
@@ -70,7 +69,7 @@ __all__ = [
     "warp_program",
     "jacobian_fast", "jacobian_float", "jacobian_pim",
     "hessian_fast", "hessian_float", "hessian_pim", "unpack_symmetric",
-    "LMCycleBreakdown", "lm_iteration_fast", "lm_iteration_pim",
+    "LMCycleBreakdown", "lm_iteration_pim",
     "Conv2dLayer", "conv2d_fast", "conv2d_pim",
     "sobel_hpf_fast", "sobel_hpf_pim",
 ]

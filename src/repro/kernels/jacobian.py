@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.fixedpoint import Q14_2, ops
 from repro.kernels.warp import FEATURE_FORMAT, WarpResult, qdiv_lanes
+from repro.obs.metrics import get_registry
 from repro.pim.device import TMP, Imm
 
 __all__ = ["JACOBIAN_FORMAT", "jacobian_float", "jacobian_fast",
@@ -79,10 +80,32 @@ def _qmul(a, b, f: int) -> np.ndarray:
         _LANE_BITS)
 
 
+def _peak(x: np.ndarray) -> int:
+    """``max |x|`` of a non-empty integer array, as a Python int."""
+    return max(-int(x.min()), int(x.max()))
+
+
+def _shr_peak(m: int, f: int) -> int:
+    """Peak of ``p >> f`` over ``|p| <= m``: ``-m >> f`` is
+    ``-ceil(m / 2**f)``, so the bound rounds up."""
+    return -((-m) >> f)
+
+
 def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
                   feature_frac: int = FEATURE_FORMAT.fraction_bits
                   ) -> np.ndarray:
     """Quantized Jacobian with exact PIM arithmetic.
+
+    Bit-identical to :func:`jacobian_pim`.  One bound, taken before any
+    product is formed, decides whether any of its saturation can
+    happen: the peaks ``max|.|`` of ``rx``, ``ry``, ``Iu``, ``Iv`` and
+    ``w = c / Z~`` are pushed through the nine products and the adds of
+    Fig. 5-d.  When every operand is a 16-bit lane (so every product
+    fits int32) and every intermediate peak is at most ``2**15 - 1``
+    (so no add, subtract or negation clamps), the six rows are formed in
+    int32 with no clip, into one ``(6, n)`` block returned as its
+    ``(n, 6)`` transpose view.  Otherwise the saturating op sequence
+    runs and ``kernels_jacobian_saturated_total`` counts the call.
 
     Args:
         warp: Output of the quantized warp (``rx``, ``ry``, ``z`` raws).
@@ -93,21 +116,65 @@ def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
         (N x 6) array of Q14.2 raws.
     """
     f = feature_frac
-    c_raw = np.asarray(c_raw, dtype=np.int64)
-    iu = np.asarray(iu_raw, dtype=np.int64)
-    iv = np.asarray(iv_raw, dtype=np.int64)
     w = qdiv_lanes(c_raw, warp.z, lshift=f)
+    rx, ry, iu, iv = (np.asarray(x) for x in (warp.rx, warp.ry, iu_raw,
+                                              iv_raw))
+    n = w.size
+    if n:
+        mrx, mry, miu, miv, mw = (_peak(x) for x in (rx, ry, iu, iv, w))
+        mk = _shr_peak(mrx * miu, f) + _shr_peak(mry * miv, f)
+        peaks = (_shr_peak(miu * mw, f), _shr_peak(miv * mw, f), mk,
+                 _shr_peak(mk * mw, f), _shr_peak(mry * mk, f) + miv,
+                 _shr_peak(mrx * mk, f) + miu,
+                 _shr_peak(mrx * miv, f) + _shr_peak(mry * miu, f))
+        narrow = (max(mrx, mry, miu, miv, mw) <= 1 << 15
+                  and max(peaks) <= (1 << (_LANE_BITS - 1)) - 1)
+    else:
+        narrow = True
+    if narrow:
+        rx, ry, iu, iv = (x.astype(np.int32, copy=False)
+                          for x in (rx, ry, iu, iv))
+        jac = np.empty((6, n), dtype=np.int32)
+        j1, j2, j3, j4, j5, j6 = jac
+        np.multiply(iu, w, out=j1)                    # J1 = Iu w
+        j1 >>= f
+        np.multiply(iv, w, out=j2)                    # J2 = Iv w
+        j2 >>= f
+        k = rx * iu                                   # K = rx Iu + ry Iv
+        k >>= f
+        t = ry * iv
+        t >>= f
+        k += t
+        np.multiply(k, w, out=j3)                     # J3 = -K w
+        j3 >>= f
+        np.negative(j3, out=j3)
+        np.multiply(ry, k, out=t)                     # J4 = -(ry K + Iv)
+        t >>= f
+        t += iv
+        np.negative(t, out=j4)
+        np.multiply(rx, k, out=j5)                    # J5 = rx K + Iu
+        j5 >>= f
+        j5 += iu
+        np.multiply(rx, iv, out=j6)                   # J6 = rx Iv - ry Iu
+        j6 >>= f
+        np.multiply(ry, iu, out=t)
+        t >>= f
+        j6 -= t
+        return jac.T
+
+    get_registry().counter(
+        "kernels_jacobian_saturated_total",
+        "jacobian_fast calls the overflow bound could not clear, which "
+        "ran the saturating op sequence").inc()
     j1 = _qmul(iu, w, f)
     j2 = _qmul(iv, w, f)
-    k = ops.sat_add(_qmul(warp.rx, iu, f), _qmul(warp.ry, iv, f),
-                    _LANE_BITS)
+    k = ops.sat_add(_qmul(rx, iu, f), _qmul(ry, iv, f), _LANE_BITS)
     j3 = ops.sat_sub(np.int64(0), _qmul(k, w, f), _LANE_BITS)
     j4 = ops.sat_sub(np.int64(0),
-                     ops.sat_add(_qmul(warp.ry, k, f), iv, _LANE_BITS),
+                     ops.sat_add(_qmul(ry, k, f), iv, _LANE_BITS),
                      _LANE_BITS)
-    j5 = ops.sat_add(_qmul(warp.rx, k, f), iu, _LANE_BITS)
-    j6 = ops.sat_sub(_qmul(warp.rx, iv, f), _qmul(warp.ry, iu, f),
-                     _LANE_BITS)
+    j5 = ops.sat_add(_qmul(rx, k, f), iu, _LANE_BITS)
+    j6 = ops.sat_sub(_qmul(rx, iv, f), _qmul(ry, iu, f), _LANE_BITS)
     return np.stack([j1, j2, j3, j4, j5, j6], axis=-1)
 
 

@@ -26,14 +26,12 @@ import numpy as np
 
 from repro.geometry.camera import CameraIntrinsics
 from repro.kernels.hessian import (
-    hessian_fast,
     hessian_pim,
     hessian_pim_naive,
     hessian_reduce_pim,
 )
 from repro.kernels.jacobian import (
     JacobianRows,
-    jacobian_fast,
     jacobian_pim,
     jacobian_pim_naive,
 )
@@ -42,15 +40,13 @@ from repro.kernels.warp import (
     QuantizedPose,
     UV_FORMAT,
     WarpRows,
-    warp_fast,
     warp_pim,
 )
 from repro.obs.tracer import span as obs_span
 from repro.pim.device import TMP, Imm
 from repro.pim.isa import OpKind
 
-__all__ = ["LMCycleBreakdown", "lm_iteration_pim", "lm_iteration_fast",
-           "nearest_lookup"]
+__all__ = ["LMCycleBreakdown", "lm_iteration_pim", "nearest_lookup"]
 
 _LANE16 = 16
 _LANE32 = 32
@@ -259,24 +255,3 @@ def _lm_phases(device, qpose, feats, camera, dt_raw, gu_raw, gv_raw,
         raws = hessian_reduce_pim(device, acc_rows)
     breakdown.reduce += device.ledger.cycles - before
     return raws
-
-
-def lm_iteration_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
-                      camera: CameraIntrinsics, dt_raw: np.ndarray,
-                      gu_raw: np.ndarray, gv_raw: np.ndarray,
-                      residual_clamp_raw: int) -> tuple:
-    """Vectorized mirror of :func:`lm_iteration_pim` (optimized path).
-
-    Returns:
-        ``(h_raw, b_raw)`` equal to the device program's output.
-    """
-    warp = warp_fast(qpose, feats, camera)
-    iu = nearest_lookup(gu_raw, warp.u, warp.v)
-    iv = nearest_lookup(gv_raw, warp.u, warp.v)
-    res = np.minimum(nearest_lookup(dt_raw, warp.u, warp.v),
-                     residual_clamp_raw)
-    jac = jacobian_fast(warp, feats.c, iu, iv,
-                        feature_frac=feats.fmt.fraction_bits)
-    jac = np.where(warp.valid[:, None], jac, 0)
-    res = np.where(warp.valid, res, 0)
-    return hessian_fast(jac, res)

@@ -10,6 +10,7 @@ flight-recorder incident bundles reuse the same stamp through
 
 from __future__ import annotations
 
+import hashlib
 import platform
 import subprocess
 import sys
@@ -20,33 +21,48 @@ from typing import Dict, Optional
 __all__ = ["git_sha", "run_stamp"]
 
 
-def git_sha() -> Optional[str]:
-    """Current repository revision, or None outside a git checkout."""
+def _git(*args: str) -> Optional[subprocess.CompletedProcess]:
+    """Run one git command in this checkout; None outside one."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=10, check=True)
+        return subprocess.run(
+            ["git", *args], cwd=Path(__file__).resolve().parent,
+            capture_output=True, timeout=10, check=True)
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
+
+
+def git_sha() -> Optional[str]:
+    """Current repository revision, or None outside a git checkout."""
+    out = _git("rev-parse", "HEAD")
+    sha = out.stdout.decode().strip() if out is not None else ""
     return sha or None
 
 
-def run_stamp() -> Dict[str, Optional[str]]:
+def run_stamp() -> Dict[str, Optional[object]]:
     """Provenance fields in the ``BENCH_pim.json`` stamp format.
 
-    Keys: ``timestamp`` (local ISO-8601), ``git_sha``, ``python``,
-    ``numpy``, ``machine``.
+    Keys: ``timestamp`` (local ISO-8601), ``git_sha``, ``dirty``,
+    ``src_diff_sha256``, ``python``, ``numpy``, ``machine``.
+    ``dirty`` says whether tracked files differ from ``git_sha``, and
+    ``src_diff_sha256`` is the SHA-256 of ``git diff HEAD -- src`` (None
+    when ``src/`` matches ``git_sha``), so a number measured on an
+    uncommitted tree names the code it measured.  Both are None outside
+    a git checkout.
     """
     try:
         import numpy as np
         numpy_version = np.__version__
     except ImportError:                      # pragma: no cover
         numpy_version = None
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    diff = _git("diff", "HEAD", "--", ":(top)src")
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "git_sha": git_sha(),
+        "dirty": bool(status.stdout.strip()) if status is not None
+        else None,
+        "src_diff_sha256": hashlib.sha256(diff.stdout).hexdigest()
+        if diff is not None and diff.stdout else None,
         "python": sys.version.split()[0],
         "numpy": numpy_version,
         "machine": platform.machine(),

@@ -51,6 +51,7 @@ import secrets
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -89,6 +90,22 @@ class SessionLost(RuntimeError):
         super().__init__(f"session {session!r} lost: {reason}")
         self.session = session
         self.reason = reason
+
+
+def _wait(future: Future, timeout_s: float):
+    """``future.result(timeout_s)``, timing out as the builtin
+    :class:`TimeoutError`.
+
+    Before Python 3.11 ``Future.result`` raises
+    ``concurrent.futures.TimeoutError``, which is not the builtin; every
+    wait in the shard plane catches the builtin.
+    """
+    try:
+        return future.result(timeout_s)
+    except FutureTimeout as exc:
+        if isinstance(exc, TimeoutError):
+            raise
+        raise TimeoutError(f"no reply within {timeout_s} s") from exc
 
 
 class _Pending:
@@ -470,7 +487,7 @@ class ShardRouter:
             self._control[req_id] = (shard_id, future)
         try:
             handle.pump.send(payload, block=True, timeout=5.0)
-            reply = future.result(timeout_s)
+            reply = _wait(future, timeout_s)
         finally:
             with self._state_lock:
                 self._control.pop(req_id, None)
@@ -731,7 +748,7 @@ class ShardRouter:
             # orphan sheds, every later one sheds too and the clients
             # retry them in order (exactly the live-path contract).
             try:
-                entry.future.result(timeout=60.0)
+                _wait(entry.future, 60.0)
             except Backpressure:
                 shed_rest = True
             except DeadlineExceeded:
@@ -776,7 +793,7 @@ class ShardRouter:
                 time.sleep(min(max(exc.retry_after_s, 0.01), 0.25))
                 continue
             try:
-                replay.future.result(timeout=timeout_s)
+                _wait(replay.future, timeout_s)
                 return
             except Backpressure as exc:
                 time.sleep(min(max(exc.retry_after_s, 0.01), 0.25))

@@ -271,28 +271,47 @@ class PIMFrontend:
     def _warp_and_lookup(self, qfeats, pose: SE3, maps: KeyframeMaps):
         """Warp at a pose and look the residuals up: the lookup.
 
-        Returns ``(warp, r_raw, ui, vi, valid)``: the
+        Returns ``(warp, r_raw, idx, valid)``: the
         :func:`~repro.kernels.warp.warp_fast` result, the clamped Q14.2
-        DT residual per feature (zero where invalid) and the nearest
-        keyframe pixel ``(ui, vi)`` for the gradient lookups.  The
-        residual clamp is quantized once, at construction.
+        DT residual per feature (zero where invalid) and the flat index
+        ``vi * w + ui`` of the nearest keyframe pixel, for the gradient
+        lookups.  The residual clamp is quantized once, at construction.
         """
         qpose = quantize_pose(pose)
         res = warp_fast(qpose, qfeats, self.config.camera)
         valid = res.valid
         h, w = maps.dt_raw.shape
-        # Nearest integer pixel for the gradient lookups.
+        # Nearest integer pixel, clipped into the map (int64 scalar
+        # bounds keep np.clip off its Python-int dtype check).
         half = UV_FORMAT.scale // 2
-        ui = np.clip((res.u + half) >> 2, 0, w - 1)
-        vi = np.clip((res.v + half) >> 2, 0, h - 1)
-        r_raw = np.zeros_like(res.u)
+        ui = (res.u + half) >> 2
+        vi = (res.v + half) >> 2
+        np.clip(ui, np.int64(0), np.int64(w - 1), out=ui)
+        np.clip(vi, np.int64(0), np.int64(h - 1), out=vi)
+        idx = vi * w
+        idx += ui
         if self.config.pim_bilinear_residual:
-            looked_up = self._bilinear_q2(maps.dt_raw, res.u[valid],
-                                          res.v[valid])
+            r_raw = np.zeros_like(res.u)
+            r_raw[valid] = np.minimum(
+                self._bilinear_q2(maps.dt_raw, res.u[valid], res.v[valid]),
+                self._clamp_raw)
         else:
-            looked_up = maps.dt_raw[vi[valid], ui[valid]]
-        r_raw[valid] = np.minimum(looked_up, self._clamp_raw)
-        return res, r_raw, ui, vi, valid
+            r_raw = maps.dt_raw.take(idx)
+            np.minimum(r_raw, self._clamp_raw, out=r_raw)
+            r_raw *= valid
+        return res, r_raw, idx, valid
+
+    @staticmethod
+    def _mean_square(r_raw: np.ndarray, n: int) -> float:
+        """Mean squared residual in pixels over ``n`` valid features.
+
+        ``r_raw`` is zero where invalid.  Equal bit for bit to
+        ``np.mean(Q14_2.to_float(r_raw[valid]) ** 2)``: each term
+        ``raw**2 / 16`` is a multiple of 1/16, so while the integer sum
+        stays below ``2**53`` every float partial sum is exact, and the
+        exact sum is divided by ``n`` once either way.
+        """
+        return float(np.dot(r_raw, r_raw) / 16.0 / n)
 
     def error(self, qfeats, pose: SE3, maps: KeyframeMaps
               ) -> Tuple[float, int, tuple]:
@@ -302,37 +321,33 @@ class PIMFrontend:
         which then does not warp again.
         """
         lookup = self._warp_and_lookup(qfeats, pose, maps)
-        _, r_raw, _, _, valid = lookup
-        n = int(valid.sum())
+        _, r_raw, _, valid = lookup
+        n = int(np.count_nonzero(valid))
         if n == 0:
             return np.inf, 0, lookup
-        r = Q14_2.to_float(r_raw[valid])
-        return float(np.mean(r ** 2)), n, lookup
+        return self._mean_square(r_raw, n), n, lookup
 
     def linearize(self, qfeats, pose: SE3, maps: KeyframeMaps,
                   lookup: Optional[tuple] = None):
         """Gauss-Newton system from the quantized kernels.
 
         ``lookup`` is :meth:`error`'s lookup at this pose; without it
-        the pose is warped here.
+        the pose is warped here.  Invalid features get zero gradients,
+        and every Jacobian entry carries a factor ``Iu``, ``Iv`` or
+        ``K = rx Iu + ry Iv``, so their rows (and residuals) are zero.
         """
         if lookup is None:
             lookup = self._warp_and_lookup(qfeats, pose, maps)
-        res, r_raw, ui, vi, valid = lookup
-        n = int(valid.sum())
+        res, r_raw, idx, valid = lookup
+        n = int(np.count_nonzero(valid))
         if n == 0:
             return np.zeros((6, 6)), np.zeros(6), np.inf, 0
-        iu = np.zeros_like(res.u)
-        iv = np.zeros_like(res.u)
-        iu[valid] = maps.gu_raw[vi[valid], ui[valid]]
-        iv[valid] = maps.gv_raw[vi[valid], ui[valid]]
+        iu = maps.gu_raw.take(idx).astype(np.int32)
+        iu *= valid
+        iv = maps.gv_raw.take(idx).astype(np.int32)
+        iv *= valid
         jac = jacobian_fast(res, qfeats.c, iu, iv,
                             feature_frac=qfeats.fmt.fraction_bits)
-        # Invalid features contribute zero rows/residuals.
-        jac = np.where(valid[:, None], jac, 0)
-        r_used = np.where(valid, r_raw, 0)
-        h_raw, b_raw = hessian_fast(jac, r_used)
-        h = unpack_symmetric(np.asarray(h_raw, dtype=np.float64) / 8.0)
-        b = np.asarray(b_raw, dtype=np.float64) / 8.0
-        r = Q14_2.to_float(r_raw[valid])
-        return h, b, float(np.mean(r ** 2)), n
+        h_raw, b_raw = hessian_fast(jac, r_raw)
+        h = unpack_symmetric(h_raw / 8.0)
+        return h, b_raw / 8.0, self._mean_square(r_raw, n), n

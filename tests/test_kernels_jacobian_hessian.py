@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.fixedpoint import Q14_2, Q29_3, ops
 from repro.geometry import TUM_QVGA, inverse_depth_coords, se3_exp
@@ -25,6 +26,7 @@ from repro.kernels.jacobian import (
     jacobian_pim_naive,
 )
 from repro.kernels.warp import (
+    WarpResult,
     WarpRows,
     quantize_features,
     quantize_pose,
@@ -92,8 +94,60 @@ def worst_raws(n, m, lanes):
     return np.full((n, 6), -m), r
 
 
-def saturated_calls():
-    return get_registry().counter("kernels_hessian_saturated_total").total()
+def saturated_calls(name="kernels_hessian_saturated_total"):
+    return get_registry().counter(name).total()
+
+
+LANE_MIN, LANE_MAX = -(1 << 15), (1 << 15) - 1
+_JROWS = JacobianRows(rx=6, ry=7, z=5, c=2, iu=10, iv=11, w=12, k=13,
+                      j=(14, 15, 16, 17, 18, 19))
+
+
+def jacobian_both(rx, ry, z, c, iu, iv):
+    """``jacobian_fast`` and ``jacobian_pim`` on the same lanes, and
+    whether the mirror ran its saturating fallback."""
+    dev = PIMDevice(PIMConfig(wordline_bits=2560, num_rows=40))
+    dev.set_precision(16)
+    for row, vals in ((_JROWS.rx, rx), (_JROWS.ry, ry), (_JROWS.z, z),
+                      (_JROWS.c, c), (_JROWS.iu, iu), (_JROWS.iv, iv)):
+        dev.load(row, vals)
+    want = jacobian_pim(dev, _JROWS, len(rx))
+    warp = WarpResult(u=np.zeros_like(rx), v=np.zeros_like(rx), rx=rx,
+                      ry=ry, z=z, valid=np.ones(len(rx), dtype=bool))
+    before = saturated_calls("kernels_jacobian_saturated_total")
+    got = jacobian_fast(warp, c, iu, iv)
+    fell_back = saturated_calls("kernels_jacobian_saturated_total") > before
+    return got, want, fell_back
+
+
+def hessian_device(j, r, lanes=80):
+    """``hessian_pim`` over ``lanes``-wide batches, then the tree."""
+    dev = PIMDevice(PIMConfig(wordline_bits=2560, num_rows=64))
+    dev.set_precision(32)
+    acc_rows = list(range(7, 34))
+    for batch in range(max(1, -(-len(r) // lanes))):
+        sl = slice(batch * lanes, (batch + 1) * lanes)
+        for i in range(6):
+            dev.load(i, j[sl, i])
+        dev.load(6, r[sl])
+        hessian_pim(dev, list(range(6)), 6, acc_rows,
+                    first_batch=(batch == 0))
+    raws = hessian_reduce_pim(dev, acc_rows)
+    return raws[:21], raws[21:]
+
+
+@st.composite
+def jacobian_lanes(draw):
+    """Up to one 16-bit batch: LM-scale operands (the bound clears) or
+    raw lanes over the whole 16-bit range (it mostly cannot)."""
+    n = draw(st.integers(1, 160))
+    if draw(st.booleans()):
+        def lane(lo, hi):
+            return draw(arrays(np.int64, n, elements=st.integers(lo, hi)))
+        return (lane(-2500, 2500), lane(-2500, 2500), lane(1000, 20000),
+                lane(800, 5000), lane(-1100, 1100), lane(-1100, 1100))
+    return tuple(draw(arrays(np.int64, (6, n),
+                             elements=st.integers(LANE_MIN, LANE_MAX))))
 
 
 def setup_batch(n=160, seed=0):
@@ -195,6 +249,63 @@ class TestJacobianFast:
         diff = np.abs(Q14_2.to_float(j_opt) - Q14_2.to_float(j_naive))
         scale = np.maximum(np.abs(Q14_2.to_float(j_opt)), 20.0)
         assert np.median(diff / scale) < 0.1
+
+
+class TestJacobianNarrowSplit:
+    """``jacobian_fast`` forms the rows in int32 only when the operand
+    bound proves nothing saturates; either way it equals the device."""
+
+    def test_fast_matches_device_on_both_paths(self):
+        paths = set()
+
+        @settings(max_examples=40, deadline=None)
+        @given(jacobian_lanes())
+        def check(lanes):
+            got, want, fell_back = jacobian_both(*lanes)
+            paths.add(fell_back)
+            np.testing.assert_array_equal(got, want)
+
+        check()
+        assert paths == {False, True}
+
+    @pytest.mark.parametrize("case", ["max_gradient_large_w", "zero_depth",
+                                      "gradient_tips_j4"])
+    def test_saturating_fallback_is_counted(self, case):
+        n = 160
+        rx = np.full(n, 2000)
+        ry = np.full(n, -1500)
+        c = np.full(n, 4096)
+        if case == "gradient_tips_j4":
+            # Every product fits the lane; only ry K + Iv does not.
+            rx = np.zeros(n, dtype=np.int64)
+            ry = np.full(n, 4000)
+            z = np.full(n, 4096)
+            c = np.ones(n, dtype=np.int64)
+            iu = np.zeros(n, dtype=np.int64)
+            iv = np.full(n, 32000)
+        elif case == "max_gradient_large_w":
+            # w = (c << 12) / 1 saturates to 2^15 - 1, and Iu * w >> 12
+            # overflows the lane.
+            z = np.ones(n, dtype=np.int64)
+            iu = np.full(n, LANE_MAX)
+            iv = np.full(n, -700)
+        else:
+            # Z~ = 0 on every other lane: w is the signed lane bound.
+            z = np.where(np.arange(n) % 2, 0, 4096)
+            iu = np.full(n, 5000)
+            iv = np.full(n, 900)
+        got, want, fell_back = jacobian_both(rx, ry, z, c, iu, iv)
+        assert fell_back
+        np.testing.assert_array_equal(got, want)
+
+    def test_narrow_rows_are_one_int32_block(self):
+        n = 100
+        got, want, fell_back = jacobian_both(
+            np.full(n, 300), np.full(n, -200), np.full(n, 4096),
+            np.full(n, 2048), np.arange(n) - 50, 50 - np.arange(n))
+        assert not fell_back
+        assert got.dtype == np.int32 and got.T.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
 
 
 class TestHessian:
@@ -344,6 +455,30 @@ class TestHessian:
         check()
         # The bound-cleared sum and the saturating fallback both ran.
         assert paths == {False, True}
+
+    def test_reduce_fallback_is_counted(self):
+        """The batch bound clears (one batch of 20000^2 / 2 per lane)
+        but 80 such lanes overflow the shift-add tree: the saturating
+        tree runs, is counted, and equals the device reduction."""
+        j = np.full((80, 6), 20000)
+        r = np.full(80, 20000)
+        before = saturated_calls()
+        before_reduce = saturated_calls(
+            "kernels_hessian_reduce_saturated_total")
+        h_fast, b_fast = hessian_fast(j, r)
+        assert saturated_calls() == before
+        assert saturated_calls(
+            "kernels_hessian_reduce_saturated_total") == before_reduce + 1
+        h_dev, b_dev = hessian_device(j, r)
+        np.testing.assert_array_equal(h_fast, h_dev)
+        np.testing.assert_array_equal(b_fast, b_dev)
+
+    def test_int32_input_equals_int64_input(self):
+        j, r = lm_raws(3 * 80 + 17, False, 11)
+        for got, want in zip(hessian_fast(j.astype(np.int32),
+                                          r.astype(np.int32)),
+                             hessian_fast(j, r)):
+            np.testing.assert_array_equal(got, want)
 
     def test_naive_costs_more_than_optimized(self):
         rng = np.random.default_rng(8)

@@ -2,38 +2,57 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fixedpoint import Q14_2
 from repro.geometry import TUM_QVGA, inverse_depth_coords, se3_exp
 from repro.kernels.hessian import unpack_symmetric
-from repro.kernels.lm_pipeline import (
-    lm_iteration_fast,
-    lm_iteration_pim,
-    nearest_lookup,
+from repro.kernels.lm_pipeline import lm_iteration_pim, nearest_lookup
+from repro.kernels.warp import (
+    quantize_features,
+    quantize_pose,
+    warp_pim_batched,
 )
-from repro.kernels.warp import quantize_features, quantize_pose
 from repro.pim import PIMConfig, PIMDevice
+from repro.vo import PIMFrontend, TrackerConfig
+from repro.vo.frontend import KeyframeMaps
 
 CAM = TUM_QVGA
 CFG = PIMConfig(wordline_bits=2560, num_rows=64)
+#: The production mirror, with the device's nearest-pixel residual.
+FRONTEND = PIMFrontend(TrackerConfig(camera=CAM,
+                                     pim_bilinear_residual=False,
+                                     residual_clamp=32.0))
+CLAMP_RAW = int(Q14_2.quantize(32.0))
 
 
-def make_inputs(n=400, seed=0):
+def make_inputs(n=400, seed=0, twist=0.02, period=40.0, amp=10.0):
+    """A pose, ``n`` quantized features and synthetic keyframe maps:
+    smooth ramps quantized to Q14.2, like ``prepare_keyframe``'s."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(10, CAM.width - 10, n)
     v = rng.uniform(10, CAM.height - 10, n)
     d = rng.uniform(0.8, 5.0, n)
     a, b, c = inverse_depth_coords(CAM, u, v, d)
     feats = quantize_features(a, b, c)
-    pose = quantize_pose(se3_exp(rng.uniform(-0.02, 0.02, 6)))
-    # Synthetic keyframe maps: smooth ramps quantized to Q14.2.
+    pose = se3_exp(rng.uniform(-twist, twist, 6))
     ys, xs = np.mgrid[0:CAM.height, 0:CAM.width].astype(np.float64)
-    dt = np.abs(np.sin(xs / 40) * 10 + np.cos(ys / 30) * 8) + 1
+    dt = np.abs(np.sin(xs / period) * amp +
+                np.cos(ys / (0.75 * period)) * 0.8 * amp) + 1
     gu = np.gradient(dt, axis=1) * CAM.fx
     gv = np.gradient(dt, axis=0) * CAM.fy
-    maps = tuple(np.asarray(Q14_2.quantize(m), dtype=np.int64)
-                 for m in (dt, gu, gv))
+    dt_raw, gu_raw, gv_raw = (np.asarray(Q14_2.quantize(m), dtype=np.int64)
+                              for m in (dt, gu, gv))
+    maps = KeyframeMaps(dt=dt, grad_u=gu, grad_v=gv, dt_raw=dt_raw,
+                        gu_raw=gu_raw, gv_raw=gv_raw)
     return pose, feats, maps
+
+
+def run_device(dev, pose, feats, maps, naive=False):
+    """:func:`lm_iteration_pim` on the same inputs as the frontend."""
+    return lm_iteration_pim(dev, quantize_pose(pose), feats, CAM,
+                            maps.dt_raw, maps.gu_raw, maps.gv_raw,
+                            CLAMP_RAW, naive=naive)
 
 
 class TestNearestLookup:
@@ -52,36 +71,61 @@ class TestNearestLookup:
 
 
 class TestLMIteration:
-    def test_device_matches_fast_mirror(self):
-        pose, feats, (dt, gu, gv) = make_inputs(400, seed=1)
-        clamp = int(Q14_2.quantize(32.0))
+    """The production mirror of one LM iteration, ``PIMFrontend.error``
+    then ``linearize`` on its lookup, equals the device program."""
+
+    @staticmethod
+    def assert_mirror_equals_device(pose, feats, maps):
+        err, n_valid, lookup = FRONTEND.error(feats, pose, maps)
+        h, b, lin_err, lin_valid = FRONTEND.linearize(feats, pose, maps,
+                                                      lookup)
+        assert (lin_err, lin_valid) == (err, n_valid)
+        # The residuals as the device gathers them, after its warp.
+        warp = warp_pim_batched(PIMDevice(CFG), quantize_pose(pose),
+                                feats, CAM)
+        r = np.minimum(nearest_lookup(maps.dt_raw, warp.u, warp.v),
+                       CLAMP_RAW)[warp.valid]
+        assert n_valid == r.size
+        if n_valid:
+            assert err == float(np.mean(Q14_2.to_float(r) ** 2))
         dev = PIMDevice(CFG)
-        h_dev, b_dev, breakdown = lm_iteration_pim(
-            dev, pose, feats, CAM, dt, gu, gv, clamp)
-        h_fast, b_fast = lm_iteration_fast(pose, feats, CAM, dt, gu, gv,
-                                           clamp)
-        np.testing.assert_array_equal(h_dev, h_fast)
-        np.testing.assert_array_equal(b_dev, b_fast)
+        h_dev, b_dev, breakdown = run_device(dev, pose, feats, maps)
+        np.testing.assert_array_equal(h, unpack_symmetric(h_dev / 8))
+        np.testing.assert_array_equal(b, b_dev / 8)
         assert breakdown.total == dev.ledger.cycles
 
+    def test_device_matches_fast_mirror(self):
+        self.assert_mirror_equals_device(*make_inputs(400, seed=1))
+
+    # n = 1, one 16-bit batch and either side of it, and a partial
+    # sixth batch.
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(1, 480), seed=st.integers(0, 2**32 - 1),
+           twist=st.floats(0.0, 0.1), period=st.floats(8.0, 80.0),
+           amp=st.floats(1.0, 40.0))
+    @example(n=1, seed=0, twist=0.02, period=40.0, amp=10.0)
+    @example(n=159, seed=1, twist=0.02, period=40.0, amp=10.0)
+    @example(n=160, seed=2, twist=0.05, period=20.0, amp=30.0)
+    @example(n=161, seed=3, twist=0.1, period=8.0, amp=40.0)
+    @example(n=801, seed=4, twist=0.02, period=40.0, amp=10.0)
+    def test_mirror_equals_device_property(self, n, seed, twist, period,
+                                           amp):
+        self.assert_mirror_equals_device(
+            *make_inputs(n, seed, twist=twist, period=period, amp=amp))
+
     def test_breakdown_phases_all_populated(self):
-        pose, feats, (dt, gu, gv) = make_inputs(200, seed=2)
-        dev = PIMDevice(CFG)
-        _, _, br = lm_iteration_pim(dev, pose, feats, CAM, dt, gu, gv,
-                                    int(Q14_2.quantize(32.0)))
+        pose, feats, maps = make_inputs(200, seed=2)
+        _, _, br = run_device(PIMDevice(CFG), pose, feats, maps)
         for phase in ("warp", "lookup", "jacobian", "mask", "hessian",
                       "reduce"):
             assert getattr(br, phase) > 0, phase
 
     def test_naive_slower_same_scale(self):
-        pose, feats, (dt, gu, gv) = make_inputs(480, seed=3)
-        clamp = int(Q14_2.quantize(32.0))
-        dev_opt = PIMDevice(CFG)
-        h_opt, b_opt, br_opt = lm_iteration_pim(
-            dev_opt, pose, feats, CAM, dt, gu, gv, clamp)
-        dev_naive = PIMDevice(CFG)
-        h_naive, b_naive, br_naive = lm_iteration_pim(
-            dev_naive, pose, feats, CAM, dt, gu, gv, clamp, naive=True)
+        pose, feats, maps = make_inputs(480, seed=3)
+        h_opt, b_opt, br_opt = run_device(PIMDevice(CFG), pose, feats,
+                                          maps)
+        h_naive, b_naive, br_naive = run_device(
+            PIMDevice(CFG), pose, feats, maps, naive=True)
         assert br_naive.total > br_opt.total
         ratio = br_naive.total / br_opt.total
         assert 1.1 < ratio < 2.5  # paper's Fig. 9-b shows 1.4x
@@ -93,28 +137,25 @@ class TestLMIteration:
                                    atol=np.abs(diag_opt).max() * 0.05)
 
     def test_hessian_is_positive_semidefinite(self):
-        pose, feats, (dt, gu, gv) = make_inputs(320, seed=4)
-        h_raw, _ = lm_iteration_fast(pose, feats, CAM, dt, gu, gv,
-                                     int(Q14_2.quantize(32.0)))
-        h = unpack_symmetric(np.asarray(h_raw, dtype=np.float64))
+        pose, feats, maps = make_inputs(320, seed=4)
+        h, _, _, _ = FRONTEND.linearize(feats, pose, maps)
         eig = np.linalg.eigvalsh(h)
         assert eig.min() > -1e-6 * max(eig.max(), 1.0)
 
     def test_cycles_scale_with_features(self):
         pose, feats_small, maps = make_inputs(160, seed=5)
         _, feats_large, _ = make_inputs(800, seed=5)
-        clamp = int(Q14_2.quantize(32.0))
         dev_s = PIMDevice(CFG)
-        lm_iteration_pim(dev_s, pose, feats_small, CAM, *maps, clamp)
+        run_device(dev_s, pose, feats_small, maps)
         dev_l = PIMDevice(CFG)
-        lm_iteration_pim(dev_l, pose, feats_large, CAM, *maps, clamp)
+        run_device(dev_l, pose, feats_large, maps)
         assert dev_l.ledger.cycles > 3 * dev_s.ledger.cycles
 
     def test_device_too_small_rejected(self):
-        pose, feats, (dt, gu, gv) = make_inputs(10, seed=6)
+        pose, feats, maps = make_inputs(10, seed=6)
         dev = PIMDevice(PIMConfig(wordline_bits=2560, num_rows=32))
         with pytest.raises(ValueError):
-            lm_iteration_pim(dev, pose, feats, CAM, dt, gu, gv, 128)
+            run_device(dev, pose, feats, maps)
 
 
 class TestMultiplierBitsDevice:

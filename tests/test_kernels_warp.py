@@ -22,6 +22,7 @@ from repro.kernels.warp import (
     warp_float,
     warp_pim,
 )
+from repro.obs.metrics import get_registry
 from repro.pim import PIMConfig, PIMDevice
 
 CAM = TUM_QVGA
@@ -243,3 +244,78 @@ class TestWarpFastMatchesDevice:
             got, want = getattr(res_fast, name), getattr(res_dev, name)
             assert got.dtype == (bool if name == "valid" else np.int64)
             np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_mac_bound_decides_the_path(self):
+        """LM-scale features and a small pose clear the X/Y/Z bound;
+        full-scale lanes cannot, and the saturating path is counted."""
+        counter = get_registry().counter("kernels_warp_saturated_total")
+        (a, b, c), _ = sample_features(n=160, seed=3)
+        before = counter.total()
+        warp_fast(quantize_pose(small_pose(3)), quantize_features(a, b, c),
+                  CAM)
+        assert counter.total() == before
+        warp_fast(_raw_pose([[LANE_MAX] * 3] * 3, [LANE_MAX] * 3),
+                  _raw_feats([LANE_MAX], [LANE_MAX], [LANE_MAX]), CAM)
+        assert counter.total() == before + 1
+        # The products alone stay in the lane; the r2 immediate
+        # (32767 >> 3) takes X past it.
+        qp = _raw_pose([[LANE_MAX, 0, LANE_MAX], [0, LANE_MAX, 0],
+                        [0, 0, LANE_MAX]], [0, 0, 0])
+        qf = _raw_feats([30000, -100], [50, 50], [4096, 4096])
+        got = warp_fast(qp, qf, CAM)
+        assert counter.total() == before + 2
+        want = warp_pim(PIMDevice(PIMConfig(wordline_bits=2560,
+                                            num_rows=32)), qp, qf, CAM,
+                        _ROWS)
+        for name in ("u", "v", "rx", "ry", "z", "valid"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+
+
+#: A lane at or next to a 16-bit edge, or anywhere in the lane.
+_EDGE = st.sampled_from([LANE_MIN, LANE_MIN + 1, -1, 0, 1, LANE_MAX]) | \
+    st.integers(LANE_MIN, LANE_MAX)
+
+
+@st.composite
+def divide_extremes(draw):
+    """Poses whose depth row makes ``Z~`` one value on every lane
+    (``r22 >> 3`` with the rest of the row zero), mostly -1, 0 or +1,
+    with X/Y rows and features at the lane edges: numerators up to
+    ``(2**15 - 1) << f`` over ``den = +-1``, quotients of either sign
+    (saturating both ways, or truncating toward zero) and zero
+    divisors."""
+    n = draw(st.integers(1, 160))
+    lanes = draw(arrays(np.int64, (3, n), elements=_EDGE))
+    rows = [[draw(_EDGE) for _ in range(3)] for _ in range(2)]
+    r22 = draw(st.sampled_from([-8, 0, 8]) | _EDGE)
+    t = [draw(_EDGE), draw(_EDGE), 0]
+    return _raw_pose(rows + [[0, 0, r22]], t), _raw_feats(*lanes)
+
+
+class TestWarpDivideExtremes:
+    """``warp_fast``'s float-quotient divide at the edges of its
+    exactness argument equals the device's restoring divide."""
+
+    @given(divide_extremes())
+    @settings(max_examples=40, deadline=None)
+    @example(inputs=(_raw_pose([[LANE_MAX] * 3, [LANE_MAX] * 3, [0, 0, 8]],
+                               [LANE_MAX, LANE_MIN, 0]),
+                     _raw_feats([LANE_MAX, LANE_MIN], [LANE_MAX, 0],
+                                [LANE_MAX, 1])))
+    @example(inputs=(_raw_pose([[LANE_MAX] * 3, [LANE_MIN] * 3,
+                                [0, 0, -8]], [LANE_MAX, LANE_MAX, 0]),
+                     _raw_feats([LANE_MAX, -5], [LANE_MAX, 3], [1, 1])))
+    @example(inputs=(_raw_pose([[LANE_MAX, 0, 0], [LANE_MIN, 0, 0],
+                                [0, 0, 0]], [0, 0, 0]),
+                     _raw_feats([LANE_MAX, LANE_MIN, 0], [0, 0, 0],
+                                [0, 0, 0])))
+    def test_fast_equals_device_program(self, inputs):
+        qp, qf = inputs
+        dev = PIMDevice(PIMConfig(wordline_bits=2560, num_rows=32))
+        res_dev = warp_pim(dev, qp, qf, CAM, _ROWS)
+        res_fast = warp_fast(qp, qf, CAM)
+        for name in ("u", "v", "rx", "ry", "z", "valid"):
+            np.testing.assert_array_equal(getattr(res_fast, name),
+                                          getattr(res_dev, name),
+                                          err_msg=name)

@@ -1,7 +1,10 @@
 """Tests for the always-on flight recorder (repro.obs.flight)."""
 
+import hashlib
 import json
 import logging
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +14,33 @@ from repro.obs.flight import (
     get_flight_recorder,
     set_flight_recorder,
 )
+from repro.obs.stamp import run_stamp
 
 STAMP_KEYS = {"timestamp", "git_sha", "python", "numpy", "machine"}
+
+
+class TestRunStamp:
+    def test_names_the_uncommitted_source_it_ran(self):
+        """``dirty`` and ``src_diff_sha256`` agree with git itself: the
+        digest is of ``git diff HEAD -- src`` and None when ``src/``
+        matches the stamped revision."""
+        stamp = run_stamp()
+        root = Path(__file__).resolve().parents[1]
+        try:
+            diff = subprocess.run(["git", "diff", "HEAD", "--", "src"],
+                                  cwd=root, capture_output=True,
+                                  timeout=10, check=True).stdout
+            status = subprocess.run(
+                ["git", "status", "--porcelain", "--untracked-files=no"],
+                cwd=root, capture_output=True, timeout=10,
+                check=True).stdout
+        except (OSError, subprocess.SubprocessError):
+            pytest.skip("not a git checkout")
+        assert stamp["dirty"] is bool(status.strip())
+        assert stamp["src_diff_sha256"] == (
+            hashlib.sha256(diff).hexdigest() if diff else None)
+        if diff:
+            assert stamp["dirty"]
 
 
 class TestEventRing:

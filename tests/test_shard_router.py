@@ -10,6 +10,7 @@ drain) do not depend on volume.
 import json
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 
 import pytest
 
@@ -382,3 +383,91 @@ class TestMigration:
                                    frames[1].depth,
                                    frames[1].timestamp, timeout=120)
         assert (first.frame_index, second.frame_index) == (0, 1)
+
+
+class _SilentPump:
+    """A connected pump whose shard never replies."""
+
+    closed = False
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message, block=False, timeout=None):
+        self.sent.append(message)
+
+    def close(self):
+        self.closed = True
+
+
+class _NeverDone(Future):
+    """A future that never completes and waits only briefly."""
+
+    def result(self, timeout=None):
+        return super().result(timeout=0.05)
+
+
+class TestFutureTimeouts:
+    """Every wait on a shard reply times out as the builtin
+    ``TimeoutError``: before Python 3.11 ``Future.result`` raises
+    ``concurrent.futures.TimeoutError`` instead, which the router's and
+    supervisor's handlers do not catch.  Shards here are up slots with
+    silent pumps (no process), and every wait is cut short."""
+
+    @pytest.fixture
+    def router(self, monkeypatch):
+        router = ShardRouter(shards=2, spec=_spec())
+        for shard_id, handle in router.shards.items():
+            handle.pump = _SilentPump()
+            handle.state = "up"
+            router.ring.add(shard_id)
+        rpc = router._rpc
+        monkeypatch.setattr(
+            router, "_rpc",
+            lambda shard_id, payload, timeout_s=30.0: rpc(
+                shard_id, payload, timeout_s=0.05))
+        yield router
+        router.close()
+
+    def test_rpc_times_out_as_builtin(self, router):
+        with pytest.raises(TimeoutError):
+            router._rpc(0, {"op": "checkpoint"})
+        assert router._control == {}
+
+    def test_fail_over_continues_past_a_timed_out_restore(self, router):
+        with router._route_lock:
+            router._placement.update(a=0, b=0)
+        for sid in ("a", "b"):
+            router._checkpoints[sid] = {"record": None, "watermark": 0,
+                                        "shard": 0}
+        outcome = router.fail_over(0)
+        assert outcome["lost"] == ["a", "b"]
+        assert [m["op"] for m in router.shards[1].pump.sent] == [
+            "restore_session", "restore_session"]
+
+    def test_remove_shard_survives_a_timed_out_shutdown(self, router):
+        assert router.remove_shard(0) == []
+        assert 0 not in router.shards
+
+    def test_checkpoint_sweep_skips_a_timed_out_shard(self, router):
+        from repro.shard import Supervisor
+        assert Supervisor(router).checkpoint_now() == 0
+        assert [m["op"] for handle in router.shards.values()
+                for m in handle.pump.sent] == ["checkpoint", "checkpoint"]
+
+    def test_orphan_redispatch_timeout_loses_the_session(self, router):
+        from repro.shard.router import _Pending
+        orphan = _Pending(router._alloc_id(), "s", 1, None, None, 0.0,
+                          None, 0)
+        orphan.future = _NeverDone()
+        with router._state_lock:
+            router._pending[orphan.req_id] = orphan
+        with pytest.raises(SessionLost, match="did not complete"):
+            router._fail_over_session("s", 0)
+
+    def test_replay_timeout_drops_its_pending_entry(self, router):
+        rec = {"gray": None, "depth": None, "timestamp": 0.0}
+        with pytest.raises(SessionLost, match="timed out"):
+            router._replay_frame(router.shards[1], "s", 1, rec,
+                                 timeout_s=0.05)
+        assert router._pending == {}

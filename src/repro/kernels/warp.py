@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fixedpoint import Q1_15, Q4_12, Q14_2, QFormat, ops
+from repro.fixedpoint import Q1_15, Q4_12, Q14_2, QFormat
 from repro.geometry.camera import CameraIntrinsics
 from repro.geometry.se3 import SE3
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
 from repro.pim.device import TMP, Imm, Rel
 from repro.pim.program import PIMProgram, ProgramRecorder
@@ -40,49 +39,6 @@ __all__ = [
     "warp_pim_batched", "WARP_BLOCK_ROWS",
 ]
 
-
-def qdiv_lanes(a_raw, b_raw, lshift: int = 0,
-               bits: int = 16) -> np.ndarray:
-    """``(a << lshift) / b`` with exact PIM divide semantics.
-
-    Mirrors :meth:`repro.pim.device.PIMDevice.div`: restoring-division
-    truncation toward zero, division by zero saturating toward the
-    signed lane bound (``+-(2**(bits-1) - 1)``) by the numerator's
-    sign, result saturated to the lane.  ``a`` and ``b`` broadcast.
-
-    When ``|a << lshift| < 2**31`` and ``|b| <= 2**15`` (every 16-bit
-    lane divide of the warp and the Jacobian), the quotient is the
-    float64 ``num / den`` truncated by the int32 cast.  That is exact:
-    both operands are exact in float64, and a quotient below an integer
-    ``k`` sits at least ``1 / |den|`` under it, a relative gap of at
-    least ``2**-46``, which rounding to 53 bits cannot close.  Other
-    operands run the int64 restoring divide of
-    :func:`repro.fixedpoint.ops.divide`.  The result is int32 for lanes
-    of up to 32 bits, int64 otherwise.
-    """
-    a = np.asarray(a_raw)
-    b = np.asarray(b_raw)
-    lane_hi = (1 << (bits - 1)) - 1
-    if a.size == 0 or b.size == 0:
-        return np.zeros(np.broadcast_shapes(a.shape, b.shape),
-                        dtype=np.int32 if bits <= 32 else np.int64)
-    if (max(-int(a.min()), int(a.max())) << lshift < 1 << 31
-            and max(-int(b.min()), int(b.max())) <= 1 << 15
-            and bits <= 32):
-        num = a.astype(np.int32) << lshift
-        den = b.astype(np.int32)
-        zero = den == 0
-        q = (num / (den + zero)).astype(np.int32)
-        np.clip(q, np.int32(-lane_hi - 1), np.int32(lane_hi), out=q)
-    else:
-        num = a.astype(np.int64) << lshift
-        zero = b == 0
-        q = ops.saturate(ops.divide(num, b, 63), bits)
-        if bits <= 32:
-            q = q.astype(np.int32)
-    if zero.any():
-        np.copyto(q, np.where(num >= 0, lane_hi, -lane_hi), where=zero)
-    return q
 
 #: Inverse-depth feature coordinates (paper section 3.3).
 FEATURE_FORMAT = Q4_12
@@ -210,6 +166,41 @@ def _sat16(x: np.ndarray) -> np.ndarray:
     return np.clip(x, *_SAT16_BOUNDS, out=x)
 
 
+def qdiv_lanes(a_raw, b_raw, lshift: int = 0) -> np.ndarray:
+    """``(a << lshift) / b`` with exact 16-bit PIM divide semantics.
+
+    Mirrors :meth:`repro.pim.device.PIMDevice.div`: restoring-division
+    truncation toward zero, division by zero saturating toward the
+    signed lane bound (``+-(2**15 - 1)``) by the numerator's sign,
+    result saturated to the 16-bit lane.  ``a`` and ``b`` broadcast;
+    the result is int32.
+
+    The quotient is the float64 ``num / den`` truncated by the int32
+    cast.  That is exact while ``|a << lshift| < 2**31`` and
+    ``|b| <= 2**15`` (every 16-bit lane divide of the warp and the
+    Jacobian): both operands are exact in float64, and a quotient below
+    an integer ``k`` sits at least ``1 / |den|`` under it, a relative
+    gap of at least ``2**-46``, which rounding to 53 bits cannot close.
+    Operands outside that range raise :class:`ValueError`.
+    """
+    a = np.asarray(a_raw)
+    b = np.asarray(b_raw)
+    if a.size == 0 or b.size == 0:
+        return np.zeros(np.broadcast_shapes(a.shape, b.shape),
+                        dtype=np.int32)
+    if (max(-int(a.min()), int(a.max())) << lshift >= 1 << 31
+            or max(-int(b.min()), int(b.max())) > 1 << 15):
+        raise ValueError("divide operands exceed the float-quotient range")
+    num = a.astype(np.int32) << lshift
+    den = b.astype(np.int32)
+    zero = den == 0
+    q = (num / (den + zero)).astype(np.int32)
+    _sat16(q)
+    if zero.any():
+        np.copyto(q, np.where(num >= 0, _LANE_MAX, -_LANE_MAX), where=zero)
+    return q
+
+
 def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
               camera: CameraIntrinsics) -> WarpResult:
     """Quantized warp with exact PIM arithmetic, as one int32 lane pass.
@@ -229,14 +220,6 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     ``b``, ``c`` and the ``R[:, :2]``, ``T`` raws) are checked against
     the 16-bit lane like :func:`repro.fixedpoint.ops.multiply`, with
     the same :class:`ValueError`.  Fields are returned as int64.
-
-    X, Y and Z are bounded before they are summed: with the peaks
-    ``max|a|``, ``max|b|``, ``max|c|`` taken once, each product
-    ``(coef * x) >> 15`` lies within ``ceil(|coef| * peak / 2**15)`` of
-    zero.  When those three plus ``|r2|`` stay within the lane on every
-    axis, no product or partial sum saturates and each of X, Y and Z is
-    one plain int32 sum.  Otherwise the saturating multiply-accumulate
-    runs and ``kernels_warp_saturated_total`` counts the call.
     """
     f = feats.fmt.fraction_bits
     abc = np.array((feats.a, feats.b, feats.c), dtype=np.int64)
@@ -245,14 +228,9 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     t = np.asarray(qpose.t, dtype=np.int64).reshape(3, 1)
     # Per axis, the multiplier of a, b and c: r0, r1 and t.
     coef = np.concatenate((r[:, :2], t), axis=1)
-    peak = np.zeros(3, dtype=np.int64)      # max |a|, |b|, |c|
-    if n:
-        lo, hi = abc.min(axis=1), abc.max(axis=1)
-        if (lo.min() < _LANE_MIN or hi.max() > _LANE_MAX
-                or coef.min() < _LANE_MIN or coef.max() > _LANE_MAX):
-            raise ValueError(
-                f"operands exceed {_LANE_BITS}-bit lane range")
-        peak = np.maximum(-lo, hi)
+    if n and (abc.min() < _LANE_MIN or abc.max() > _LANE_MAX
+              or coef.min() < _LANE_MIN or coef.max() > _LANE_MAX):
+        raise ValueError(f"operands exceed {_LANE_BITS}-bit lane range")
     r2 = np.array([[max(-(1 << 16), min(int(v) >> (15 - f), 1 << 16))]
                    for v in r[:, 2]], dtype=np.int32)
 
@@ -260,23 +238,12 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     # so their saturation only ever clamps from above.
     m = coef.astype(np.int32)[:, :, None] * abc.astype(np.int32)
     m >>= 15
-    axis_peak = (-((-np.abs(coef) * peak) >> 15)).sum(axis=1) + \
-        np.abs(r2[:, 0])
-    if axis_peak.max() <= _LANE_MAX:
-        xyz = m[:, 0] + m[:, 1]
-        xyz += r2
-        xyz += m[:, 2]
-    else:
-        get_registry().counter(
-            "kernels_warp_saturated_total",
-            "warp_fast calls the X/Y/Z bound could not clear, which ran "
-            "the saturating multiply-accumulate").inc()
-        np.minimum(m, _LANE_MAX, out=m)
-        xyz = _sat16(m[:, 0] + m[:, 1])
-        xyz += r2
-        _sat16(xyz)
-        xyz += m[:, 2]
-        _sat16(xyz)
+    np.minimum(m, _LANE_MAX, out=m)
+    xyz = _sat16(m[:, 0] + m[:, 1])
+    xyz += r2
+    _sat16(xyz)
+    xyz += m[:, 2]
+    _sat16(xyz)
 
     out = np.empty((5, n), dtype=np.int32)   # u, v, rx, ry, z
     den = xyz[2]

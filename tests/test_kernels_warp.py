@@ -16,13 +16,13 @@ from repro.kernels.warp import (
     QuantizedFeatures,
     QuantizedPose,
     WarpRows,
+    qdiv_lanes,
     quantize_features,
     quantize_pose,
     warp_fast,
     warp_float,
     warp_pim,
 )
-from repro.obs.metrics import get_registry
 from repro.pim import PIMConfig, PIMDevice
 
 CAM = TUM_QVGA
@@ -245,25 +245,13 @@ class TestWarpFastMatchesDevice:
             assert got.dtype == (bool if name == "valid" else np.int64)
             np.testing.assert_array_equal(got, want, err_msg=name)
 
-    def test_mac_bound_decides_the_path(self):
-        """LM-scale features and a small pose clear the X/Y/Z bound;
-        full-scale lanes cannot, and the saturating path is counted."""
-        counter = get_registry().counter("kernels_warp_saturated_total")
-        (a, b, c), _ = sample_features(n=160, seed=3)
-        before = counter.total()
-        warp_fast(quantize_pose(small_pose(3)), quantize_features(a, b, c),
-                  CAM)
-        assert counter.total() == before
-        warp_fast(_raw_pose([[LANE_MAX] * 3] * 3, [LANE_MAX] * 3),
-                  _raw_feats([LANE_MAX], [LANE_MAX], [LANE_MAX]), CAM)
-        assert counter.total() == before + 1
-        # The products alone stay in the lane; the r2 immediate
-        # (32767 >> 3) takes X past it.
+    def test_r2_immediate_alone_saturates_x(self):
+        """The products alone stay in the lane; the ``r2`` immediate
+        (32767 >> 3) takes X past it."""
         qp = _raw_pose([[LANE_MAX, 0, LANE_MAX], [0, LANE_MAX, 0],
                         [0, 0, LANE_MAX]], [0, 0, 0])
         qf = _raw_feats([30000, -100], [50, 50], [4096, 4096])
         got = warp_fast(qp, qf, CAM)
-        assert counter.total() == before + 2
         want = warp_pim(PIMDevice(PIMConfig(wordline_bits=2560,
                                             num_rows=32)), qp, qf, CAM,
                         _ROWS)
@@ -319,3 +307,10 @@ class TestWarpDivideExtremes:
             np.testing.assert_array_equal(getattr(res_fast, name),
                                           getattr(res_dev, name),
                                           err_msg=name)
+
+    def test_operands_outside_the_exact_range_raise(self):
+        assert qdiv_lanes([LANE_MAX], [1], lshift=15).tolist() == [LANE_MAX]
+        with pytest.raises(ValueError):
+            qdiv_lanes([1 << 16], [1], lshift=15)
+        with pytest.raises(ValueError):
+            qdiv_lanes([1], [(1 << 15) + 1])

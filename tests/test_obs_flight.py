@@ -4,7 +4,6 @@ import hashlib
 import json
 import logging
 import subprocess
-from pathlib import Path
 
 import pytest
 
@@ -14,33 +13,62 @@ from repro.obs.flight import (
     get_flight_recorder,
     set_flight_recorder,
 )
-from repro.obs.stamp import run_stamp
+from repro.obs.stamp import _tree_state, git_sha, run_stamp
 
 STAMP_KEYS = {"timestamp", "git_sha", "python", "numpy", "machine"}
 
 
+def _git(root, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=root, capture_output=True, timeout=10, check=True).stdout
+
+
 class TestRunStamp:
-    def test_names_the_uncommitted_source_it_ran(self):
-        """``dirty`` and ``src_diff_sha256`` agree with git itself: the
-        digest is of ``git diff HEAD -- src`` and None when ``src/``
-        matches the stamped revision."""
+    def test_names_the_checkout_revision(self):
         stamp = run_stamp()
-        root = Path(__file__).resolve().parents[1]
+        assert stamp["git_sha"] == git_sha()
+        if stamp["git_sha"] is not None:
+            assert isinstance(stamp["dirty"], bool)
+            if stamp["src_diff_sha256"] is not None:
+                assert stamp["dirty"]
+
+    def test_names_the_uncommitted_source_it_ran(self, tmp_path):
+        """A tracked edit or an untracked file under ``src/`` sets
+        ``dirty`` and the digest; the digest follows the untracked
+        file's contents; changes outside ``src/`` leave it None."""
         try:
-            diff = subprocess.run(["git", "diff", "HEAD", "--", "src"],
-                                  cwd=root, capture_output=True,
-                                  timeout=10, check=True).stdout
-            status = subprocess.run(
-                ["git", "status", "--porcelain", "--untracked-files=no"],
-                cwd=root, capture_output=True, timeout=10,
-                check=True).stdout
+            _git(tmp_path, "init", "-q")
         except (OSError, subprocess.SubprocessError):
-            pytest.skip("not a git checkout")
-        assert stamp["dirty"] is bool(status.strip())
-        assert stamp["src_diff_sha256"] == (
-            hashlib.sha256(diff).hexdigest() if diff else None)
-        if diff:
-            assert stamp["dirty"]
+            pytest.skip("git unavailable")
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "a.py").write_text("a = 1\n")
+        (tmp_path / "notes.md").write_text("x\n")
+        _git(tmp_path, "add", ".")
+        _git(tmp_path, "commit", "-q", "-m", "init")
+        head = _git(tmp_path, "rev-parse", "HEAD").decode().strip()
+        assert _tree_state(tmp_path) == (head, False, None)
+
+        (tmp_path / "scratch.txt").write_text("untracked, not src\n")
+        assert _tree_state(tmp_path) == (head, False, None)
+
+        new = tmp_path / "src" / "pkg" / "new.py"
+        new.parent.mkdir()
+        new.write_text("b = 2\n")
+        sha, dirty, first = _tree_state(tmp_path)
+        assert (sha, dirty) == (head, True) and first is not None
+        new.write_text("b = 3\n")
+        assert _tree_state(tmp_path)[2] not in (None, first)
+        new.unlink()
+        assert _tree_state(tmp_path) == (head, False, None)
+
+        (tmp_path / "notes.md").write_text("y\n")
+        assert _tree_state(tmp_path) == (head, True, None)
+        (tmp_path / "src" / "a.py").write_text("a = 2\n")
+        diff = _git(tmp_path, "diff", "HEAD", "--", "src")
+        assert _tree_state(tmp_path) == (
+            head, True, hashlib.sha256(diff).hexdigest())
 
 
 class TestEventRing:

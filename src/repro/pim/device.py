@@ -315,62 +315,6 @@ class PIMDevice(_DeviceCore):
         self._fault_injector = None
         self._stored_faults = 0
 
-    # -- whole-device snapshots ------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Complete architectural state as detached host structures.
-
-        Covers everything :meth:`restore` needs to resume bit-exact
-        execution: the SRAM array, every Tmp register, the configured
-        lane width, the stored-fault count (the health signal the
-        serve pool's eviction path reads), and the cost ledger.  The
-        ``config_digest`` field guards restores onto a device of a
-        different geometry.  Deliberately excluded: the trace stream
-        (observability, not architecture) and any attached fault
-        injector (an injector is an experiment harness; a restored
-        device starts un-instrumented, exactly like :meth:`reset`).
-        """
-        return {
-            "config_digest": self.config.digest(),
-            "precision": int(self._precision),
-            "mem": self._mem.copy(),
-            "tmp": [reg.copy() for reg in self._tmp],
-            "stored_faults": int(self._stored_faults),
-            "ledger": self.ledger.snapshot(),
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Load a :meth:`snapshot` in place, bit-exactly.
-
-        Validates geometry before touching anything, so a mismatched
-        snapshot leaves the device unchanged.  The snapshot itself is
-        never aliased (arrays are copied in), so one snapshot can be
-        restored any number of times.  Like :meth:`reset`, restoring
-        detaches any fault injector and drops the trace stream.
-        """
-        if snap.get("config_digest") != self.config.digest():
-            raise ValueError(
-                f"snapshot geometry {snap.get('config_digest')!r} does "
-                f"not match device geometry {self.config.digest()!r}")
-        mem = np.asarray(snap["mem"], dtype=np.uint8)
-        if mem.shape != self._mem.shape:
-            raise ValueError(
-                f"snapshot SRAM shape {mem.shape} != {self._mem.shape}")
-        tmp = snap["tmp"]
-        if len(tmp) != len(self._tmp):
-            raise ValueError(
-                f"snapshot has {len(tmp)} Tmp registers, device has "
-                f"{len(self._tmp)}")
-        self._mem[:] = mem
-        for reg, saved in zip(self._tmp, tmp):
-            reg[:] = np.asarray(saved, dtype=np.uint8)
-        self._precision = int(snap["precision"])
-        self._stored_faults = int(snap["stored_faults"])
-        self.ledger.reset()
-        self.ledger.merge(snap["ledger"])
-        self.trace.clear()
-        self._fault_injector = None
-
     # -- storage views ---------------------------------------------------
 
     def _unpack(self, raw_bytes: np.ndarray, signed: bool) -> np.ndarray:

@@ -298,7 +298,7 @@ class FifoScheduler:
             self._cond.notify_all()
             return len(pending)
 
-    # -- quiesce / snapshot support --------------------------------------
+    # -- quiesce support ------------------------------------------------
 
     def extract_session(self, sid: str) -> List[WorkItem]:
         """Remove and return every queued item of one session, in order.
@@ -325,11 +325,6 @@ class FifoScheduler:
         """Whether a frame of ``sid`` is dispatched to a worker."""
         with self._cond:
             return sid in self._inflight
-
-    def queued_items(self) -> List[WorkItem]:
-        """Point-in-time copy of the queue contents (for snapshots)."""
-        with self._cond:
-            return list(self._queue)
 
     def depth(self) -> int:
         """Current queue depth."""

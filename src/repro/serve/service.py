@@ -135,9 +135,6 @@ class VOService:
                 else CaptureRing()
             self.capture.bind(self.frontend, self.config)
             self.flight.attach_dump_hook(self.capture.dump_hook)
-        #: RNG seeds of whatever workload drives this service; stored
-        #: here so whole-service snapshots can carry them.
-        self.rng_seeds = None
         self._seq_lock = threading.Lock()
         self._last_seq = 0
         self._closed = False
@@ -153,11 +150,6 @@ class VOService:
         """Highest request sequence number issued so far."""
         with self._seq_lock:
             return self._last_seq
-
-    def restore_seq(self, watermark: int) -> None:
-        """Resume sequence numbering after ``watermark`` (snapshots)."""
-        with self._seq_lock:
-            self._last_seq = max(self._last_seq, int(watermark))
 
     # -- lifecycle -------------------------------------------------------
 
@@ -338,20 +330,18 @@ class VOService:
                              session=item.session, seq=item.seq,
                              spans=spans)
 
-    # -- snapshots and quiesce -------------------------------------------
+    # -- shard admission and quiesce -------------------------------------
 
     def requeue_frame(self, session_id: str, seq: int,
                       gray: np.ndarray, depth: np.ndarray,
                       timestamp: float = 0.0,
                       deadline_s: Optional[float] = None) -> Future:
-        """Re-enqueue a frame restored from a snapshot, fire-and-forget.
+        """Enqueue a frame under a caller-assigned ``seq``, fire-and-forget.
 
         Unlike :meth:`submit` this neither blocks nor allocates a new
-        sequence number: the frame keeps its recorded ``seq`` and the
-        returned future completes once a worker serves it (after the
-        pool starts).  Used by the snapshot restore path to put the
-        admission queue back exactly as captured, and by shard workers
-        to admit router-sequenced frames -- the latter pass the
+        sequence number: the frame keeps the given ``seq`` and the
+        returned future completes once a worker serves it.  Shard
+        workers admit router-sequenced frames this way, passing the
         client's ``deadline_s`` through so queue expiry still applies
         across the process boundary.
         """
@@ -362,9 +352,10 @@ class VOService:
                                  float(timestamp)))
         if deadline_s is not None:
             item.deadline = self.scheduler._clock() + deadline_s
-        # The recorded seq is now taken: later submits must never
+        # The given seq is now taken: later submits must never
         # reissue it.
-        self.restore_seq(seq)
+        with self._seq_lock:
+            self._last_seq = max(self._last_seq, int(seq))
         self.scheduler.submit(item)
         return item.future
 
@@ -401,16 +392,6 @@ class VOService:
                     f"session {session_id!r} did not quiesce within "
                     f"{timeout_s}s")
             time.sleep(0.002)
-
-    def snapshot(self, seeds: Optional[dict] = None) -> dict:
-        """Whole-service snapshot document (see :mod:`repro.snap`)."""
-        from repro.snap.state import snapshot_service
-        return snapshot_service(self, seeds=seeds)
-
-    def restore(self, snap: dict, verify: bool = True) -> dict:
-        """Restore a whole-service snapshot into this (fresh) service."""
-        from repro.snap.state import restore_service
-        return restore_service(snap, self, verify=verify)
 
     # -- health ----------------------------------------------------------
 

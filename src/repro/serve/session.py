@@ -61,8 +61,8 @@ class Session:
     #: worker, so ``frames`` (a per-process count) cannot stand in for
     #: it; the shard plane exports this as the checkpoint watermark so
     #: failover replays exactly the frames the checkpoint does not
-    #: cover.  The field keeps its historical name so existing
-    #: snapshots still decode.
+    #: cover.  The field keeps its historical name, which is also the
+    #: key session records carry.
     applied_seq: int = 0
     busy: bool = False
     #: Deep snapshot of ``state`` at the last good keyframe (``None``
@@ -72,9 +72,9 @@ class Session:
     checkpointed: Optional[TrackerState] = None
     #: Stream index of the frame the checkpoint was taken after.
     checkpoint_frame: int = -1
-    #: Set on imported (migrated/restored) sessions: the next worker
-    #: to serve this session resets its devices first, exactly like a
-    #: fresh stream, so nothing carries over from the source pool.
+    #: Set on imported sessions: the next worker to serve this session
+    #: resets its devices first, exactly like a fresh stream, so
+    #: nothing carries over from the source pool.
     force_device_reset: bool = False
 
 
@@ -218,7 +218,7 @@ class SessionManager:
             self._restores.inc()
             return True
 
-    # -- export / import (migration and whole-service snapshots) --------
+    # -- export / import (the session record) ----------------------------
 
     def export_session(self, sid: str) -> dict:
         """Detached record of one resident session.
@@ -256,8 +256,7 @@ class SessionManager:
                     sid, session.generation + 1),
             }
 
-    def import_session(self, record: dict,
-                       force_device_reset: bool = True) -> Session:
+    def import_session(self, record: dict) -> Session:
         """Admit an exported session record under its original identity.
 
         The session resumes with its exported generation (a migrated
@@ -266,7 +265,9 @@ class SessionManager:
         evict/recreate cycle still gets a fresh generation.  The
         record's states are deep-copied in, so importing the same
         record twice (e.g. into a control and a target pool) yields
-        independent sessions.
+        independent sessions.  The next frame resets the serving
+        worker's devices (``force_device_reset``): no device state
+        travels with a record.
         """
         with self._lock:
             sid = record["sid"]
@@ -283,13 +284,10 @@ class SessionManager:
                 sid=sid, generation=record["generation"], state=state,
                 created_at=now, last_active=now,
                 frames=record["frames"],
-                # Older records predate the applied watermark; frames
-                # is the best available stand-in for them.
-                applied_seq=int(record.get("applied_seq",
-                                           record["frames"])),
+                applied_seq=int(record["applied_seq"]),
                 checkpointed=checkpointed,
                 checkpoint_frame=record["checkpoint_frame"],
-                force_device_reset=force_device_reset)
+                force_device_reset=True)
             self._sessions[sid] = session
             self._generations[sid] = max(
                 self._generations.get(sid, 0),
@@ -312,19 +310,6 @@ class SessionManager:
         """Resident session ids (stable snapshot, sorted)."""
         with self._lock:
             return sorted(self._sessions)
-
-    def generation_watermarks(self) -> Dict[str, int]:
-        """Copy of the per-id generation watermark table."""
-        with self._lock:
-            return dict(self._generations)
-
-    def restore_generation_watermarks(
-            self, watermarks: Dict[str, int]) -> None:
-        """Raise the watermark table to a snapshot's (never lowers)."""
-        with self._lock:
-            for sid, gen in watermarks.items():
-                self._generations[sid] = max(
-                    self._generations.get(sid, 0), int(gen))
 
     def get(self, sid: str) -> Optional[Session]:
         """Look up a resident session without touching it."""

@@ -227,8 +227,7 @@ class _ShardWorker:
     def _handle_restore_session(self, msg: dict) -> None:
         try:
             session = restore_session_record(
-                self.service.sessions, msg["record"],
-                force_device_reset=True)
+                self.service.sessions, msg["record"])
         except BaseException as exc:  # noqa: BLE001
             self._reply(self._error_reply(msg, exc))
             return

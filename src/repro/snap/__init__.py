@@ -1,10 +1,9 @@
-"""Deterministic whole-service snapshots, migration, and record/replay.
+"""Deterministic session transfer and record/replay.
 
-The PIM-SRAM VO pipeline is fixed-point and fully deterministic, so the
-*entire* service state -- device SRAM contents, tracker state, session
-table, scheduler queue -- is snapshottable and bit-exactly restorable,
-the property large simulator deployments build their operational
-tooling on.  This package turns that property into three tools:
+The PIM-SRAM VO pipeline is fixed-point and fully deterministic, so a
+session's tracker state moves between services bit-exactly and a
+captured incident replays to the exact faulting frame.  This package
+turns that property into three tools:
 
 * :mod:`repro.snap.codec` -- the versioned snapshot format
   (``repro.snap/1``): a tagged canonical encoding of numpy arrays,
@@ -12,12 +11,11 @@ tooling on.  This package turns that property into three tools:
   manifest, atomic on-disk serialization, and strict integrity
   verification on load (a corrupt or truncated snapshot is rejected
   before anything is restored).
-* :mod:`repro.snap.state` -- snapshot/restore of each state-bearing
-  component (:class:`~repro.pim.device.PIMDevice` SRAM + registers,
-  :class:`~repro.vo.tracker.TrackerState`, the session table, the
-  scheduler queue, circuit breakers, metrics watermarks) and of a
-  whole :class:`~repro.serve.service.VOService`; restore asserts
-  bit-exactness by construction (re-snapshot equals the input hash).
+* :mod:`repro.snap.state` -- the one state-transfer primitive: a
+  session record exported on the source
+  (:meth:`~repro.serve.session.SessionManager.export_session`) and
+  imported on the target (:func:`restore_session_record`).  Failover,
+  drain, rebalance and shard checkpoints all move state this way.
 * :mod:`repro.snap.capture` -- the record/replay path: a per-session
   inbound-frame + seed capture ring that dumps replayable incident
   bundles (wired into the flight recorder's breaker-open path), and
@@ -39,13 +37,7 @@ from repro.snap.codec import (
     write_snapshot,
 )
 from repro.snap.capture import CaptureRing, ReplayReport, replay_bundle
-from repro.snap.state import (
-    restore_service,
-    restore_session_record,
-    restore_tracker_state,
-    snapshot_service,
-    snapshot_tracker_state,
-)
+from repro.snap.state import restore_session_record
 
 __all__ = [
     "SNAP_SCHEMA",
@@ -58,11 +50,7 @@ __all__ = [
     "load_snapshot",
     "make_snapshot",
     "replay_bundle",
-    "restore_service",
     "restore_session_record",
-    "restore_tracker_state",
-    "snapshot_service",
-    "snapshot_tracker_state",
     "verify_snapshot",
     "write_snapshot",
 ]

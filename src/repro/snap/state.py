@@ -1,284 +1,22 @@
-"""Whole-service snapshot and bit-exact restore.
+"""The one state-transfer primitive: the session record.
 
-The serving stack's state decomposes cleanly, and this module walks
-that decomposition:
-
-* per-session tracker state (+ checkpoint, generation, stream
-  counters) via :meth:`SessionManager.export_session`;
-* the generation watermark table (so restored ids can never reuse a
-  generation);
-* every worker's per-shape simulated devices via
-  :meth:`PIMDevice.snapshot` (SRAM, Tmp registers, precision, ledger);
-* every worker's circuit breaker counters;
-* the admission queue's still-pending frames, in order;
-* the service's RNG seeds (whatever the workload generator used) and
-  request-sequence watermark.
-
-Restore targets a *compatible, quiescent* service -- same frontend,
-worker count and tracker configuration, no resident sessions, empty
-queue, pool not yet started -- and then asserts bit-exactness **by
-construction**: it re-snapshots the restored service and requires the
-content hash to equal the input's (wall-clock provenance is outside
-the hash, so this is a pure state identity check).  A restore that
-cannot prove itself bit-exact raises and says so.
-
-Metrics are handled as *watermarks*: counter totals at snapshot time
-ride in the (unhashed) context, and restore stores them on the target
-service as ``metrics_watermarks`` so post-restore deltas can be
-interpreted against the live run -- global registry counters are
-process-scoped and are deliberately not rewritten.
+Serving state moves one session at a time.  The source quiesces the
+session and exports it (:meth:`SessionManager.export_session`: tracker
+state, checkpoint, generation and watermarks), the record travels
+through the :mod:`repro.snap.codec` encoding, and the target imports
+it with :func:`restore_session_record`.  Failover, shard drain and
+rebalance, and the shard worker's checkpoint sweep all use this one
+pair.  No device state travels: an imported session's next frame
+resets the serving worker's devices, exactly like a fresh stream.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from repro.snap.codec import decode
 
-import numpy as np
-
-from repro.snap.codec import (
-    SnapshotError,
-    canonical_bytes,
-    decode,
-    encode,
-    make_snapshot,
-    verify_snapshot,
-)
-
-__all__ = [
-    "metrics_watermarks",
-    "restore_device",
-    "restore_service",
-    "restore_session_record",
-    "restore_tracker_state",
-    "snapshot_device",
-    "snapshot_service",
-    "snapshot_tracker_state",
-]
-
-#: ``kind`` field of whole-service snapshot documents.
-SERVICE_KIND = "service"
+__all__ = ["restore_session_record"]
 
 
-# -- component snapshots --------------------------------------------------
-
-def snapshot_tracker_state(state) -> dict:
-    """JSON-safe encoding of one :class:`TrackerState` (detached)."""
-    return encode(state.checkpoint())
-
-
-def restore_tracker_state(encoded) -> "object":
-    """Rebuild a :class:`TrackerState` from its encoding."""
-    from repro.vo.tracker import TrackerState
-    state = decode(encoded)
-    if not isinstance(state, TrackerState):
-        raise SnapshotError(
-            f"encoded tracker state decoded to "
-            f"{type(state).__name__}")
-    return state
-
-
-def snapshot_device(device) -> dict:
-    """JSON-safe encoding of one :meth:`PIMDevice.snapshot`."""
-    return encode(device.snapshot())
-
-
-def restore_device(device, encoded) -> None:
-    """Restore one device from :func:`snapshot_device` output."""
-    device.restore(decode(encoded))
-
-
-def restore_session_record(manager, encoded_record,
-                           force_device_reset: bool = True):
+def restore_session_record(manager, encoded_record):
     """Import one encoded session record into a ``SessionManager``."""
-    return manager.import_session(decode(encoded_record),
-                                  force_device_reset=force_device_reset)
-
-
-def metrics_watermarks() -> Dict[str, float]:
-    """Counter totals at this instant, for post-restore delta reading."""
-    from repro.obs.metrics import Counter, get_registry
-    registry = get_registry()
-    marks: Dict[str, float] = {}
-    for name in registry.names():
-        instrument = registry.get(name)
-        if isinstance(instrument, Counter):
-            marks[name] = instrument.total()
-    return marks
-
-
-# -- whole-service snapshot -----------------------------------------------
-
-def _worker_devices(worker) -> List[dict]:
-    """Per-frontend-level device snapshots of one pool worker."""
-    levels = []
-    for frontend in getattr(worker.tracker, "_frontends",
-                            [worker.tracker.frontend]):
-        devices = getattr(frontend, "_detect_devices", {})
-        levels.append([
-            {"shape": list(shape), "device": snapshot_device(dev)}
-            for shape, dev in sorted(devices.items())])
-    return levels
-
-
-def _breaker_record(breaker) -> dict:
-    return {
-        "state": breaker.state,
-        "consecutive_faults": int(breaker.consecutive_faults),
-        "faults_total": int(breaker.faults_total),
-        "trips_total": int(breaker.trips_total),
-    }
-
-
-def snapshot_service(service, seeds: Optional[dict] = None) -> dict:
-    """Snapshot an entire :class:`~repro.serve.service.VOService`.
-
-    The service must be *quiescent*: no session checked out by a
-    worker and no frame in flight (queued-but-undispatched frames are
-    fine -- they are part of the snapshot).  The usual callers satisfy
-    this by construction: a not-yet-started service, or one whose pool
-    has been stopped.  ``seeds`` records whatever RNG seeds drove the
-    workload, so a restored run can regenerate identical traffic.
-    """
-    sessions = [encode(service.sessions.export_session(sid))
-                for sid in service.sessions.sids()]
-    queued = []
-    for item in service.scheduler.queued_items():
-        gray, depth, timestamp = item.payload
-        queued.append({
-            "session": item.session,
-            "seq": int(item.seq),
-            "timestamp": float(timestamp),
-            "gray": encode(np.asarray(gray)),
-            "depth": encode(np.asarray(depth)),
-        })
-    if seeds is None:
-        seeds = getattr(service, "rng_seeds", None)
-    sections = {
-        "meta": {
-            "frontend": service.frontend,
-            "workers": len(service.pool.workers),
-            "config": encode(service.config),
-            "seq_watermark": int(service.seq_watermark()),
-        },
-        "sessions": sessions,
-        "generations": {
-            sid: int(gen) for sid, gen in
-            service.sessions.generation_watermarks().items()},
-        "scheduler": {"queued": queued},
-        "devices": [_worker_devices(w) for w in service.pool.workers],
-        "workers": [{"worker": w.index, "frames": int(w.frames),
-                     "breaker": _breaker_record(w.breaker)}
-                    for w in service.pool.workers],
-        "rng": {"seeds": encode(seeds)},
-    }
-    return make_snapshot(SERVICE_KIND, sections,
-                         metrics_watermarks=metrics_watermarks())
-
-
-def _require_compatible(snap: dict, service) -> None:
-    meta = snap["sections"]["meta"]
-    if meta["frontend"] != service.frontend:
-        raise SnapshotError(
-            f"snapshot was taken with the {meta['frontend']!r} "
-            f"frontend; this service runs {service.frontend!r}")
-    if meta["workers"] != len(service.pool.workers):
-        raise SnapshotError(
-            f"snapshot has {meta['workers']} workers; this service "
-            f"has {len(service.pool.workers)}")
-    if canonical_bytes(meta["config"]) != \
-            canonical_bytes(encode(service.config)):
-        raise SnapshotError(
-            "snapshot tracker configuration differs from the "
-            "service's; restore requires an identical TrackerConfig")
-
-
-def _require_quiescent_fresh(service) -> None:
-    if service.sessions.sids():
-        raise SnapshotError(
-            "restore target already has resident sessions; restore "
-            "into a fresh service")
-    if service.scheduler.depth():
-        raise SnapshotError(
-            "restore target has queued frames; restore into a fresh "
-            "service")
-
-
-def restore_service(snap: dict, service, verify: bool = True) -> dict:
-    """Rebuild ``service`` from a whole-service snapshot document.
-
-    ``service`` must be compatible (same frontend/workers/config) and
-    fresh (no sessions, empty queue, pool not started -- workers must
-    not race the restore).  Returns ``{"sessions": n, "requeued":
-    [futures...]}``; the re-queued frames complete once the pool
-    starts, continuing exactly where the snapshot left off.
-
-    With ``verify`` (the default), the restored service is immediately
-    re-snapshotted and its content hash compared to the input's --
-    restore is bit-exact *by construction*, not by convention.
-    """
-    verify_snapshot(snap, kind=SERVICE_KIND)
-    _require_compatible(snap, service)
-    _require_quiescent_fresh(service)
-    sections = snap["sections"]
-
-    service.sessions.restore_generation_watermarks(
-        {sid: int(gen)
-         for sid, gen in sections["generations"].items()})
-    for record in sections["sessions"]:
-        # Devices are restored below, bit-exactly, so the first frame
-        # must NOT wipe them the way a migration (which moves no
-        # device state) would.
-        restore_session_record(service.sessions, record,
-                               force_device_reset=False)
-
-    for worker, levels in zip(service.pool.workers,
-                              sections["devices"]):
-        frontends = getattr(worker.tracker, "_frontends",
-                            [worker.tracker.frontend])
-        for frontend, entries in zip(frontends, levels):
-            for entry in entries:
-                shape = tuple(int(s) for s in entry["shape"])
-                restore_device(frontend._detect_device(shape),
-                               entry["device"])
-
-    for worker, record in zip(service.pool.workers,
-                              sections["workers"]):
-        worker.frames = int(record["frames"])
-        breaker = worker.breaker
-        saved = record["breaker"]
-        breaker.consecutive_faults = int(saved["consecutive_faults"])
-        breaker.faults_total = int(saved["faults_total"])
-        breaker.trips_total = int(saved["trips_total"])
-        if saved["state"] != breaker.state:
-            # Route through _transition so the circuit gauge and any
-            # observers see the restored state; an OPEN breaker starts
-            # its cooldown at restore time.
-            breaker._transition(saved["state"])
-
-    service.restore_seq(sections["meta"]["seq_watermark"])
-    service.rng_seeds = decode(sections["rng"]["seeds"])
-    service.metrics_watermarks = dict(
-        snap.get("context", {}).get("metrics_watermarks", {}))
-
-    futures = []
-    for entry in sections["scheduler"]["queued"]:
-        futures.append(service.requeue_frame(
-            entry["session"], int(entry["seq"]),
-            decode(entry["gray"]), decode(entry["depth"]),
-            float(entry["timestamp"])))
-
-    if verify:
-        again = snapshot_service(service)
-        before = snap["manifest"]["content_hash"]
-        after = again["manifest"]["content_hash"]
-        if before != after:
-            mismatched = [
-                name for name in snap["manifest"]["sections"]
-                if snap["manifest"]["sections"][name] !=
-                again["manifest"]["sections"].get(name)]
-            raise SnapshotError(
-                f"restore is not bit-exact: re-snapshot hash "
-                f"{after[:12]} != {before[:12]} "
-                f"(sections differing: {mismatched})")
-    return {"sessions": len(sections["sessions"]),
-            "requeued": futures}
+    return manager.import_session(decode(encoded_record))

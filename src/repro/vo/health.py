@@ -54,8 +54,8 @@ def sync_health_gauge(health: str) -> None:
     The tracker keeps the gauge current while *it* drives the state
     machine; any path that rewrites ``TrackerState.health`` behind the
     tracker's back -- a checkpoint restore, a session import after
-    migration, a whole-service snapshot restore -- must call this so
-    the *observable* health matches the stored one.
+    migration -- must call this so the *observable* health matches
+    the stored one.
     """
     from repro.obs.metrics import get_registry
     get_registry().gauge(

@@ -206,17 +206,6 @@ class TestSessionManager:
         restored = other.import_session(record)
         assert restored.applied_seq == 7
 
-    def test_import_of_pre_applied_seq_record_falls_back(self):
-        """Records exported before the applied watermark existed use
-        the frame count as the best available stand-in."""
-        sm = SessionManager()
-        session = sm.checkout("cam-1")
-        sm.checkin(session, applied_seq=5)
-        record = sm.export_session("cam-1")
-        del record["applied_seq"]
-        restored = SessionManager().import_session(record)
-        assert restored.applied_seq == record["frames"]
-
 
 class TestService:
     def test_interleaved_sessions_match_solo_runs(self):

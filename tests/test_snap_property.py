@@ -1,16 +1,13 @@
-"""Property tests: snapshot -> restore -> snapshot is byte-identical.
+"""Property tests: encode -> decode -> encode is byte-identical.
 
 Three layers of the same invariant, driven by hypothesis:
 
 * the codec round-trips arbitrary whitelisted value graphs to
   identical canonical bytes;
-* a :class:`PIMDevice` in a random architectural state (SRAM rows,
-  Tmp registers, precision, ledger history) restores bit-exactly,
-  and restoring into a *dirty* device equals restoring into a fresh
-  one;
-* a session record exported from a tracker that processed random
-  frames imports identically into a dirty and a fresh
-  :class:`SessionManager`.
+* a :class:`TrackerState` checkpoint from a tracker that processed
+  random frames round-trips through the codec bit-exactly;
+* a session record exported from such a tracker imports identically
+  into a dirty and a fresh :class:`SessionManager`.
 """
 
 from collections import Counter
@@ -21,15 +18,10 @@ from hypothesis import strategies as st
 
 from repro.dataset import make_sequence
 from repro.geometry.camera import TUM_QVGA
-from repro.pim import PIMConfig, PIMDevice
 from repro.pim.isa import OpKind
 from repro.serve import SessionManager
 from repro.snap import encode, decode, content_hash
-from repro.snap.state import (
-    restore_tracker_state,
-    snapshot_tracker_state,
-)
-from repro.vo import EBVOTracker, TrackerConfig
+from repro.vo import EBVOTracker, TrackerConfig, TrackerState
 from repro.vo.frontend import FloatFrontend
 
 TINY_CAMERA = TUM_QVGA.scaled(0.25)
@@ -102,49 +94,6 @@ class TestCodecProperties:
         assert content_hash(first) == content_hash(second)
 
 
-# -- device states --------------------------------------------------------
-
-_CONFIG = PIMConfig(wordline_bits=64, num_rows=8)
-
-
-def _random_device(rng: np.random.Generator) -> PIMDevice:
-    dev = PIMDevice(_CONFIG)
-    for row in range(int(rng.integers(1, _CONFIG.num_rows))):
-        dev.load(row, rng.integers(0, 255, size=8,
-                                   dtype=np.int64).tolist(),
-                 signed=False)
-    dev.set_precision(int(rng.choice([8, 16])))
-    for _ in range(int(rng.integers(0, 4))):
-        a, b = rng.integers(0, 3, size=2)
-        dev.add(int(a), int(b), int(rng.integers(3, 6)))
-    return dev
-
-
-class TestDeviceSnapshotProperties:
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_snapshot_restore_snapshot_byte_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        dev = _random_device(rng)
-        snap = encode(dev.snapshot())
-        fresh = PIMDevice(_CONFIG)
-        fresh.restore(decode(snap))
-        assert content_hash(encode(fresh.snapshot())) == \
-            content_hash(snap)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_restore_into_dirty_equals_fresh(self, seed, dirt_seed):
-        snap = encode(_random_device(
-            np.random.default_rng(seed)).snapshot())
-        fresh = PIMDevice(_CONFIG)
-        fresh.restore(decode(snap))
-        dirty = _random_device(np.random.default_rng(dirt_seed))
-        dirty.restore(decode(snap))
-        assert content_hash(encode(dirty.snapshot())) == \
-            content_hash(encode(fresh.snapshot()))
-
-
 # -- tracker / session states ---------------------------------------------
 
 def _tracked_state(seed: int, n_frames: int):
@@ -162,8 +111,10 @@ class TestTrackerSessionProperties:
     @settings(max_examples=8, deadline=None)
     def test_tracker_state_round_trip(self, seed, n_frames):
         state = _tracked_state(seed, n_frames)
-        snap = snapshot_tracker_state(state)
-        again = snapshot_tracker_state(restore_tracker_state(snap))
+        snap = encode(state.checkpoint())
+        restored = decode(snap)
+        assert isinstance(restored, TrackerState)
+        again = encode(restored.checkpoint())
         assert content_hash(again) == content_hash(snap)
 
     @given(st.integers(0, 500))

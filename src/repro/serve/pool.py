@@ -426,8 +426,9 @@ class PoolWorker:
                 item.session, item.seq, restored)
             return "error", exc
         if frame.is_keyframe and frame.health == OK:
-            # A healthy keyframe is the resume point of choice: deep
-            # snapshot it before anything downstream can corrupt it.
+            # A healthy keyframe is the resume point of choice:
+            # snapshot it structurally (process never mutates what the
+            # snapshot shares).
             self.sessions.save_checkpoint(session)
         self.sessions.checkin(session, applied_seq=item.seq)
         host_s = time.perf_counter() - t0

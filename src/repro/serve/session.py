@@ -20,8 +20,9 @@ Generation counters are persistent per id: they only ever grow, so a
 ``(sid, generation)`` pair uniquely names one incarnation of a stream
 across evictions.
 
-Sessions also carry a **checkpoint**: a deep snapshot of the tracker
-state taken at the last good keyframe (:meth:`SessionManager.save_checkpoint`).
+Sessions also carry a **checkpoint**: a structural snapshot of the
+tracker state (:meth:`~repro.vo.tracker.TrackerState.checkpoint`)
+taken at the last good keyframe (:meth:`SessionManager.save_checkpoint`).
 When a worker fails a frame terminally -- device fault storm, tracker
 exception past the retry budget -- it restores the session from that
 checkpoint (:meth:`SessionManager.restore_checkpoint`), so the stream
@@ -65,8 +66,8 @@ class Session:
     #: key session records carry.
     applied_seq: int = 0
     busy: bool = False
-    #: Deep snapshot of ``state`` at the last good keyframe (``None``
-    #: until the first checkpoint).  A worker that fails a frame
+    #: Structural snapshot of ``state`` at the last good keyframe
+    #: (``None`` until the first checkpoint).  A worker that fails a frame
     #: terminally restores from here, so the stream resumes from the
     #: last good keyframe instead of resetting to a cold start.
     checkpointed: Optional[TrackerState] = None
@@ -224,8 +225,10 @@ class SessionManager:
         """Detached record of one resident session.
 
         Everything another :class:`SessionManager` needs to resume the
-        stream bit-identically: the tracker state and checkpoint (deep
-        copies -- the record never aliases live state), the stream
+        stream bit-identically: the tracker state and checkpoint
+        (structural copies: later frames never change the record, and
+        it shares only the keyframes and results that ``process``
+        never mutates), the stream
         counters, and the generation watermark (so the importing
         manager can never reuse a generation this id already had).
         Wall-clock bookkeeping (``created_at``/``last_active``) is
@@ -263,9 +266,9 @@ class SessionManager:
         stream is the *same* incarnation, not a new one) while the
         generation watermark is raised to the record's, so a later
         evict/recreate cycle still gets a fresh generation.  The
-        record's states are deep-copied in, so importing the same
-        record twice (e.g. into a control and a target pool) yields
-        independent sessions.  The next frame resets the serving
+        record's states are copied in structurally, so importing the
+        same record twice (e.g. into a control and a target pool)
+        yields independent sessions.  The next frame resets the serving
         worker's devices (``force_device_reset``): no device state
         travels with a record.
         """

@@ -15,8 +15,9 @@ one :class:`~repro.shard.transport.MessagePump`:
     Admission :class:`~repro.serve.scheduler.Backpressure` travels
     back as a typed error reply carrying ``retry_after_s``.
 ``checkpoint``
-    Quiesce every resident session, export each one through the
-    ``repro.snap`` codec, resubmit the extracted queued frames, and
+    Quiesce every resident session, export and encode each one
+    (:func:`~repro.snap.state.encode_session_record`: every distinct
+    keyframe once), resubmit the extracted queued frames, and
     reply with the encoded records plus per-session settled
     watermarks (the last router seq whose outcome each exported state
     reflects).
@@ -54,8 +55,7 @@ from repro.shard.transport import (
     TransportClosed,
     connect_back,
 )
-from repro.snap.codec import encode
-from repro.snap.state import restore_session_record
+from repro.snap.state import encode_session_record, restore_session_record
 from repro.vo.config import TrackerConfig
 
 __all__ = ["ShardSpec", "shard_worker_main"]
@@ -187,7 +187,7 @@ class _ShardWorker:
             for item in extracted:
                 self.service.scheduler.submit(item)
             if record is not None:
-                out[sid] = {"record": encode(record),
+                out[sid] = {"record": encode_session_record(record),
                             "watermark": int(record["applied_seq"])}
         return out
 
@@ -220,7 +220,7 @@ class _ShardWorker:
             pending.append(int(item.seq))
         self._reply({"op": "result", "id": msg.get("id"),
                      "shard": self.shard_id, "ok": True,
-                     "record": encode(record),
+                     "record": encode_session_record(record),
                      "watermark": int(record["applied_seq"]),
                      "pending_seqs": pending})
 

@@ -13,7 +13,8 @@ turns that property into three tools:
   before anything is restored).
 * :mod:`repro.snap.state` -- the one state-transfer primitive: a
   session record exported on the source
-  (:meth:`~repro.serve.session.SessionManager.export_session`) and
+  (:meth:`~repro.serve.session.SessionManager.export_session`),
+  encoded with each keyframe once (:func:`encode_session_record`) and
   imported on the target (:func:`restore_session_record`).  Failover,
   drain, rebalance and shard checkpoints all move state this way.
 * :mod:`repro.snap.capture` -- the record/replay path: a per-session
@@ -37,7 +38,7 @@ from repro.snap.codec import (
     write_snapshot,
 )
 from repro.snap.capture import CaptureRing, ReplayReport, replay_bundle
-from repro.snap.state import restore_session_record
+from repro.snap.state import encode_session_record, restore_session_record
 
 __all__ = [
     "SNAP_SCHEMA",
@@ -47,6 +48,7 @@ __all__ = [
     "content_hash",
     "decode",
     "encode",
+    "encode_session_record",
     "load_snapshot",
     "make_snapshot",
     "replay_bundle",

@@ -8,7 +8,7 @@ solver and the tracker are frontend-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -61,6 +61,10 @@ class KeyframeMaps:
     ``grad_u``/``grad_v`` are the DT gradients pre-multiplied by the
     focal lengths, matching the ``(I_u, I_v)`` of Fig. 5-c.  The
     quantized fields are present only for the PIM frontend.
+
+    The maps are write-once: tracker checkpoints and session records
+    share a keyframe instead of copying it, so every array is marked
+    read-only here and an in-place write raises.
     """
 
     dt: np.ndarray
@@ -69,6 +73,12 @@ class KeyframeMaps:
     dt_raw: Optional[np.ndarray] = None
     gu_raw: Optional[np.ndarray] = None
     gv_raw: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            if arr is not None:
+                arr.flags.writeable = False
 
 
 def _bilinear(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

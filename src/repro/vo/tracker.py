@@ -18,8 +18,7 @@ without the health machinery.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -87,13 +86,18 @@ class TrackerState:
     Two snapshot granularities support the serving layer's fault
     containment:
 
-    * :meth:`checkpoint` / :meth:`restore` -- deep, detached copies
-      for durable per-session checkpoints (survive any mutation of the
-      live state, used to resume from the last good keyframe).
+    * :meth:`checkpoint` / :meth:`restore` -- structural copies for
+      durable per-session checkpoints (used to resume from the last
+      good keyframe, and exported in session records): fresh
+      ``results`` / ``recent_keyframes`` lists whose elements are
+      shared with the live state.
     * :meth:`restore_point` / :meth:`rollback` -- O(1) shallow marks
-      for in-place retry of a single frame (valid because ``process``
-      only ever *replaces* keyframes/poses and *appends* results,
-      never mutates them).
+      for in-place retry of a single frame.
+
+    Both rest on one contract: ``process`` only ever *replaces*
+    keyframes and poses and *appends* results, never mutates them.
+    :class:`~repro.vo.frontend.KeyframeMaps` enforces it for the
+    keyframe maps by marking its arrays read-only.
     """
 
     keyframe: Optional[Keyframe] = None
@@ -117,23 +121,25 @@ class TrackerState:
     # -- snapshots -------------------------------------------------------
 
     def checkpoint(self) -> "TrackerState":
-        """Deep, detached snapshot; safe to keep across any mutation."""
-        return copy.deepcopy(self)
+        """Structural snapshot: it survives any later ``process`` or
+        :meth:`rollback` of the live state, which only replace and
+        append elements, never mutate them."""
+        return replace(self, results=list(self.results),
+                       recent_keyframes=list(self.recent_keyframes))
 
     def restore(self, snapshot: "TrackerState") -> "TrackerState":
         """Load a :meth:`checkpoint` snapshot in place; returns self.
 
-        The snapshot itself stays untouched (fields are deep-copied
-        in), so one checkpoint can be restored any number of times.
+        The snapshot itself stays untouched (its lists are copied in),
+        so one checkpoint can be restored any number of times.
         """
-        other = copy.deepcopy(snapshot)
-        self.keyframe = other.keyframe
-        self.last_rel = other.last_rel
-        self.results = other.results
-        self.health = other.health
-        self.degraded_streak = other.degraded_streak
-        self.last_delta = other.last_delta
-        self.recent_keyframes = other.recent_keyframes
+        self.keyframe = snapshot.keyframe
+        self.last_rel = snapshot.last_rel
+        self.results = list(snapshot.results)
+        self.health = snapshot.health
+        self.degraded_streak = snapshot.degraded_streak
+        self.last_delta = snapshot.last_delta
+        self.recent_keyframes = list(snapshot.recent_keyframes)
         return self
 
     def restore_point(self) -> tuple:

@@ -21,6 +21,7 @@ from repro.geometry.camera import TUM_QVGA
 from repro.pim.isa import OpKind
 from repro.serve import SessionManager
 from repro.snap import encode, decode, content_hash
+from repro.snap.state import encode_session_record, restore_session_record
 from repro.vo import EBVOTracker, TrackerConfig, TrackerState
 from repro.vo.frontend import FloatFrontend
 
@@ -125,16 +126,16 @@ class TestTrackerSessionProperties:
         session.state = _tracked_state(seed, 2)
         session.frames = 2
         source.save_checkpoint(session)
-        record = encode(source.export_session("probe"))
+        record = encode_session_record(source.export_session("probe"))
 
         fresh = SessionManager()
-        fresh.import_session(decode(record))
+        restore_session_record(fresh, record)
         dirty = SessionManager()
         dirty.touch("other-a")
         dirty.touch("other-b")
-        dirty.import_session(decode(record))
+        restore_session_record(dirty, record)
 
-        again_fresh = encode(fresh.export_session("probe"))
-        again_dirty = encode(dirty.export_session("probe"))
+        again_fresh = encode_session_record(fresh.export_session("probe"))
+        again_dirty = encode_session_record(dirty.export_session("probe"))
         assert content_hash(again_fresh) == content_hash(record)
         assert content_hash(again_dirty) == content_hash(record)

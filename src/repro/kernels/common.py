@@ -14,7 +14,7 @@ import numpy as np
 from repro.pim.program import ProgramCache
 
 __all__ = ["KERNEL_PROGRAM_CACHE", "load_image", "read_image",
-           "shift_pixels", "pixels_u8", "zero_extend"]
+           "shift_pixels", "pixels_u8", "zero_extend", "peak", "shr_peak"]
 
 #: Process-wide LRU of compiled kernel programs.  Keys include the
 #: device geometry digest (see :func:`repro.pim.program.program_key`),
@@ -95,3 +95,14 @@ def zero_extend(array: np.ndarray, pixels: int) -> np.ndarray:
                    dtype=array.dtype)
     out[..., :array.shape[-1]] = array
     return out
+
+
+def peak(x: np.ndarray) -> int:
+    """``max |x|`` of a non-empty integer array, as a Python int."""
+    return max(-int(x.min()), int(x.max()))
+
+
+def shr_peak(m: int, f: int) -> int:
+    """Peak of ``p >> f`` over ``|p| <= m``: ``-m >> f`` is
+    ``-ceil(m / 2**f)``, so the bound rounds up."""
+    return -((-m) >> f)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fixedpoint import Q14_2, ops
+from repro.kernels.common import peak, shr_peak
 from repro.kernels.warp import FEATURE_FORMAT, WarpResult, qdiv_lanes
 from repro.obs.metrics import get_registry
 from repro.pim.device import TMP, Imm
@@ -80,17 +81,6 @@ def _qmul(a, b, f: int) -> np.ndarray:
         _LANE_BITS)
 
 
-def _peak(x: np.ndarray) -> int:
-    """``max |x|`` of a non-empty integer array, as a Python int."""
-    return max(-int(x.min()), int(x.max()))
-
-
-def _shr_peak(m: int, f: int) -> int:
-    """Peak of ``p >> f`` over ``|p| <= m``: ``-m >> f`` is
-    ``-ceil(m / 2**f)``, so the bound rounds up."""
-    return -((-m) >> f)
-
-
 def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
                   feature_frac: int = FEATURE_FORMAT.fraction_bits
                   ) -> np.ndarray:
@@ -121,12 +111,12 @@ def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
                                               iv_raw))
     n = w.size
     if n:
-        mrx, mry, miu, miv, mw = (_peak(x) for x in (rx, ry, iu, iv, w))
-        mk = _shr_peak(mrx * miu, f) + _shr_peak(mry * miv, f)
-        peaks = (_shr_peak(miu * mw, f), _shr_peak(miv * mw, f), mk,
-                 _shr_peak(mk * mw, f), _shr_peak(mry * mk, f) + miv,
-                 _shr_peak(mrx * mk, f) + miu,
-                 _shr_peak(mrx * miv, f) + _shr_peak(mry * miu, f))
+        mrx, mry, miu, miv, mw = (peak(x) for x in (rx, ry, iu, iv, w))
+        mk = shr_peak(mrx * miu, f) + shr_peak(mry * miv, f)
+        peaks = (shr_peak(miu * mw, f), shr_peak(miv * mw, f), mk,
+                 shr_peak(mk * mw, f), shr_peak(mry * mk, f) + miv,
+                 shr_peak(mrx * mk, f) + miu,
+                 shr_peak(mrx * miv, f) + shr_peak(mry * miu, f))
         narrow = (max(mrx, mry, miu, miv, mw) <= 1 << 15
                   and max(peaks) <= (1 << (_LANE_BITS - 1)) - 1)
     else:

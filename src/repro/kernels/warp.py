@@ -20,13 +20,15 @@ points, same shift amounts) so the tracker's numerics equal the device.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.fixedpoint import Q1_15, Q4_12, Q14_2, QFormat
 from repro.geometry.camera import CameraIntrinsics
 from repro.geometry.se3 import SE3
+from repro.kernels.common import peak, shr_peak
+from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
 from repro.pim.device import TMP, Imm, Rel
 from repro.pim.program import PIMProgram, ProgramRecorder
@@ -50,19 +52,50 @@ UV_FORMAT = Q14_2
 INTRINSIC_FORMAT = QFormat(10, 6)
 
 _LANE_BITS = 16
+_LANE_MIN = -(1 << (_LANE_BITS - 1))
+_LANE_MAX = (1 << (_LANE_BITS - 1)) - 1
 
 
 @dataclass
 class QuantizedFeatures:
-    """A batch of features in quantized inverse-depth coordinates."""
+    """A batch of features in quantized inverse-depth coordinates.
+
+    A feature set is written once and warped many times (every LM trial
+    of a frame), so what does not depend on the pose is taken here, at
+    construction: ``lanes``, the int32 ``(3, n)`` pack of ``a``, ``b``
+    and ``c``, and their peaks.  ``a``, ``b``, ``c`` and ``lanes`` are
+    marked read-only, so an in-place write raises instead of leaving
+    the pack or the peaks stale.  Values outside the 16-bit lane are
+    kept (``in_lane`` is False) and rejected by :func:`warp_fast`.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     fmt: QFormat = FEATURE_FORMAT
+    #: ``(a, b, c)`` as one int32 ``(3, n)`` block (exact when in_lane).
+    lanes: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``(max|a|, max|b|, max|c|)`` as Python ints, 0 when empty.
+    peaks: tuple = field(init=False, repr=False, compare=False)
+    #: Every value of ``a``, ``b`` and ``c`` fits the 16-bit lane.
+    in_lane: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        components = tuple(np.asarray(x) for x in (self.a, self.b, self.c))
+        self.a, self.b, self.c = components
+        if self.a.size:
+            bounds = [(int(x.min()), int(x.max())) for x in components]
+        else:
+            bounds = [(0, 0)] * 3
+        self.peaks = tuple(max(-lo, hi) for lo, hi in bounds)
+        self.in_lane = all(_LANE_MIN <= lo and hi <= _LANE_MAX
+                           for lo, hi in bounds)
+        self.lanes = np.array(components, dtype=np.int32)
+        for arr in components + (self.lanes,):
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
-        return int(np.asarray(self.a).size)
+        return int(self.a.size)
 
 
 @dataclass
@@ -136,10 +169,6 @@ def warp_float(pose: SE3, a, b, c, camera: CameraIntrinsics) -> WarpResult:
     return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid)
 
 
-_LANE_MIN = -(1 << (_LANE_BITS - 1))
-_LANE_MAX = (1 << (_LANE_BITS - 1)) - 1
-
-
 @functools.lru_cache(maxsize=16)
 def _intrinsic_raws(camera: CameraIntrinsics, fraction_bits: int) -> tuple:
     """``(fx, fy, cx, cy, shift)`` raws of the intrinsic mapping.
@@ -156,14 +185,44 @@ def _intrinsic_raws(camera: CameraIntrinsics, fraction_bits: int) -> tuple:
             int(UV_FORMAT.quantize(camera.cy)), shift)
 
 
-#: The lane bounds as int32 scalars: ``np.clip`` checks Python-int
-#: bounds against the array's dtype first, which doubles its cost here.
+#: The lane bounds as int32 scalars: a clip checks Python-int bounds
+#: against the array's dtype first, which doubles its cost here.
 _SAT16_BOUNDS = (np.int32(_LANE_MIN), np.int32(_LANE_MAX))
 
 
 def _sat16(x: np.ndarray) -> np.ndarray:
-    """Saturate an int32 array to the 16-bit lane, in place."""
-    return np.clip(x, *_SAT16_BOUNDS, out=x)
+    """Saturate an int32 array to the 16-bit lane, in place.
+
+    The ``ndarray.clip`` method, not ``np.clip``, whose Python-level
+    dispatch costs as much again as the clip itself at these sizes.
+    """
+    return x.clip(*_SAT16_BOUNDS, out=x)
+
+
+@functools.lru_cache(maxsize=16)
+def _intrinsic_lanes(camera: CameraIntrinsics, fraction_bits: int) -> tuple:
+    """:func:`warp_fast`'s constants of the intrinsic stage, per camera.
+
+    ``(fxy, cxy, shift, lim, narrow)``: the focal lengths and principal
+    point as int32 ``(2, 1)`` columns, the product shift, the valid
+    ``u``/``v`` maximum as a uint32 ``(2, 1)`` column, and whether
+    neither saturating add can clamp.  A quotient lane is at most
+    ``2**15`` in magnitude, so ``|uv| <= ceil(2**15 * f >> shift) + c``
+    for the largest ``|f|`` and ``|c|``; within the lane both clips
+    are dead.  For ``TUM_QVGA`` in Q4.12 that is ``8403 + 637 = 9040``.
+    """
+    fx_q, fy_q, cx_q, cy_q, shift = _intrinsic_raws(camera, fraction_bits)
+    peak_uv = (shr_peak((1 << 15) * max(abs(fx_q), abs(fy_q)), shift)
+               + max(abs(cx_q), abs(cy_q)))
+    scale = UV_FORMAT.scale
+    consts = (np.array([[fx_q], [fy_q]], dtype=np.int32),
+              np.array([[cx_q], [cy_q]], dtype=np.int32),
+              np.array([[(camera.width - 1) * scale],
+                        [(camera.height - 1) * scale]], dtype=np.uint32))
+    for arr in consts:
+        arr.flags.writeable = False
+    fxy, cxy, lim = consts
+    return fxy, cxy, shift, lim, peak_uv <= _LANE_MAX
 
 
 def qdiv_lanes(a_raw, b_raw, lshift: int = 0) -> np.ndarray:
@@ -188,11 +247,10 @@ def qdiv_lanes(a_raw, b_raw, lshift: int = 0) -> np.ndarray:
     if a.size == 0 or b.size == 0:
         return np.zeros(np.broadcast_shapes(a.shape, b.shape),
                         dtype=np.int32)
-    if (max(-int(a.min()), int(a.max())) << lshift >= 1 << 31
-            or max(-int(b.min()), int(b.max())) > 1 << 15):
+    if peak(a) << lshift >= 1 << 31 or peak(b) > 1 << 15:
         raise ValueError("divide operands exceed the float-quotient range")
-    num = a.astype(np.int32) << lshift
-    den = b.astype(np.int32)
+    num = a.astype(np.int32, copy=False) << lshift
+    den = b.astype(np.int32, copy=False)
     zero = den == 0
     q = (num / (den + zero)).astype(np.int32)
     _sat16(q)
@@ -207,9 +265,10 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
 
     Bit-identical to :func:`warp_pim`: every product, shift, divide and
     saturation of the device program, in the same order, with the
-    nine MAC products of X, Y and Z as one ``(3, 3, n)`` pass, the two
-    divides as one ``(2, n)`` :func:`qdiv_lanes` call and both
-    intrinsic products as one ``(2, n)`` pass.
+    nine MAC products of X, Y and Z as one ``(3, 3, n)`` pass over the
+    feature set's cached int32 ``lanes``, the two divides as one
+    ``(2, n)`` :func:`qdiv_lanes` call and both intrinsic products as
+    one ``(2, n)`` pass.
 
     The lanes are 16-bit, so int32 holds every intermediate exactly: a
     16 x 16-bit product is at most ``2**30`` in magnitude, a sum of
@@ -219,31 +278,48 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     16-bit feature format (``f <= 15``).  The multiply operands (``a``,
     ``b``, ``c`` and the ``R[:, :2]``, ``T`` raws) are checked against
     the 16-bit lane like :func:`repro.fixedpoint.ops.multiply`, with
-    the same :class:`ValueError`.  Fields are returned as int64.
+    the same :class:`ValueError`.
+
+    Bound first: the feature peaks pushed through each axis's products
+    plus ``|r2|`` decide, before any product is formed, whether a MAC
+    clamp or saturating add can fire; the intrinsic stage's bound is a
+    camera constant (:func:`_intrinsic_lanes`).  Stages that clear
+    their bound skip the clips; otherwise the saturating sequence runs
+    and ``kernels_warp_saturated_total`` counts the call.  Fields are
+    the int32 rows of one ``(5, n)`` block.
     """
     f = feats.fmt.fraction_bits
-    abc = np.array((feats.a, feats.b, feats.c), dtype=np.int64)
-    n = abc.shape[1]
-    r = np.asarray(qpose.r, dtype=np.int64)
-    t = np.asarray(qpose.t, dtype=np.int64).reshape(3, 1)
+    r = np.asarray(qpose.r).tolist()
+    t = np.asarray(qpose.t).reshape(-1).tolist()
     # Per axis, the multiplier of a, b and c: r0, r1 and t.
-    coef = np.concatenate((r[:, :2], t), axis=1)
-    if n and (abc.min() < _LANE_MIN or abc.max() > _LANE_MAX
-              or coef.min() < _LANE_MIN or coef.max() > _LANE_MAX):
+    coef = [(int(row[0]), int(row[1]), int(ti)) for row, ti in zip(r, t)]
+    n = len(feats)
+    if n and (not feats.in_lane
+              or not all(_LANE_MIN <= v <= _LANE_MAX
+                         for row in coef for v in row)):
         raise ValueError(f"operands exceed {_LANE_BITS}-bit lane range")
-    r2 = np.array([[max(-(1 << 16), min(int(v) >> (15 - f), 1 << 16))]
-                   for v in r[:, 2]], dtype=np.int32)
+    r2 = [max(-(1 << 16), min(int(row[2]) >> (15 - f), 1 << 16))
+          for row in r]
+    mac_narrow = all(
+        sum(shr_peak(abs(k) * p, 15) for k, p in zip(row, feats.peaks))
+        + abs(imm) <= _LANE_MAX for row, imm in zip(coef, r2))
+    r2_col = np.array(r2, dtype=np.int32).reshape(3, 1)
 
     # (axis, term, feature): products >> 15 lie in [-2**15 + 1, 2**15],
     # so their saturation only ever clamps from above.
-    m = coef.astype(np.int32)[:, :, None] * abc.astype(np.int32)
+    m = np.array(coef, dtype=np.int32)[:, :, None] * feats.lanes
     m >>= 15
-    np.minimum(m, _LANE_MAX, out=m)
-    xyz = _sat16(m[:, 0] + m[:, 1])
-    xyz += r2
-    _sat16(xyz)
-    xyz += m[:, 2]
-    _sat16(xyz)
+    if mac_narrow:
+        xyz = m[:, 0] + m[:, 1]
+        xyz += m[:, 2]
+        xyz += r2_col
+    else:
+        np.minimum(m, _LANE_MAX, out=m)
+        xyz = _sat16(m[:, 0] + m[:, 1])
+        xyz += r2_col
+        _sat16(xyz)
+        xyz += m[:, 2]
+        _sat16(xyz)
 
     out = np.empty((5, n), dtype=np.int32)   # u, v, rx, ry, z
     den = xyz[2]
@@ -251,20 +327,27 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     rxy = out[2:4]
     rxy[...] = qdiv_lanes(xyz[:2], den, lshift=f)
 
-    fx_q, fy_q, cx_q, cy_q, shift = _intrinsic_raws(camera, f)
+    fxy, cxy, shift, lim, uv_narrow = _intrinsic_lanes(camera, f)
     uv = out[:2]
-    np.multiply(rxy, np.array([[fx_q], [fy_q]], dtype=np.int32), out=uv)
+    np.multiply(rxy, fxy, out=uv)
     uv >>= shift
-    _sat16(uv)
-    uv += np.array([[cx_q], [cy_q]], dtype=np.int32)
-    _sat16(uv)
+    if uv_narrow:
+        uv += cxy
+    else:
+        _sat16(uv)
+        uv += cxy
+        _sat16(uv)
+    if not (mac_narrow and uv_narrow):
+        get_registry().counter(
+            "kernels_warp_saturated_total",
+            "warp_fast calls whose MAC or intrinsic bound could not "
+            "clear, which ran the saturating op sequence").inc()
 
-    scale = UV_FORMAT.scale
-    lim = np.array([[(camera.width - 1) * scale],
-                    [(camera.height - 1) * scale]])
-    inside = (uv >= 0) & (uv <= lim)
-    valid = (den > 0) & inside[0] & inside[1]
-    u, v, rx, ry, z = out.astype(np.int64)
+    # 0 <= uv <= lim as one unsigned compare: negative lanes wrap high.
+    inside = uv.view(np.uint32) <= lim
+    valid = inside[0] & inside[1]
+    valid &= den > 0
+    u, v, rx, ry, z = out
     return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid)
 
 

@@ -291,17 +291,20 @@ class PIMFrontend:
         res = warp_fast(qpose, qfeats, self.config.camera)
         valid = res.valid
         h, w = maps.dt_raw.shape
-        # Nearest integer pixel, clipped into the map (int64 scalar
-        # bounds keep np.clip off its Python-int dtype check).
+        # Nearest integer pixel, clipped into the map, all in the warp's
+        # int32 (a 16-bit lane plus ``half`` cannot overflow; int32
+        # scalar bounds keep the clip off its Python-int dtype check).
         half = UV_FORMAT.scale // 2
-        ui = (res.u + half) >> 2
-        vi = (res.v + half) >> 2
-        np.clip(ui, np.int64(0), np.int64(w - 1), out=ui)
-        np.clip(vi, np.int64(0), np.int64(h - 1), out=vi)
-        idx = vi * w
+        ui = res.u + half
+        ui >>= 2
+        vi = res.v + half
+        vi >>= 2
+        ui.clip(np.int32(0), np.int32(w - 1), out=ui)
+        vi.clip(np.int32(0), np.int32(h - 1), out=vi)
+        idx = vi * np.int32(w)
         idx += ui
         if self.config.pim_bilinear_residual:
-            r_raw = np.zeros_like(res.u)
+            r_raw = np.zeros(len(valid), dtype=np.int64)
             r_raw[valid] = np.minimum(
                 self._bilinear_q2(maps.dt_raw, res.u[valid], res.v[valid]),
                 self._clamp_raw)
@@ -356,7 +359,7 @@ class PIMFrontend:
         iu *= valid
         iv = maps.gv_raw.take(idx).astype(np.int32)
         iv *= valid
-        jac = jacobian_fast(res, qfeats.c, iu, iv,
+        jac = jacobian_fast(res, qfeats.lanes[2], iu, iv,
                             feature_frac=qfeats.fmt.fraction_bits)
         h_raw, b_raw = hessian_fast(jac, r_raw)
         h = unpack_symmetric(h_raw / 8.0)

@@ -258,8 +258,16 @@ class TestJacobianNarrowSplit:
     def test_fast_matches_device_on_both_paths(self):
         paths = set()
 
+        # Raw-lane draws only mostly saturate, so each path is also
+        # pinned: LM-scale lanes, and |Iu| = 2^15 - 1 over Z~ = 1.
         @settings(max_examples=40, deadline=None)
         @given(jacobian_lanes())
+        @example(lanes=(np.full(8, 300), np.full(8, -200),
+                        np.full(8, 4096), np.full(8, 2048),
+                        np.arange(8) - 4, 4 - np.arange(8)))
+        @example(lanes=(np.full(8, 2000), np.full(8, -1500),
+                        np.ones(8, dtype=np.int64), np.full(8, 4096),
+                        np.full(8, LANE_MAX), np.full(8, -700)))
         def check(lanes):
             got, want, fell_back = jacobian_both(*lanes)
             paths.add(fell_back)

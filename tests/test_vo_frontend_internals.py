@@ -52,6 +52,23 @@ class TestQuarterPixelBilinear:
         out = PIMFrontend._bilinear_q2(grid, u_raw, v_raw)
         np.testing.assert_array_equal(out, [5, 11, 17])
 
+    def test_int32_coordinates_match_int64_at_the_edges(self):
+        """The warp hands the lookup int32 quarter-pixel coordinates;
+        at and around both map edges (where the neighbour clamps) they
+        blend exactly like int64 ones."""
+        h, w = 8, 10
+        grid = np.random.default_rng(3).integers(0, 2000, (h, w))
+        u, v = np.meshgrid([0, 1, 2, 3, 4, (w - 1) * 4 - 1, (w - 1) * 4,
+                            (w - 1) * 4 + 1, (w - 1) * 4 + 3],
+                           [0, 1, 3, (h - 1) * 4 - 1, (h - 1) * 4,
+                            (h - 1) * 4 + 2])
+        want = PIMFrontend._bilinear_q2(grid, u.astype(np.int64).ravel(),
+                                        v.astype(np.int64).ravel())
+        got = PIMFrontend._bilinear_q2(grid, u.astype(np.int32).ravel(),
+                                       v.astype(np.int32).ravel())
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
 
 class TestKeyframeMaps:
     def test_float_maps_have_focal_scaled_gradients(self):

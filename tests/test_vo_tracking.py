@@ -7,6 +7,7 @@ from repro.dataset import make_sequence
 from repro.dataset.synthetic import make_room_scene, render_frame
 from repro.evaluation import relative_pose_error
 from repro.geometry import SE3, TUM_QVGA, se3_exp
+from repro.obs.metrics import get_registry
 from repro.vo import (
     EBVOTracker,
     FloatFrontend,
@@ -172,3 +173,29 @@ class TestTracker:
         assert results["pim"].translation_rmse < \
             5 * results["float"].translation_rmse + 0.03
         assert results["pim"].translation_rmse < 0.15
+
+
+class TestNarrowKernelPaths:
+    #: The counters of the saturating fallbacks behind each LM kernel
+    #: mirror's bound.
+    FALLBACKS = ("kernels_warp_saturated_total",
+                 "kernels_jacobian_saturated_total",
+                 "kernels_hessian_saturated_total",
+                 "kernels_hessian_reduce_saturated_total")
+
+    def test_default_dense_run_never_falls_back(self):
+        """On a default-config ``fr1_xyz`` run (6000-feature frames)
+        every warp, Jacobian and Hessian bound clears: no fallback
+        counter moves."""
+        registry = get_registry()
+        before = [registry.counter(n).total() for n in self.FALLBACKS]
+        seq = make_sequence("fr1_xyz", n_frames=12)
+        config = TrackerConfig()
+        tracker = EBVOTracker(PIMFrontend(config), config)
+        iterations = 0
+        for f in seq.frames:
+            res = tracker.process(f.gray, f.depth, f.timestamp)
+            iterations += res.lm.iterations if res.lm else 0
+        assert iterations > 0
+        assert [registry.counter(n).total()
+                for n in self.FALLBACKS] == before

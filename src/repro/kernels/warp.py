@@ -27,8 +27,7 @@ import numpy as np
 from repro.fixedpoint import Q1_15, Q4_12, Q14_2, QFormat
 from repro.geometry.camera import CameraIntrinsics
 from repro.geometry.se3 import SE3
-from repro.kernels.common import peak, shr_peak
-from repro.obs.metrics import get_registry
+from repro.kernels.common import peak
 from repro.obs.tracer import span as obs_span
 from repro.pim.device import TMP, Imm, Rel
 from repro.pim.program import PIMProgram, ProgramRecorder
@@ -63,10 +62,14 @@ class QuantizedFeatures:
     A feature set is written once and warped many times (every LM trial
     of a frame), so what does not depend on the pose is taken here, at
     construction: ``lanes``, the int32 ``(3, n)`` pack of ``a``, ``b``
-    and ``c``, and their peaks.  ``a``, ``b``, ``c`` and ``lanes`` are
-    marked read-only, so an in-place write raises instead of leaving
-    the pack or the peaks stale.  Values outside the 16-bit lane are
-    kept (``in_lane`` is False) and rejected by :func:`warp_fast`.
+    and ``c``, and whether they fit the 16-bit lane.  ``a``, ``b``,
+    ``c`` and ``lanes`` are marked read-only, so a write through them
+    raises instead of leaving the pack stale.  That guards these arrays
+    only: pass arrays that nothing writes into afterwards, not views of
+    a writable array (:func:`quantize_features` builds fresh ones, and
+    ``lm_pipeline._batched`` slices read-only ones).  Values outside
+    the lane are kept (``in_lane`` is False) and rejected by
+    :func:`warp_fast`.
     """
 
     a: np.ndarray
@@ -75,21 +78,15 @@ class QuantizedFeatures:
     fmt: QFormat = FEATURE_FORMAT
     #: ``(a, b, c)`` as one int32 ``(3, n)`` block (exact when in_lane).
     lanes: np.ndarray = field(init=False, repr=False, compare=False)
-    #: ``(max|a|, max|b|, max|c|)`` as Python ints, 0 when empty.
-    peaks: tuple = field(init=False, repr=False, compare=False)
     #: Every value of ``a``, ``b`` and ``c`` fits the 16-bit lane.
     in_lane: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         components = tuple(np.asarray(x) for x in (self.a, self.b, self.c))
         self.a, self.b, self.c = components
-        if self.a.size:
-            bounds = [(int(x.min()), int(x.max())) for x in components]
-        else:
-            bounds = [(0, 0)] * 3
-        self.peaks = tuple(max(-lo, hi) for lo, hi in bounds)
-        self.in_lane = all(_LANE_MIN <= lo and hi <= _LANE_MAX
-                           for lo, hi in bounds)
+        self.in_lane = not self.a.size or all(
+            _LANE_MIN <= int(x.min()) and int(x.max()) <= _LANE_MAX
+            for x in components)
         self.lanes = np.array(components, dtype=np.int32)
         for arr in components + (self.lanes,):
             arr.flags.writeable = False
@@ -203,17 +200,11 @@ def _sat16(x: np.ndarray) -> np.ndarray:
 def _intrinsic_lanes(camera: CameraIntrinsics, fraction_bits: int) -> tuple:
     """:func:`warp_fast`'s constants of the intrinsic stage, per camera.
 
-    ``(fxy, cxy, shift, lim, narrow)``: the focal lengths and principal
-    point as int32 ``(2, 1)`` columns, the product shift, the valid
-    ``u``/``v`` maximum as a uint32 ``(2, 1)`` column, and whether
-    neither saturating add can clamp.  A quotient lane is at most
-    ``2**15`` in magnitude, so ``|uv| <= ceil(2**15 * f >> shift) + c``
-    for the largest ``|f|`` and ``|c|``; within the lane both clips
-    are dead.  For ``TUM_QVGA`` in Q4.12 that is ``8403 + 637 = 9040``.
+    ``(fxy, cxy, shift, lim)``: the focal lengths and principal point
+    as int32 ``(2, 1)`` columns, the product shift, and the valid
+    ``u``/``v`` maximum as a uint32 ``(2, 1)`` column.
     """
     fx_q, fy_q, cx_q, cy_q, shift = _intrinsic_raws(camera, fraction_bits)
-    peak_uv = (shr_peak((1 << 15) * max(abs(fx_q), abs(fy_q)), shift)
-               + max(abs(cx_q), abs(cy_q)))
     scale = UV_FORMAT.scale
     consts = (np.array([[fx_q], [fy_q]], dtype=np.int32),
               np.array([[cx_q], [cy_q]], dtype=np.int32),
@@ -222,7 +213,7 @@ def _intrinsic_lanes(camera: CameraIntrinsics, fraction_bits: int) -> tuple:
     for arr in consts:
         arr.flags.writeable = False
     fxy, cxy, lim = consts
-    return fxy, cxy, shift, lim, peak_uv <= _LANE_MAX
+    return fxy, cxy, shift, lim
 
 
 def qdiv_lanes(a_raw, b_raw, lshift: int = 0) -> np.ndarray:
@@ -280,13 +271,10 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     the 16-bit lane like :func:`repro.fixedpoint.ops.multiply`, with
     the same :class:`ValueError`.
 
-    Bound first: the feature peaks pushed through each axis's products
-    plus ``|r2|`` decide, before any product is formed, whether a MAC
-    clamp or saturating add can fire; the intrinsic stage's bound is a
-    camera constant (:func:`_intrinsic_lanes`).  Stages that clear
-    their bound skip the clips; otherwise the saturating sequence runs
-    and ``kernels_warp_saturated_total`` counts the call.  Fields are
-    the int32 rows of one ``(5, n)`` block.
+    Per call only the pose-dependent work is done: the feature pack
+    and its lane check come from :class:`QuantizedFeatures`, the
+    intrinsic constants from :func:`_intrinsic_lanes`.  Fields are the
+    int32 rows of one ``(5, n)`` block.
     """
     f = feats.fmt.fraction_bits
     r = np.asarray(qpose.r).tolist()
@@ -298,28 +286,19 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
               or not all(_LANE_MIN <= v <= _LANE_MAX
                          for row in coef for v in row)):
         raise ValueError(f"operands exceed {_LANE_BITS}-bit lane range")
-    r2 = [max(-(1 << 16), min(int(row[2]) >> (15 - f), 1 << 16))
-          for row in r]
-    mac_narrow = all(
-        sum(shr_peak(abs(k) * p, 15) for k, p in zip(row, feats.peaks))
-        + abs(imm) <= _LANE_MAX for row, imm in zip(coef, r2))
-    r2_col = np.array(r2, dtype=np.int32).reshape(3, 1)
+    r2 = np.array([max(-(1 << 16), min(int(row[2]) >> (15 - f), 1 << 16))
+                   for row in r], dtype=np.int32).reshape(3, 1)
 
     # (axis, term, feature): products >> 15 lie in [-2**15 + 1, 2**15],
     # so their saturation only ever clamps from above.
     m = np.array(coef, dtype=np.int32)[:, :, None] * feats.lanes
     m >>= 15
-    if mac_narrow:
-        xyz = m[:, 0] + m[:, 1]
-        xyz += m[:, 2]
-        xyz += r2_col
-    else:
-        np.minimum(m, _LANE_MAX, out=m)
-        xyz = _sat16(m[:, 0] + m[:, 1])
-        xyz += r2_col
-        _sat16(xyz)
-        xyz += m[:, 2]
-        _sat16(xyz)
+    np.minimum(m, _LANE_MAX, out=m)
+    xyz = _sat16(m[:, 0] + m[:, 1])
+    xyz += r2
+    _sat16(xyz)
+    xyz += m[:, 2]
+    _sat16(xyz)
 
     out = np.empty((5, n), dtype=np.int32)   # u, v, rx, ry, z
     den = xyz[2]
@@ -327,21 +306,13 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     rxy = out[2:4]
     rxy[...] = qdiv_lanes(xyz[:2], den, lshift=f)
 
-    fxy, cxy, shift, lim, uv_narrow = _intrinsic_lanes(camera, f)
+    fxy, cxy, shift, lim = _intrinsic_lanes(camera, f)
     uv = out[:2]
     np.multiply(rxy, fxy, out=uv)
     uv >>= shift
-    if uv_narrow:
-        uv += cxy
-    else:
-        _sat16(uv)
-        uv += cxy
-        _sat16(uv)
-    if not (mac_narrow and uv_narrow):
-        get_registry().counter(
-            "kernels_warp_saturated_total",
-            "warp_fast calls whose MAC or intrinsic bound could not "
-            "clear, which ran the saturating op sequence").inc()
+    _sat16(uv)
+    uv += cxy
+    _sat16(uv)
 
     # 0 <= uv <= lim as one unsigned compare: negative lanes wrap high.
     inside = uv.view(np.uint32) <= lim

@@ -25,7 +25,6 @@ from repro.kernels.warp import (
     warp_float,
     warp_pim,
 )
-from repro.obs.metrics import get_registry
 from repro.pim import PIMConfig, PIMDevice
 
 CAM = TUM_QVGA
@@ -67,18 +66,16 @@ class TestQuantization:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 
-    def test_pack_and_peaks_are_taken_once(self):
+    def test_pack_is_taken_once(self):
         (a, b, c), _ = sample_features(n=10)
         q = quantize_features(a, b, c)
         assert q.lanes.dtype == np.int32 and q.lanes.shape == (3, 10)
         np.testing.assert_array_equal(q.lanes, [q.a, q.b, q.c])
-        assert q.peaks == tuple(int(np.abs(x).max()) for x in (q.a, q.b,
-                                                              q.c))
         assert q.in_lane
         assert not _raw_feats([0], [LANE_MIN - 1], [0]).in_lane
         assert _raw_feats([LANE_MIN], [LANE_MAX], [0]).in_lane
         empty = _raw_feats([], [], [])
-        assert empty.peaks == (0, 0, 0) and empty.lanes.shape == (3, 0)
+        assert empty.in_lane and empty.lanes.shape == (3, 0)
 
     def test_batch_slices_pack_like_the_whole_set(self):
         (a, b, c), _ = sample_features(n=401, seed=11)
@@ -87,9 +84,6 @@ class TestQuantization:
         for batch, count in _batched(whole, 160):
             np.testing.assert_array_equal(
                 batch.lanes, whole.lanes[:, start:start + count])
-            assert batch.peaks == tuple(
-                int(np.abs(x[start:start + count]).max())
-                for x in (whole.a, whole.b, whole.c))
             start += count
         assert start == len(whole)
 
@@ -258,109 +252,58 @@ def warp_inputs(draw):
     return qp, qf
 
 
-def warp_saturated_calls() -> float:
-    return get_registry().counter("kernels_warp_saturated_total").total()
-
-
-def lane_saturates(qp, qf, want, camera=CAM) -> bool:
-    """Whether any clamp or saturating add of the device's warp changes
-    a lane: the op sequence of ``warp_pim`` in int64 with every
-    saturation checked, taking the quotients from its result ``want``."""
-    f = qf.fmt.fraction_bits
-    fired = []
-
-    def sat(x):
-        y = np.clip(x, LANE_MIN, LANE_MAX)
-        fired.append(bool((y != x).any()))
-        return y
-
-    abc = np.array((qf.a, qf.b, qf.c), dtype=np.int64)
-    r = np.asarray(qp.r, dtype=np.int64)
-    coef = np.concatenate((r[:, :2], np.reshape(qp.t, (3, 1))), axis=1)
-    m = sat((coef[:, :, None] * abc) >> 15)
-    r2 = (r[:, 2] >> (15 - f)).reshape(3, 1)
-    sat(sat(sat(m[:, 0] + m[:, 1]) + r2) + m[:, 2])
-    fx, fy, cx, cy, shift = _intrinsic_raws(camera, f)
-    for q, fq, cq in ((want.rx, fx, cx), (want.ry, fy, cy)):
-        sat(sat((np.asarray(q, dtype=np.int64) * fq) >> shift) + cq)
-    return any(fired)
-
-
 def warp_both(qp, qf, camera=CAM):
-    """``warp_fast`` and ``warp_pim`` on the same inputs, and whether
-    the mirror counted a saturating fallback (at most once a call)."""
+    """``warp_fast`` and ``warp_pim`` on the same inputs."""
     dev = PIMDevice(PIMConfig(wordline_bits=2560, num_rows=32))
-    want = warp_pim(dev, qp, qf, camera, _ROWS)
-    before = warp_saturated_calls()
-    got = warp_fast(qp, qf, camera)
-    moved = warp_saturated_calls() - before
-    assert moved in (0, 1)
-    return got, want, bool(moved)
+    return warp_fast(qp, qf, camera), warp_pim(dev, qp, qf, camera, _ROWS)
 
 
 def assert_same_fields(got, want):
     for name in ("u", "v", "rx", "ry", "z", "valid"):
-        np.testing.assert_array_equal(getattr(got, name),
-                                      getattr(want, name), err_msg=name)
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == (bool if name == "valid" else np.int32)
+        np.testing.assert_array_equal(g, w, err_msg=name)
 
 
 class TestWarpFastMatchesDevice:
-    def test_fast_equals_device_program(self):
-        """Every field equals the device on both paths: the narrow one,
-        whose bound proves no lane saturates, and the counted
-        saturating one, which every saturating input takes."""
-        paths = set()
+    @given(warp_inputs())
+    @settings(max_examples=60, deadline=None)
+    @example(inputs=(_raw_pose([[LANE_MIN, LANE_MAX, LANE_MIN]] * 3,
+                               [LANE_MIN] * 3),
+                     _raw_feats([LANE_MIN, LANE_MAX], [LANE_MIN, LANE_MAX],
+                                [LANE_MIN, LANE_MAX])))
+    @example(inputs=(_raw_pose(np.eye(3, dtype=int) * LANE_MAX * [1, 1, 0],
+                               [0, 0, 0]),
+                     _raw_feats([1000, -1000, 0], [5, -5, 0], [1, 1, 1])))
+    @example(inputs=(_raw_pose([[LANE_MAX, 0, 0], [0, LANE_MAX, 0],
+                                [0, 0, LANE_MIN]], [0, 0, 0]),
+                     _raw_feats([100, -100], [50, 50], [4096, 4096])))
+    def test_fast_equals_device_program(self, inputs):
+        """Every field, as int32 (bool ``valid``), equals the device."""
+        assert_same_fields(*warp_both(*inputs))
 
-        @given(warp_inputs())
-        @settings(max_examples=60, deadline=None)
-        @example(inputs=(_raw_pose([[LANE_MIN, LANE_MAX, LANE_MIN]] * 3,
-                                   [LANE_MIN] * 3),
-                         _raw_feats([LANE_MIN, LANE_MAX],
-                                    [LANE_MIN, LANE_MAX],
-                                    [LANE_MIN, LANE_MAX])))
-        @example(inputs=(_raw_pose(np.eye(3, dtype=int) * LANE_MAX
-                                   * [1, 1, 0], [0, 0, 0]),
-                         _raw_feats([1000, -1000, 0], [5, -5, 0],
-                                    [1, 1, 1])))
-        @example(inputs=(_raw_pose([[LANE_MAX, 0, 0], [0, LANE_MAX, 0],
-                                    [0, 0, LANE_MIN]], [0, 0, 0]),
-                         _raw_feats([100, -100], [50, 50], [4096, 4096])))
-        def check(inputs):
-            qp, qf = inputs
-            got, want, fell_back = warp_both(qp, qf)
-            paths.add(fell_back)
-            if lane_saturates(qp, qf, want):
-                assert fell_back
-            for name in ("u", "v", "rx", "ry", "z", "valid"):
-                g, w = getattr(got, name), getattr(want, name)
-                assert g.dtype == (bool if name == "valid" else np.int32)
-                np.testing.assert_array_equal(g, w, err_msg=name)
-
-        check()
-        assert paths == {False, True}
-
-    def test_intrinsic_fallback_is_counted(self):
-        """Q4.4 features shift the focal product by 8 bits only, so the
-        camera bound cannot clear; ``|a| = 2000`` over ``Z~ = 15`` takes
-        ``u`` past the lane while the MAC stays inside it."""
+    def test_intrinsic_saturation_equals_device(self):
+        """Q4.4 features shift the focal product by 8 bits only:
+        ``|a| = 2000`` over ``Z~ = 15`` takes ``fx rx`` past the lane
+        while the MAC stays inside it.  ``u`` clamps on the add of
+        ``cx``; ``v`` clamps on the product, then ``cy`` is added."""
         qp = quantize_pose(SE3.identity())
         qf = QuantizedFeatures(np.array([2000, 3, -5]),
                                np.array([1, 2, -2000]),
                                np.array([1, 1, 1]), QFormat(4, 4))
-        got, want, fell_back = warp_both(qp, qf)
-        assert fell_back and lane_saturates(qp, qf, want)
+        got, want = warp_both(qp, qf)
+        assert int(want.u[0]) == LANE_MAX
+        assert int(want.v[2]) == LANE_MIN + _intrinsic_raws(CAM, 4)[3]
         assert_same_fields(got, want)
 
     def test_r2_immediate_alone_saturates_x(self):
         """The products alone stay in the lane; the ``r2`` immediate
         (32767 >> 3) takes X past it.  ``t_z`` doubles ``Z~`` so the
-        saturated X still shows in an unsaturated quotient, and the
-        bound, which counts ``|r2|``, sends the call to the fallback."""
+        saturated X still shows in an unsaturated quotient."""
         qp = _raw_pose([[LANE_MAX, 0, LANE_MAX], [0, LANE_MAX, 0],
                         [0, 0, LANE_MAX]], [0, 0, LANE_MAX])
         qf = _raw_feats([30000, -100], [50, 50], [4096, 4096])
-        got, want, fell_back = warp_both(qp, qf)
-        assert fell_back
+        got, want = warp_both(qp, qf)
         assert abs(int(want.rx[0])) < LANE_MAX
         assert_same_fields(got, want)
 

@@ -178,15 +178,14 @@ class TestTracker:
 class TestNarrowKernelPaths:
     #: The counters of the saturating fallbacks behind each LM kernel
     #: mirror's bound.
-    FALLBACKS = ("kernels_warp_saturated_total",
-                 "kernels_jacobian_saturated_total",
+    FALLBACKS = ("kernels_jacobian_saturated_total",
                  "kernels_hessian_saturated_total",
                  "kernels_hessian_reduce_saturated_total")
 
     def test_default_dense_run_never_falls_back(self):
         """On a default-config ``fr1_xyz`` run (6000-feature frames)
-        every warp, Jacobian and Hessian bound clears: no fallback
-        counter moves."""
+        every Jacobian and Hessian bound clears: no fallback counter
+        moves."""
         registry = get_registry()
         before = [registry.counter(n).total() for n in self.FALLBACKS]
         seq = make_sequence("fr1_xyz", n_frames=12)

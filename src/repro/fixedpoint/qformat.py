@@ -116,8 +116,13 @@ class QFormat:
             Raw integers with the same shape as ``value``, clipped to the
             representable range.
         """
-        raw = np.rint(np.asarray(value, dtype=np.float64) * self.scale)
-        raw = np.clip(raw, self.raw_min, self.raw_max)
+        # One float64 copy, scaled, rounded and saturated in place (the
+        # ufuncs skip np.clip's Python-level dispatch).
+        raw = np.array(value, dtype=np.float64)
+        raw *= self.scale
+        np.rint(raw, out=raw)
+        np.maximum(raw, self.raw_min, out=raw)
+        np.minimum(raw, self.raw_max, out=raw)
         out = raw.astype(self.dtype)
         return out if out.ndim else out[()]
 

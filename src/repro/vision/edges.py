@@ -28,16 +28,14 @@ DEFAULT_TH1 = 40
 DEFAULT_TH2 = 2
 
 
-def _shifted(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """The image sampled at ``(y + dy, x + dx)``, zero outside."""
-    out = np.zeros_like(img)
+def _neighbour(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """``img`` at ``(y + dy, x + dx)`` for every interior pixel ``(y, x)``.
+
+    The interior is ``[1:-1, 1:-1]``, where every 3x3 neighbour is in
+    the image; the result is a view of that shape (empty below 3x3).
+    """
     h, w = img.shape
-    ys = slice(max(dy, 0), h + min(dy, 0))
-    xs = slice(max(dx, 0), w + min(dx, 0))
-    yd = slice(max(-dy, 0), h + min(-dy, 0))
-    xd = slice(max(-dx, 0), w + min(-dx, 0))
-    out[yd, xd] = img[ys, xs]
-    return out
+    return img[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
 
 
 #: The four opposite-neighbour pairs around the centre pixel, as
@@ -64,11 +62,11 @@ def hpf_sad_reference(image: np.ndarray, saturate_bits: int = 8
     """
     img = np.asarray(image, dtype=np.int64)
     acc = np.zeros_like(img)
+    inner = acc[1:-1, 1:-1]
     for dy, dx in _PAIRS:
-        acc += np.abs(_shifted(img, dy, dx) - _shifted(img, -dy, -dx))
-    acc = np.minimum(acc, (1 << saturate_bits) - 1)
-    acc[0, :] = acc[-1, :] = 0
-    acc[:, 0] = acc[:, -1] = 0
+        diff = _neighbour(img, dy, dx) - _neighbour(img, -dy, -dx)
+        inner += np.abs(diff, out=diff)
+    np.minimum(inner, (1 << saturate_bits) - 1, out=inner)
     return acc
 
 
@@ -88,15 +86,14 @@ def nms_reference(response: np.ndarray, th1: int = DEFAULT_TH1,
     tested to be exactly equivalent.
     """
     r = np.asarray(response, dtype=np.int64)
-    strong = r > th1
-    any_direction = np.zeros(r.shape, dtype=bool)
+    centre = r[1:-1, 1:-1]
+    any_direction = np.zeros(centre.shape, dtype=bool)
     for dy, dx in _PAIRS:
-        first = _shifted(r, dy, dx)
-        second = _shifted(r, -dy, -dx)
-        any_direction |= ((r - first) > th2) & ((r - second) > th2)
-    edges = strong & any_direction
-    edges[0, :] = edges[-1, :] = False
-    edges[:, 0] = edges[:, -1] = False
+        first = _neighbour(r, dy, dx)
+        second = _neighbour(r, -dy, -dx)
+        any_direction |= ((centre - first) > th2) & ((centre - second) > th2)
+    edges = np.zeros(r.shape, dtype=bool)
+    edges[1:-1, 1:-1] = (centre > th1) & any_direction
     return edges
 
 
@@ -110,6 +107,7 @@ def detect_edges_reference(image: np.ndarray, th1: int = DEFAULT_TH1,
     Returns:
         Boolean edge map of the image's shape.
     """
-    smooth = np.floor(binomial_lpf(image)).astype(np.int64)
+    smooth = binomial_lpf(image)
+    smooth = np.floor(smooth, out=smooth).astype(np.int64)
     response = hpf_sad_reference(smooth)
     return nms_reference(response, th1, th2)

@@ -40,11 +40,14 @@ def conv2d(image: np.ndarray, kernel: np.ndarray,
     mode = "constant" if pad == "zero" else "edge"
     padded = np.pad(image, ((ph, ph), (pw, pw)), mode=mode)
     out = np.zeros_like(image)
+    tap = np.empty_like(image)
     flipped = kernel[::-1, ::-1]
     for dy in range(kh):
         for dx in range(kw):
-            out += flipped[dy, dx] * padded[dy:dy + image.shape[0],
-                                            dx:dx + image.shape[1]]
+            np.multiply(flipped[dy, dx], padded[dy:dy + image.shape[0],
+                                                dx:dx + image.shape[1]],
+                        out=tap)
+            out += tap
     return out
 
 

@@ -81,19 +81,44 @@ class KeyframeMaps:
                 arr.flags.writeable = False
 
 
-def _bilinear(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation with edge clamping."""
-    h, w = grid.shape
+def _bilinear_plan(shape, u: np.ndarray, v: np.ndarray) -> tuple:
+    """One bilinear lookup at ``(u, v)``, for any grid of ``shape``.
+
+    Returns the flat indices ``v * w + u`` of the four corners
+    ``(v0, u0), (v0, u1), (v1, u0), (v1, u1)`` and the blend weights
+    ``(1 - fu, fu, 1 - fv, fv)``, with the coordinates clamped into the
+    grid (edge clamping).  :func:`_blend` applies it to a grid.
+    """
+    h, w = shape
     u = np.clip(u, 0.0, w - 1.0)
     v = np.clip(v, 0.0, h - 1.0)
-    u0 = np.floor(u).astype(np.int64)
-    v0 = np.floor(v).astype(np.int64)
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-    fu = u - u0
-    fv = v - v0
-    return ((1 - fv) * ((1 - fu) * grid[v0, u0] + fu * grid[v0, u1]) +
-            fv * ((1 - fu) * grid[v1, u0] + fu * grid[v1, u1]))
+    u_floor = np.floor(u)
+    v_floor = np.floor(v)
+    u0 = u_floor.astype(np.intp)
+    v0 = v_floor.astype(np.intp)
+    # The right and lower neighbours, clamped at the last column/row.
+    du = u0 < w - 1
+    dv = (v0 < h - 1) * w
+    i00 = v0 * w + u0
+    i01 = i00 + du
+    i10 = i00 + dv
+    i11 = i10 + du
+    fu = u - u_floor
+    fv = v - v_floor
+    return i00, i01, i10, i11, 1 - fu, fu, 1 - fv, fv
+
+
+def _blend(grid: np.ndarray, plan: tuple) -> np.ndarray:
+    """Bilinear interpolation of ``grid`` by a :func:`_bilinear_plan`."""
+    i00, i01, i10, i11, wu0, wu1, wv0, wv1 = plan
+    flat = grid.ravel()
+    return (wv0 * (wu0 * flat.take(i00) + wu1 * flat.take(i01)) +
+            wv1 * (wu0 * flat.take(i10) + wu1 * flat.take(i11)))
+
+
+def _bilinear(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation with edge clamping."""
+    return _blend(grid, _bilinear_plan(grid.shape, u, v))
 
 
 class FloatFrontend:
@@ -121,14 +146,21 @@ class FloatFrontend:
                                     features.v, features.depth)
 
     def _warp_and_lookup(self, feats, pose: SE3, maps: KeyframeMaps):
-        """``(warp, residuals, valid)`` at a pose: the lookup."""
+        """Warp at a pose and look the residuals up: the lookup.
+
+        Returns ``(warp, residuals, valid, plan)``: the clamped DT
+        residual per feature is zero where invalid, and ``plan`` is the
+        :func:`_bilinear_plan` of the valid lanes, which
+        :meth:`linearize` reuses for the gradient maps.
+        """
         a, b, c = feats
         res = warp_float(pose, a, b, c, self.config.camera)
         valid = res.valid
+        plan = _bilinear_plan(maps.dt.shape, res.u[valid], res.v[valid])
         r = np.zeros_like(res.u)
-        r[valid] = _bilinear(maps.dt, res.u[valid], res.v[valid])
-        r = np.minimum(r, self.config.residual_clamp)
-        return res, r, valid
+        r[valid] = _blend(maps.dt, plan)
+        np.minimum(r, self.config.residual_clamp, out=r)
+        return res, r, valid, plan
 
     def error(self, feats, pose: SE3, maps: KeyframeMaps
               ) -> Tuple[float, int, tuple]:
@@ -138,7 +170,7 @@ class FloatFrontend:
         which then does not warp again.
         """
         lookup = self._warp_and_lookup(feats, pose, maps)
-        _, r, valid = lookup
+        _, r, valid, _ = lookup
         n = int(valid.sum())
         if n == 0:
             return np.inf, 0, lookup
@@ -154,13 +186,12 @@ class FloatFrontend:
         a, b, c = feats
         if lookup is None:
             lookup = self._warp_and_lookup(feats, pose, maps)
-        res, r, valid = lookup
+        res, r, valid, plan = lookup
         n = int(valid.sum())
         if n == 0:
             return np.zeros((6, 6)), np.zeros(6), np.inf, 0
-        u, v = res.u[valid], res.v[valid]
-        gu = _bilinear(maps.grad_u, u, v)
-        gv = _bilinear(maps.grad_v, u, v)
+        gu = _blend(maps.grad_u, plan)
+        gv = _blend(maps.grad_v, plan)
         cv = np.asarray(c)[valid]
         z_real = res.z[valid] / cv
         x_real = res.rx[valid] * z_real

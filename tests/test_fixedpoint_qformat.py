@@ -74,6 +74,24 @@ class TestQuantize:
         assert Q1_15.contains_raw([0, 100, -100])
         assert not Q1_15.contains_raw([1 << 16])
 
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=0, max_size=12),
+           st.sampled_from([Q1_15, Q4_12, Q14_2, Q29_3, UQ8_0]))
+    def test_matches_rint_clip(self, values, fmt):
+        """Same raws, dtype and shape as ``rint`` then ``np.clip``, and
+        the input is left as it was."""
+        x = np.array(values, dtype=np.float64)
+        before = x.copy()
+        want = np.clip(np.rint(x * fmt.scale), fmt.raw_min,
+                       fmt.raw_max).astype(fmt.dtype)
+        got = fmt.quantize(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(x, before)
+        if values:
+            one = fmt.quantize(values[0])
+            assert np.ndim(one) == 0 and not isinstance(one, np.ndarray)
+            assert one == want[0]
+
     @given(st.floats(min_value=-7.9, max_value=7.9))
     def test_quantization_error_bounded_by_half_lsb(self, x):
         raw = Q4_12.quantize(x)

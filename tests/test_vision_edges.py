@@ -1,6 +1,7 @@
 """Tests for the reference edge-detection pipeline."""
 
 import numpy as np
+import pytest
 
 from repro.vision import (
     detect_edges_reference,
@@ -125,3 +126,93 @@ class TestPipeline:
         rng = np.random.default_rng(5)
         img = 128 + rng.integers(-6, 7, size=(24, 32))
         assert detect_edges_reference(img, th1=40).sum() == 0
+
+
+def _shifted(img, dy, dx):
+    """Oracle: the image sampled at ``(y + dy, x + dx)``, zero outside."""
+    out = np.zeros_like(img)
+    h, w = img.shape
+    ys = slice(max(dy, 0), h + min(dy, 0))
+    xs = slice(max(dx, 0), w + min(dx, 0))
+    yd = slice(max(-dy, 0), h + min(-dy, 0))
+    xd = slice(max(-dx, 0), w + min(-dx, 0))
+    out[yd, xd] = img[ys, xs]
+    return out
+
+
+_PAIRS = ((-1, -1), (-1, 1), (0, -1), (-1, 0))
+
+
+def _hpf_oracle(image, saturate_bits=8):
+    img = np.asarray(image, dtype=np.int64)
+    acc = np.zeros_like(img)
+    for dy, dx in _PAIRS:
+        acc += np.abs(_shifted(img, dy, dx) - _shifted(img, -dy, -dx))
+    acc = np.minimum(acc, (1 << saturate_bits) - 1)
+    acc[0, :] = acc[-1, :] = 0
+    acc[:, 0] = acc[:, -1] = 0
+    return acc
+
+
+def _nms_oracle(response, th1, th2):
+    r = np.asarray(response, dtype=np.int64)
+    any_direction = np.zeros(r.shape, dtype=bool)
+    for dy, dx in _PAIRS:
+        any_direction |= (((r - _shifted(r, dy, dx)) > th2) &
+                          ((r - _shifted(r, -dy, -dx)) > th2))
+    edges = (r > th1) & any_direction
+    edges[0, :] = edges[-1, :] = False
+    edges[:, 0] = edges[:, -1] = False
+    return edges
+
+
+def _lpf_oracle(image):
+    """The binomial LPF as one temporary per tap, edge-padded."""
+    image = np.asarray(image, dtype=np.float64)
+    kernel = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]) / 16.0
+    padded = np.pad(image, 1, mode="edge")
+    out = np.zeros_like(image)
+    h, w = image.shape
+    for dy in range(3):
+        for dx in range(3):
+            out += kernel[2 - dy, 2 - dx] * padded[dy:dy + h, dx:dx + w]
+    return out
+
+
+#: Degenerate shapes, the smallest with an interior, and odd crops of
+#: a QVGA frame.
+_SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (2, 9), (9, 2), (3, 3),
+           (3, 8), (37, 53), (121, 161), (239, 319)]
+
+
+class TestInteriorMatchesShiftedOracle:
+    """The interior-only reference equals the zero-padded shifts bit for
+    bit: the one-pixel border is zero by definition either way."""
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_hpf_and_nms(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        image = rng.uniform(0.0, 255.0, shape)
+        for bits in (8, 10):
+            np.testing.assert_array_equal(hpf_sad_reference(image, bits),
+                                          _hpf_oracle(image, bits))
+        response = rng.integers(-20, 300, shape)
+        for th1, th2 in ((40, 2), (0, 0), (-5, -3), (120, 7)):
+            np.testing.assert_array_equal(
+                nms_reference(response, th1, th2),
+                _nms_oracle(response, th1, th2))
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    @pytest.mark.parametrize("th1,th2", [(40, 2), (5, 0), (90, 6)])
+    def test_detector(self, shape, th1, th2):
+        rng = np.random.default_rng(7 * sum(shape) + th1)
+        # Non-integer intensities with enough structure to give edges.
+        image = rng.uniform(0.0, 255.0, shape)
+        image[:, shape[1] // 2:] *= 0.3
+        want = _nms_oracle(_hpf_oracle(np.floor(_lpf_oracle(image))),
+                           th1, th2)
+        got = detect_edges_reference(image, th1, th2)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, want)
+        if min(shape) >= 37 and th1 <= 40:
+            assert got.any()

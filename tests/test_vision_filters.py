@@ -40,6 +40,22 @@ class TestConv2d:
         out = conv2d(img, box, pad="edge")
         assert abs(out[5:-5, 5:-5].mean() - img[4:-4, 4:-4].mean()) < 10
 
+    @pytest.mark.parametrize("pad", ["zero", "edge"])
+    def test_taps_summed_in_row_major_order(self, pad):
+        """Bit-identical to one ``out += weight * window`` per tap, in
+        row-major order of the flipped kernel."""
+        rng = np.random.default_rng(4)
+        img = rng.uniform(-300.0, 300.0, (13, 17))
+        kernel = rng.normal(size=(3, 5))
+        padded = np.pad(img, ((1, 1), (2, 2)),
+                        mode="constant" if pad == "zero" else "edge")
+        want = np.zeros_like(img)
+        flipped = kernel[::-1, ::-1]
+        for dy in range(3):
+            for dx in range(5):
+                want += flipped[dy, dx] * padded[dy:dy + 13, dx:dx + 17]
+        np.testing.assert_array_equal(conv2d(img, kernel, pad=pad), want)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             conv2d(np.zeros((4, 4)), np.ones((2, 2)))

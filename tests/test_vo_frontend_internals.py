@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import TUM_QVGA
+from repro.dataset import make_sequence
+from repro.geometry import SE3, TUM_QVGA
 from repro.vo.config import TrackerConfig
-from repro.vo.frontend import FloatFrontend, PIMFrontend, _bilinear
+from repro.vo.features import extract_features
+from repro.vo.frontend import (
+    FloatFrontend,
+    PIMFrontend,
+    _bilinear,
+    _bilinear_plan,
+    _blend,
+)
 
 
 class TestFloatBilinear:
@@ -28,6 +36,88 @@ class TestFloatBilinear:
                          np.array([-5.0]))[0] == 1.0
         assert _bilinear(grid, np.array([99.0]),
                          np.array([99.0]))[0] == 4.0
+
+
+def _bilinear_2d(grid, u, v):
+    """The 2-D fancy-index bilinear lookup the plan replaced."""
+    h, w = grid.shape
+    u = np.clip(u, 0.0, w - 1.0)
+    v = np.clip(v, 0.0, h - 1.0)
+    u0 = np.floor(u).astype(np.int64)
+    v0 = np.floor(v).astype(np.int64)
+    u1 = np.minimum(u0 + 1, w - 1)
+    v1 = np.minimum(v0 + 1, h - 1)
+    fu = u - u0
+    fv = v - v0
+    return ((1 - fv) * ((1 - fu) * grid[v0, u0] + fu * grid[v0, u1]) +
+            fv * ((1 - fu) * grid[v1, u0] + fu * grid[v1, u1]))
+
+
+class TestBilinearPlan:
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 40),
+           st.integers(0, 10 ** 9))
+    @settings(max_examples=80, deadline=None)
+    def test_plan_blend_equals_2d_index_lookup(self, h, w, n, seed):
+        """One plan serves every grid of its shape, bit for bit, with
+        coordinates inside, on and outside the grid (where they clamp);
+        1-row and 1-column grids included."""
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-2.5, w + 1.5, n)
+        v = rng.uniform(-2.5, h + 1.5, n)
+        # Exact grid lines and the clamp edges.
+        u[::5] = np.floor(u[::5])
+        v[::7] = h - 1.0
+        plan = _bilinear_plan((h, w), u, v)
+        for _ in range(3):
+            grid = rng.normal(0.0, 50.0, (h, w))
+            want = _bilinear_2d(grid, u, v)
+            np.testing.assert_array_equal(_blend(grid, plan), want)
+            np.testing.assert_array_equal(_bilinear(grid, u, v), want)
+
+    def test_non_contiguous_grid(self):
+        grid = np.arange(30, dtype=np.float64).reshape(5, 6).T
+        u = np.array([0.25, 3.5, 4.0, 9.0])
+        v = np.array([5.75, 0.5, 2.0, -1.0])
+        np.testing.assert_array_equal(_bilinear(grid, u, v),
+                                      _bilinear_2d(grid, u, v))
+
+
+@pytest.fixture(scope="module")
+def float_pair():
+    """Float frontend, keyframe maps and features of a half-QVGA pair."""
+    seq = make_sequence("fr1_xyz", n_frames=4, camera=TUM_QVGA.scaled(0.5))
+    cfg = TrackerConfig(camera=seq.camera)
+    fe = FloatFrontend(cfg)
+    maps = fe.prepare_keyframe(fe.detect(seq.frames[0].gray))
+    cur = seq.frames[3]
+    feats = fe.make_features(extract_features(
+        fe.detect(cur.gray), cur.depth, cfg.max_features, cfg.min_depth,
+        cfg.max_depth))
+    return fe, maps, feats
+
+
+class TestFloatLookupHandoff:
+    @pytest.mark.parametrize("twist", [
+        np.zeros(6),
+        np.array([0.01, -0.02, 0.015, 0.004, -0.003, 0.002]),
+        np.array([0.3, 0.2, -0.1, 0.05, 0.08, -0.06]),  # many invalid
+    ])
+    def test_linearize_with_error_lookup_equals_rewarp(self, float_pair,
+                                                       twist):
+        fe, maps, feats = float_pair
+        pose = SE3.exp(twist)
+        err, n, lookup = fe.error(feats, pose, maps)
+        with_lookup = fe.linearize(feats, pose, maps, lookup)
+        rewarped = fe.linearize(feats, pose, maps)
+        for got, want in zip(with_lookup, rewarped):
+            np.testing.assert_array_equal(got, want)
+        assert with_lookup[2] == err and with_lookup[3] == n
+        # The residuals are the plan's blend of the DT, clamped.
+        res, r, valid, _ = lookup
+        want_r = np.zeros_like(res.u)
+        want_r[valid] = _bilinear_2d(maps.dt, res.u[valid], res.v[valid])
+        np.testing.assert_array_equal(
+            r, np.minimum(want_r, fe.config.residual_clamp))
 
 
 class TestQuarterPixelBilinear:

@@ -154,13 +154,24 @@ def warp_float(pose: SE3, a, b, c, camera: CameraIntrinsics) -> WarpResult:
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     r, t = pose.R, pose.t
-    x = r[0, 0] * a + r[0, 1] * b + r[0, 2] + t[0] * c
-    y = r[1, 0] * a + r[1, 1] * b + r[1, 2] + t[1] * c
-    z = r[2, 0] * a + r[2, 1] * b + r[2, 2] + t[2] * c
-    safe_z = np.where(np.abs(z) < 1e-12, 1e-12, z)
-    rx, ry = x / safe_z, y / safe_z
-    u = camera.fx * rx + camera.cx
-    v = camera.fy * ry + camera.cy
+    # In place, in the operand order of ``r0 * a + r1 * b + r2 + t * c``
+    # (IEEE products commute, sums do not): every field is bitwise equal
+    # to that out-of-place expression.
+    tmp = np.empty_like(a)
+    x, y, z = (np.empty_like(a) for _ in range(3))
+    for row, out in enumerate((x, y, z)):
+        np.multiply(a, r[row, 0], out=out)
+        out += np.multiply(b, r[row, 1], out=tmp)
+        out += r[row, 2]
+        out += np.multiply(c, t[row], out=tmp)
+    tiny = np.abs(z, out=tmp) < 1e-12
+    safe_z = np.where(tiny, 1e-12, z) if tiny.any() else z
+    rx = np.divide(x, safe_z, out=x)
+    ry = np.divide(y, safe_z, out=y)
+    u = rx * camera.fx
+    u += camera.cx
+    v = ry * camera.fy
+    v += camera.cy
     valid = (z > 1e-6) & (u >= 0) & (u <= camera.width - 1) & \
         (v >= 0) & (v <= camera.height - 1)
     return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid)

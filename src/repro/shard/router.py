@@ -280,38 +280,68 @@ class ShardRouter:
             self.local.start()
             return self
         try:
-            for shard_id in sorted(self.shards):
-                self._spawn(self.shards[shard_id])
+            self._spawn([self.shards[s] for s in sorted(self.shards)])
         except BaseException:
             self.close()
             raise
         return self
 
-    def _spawn(self, handle: ShardHandle) -> None:
-        """Spawn one worker process, wire its pump, and publish it.
+    def _spawn(self, handles: List[ShardHandle]) -> None:
+        """Spawn one worker process per handle, wire pumps, publish them.
 
-        Spawning is serialised.  Publication is one step under the
-        route lock: restart accounting (a slot leaving ``backoff`` is
-        a respawn) and the ring add happen before ``state = UP``, so
+        Every process is started before any is waited on, so the
+        children's start-up (mostly importing numpy and scipy) runs
+        side by side; each then dials back with its own spawn-time
+        token, in whatever order.  If any fails to dial back in time,
+        every process this call started is terminated and joined.
+        Spawn calls are serialised.
+
+        Publication follows in shard-id order, one step per shard under
+        the route lock: restart accounting (a slot leaving ``backoff``
+        is a respawn) and the ring add happen before ``state = UP``, so
         whoever sees the shard up (:meth:`shards_status`, the
         supervisor, a waiting test) also sees its restart counted and
         its ring points placed.
         """
         with self._spawn_lock:
-            token = secrets.token_bytes(16)
-            process = self._mp.Process(
-                target=shard_worker_main,
-                args=(handle.shard_id, self._host, self._port, token,
-                      self.spec),
-                name=f"repro-shard-{handle.shard_id}", daemon=True)
-            process.start()
+            spawned = []
+            sockets = {}
             try:
-                sock = accept_worker(self._listener, token,
-                                     timeout_s=self._spawn_timeout_s)
+                for handle in handles:
+                    token = secrets.token_bytes(16)
+                    process = self._mp.Process(
+                        target=shard_worker_main,
+                        args=(handle.shard_id, self._host, self._port,
+                              token, self.spec),
+                        name=f"repro-shard-{handle.shard_id}",
+                        daemon=True)
+                    process.start()
+                    spawned.append((handle, process, token))
+                outstanding = {token for _h, _p, token in spawned}
+                deadline = time.monotonic() + self._spawn_timeout_s
+                while outstanding:
+                    token, sock = accept_worker(
+                        self._listener, outstanding,
+                        timeout_s=deadline - time.monotonic())
+                    sockets[token] = sock
             except BaseException:
-                process.terminate()
-                process.join(timeout=5.0)
+                for sock in sockets.values():
+                    sock.close()
+                for _handle, process, _token in spawned:
+                    process.terminate()
+                for _handle, process, _token in spawned:
+                    process.join(timeout=5.0)
                 raise
+        for handle, process, token in sorted(
+                spawned, key=lambda entry: entry[0].shard_id):
+            self._publish(handle, process, sockets[token])
+
+    def _publish(self, handle: ShardHandle, process, sock) -> None:
+        """Wire one dialled-back worker's pump and publish it ``UP``.
+
+        A method of its own so that each pump's callbacks close over
+        their own ``shard_id``, not a loop variable.
+        """
         shard_id = handle.shard_id
         pump = MessagePump(
             sock, name=f"s{shard_id}",
@@ -853,7 +883,7 @@ class ShardRouter:
             shard_id = max(self.shards, default=-1) + 1
             handle = self._new_handle(shard_id)
             self.shards[shard_id] = handle
-            self._spawn(handle)
+            self._spawn([handle])
             if rebalance:
                 with self._state_lock:
                     parked = (set(self._failing_over) |

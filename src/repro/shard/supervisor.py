@@ -212,7 +212,7 @@ class Supervisor:
     def _respawn(self, handle) -> None:
         shard_id = handle.shard_id
         try:
-            self.router._spawn(handle)
+            self.router._spawn([handle])
         except Exception:  # noqa: BLE001 -- spawn failed: consume
             # another budget slot and retry later, or give up.
             if handle.backoff.exhausted():

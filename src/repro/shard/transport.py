@@ -33,7 +33,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Set, Tuple
 
 __all__ = ["MAGIC", "MessagePump", "SendQueueFull", "TransportClosed",
            "connect_back", "read_message", "rendezvous_listener",
@@ -243,9 +243,17 @@ def rendezvous_listener() -> Tuple[socket.socket, str, int]:
     return listener, host, port
 
 
-def accept_worker(listener: socket.socket, token: bytes,
-                  timeout_s: float = 10.0) -> socket.socket:
-    """Accept one worker connection and verify its hello token."""
+def accept_worker(listener: socket.socket, tokens: Set[bytes],
+                  timeout_s: float = 10.0) -> Tuple[bytes, socket.socket]:
+    """Accept one worker connection whose hello names an outstanding token.
+
+    ``tokens`` is the set of spawn-time tokens not yet claimed, all of
+    one length.  A connection that presents none of them (an imposter,
+    a replayed token, a short hello) is closed and the wait goes on.
+    The token that connected is removed from ``tokens`` -- each is
+    consumed once -- and returned with its socket.
+    """
+    (length,) = {len(token) for token in tokens}
     deadline = time.monotonic() + timeout_s
     while True:
         remaining = deadline - time.monotonic()
@@ -259,16 +267,18 @@ def accept_worker(listener: socket.socket, token: bytes,
                 "no worker connected back in time") from None
         sock.settimeout(remaining)
         try:
-            hello = _recv_exact(sock, len(MAGIC) + len(token))
+            hello = _recv_exact(sock, len(MAGIC) + length)
         except TransportClosed:
             sock.close()
             continue
-        if hello != MAGIC + token:
+        token = hello[len(MAGIC):]
+        if hello[:len(MAGIC)] != MAGIC or token not in tokens:
             sock.close()
             continue
+        tokens.discard(token)
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
+        return token, sock
 
 
 def connect_back(host: str, port: int, token: bytes,

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.evaluation import relative_pose_error
 from repro.geometry import SE3, TUM_QVGA, inverse_depth_coords, se3_exp
+from repro.geometry.se3 import so3_exp
 from repro.kernels.warp import (
     quantize_features,
     quantize_pose,
@@ -26,6 +27,48 @@ def feature_batches(n=30):
         st.lists(st.floats(30, CAM.height - 30), min_size=n, max_size=n),
         st.lists(st.floats(0.8, 6.0), min_size=n, max_size=n),
     ).map(lambda t: tuple(np.array(x) for x in t))
+
+
+def _warp_float_expression(pose, a, b, c, camera):
+    """``warp_float``'s fields as out-of-place expressions."""
+    r, t = pose.R, pose.t
+    x = r[0, 0] * a + r[0, 1] * b + r[0, 2] + t[0] * c
+    y = r[1, 0] * a + r[1, 1] * b + r[1, 2] + t[1] * c
+    z = r[2, 0] * a + r[2, 1] * b + r[2, 2] + t[2] * c
+    safe_z = np.where(np.abs(z) < 1e-12, 1e-12, z)
+    rx, ry = x / safe_z, y / safe_z
+    u = camera.fx * rx + camera.cx
+    v = camera.fy * ry + camera.cy
+    valid = (z > 1e-6) & (u >= 0) & (u <= camera.width - 1) & \
+        (v >= 0) & (v <= camera.height - 1)
+    return dict(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid)
+
+
+class TestWarpFloatInPlace:
+    @given(st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+           st.tuples(st.floats(-1, 1), st.floats(-1, 1),
+                     st.floats(0.05, 1) | st.floats(-1, -0.05)),
+           feature_batches(),
+           st.integers(0, 10), st.integers(0, 10),
+           st.lists(st.floats(-1.0, 1e-6), min_size=10, max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_fields_equal_the_expression(self, w, t, uvd, n_zero,
+                                         n_behind, behind_z):
+        """Every field is bit-equal to the out-of-place expression,
+        with lanes at ``|z| < 1e-12`` and at ``z <= 1e-6``."""
+        pose = SE3(so3_exp(np.array(w)), np.array(t))
+        a, b, c = inverse_depth_coords(CAM, *uvd)
+        r, tz = pose.R[2], pose.t[2]
+        # Solve c so that z lands on ~0 or on a drawn z <= 1e-6.
+        rest = r[0] * a + r[1] * b + r[2]
+        c[:n_zero] = -rest[:n_zero] / tz
+        lanes = slice(n_zero, n_zero + n_behind)
+        c[lanes] = (np.array(behind_z[:n_behind]) - rest[lanes]) / tz
+        want = _warp_float_expression(pose, a, b, c, CAM)
+        assert (np.abs(want["z"][:n_zero]) < 1e-12).all()
+        got = warp_float(pose, a, b, c, CAM)
+        for field, value in want.items():
+            assert np.array_equal(getattr(got, field), value), field
 
 
 class TestWarpProperties:

@@ -26,6 +26,7 @@ from repro.serve import (
     trajectories_match,
 )
 from repro.shard import ReplayGap, SessionLost, ShardRouter, ShardSpec
+from repro.shard.placement import HashRing
 from repro.vo import PIMFrontend, TrackerConfig
 
 TINY_CAMERA = TUM_QVGA.scaled(0.25)
@@ -168,6 +169,52 @@ class TestShardedServing:
             [r for rs in results.values() for r in rs])
         solo = solo_trajectories(workload, PIMFrontend, CONFIG)
         assert trajectories_match(served, solo) == []
+
+
+class _RecordingContext:
+    """A multiprocessing context that remembers every process made."""
+
+    def __init__(self, context):
+        self._context = context
+        self.processes = []
+
+    def Process(self, *args, **kwargs):
+        process = self._context.Process(*args, **kwargs)
+        self.processes.append(process)
+        return process
+
+
+class TestStart:
+    def test_start_publishes_every_shard_like_a_serial_start(self):
+        """All workers spawn at once, yet each shard is published up
+        with its own process and the ring is the one that adding the
+        shards one at a time in id order builds."""
+        sids = [f"session-{i}" for i in range(24)]
+        serial = HashRing(vnodes=64)
+        for shard_id in range(3):
+            serial.add(shard_id)
+        with ShardRouter(shards=3, spec=_spec()) as router:
+            handles = [router.shards[s] for s in range(3)]
+            assert [h.state for h in handles] == ["up"] * 3
+            pids = {h.pid for h in handles}
+            assert None not in pids and len(pids) == 3
+            assert [router.ring.lookup(sid) for sid in sids] == \
+                [serial.lookup(sid) for sid in sids]
+
+    def test_start_timeout_leaves_no_child(self):
+        """Workers that cannot dial back in time are all terminated
+        and joined before ``start`` raises; no_leaked_workers also
+        fails this test if a child outlives it."""
+        router = ShardRouter(shards=2, spec=_spec(),
+                             spawn_timeout_s=1e-3)
+        router._mp = recorder = _RecordingContext(router._mp)
+        with pytest.raises(TimeoutError):
+            router.start()
+        assert len(recorder.processes) == 2
+        # A child left running would still be importing its modules.
+        assert all(p.exitcode is not None for p in recorder.processes)
+        assert all(h.process is None and h.state == "stopped"
+                   for h in router.shards.values())
 
 
 class TestStatusEndpoints:

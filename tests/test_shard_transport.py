@@ -112,28 +112,50 @@ class TestMessagePump:
 
 class TestRendezvous:
     def test_wrong_token_dropped_right_token_accepted(self):
-        listener, host, port = rendezvous_listener()
-        token = b"s" * 16
-        accepted = {}
+        """Each outstanding token is accepted once, whichever dials
+        first, and the returned token names the dialler.  An unknown
+        token, a consumed one and a short hello are each closed
+        without using up a slot."""
+        tokens = (b"s" * 16, b"t" * 16)
+        for first, second in (tokens, tokens[::-1]):
+            listener, host, port = rendezvous_listener()
+            outstanding = set(tokens)
+            accepted = []
 
-        def router():
-            accepted["sock"] = accept_worker(listener, token,
-                                             timeout_s=10)
+            def router():
+                for _ in tokens:
+                    accepted.append(accept_worker(
+                        listener, outstanding, timeout_s=10))
 
-        thread = threading.Thread(target=router)
-        thread.start()
-        imposter = socket.create_connection((host, port))
-        imposter.sendall(MAGIC + b"x" * 16)
-        genuine = connect_back(host, port, token)
-        thread.join(timeout=10)
-        assert "sock" in accepted
-        write_message(genuine, {"op": "hello"})
-        assert read_message(accepted["sock"]) == {"op": "hello"}
-        for s in (imposter, genuine, accepted["sock"], listener):
-            s.close()
+            thread = threading.Thread(target=router)
+            thread.start()
+            unknown = socket.create_connection((host, port))
+            unknown.sendall(MAGIC + b"x" * 16)
+            short = socket.create_connection((host, port))
+            short.sendall(MAGIC + first[:5])
+            short.shutdown(socket.SHUT_WR)
+            diallers = {first: connect_back(host, port, first)}
+            replayed = connect_back(host, port, first)
+            diallers[second] = connect_back(host, port, second)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert [token for token, _sock in accepted] == \
+                [first, second]
+            assert outstanding == set()
+            for token, sock in accepted:
+                write_message(diallers[token], {"token": token})
+                assert read_message(sock) == {"token": token}
+            for rejected in (unknown, short, replayed):
+                rejected.settimeout(10)
+                assert rejected.recv(1) == b""
+            for s in (unknown, short, replayed, listener,
+                      *diallers.values(),
+                      *(sock for _token, sock in accepted)):
+                s.close()
 
     def test_no_connection_times_out(self):
         listener, _host, _port = rendezvous_listener()
-        with pytest.raises(TimeoutError):
-            accept_worker(listener, b"t" * 16, timeout_s=0.2)
+        with pytest.raises(TimeoutError) as excinfo:
+            accept_worker(listener, {b"t" * 16}, timeout_s=0.2)
+        assert excinfo.type is TimeoutError
         listener.close()

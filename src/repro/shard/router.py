@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import multiprocessing
 import secrets
+import select
 import threading
 import time
 from concurrent.futures import Future
@@ -78,6 +79,10 @@ from repro.shard.worker import ShardSpec, shard_worker_main
 from repro.snap.capture import CaptureRing
 
 __all__ = ["SessionLost", "ShardHandle", "ShardRouter"]
+
+#: While a spawn call waits for its workers to dial back, how often it
+#: looks for one that has already exited.
+_SPAWN_POLL_S = 0.1
 
 #: Shard lifecycle states (see :class:`ShardHandle`).
 UP, BACKOFF, FAILED, STOPPED = "up", "backoff", "failed", "stopped"
@@ -158,6 +163,16 @@ class ShardHandle:
         if self.state != UP or not self.last_heartbeat:
             return None
         return time.monotonic() - self.last_heartbeat
+
+
+def _raise_if_exited(spawned, outstanding) -> None:
+    """Raise if a spawned worker whose token is still ``outstanding``
+    has exited: it will never dial back."""
+    for handle, process, token in spawned:
+        if token in outstanding and process.exitcode is not None:
+            raise RuntimeError(
+                f"shard {handle.shard_id} worker exited with code "
+                f"{process.exitcode} before connecting back")
 
 
 class ShardRouter:
@@ -293,7 +308,8 @@ class ShardRouter:
         children's start-up (mostly importing numpy and scipy) runs
         side by side; each then dials back with its own spawn-time
         token, in whatever order.  If any fails to dial back in time,
-        every process this call started is terminated and joined.
+        or exits before it does, every process this call started is
+        terminated and joined.
         Spawn calls are serialised.
 
         Publication follows in shard-id order, one step per shard under
@@ -320,9 +336,21 @@ class ShardRouter:
                 outstanding = {token for _h, _p, token in spawned}
                 deadline = time.monotonic() + self._spawn_timeout_s
                 while outstanding:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError(
+                            "no worker connected back in time")
+                    # Wait for a pending connection in short slices so
+                    # a child that died first fails the call at once;
+                    # the hello read then gets all the time left.
+                    pending, _, _ = select.select(
+                        [self._listener], [], [],
+                        min(remaining, _SPAWN_POLL_S))
+                    if not pending:
+                        _raise_if_exited(spawned, outstanding)
+                        continue
                     token, sock = accept_worker(
-                        self._listener, outstanding,
-                        timeout_s=deadline - time.monotonic())
+                        self._listener, outstanding, timeout_s=remaining)
                     sockets[token] = sock
             except BaseException:
                 for sock in sockets.values():

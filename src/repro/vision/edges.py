@@ -38,6 +38,25 @@ def _neighbour(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return img[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
 
 
+#: The largest value of an int16 lane.
+_INT16_MAX = int(np.iinfo(np.int16).max)
+
+
+def _lanes(values, peak: int) -> np.ndarray:
+    """``values`` as integers, in int16 lanes while that is exact.
+
+    The bound comes first: int16 when every value truncates into
+    ``[-peak, peak]`` (the caller picks ``peak`` so its arithmetic
+    cannot leave int16), int64 otherwise.  Float values truncate
+    toward zero either way, as ``astype`` does.
+    """
+    values = np.asarray(values)
+    if values.size and -peak - 1 < values.min() and \
+            values.max() < peak + 1:
+        return values.astype(np.int16, copy=False)
+    return values.astype(np.int64, copy=False)
+
+
 #: The four opposite-neighbour pairs around the centre pixel, as
 #: (dy, dx) of the first neighbour (the second is its negation):
 #: main diagonal, anti-diagonal, horizontal, vertical.
@@ -60,13 +79,16 @@ def hpf_sad_reference(image: np.ndarray, saturate_bits: int = 8
         Integer response array of the image's shape; the one-pixel
         border is zero (no full neighbourhood).
     """
-    img = np.asarray(image, dtype=np.int64)
+    img = _lanes(image, _INT16_MAX // 8)
     acc = np.zeros_like(img)
     inner = acc[1:-1, 1:-1]
+    diff = np.empty_like(inner)
     for dy, dx in _PAIRS:
-        diff = _neighbour(img, dy, dx) - _neighbour(img, -dy, -dx)
+        np.subtract(_neighbour(img, dy, dx), _neighbour(img, -dy, -dx),
+                    out=diff)
         inner += np.abs(diff, out=diff)
-    np.minimum(inner, (1 << saturate_bits) - 1, out=inner)
+    saturate = (1 << saturate_bits) - 1
+    np.minimum(inner, min(saturate, np.iinfo(acc.dtype).max), out=inner)
     return acc
 
 
@@ -85,13 +107,14 @@ def nms_reference(response: np.ndarray, th1: int = DEFAULT_TH1,
     ``b2 > th1 AND b2 - th2 > min(max(pair) for each pair)`` and is
     tested to be exactly equivalent.
     """
-    r = np.asarray(response, dtype=np.int64)
+    r = _lanes(response, _INT16_MAX - abs(th2))
     centre = r[1:-1, 1:-1]
+    # b2 - a > th2  <=>  b2 - th2 > a: one subtraction for all pairs.
+    lifted = centre - th2
     any_direction = np.zeros(centre.shape, dtype=bool)
     for dy, dx in _PAIRS:
-        first = _neighbour(r, dy, dx)
-        second = _neighbour(r, -dy, -dx)
-        any_direction |= ((centre - first) > th2) & ((centre - second) > th2)
+        any_direction |= ((lifted > _neighbour(r, dy, dx)) &
+                          (lifted > _neighbour(r, -dy, -dx)))
     edges = np.zeros(r.shape, dtype=bool)
     edges[1:-1, 1:-1] = (centre > th1) & any_direction
     return edges
@@ -108,6 +131,6 @@ def detect_edges_reference(image: np.ndarray, th1: int = DEFAULT_TH1,
         Boolean edge map of the image's shape.
     """
     smooth = binomial_lpf(image)
-    smooth = np.floor(smooth, out=smooth).astype(np.int64)
-    response = hpf_sad_reference(smooth)
+    # The HPF casts the floored LPF straight into its lanes.
+    response = hpf_sad_reference(np.floor(smooth, out=smooth))
     return nms_reference(response, th1, th2)

@@ -39,15 +39,19 @@ def conv2d(image: np.ndarray, kernel: np.ndarray,
     ph, pw = kh // 2, kw // 2
     mode = "constant" if pad == "zero" else "edge"
     padded = np.pad(image, ((ph, ph), (pw, pw)), mode=mode)
-    out = np.zeros_like(image)
+    out = np.empty_like(image)
     tap = np.empty_like(image)
     flipped = kernel[::-1, ::-1]
     for dy in range(kh):
         for dx in range(kw):
-            np.multiply(flipped[dy, dx], padded[dy:dy + image.shape[0],
-                                                dx:dx + image.shape[1]],
-                        out=tap)
-            out += tap
+            window = padded[dy:dy + image.shape[0], dx:dx + image.shape[1]]
+            if dy == dx == 0:
+                # Written, not added to zeros: adding +0.0 turns a
+                # -0.0 product into +0.0, as ``0.0 + tap`` did.
+                np.multiply(flipped[0, 0], window, out=out)
+                out += 0.0
+            else:
+                out += np.multiply(flipped[dy, dx], window, out=tap)
     return out
 
 

@@ -81,17 +81,21 @@ class KeyframeMaps:
                 arr.flags.writeable = False
 
 
-def _bilinear_plan(shape, u: np.ndarray, v: np.ndarray) -> tuple:
+def _bilinear_plan(shape, u: np.ndarray, v: np.ndarray,
+                   inside: bool = False) -> tuple:
     """One bilinear lookup at ``(u, v)``, for any grid of ``shape``.
 
     Returns the flat indices ``v * w + u`` of the four corners
     ``(v0, u0), (v0, u1), (v1, u0), (v1, u1)`` and the blend weights
     ``(1 - fu, fu, 1 - fv, fv)``, with the coordinates clamped into the
     grid (edge clamping).  :func:`_blend` applies it to a grid.
+    ``inside`` says that every coordinate already lies in the grid, so
+    the clamp, which would change nothing, is skipped.
     """
     h, w = shape
-    u = np.clip(u, 0.0, w - 1.0)
-    v = np.clip(v, 0.0, h - 1.0)
+    if not inside:
+        u = np.clip(u, 0.0, w - 1.0)
+        v = np.clip(v, 0.0, h - 1.0)
     u_floor = np.floor(u)
     v_floor = np.floor(v)
     u0 = u_floor.astype(np.intp)
@@ -148,19 +152,23 @@ class FloatFrontend:
     def _warp_and_lookup(self, feats, pose: SE3, maps: KeyframeMaps):
         """Warp at a pose and look the residuals up: the lookup.
 
-        Returns ``(warp, residuals, valid, plan)``: the clamped DT
-        residual per feature is zero where invalid, and ``plan`` is the
-        :func:`_bilinear_plan` of the valid lanes, which
-        :meth:`linearize` reuses for the gradient maps.
+        Returns ``(warp, rv, valid, plan)``: ``rv`` is the clamped DT
+        residual of the valid features only, in feature order, and
+        ``plan`` is their :func:`_bilinear_plan`, which
+        :meth:`linearize` reuses for the gradient maps.  A valid
+        feature lies inside the camera's image, so on a map of the
+        camera's shape the plan needs no clamp.
         """
         a, b, c = feats
-        res = warp_float(pose, a, b, c, self.config.camera)
+        cam = self.config.camera
+        res = warp_float(pose, a, b, c, cam)
         valid = res.valid
-        plan = _bilinear_plan(maps.dt.shape, res.u[valid], res.v[valid])
-        r = np.zeros_like(res.u)
-        r[valid] = _blend(maps.dt, plan)
-        np.minimum(r, self.config.residual_clamp, out=r)
-        return res, r, valid, plan
+        plan = _bilinear_plan(maps.dt.shape, res.u[valid], res.v[valid],
+                              inside=maps.dt.shape == (cam.height,
+                                                       cam.width))
+        rv = _blend(maps.dt, plan)
+        np.minimum(rv, self.config.residual_clamp, out=rv)
+        return res, rv, valid, plan
 
     def error(self, feats, pose: SE3, maps: KeyframeMaps
               ) -> Tuple[float, int, tuple]:
@@ -170,11 +178,10 @@ class FloatFrontend:
         which then does not warp again.
         """
         lookup = self._warp_and_lookup(feats, pose, maps)
-        _, r, valid, _ = lookup
-        n = int(valid.sum())
-        if n == 0:
+        rv = lookup[1]
+        if rv.size == 0:
             return np.inf, 0, lookup
-        return float(np.mean(r[valid] ** 2)), n, lookup
+        return float(np.mean(rv ** 2)), rv.size, lookup
 
     def linearize(self, feats, pose: SE3, maps: KeyframeMaps,
                   lookup: Optional[tuple] = None):
@@ -186,8 +193,8 @@ class FloatFrontend:
         a, b, c = feats
         if lookup is None:
             lookup = self._warp_and_lookup(feats, pose, maps)
-        res, r, valid, plan = lookup
-        n = int(valid.sum())
+        res, rv, valid, plan = lookup
+        n = rv.size
         if n == 0:
             return np.zeros((6, 6)), np.zeros(6), np.inf, 0
         gu = _blend(maps.grad_u, plan)
@@ -197,7 +204,6 @@ class FloatFrontend:
         x_real = res.rx[valid] * z_real
         y_real = res.ry[valid] * z_real
         jac = jacobian_float(x_real, y_real, z_real, gu, gv)
-        rv = r[valid]
         if self.config.huber_delta is not None:
             # Iteratively reweighted least squares with Huber weights
             # w = min(1, delta / |r|) applied to H and b.

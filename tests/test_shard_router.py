@@ -8,6 +8,8 @@ drain) do not depend on volume.
 """
 
 import json
+import sys
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import Future
@@ -184,6 +186,20 @@ class _RecordingContext:
         return process
 
 
+class _DyingContext(_RecordingContext):
+    """Records every process; the worker of ``shard_id`` exits with
+    code 3 instead of running, before it can dial back."""
+
+    def __init__(self, context, shard_id):
+        super().__init__(context)
+        self._shard_id = shard_id
+
+    def Process(self, *args, **kwargs):
+        if kwargs["args"][0] == self._shard_id:
+            kwargs.update(target=sys.exit, args=(3,))
+        return super().Process(*args, **kwargs)
+
+
 class TestStart:
     def test_start_publishes_every_shard_like_a_serial_start(self):
         """All workers spawn at once, yet each shard is published up
@@ -212,6 +228,21 @@ class TestStart:
             router.start()
         assert len(recorder.processes) == 2
         # A child left running would still be importing its modules.
+        assert all(p.exitcode is not None for p in recorder.processes)
+        assert all(h.process is None and h.state == "stopped"
+                   for h in router.shards.values())
+
+    def test_worker_that_exits_first_fails_start_at_once(self):
+        """A worker that dies before it dials back makes ``start`` raise
+        with its shard id and exit code well inside the spawn timeout;
+        the healthy worker is terminated and joined too."""
+        router = ShardRouter(shards=2, spec=_spec(), spawn_timeout_s=60.0)
+        router._mp = recorder = _DyingContext(router._mp, shard_id=1)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="shard 1 .* code 3"):
+            router.start()
+        assert time.monotonic() - started < 30.0
+        assert len(recorder.processes) == 2
         assert all(p.exitcode is not None for p in recorder.processes)
         assert all(h.process is None and h.state == "stopped"
                    for h in router.shards.values())

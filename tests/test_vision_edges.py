@@ -9,6 +9,7 @@ from repro.vision import (
     nms_reference,
     sobel_magnitude,
 )
+from repro.vision.edges import _lanes
 
 
 def step_image(width=32, height=24, column=16, lo=20, hi=220):
@@ -216,3 +217,69 @@ class TestInteriorMatchesShiftedOracle:
         np.testing.assert_array_equal(got, want)
         if min(shape) >= 37 and th1 <= 40:
             assert got.any()
+
+
+def _hot_pixel(image, y, x, peak):
+    """Make ``(y, x)`` the SAD's worst case: every opposite pair differs
+    by ``2 * peak`` (row above and left ``+peak``, row below and right
+    ``-peak``), so its unsaturated response is ``8 * peak``."""
+    image[y - 1, x - 1:x + 2] = peak
+    image[y + 1, x - 1:x + 2] = -peak
+    image[y, x - 1] = peak
+    image[y, x + 1] = -peak
+    return image
+
+
+class TestNarrowLanesAtTheBound:
+    """The reference computes in int16 lanes exactly while the input's
+    peak allows, and in int64 beyond: either way it equals the int64
+    oracle, right at the bound and one past it."""
+
+    @pytest.mark.parametrize("peak,narrow", [
+        (4095, True), (4095.9, True), (-4095.9, True), (4096, False),
+        (-4096, False), (30000, False)])
+    @pytest.mark.parametrize("bits", [8, 10, 16])
+    def test_hpf(self, peak, narrow, bits):
+        rng = np.random.default_rng(int(abs(peak)) + bits)
+        image = rng.uniform(-abs(peak), abs(peak), (23, 31))
+        image[0, 0] = peak
+        _hot_pixel(image, 5, 7, peak)
+        got = hpf_sad_reference(image, bits)
+        np.testing.assert_array_equal(got, _hpf_oracle(image, bits))
+        assert got.dtype == (np.int16 if narrow else np.int64)
+        if bits == 16:
+            assert got[5, 7] == min(8 * abs(int(peak)), (1 << bits) - 1)
+
+    @pytest.mark.parametrize("th1,th2", [(40, 2), (-5, -3), (0, 0),
+                                         (-40000, 7), (40000, -1)])
+    def test_nms(self, th1, th2):
+        limit = 32767 - abs(th2)
+        rng = np.random.default_rng(limit)
+        for peak, narrow in ((limit, True), (limit + 1, False)):
+            response = rng.integers(-peak, peak + 1, (19, 29))
+            response[4, 4] = peak
+            response[9, 9] = -peak
+            # A centre that beats its neighbours by exactly th2 (lost)
+            # and by th2 + 1 (kept), near the extremes.
+            centre = peak - 1 - abs(th2)
+            response[12, 12] = response[15, 15] = centre
+            response[11:14, 11] = response[11:14, 13] = centre - th2
+            response[14:17, 14] = response[14:17, 16] = centre - th2 - 1
+            got = nms_reference(response, th1, th2)
+            np.testing.assert_array_equal(got,
+                                          _nms_oracle(response, th1, th2))
+            assert _lanes(response, limit).dtype == \
+                (np.int16 if narrow else np.int64)
+
+    @pytest.mark.parametrize("lo,hi", [(-300.0, 300.0), (0.0, 1023.0),
+                                       (-5000.0, 5000.0)])
+    @pytest.mark.parametrize("th1,th2", [(40, 2), (-5, -3)])
+    def test_detector_off_the_8_bit_range(self, lo, hi, th1, th2):
+        """Negative, 10-bit and past-the-bound intensities."""
+        rng = np.random.default_rng(int(hi) + th1)
+        image = rng.uniform(lo, hi, (37, 53))
+        image[:, 26:] *= 0.3
+        want = _nms_oracle(_hpf_oracle(np.floor(_lpf_oracle(image))),
+                           th1, th2)
+        np.testing.assert_array_equal(
+            detect_edges_reference(image, th1, th2), want)

@@ -43,18 +43,23 @@ class TestConv2d:
     @pytest.mark.parametrize("pad", ["zero", "edge"])
     def test_taps_summed_in_row_major_order(self, pad):
         """Bit-identical to one ``out += weight * window`` per tap, in
-        row-major order of the flipped kernel."""
+        row-major order of the flipped kernel, from zeros: a sum of
+        -0.0 taps is +0.0 either way."""
         rng = np.random.default_rng(4)
         img = rng.uniform(-300.0, 300.0, (13, 17))
-        kernel = rng.normal(size=(3, 5))
+        img[4:10, 5:13] = -0.0
         padded = np.pad(img, ((1, 1), (2, 2)),
                         mode="constant" if pad == "zero" else "edge")
-        want = np.zeros_like(img)
-        flipped = kernel[::-1, ::-1]
-        for dy in range(3):
-            for dx in range(5):
-                want += flipped[dy, dx] * padded[dy:dy + 13, dx:dx + 17]
-        np.testing.assert_array_equal(conv2d(img, kernel, pad=pad), want)
+        for kernel in (rng.normal(size=(3, 5)), rng.uniform(1, 2, (3, 5))):
+            want = np.zeros_like(img)
+            flipped = kernel[::-1, ::-1]
+            for dy in range(3):
+                for dx in range(5):
+                    want += flipped[dy, dx] * padded[dy:dy + 13,
+                                                     dx:dx + 17]
+            got = conv2d(img, kernel, pad=pad)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):

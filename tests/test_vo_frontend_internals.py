@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataset import make_sequence
-from repro.geometry import SE3, TUM_QVGA
+from repro.geometry import SE3, TUM_QVGA, CameraIntrinsics
+from repro.kernels.jacobian import jacobian_float
+from repro.kernels.warp import warp_float
 from repro.vo.config import TrackerConfig
 from repro.vo.features import extract_features
+from repro.vo.pyramid import build_pyramid
 from repro.vo.frontend import (
     FloatFrontend,
     PIMFrontend,
@@ -112,12 +115,92 @@ class TestFloatLookupHandoff:
         for got, want in zip(with_lookup, rewarped):
             np.testing.assert_array_equal(got, want)
         assert with_lookup[2] == err and with_lookup[3] == n
-        # The residuals are the plan's blend of the DT, clamped.
-        res, r, valid, _ = lookup
-        want_r = np.zeros_like(res.u)
-        want_r[valid] = _bilinear_2d(maps.dt, res.u[valid], res.v[valid])
+        # The residuals of the valid lanes are the plan's blend of the
+        # DT, clamped, in feature order.
+        res, rv, valid, _ = lookup
+        assert rv.size == n == np.count_nonzero(valid)
+        want = _bilinear_2d(maps.dt, res.u[valid], res.v[valid])
         np.testing.assert_array_equal(
-            r, np.minimum(want_r, fe.config.residual_clamp))
+            rv, np.minimum(want, fe.config.residual_clamp))
+
+
+def _full_length_reference(fe, feats, pose, maps):
+    """``error()`` and ``linearize()`` of a float frontend as computed
+    from a full-length residual: zero-filled, scattered into over the
+    valid lanes, clamped, then gathered back; the plan always clamps."""
+    a, b, c = feats
+    res = warp_float(pose, a, b, c, fe.config.camera)
+    valid = res.valid
+    plan = _bilinear_plan(maps.dt.shape, res.u[valid], res.v[valid])
+    r = np.zeros_like(res.u)
+    r[valid] = _blend(maps.dt, plan)
+    np.minimum(r, fe.config.residual_clamp, out=r)
+    n = int(valid.sum())
+    if n == 0:
+        return (np.inf, 0), (np.zeros((6, 6)), np.zeros(6), np.inf, 0)
+    z_real = res.z[valid] / np.asarray(c)[valid]
+    jac = jacobian_float(res.rx[valid] * z_real, res.ry[valid] * z_real,
+                         z_real, _blend(maps.grad_u, plan),
+                         _blend(maps.grad_v, plan))
+    rv = r[valid]
+    err = float(np.mean(r[valid] ** 2))
+    return (err, n), (jac.T @ jac, jac.T @ rv, float(np.mean(rv ** 2)), n)
+
+
+#: Odd on both axes, so the pyramid's floor-halved grids and the
+#: round-halved level cameras part ways from level 1 on.
+ODD_CAMERA = CameraIntrinsics(fx=258.6, fy=262.6, cx=161.2, cy=121.0,
+                              width=323, height=243)
+
+
+class TestValidLaneLookup:
+    """The float lookup keeps the valid lanes only and drops the
+    plan's clamp where validity already bounds them: on a map of the
+    camera's shape.  Either way it equals the full-length lookup."""
+
+    @pytest.mark.parametrize("camera", [TUM_QVGA, ODD_CAMERA],
+                             ids=["qvga", "odd"])
+    def test_every_pyramid_level(self, camera):
+        levels = 4
+        seq = make_sequence("fr1_xyz", n_frames=4, camera=camera)
+        cfg = TrackerConfig(camera=camera, pyramid_levels=levels)
+        key, cur = (build_pyramid(f.gray, f.depth, levels)
+                    for f in (seq.frames[0], seq.frames[3]))
+        rng = np.random.default_rng(camera.width)
+        camera_shaped = clamped_outside = 0
+        for level in range(len(key)):
+            fe = FloatFrontend(cfg.scaled_for_level(level))
+            cam = fe.config.camera
+            maps = fe.prepare_keyframe(fe.detect(key[level][0]))
+            feats = fe.make_features(extract_features(
+                fe.detect(cur[level][0]), cur[level][1],
+                fe.config.max_features, cfg.min_depth, cfg.max_depth))
+            h, w = maps.dt.shape
+            for scale in (0.0, 0.01, 0.03, 0.1, 0.3):
+                pose = SE3.exp(rng.normal(0.0, scale, 6))
+                err, n, lookup = fe.error(feats, pose, maps)
+                res, rv, valid, _ = lookup
+                u, v = res.u[valid], res.v[valid]
+                inside = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+                if (h, w) == (cam.height, cam.width):
+                    camera_shaped += 1
+                    assert inside.all()
+                else:
+                    clamped_outside += np.count_nonzero(~inside)
+                want_error, want_linearize = _full_length_reference(
+                    fe, feats, pose, maps)
+                assert (err, n) == want_error
+                got = fe.linearize(feats, pose, maps, lookup)
+                for got_part, want_part in zip(got, want_linearize):
+                    np.testing.assert_array_equal(got_part, want_part)
+        if camera is TUM_QVGA:
+            assert camera_shaped == 5 * len(key) == 20
+        else:
+            # Levels 1 and 2 (121x161, 60x80) are a row and a column
+            # short of their cameras (122x162, 61x81), so some valid
+            # lanes fall off the grid there and are clamped; levels 0
+            # and 3 (30x40) have the camera's shape.
+            assert camera_shaped == 5 * 2 and clamped_outside > 0
 
 
 class TestQuarterPixelBilinear:

@@ -17,7 +17,11 @@ survive a worker's death:
 * a router-side :class:`~repro.snap.capture.CaptureRing` holding one
   record per client reply -- ok, error, or skipped (shed/expired, no
   arrays) -- pruned up to each session's checkpoint watermark: the
-  replay *tail*;
+  replay *tail*.  Invariant: the ring holds a private copy of every
+  recorded frame before its future resolves, so a client may reuse its
+  arrays once it has the result.  The copy is taken on the shard's
+  writer thread right after the frame is sent, while the worker
+  tracks, not on the reply path;
 * a **pending table** of every request whose reply has not arrived,
   holding the inbound arrays so an orphaned request can be
   re-dispatched verbatim.
@@ -118,7 +122,7 @@ class _Pending:
 
     __slots__ = ("req_id", "session", "seq", "gray", "depth",
                  "timestamp", "deadline_s", "future", "shard",
-                 "internal")
+                 "internal", "_lock", "_copies")
 
     def __init__(self, req_id, session, seq, gray, depth, timestamp,
                  deadline_s, shard, internal=False):
@@ -135,6 +139,22 @@ class _Pending:
         #: already has the result, so completion must neither touch a
         #: client future nor re-record the frame in the capture ring.
         self.internal = internal
+        self._lock = threading.Lock()
+        self._copies = None
+
+    def capture_copies(self) -> tuple:
+        """Private copies of ``(gray, depth)`` for the capture ring.
+
+        Taken once: the writer thread takes them as soon as the frame
+        is on the wire, overlapping the worker's tracking; a reply
+        that arrives first takes them itself, and the late writer then
+        finds them taken.
+        """
+        with self._lock:
+            if self._copies is None:
+                self._copies = (np.array(self.gray, copy=True),
+                                np.array(self.depth, copy=True))
+            return self._copies
 
 
 class ShardHandle:
@@ -476,10 +496,11 @@ class ShardRouter:
             if handle is not None:
                 handle.breaker.record_clean()
             if not pending.internal:
+                gray, depth = pending.capture_copies()
                 self.capture.record(
-                    pending.session, pending.seq, pending.gray,
-                    pending.depth, pending.timestamp,
-                    self.capture.ok_outcome(result))
+                    pending.session, pending.seq, gray, depth,
+                    pending.timestamp, self.capture.ok_outcome(result),
+                    copy=False)
             pending.future.set_result(result)
             return
         exc = self._rebuild_error(pending, msg)
@@ -503,10 +524,11 @@ class ShardRouter:
                 pending.session, pending.seq, None, None,
                 pending.timestamp, self.capture.skipped_outcome(exc))
         else:
+            gray, depth = pending.capture_copies()
             self.capture.record(
-                pending.session, pending.seq, pending.gray,
-                pending.depth, pending.timestamp,
-                self.capture.error_outcome(exc))
+                pending.session, pending.seq, gray, depth,
+                pending.timestamp, self.capture.error_outcome(exc),
+                copy=False)
 
     @staticmethod
     def _rebuild_error(pending: _Pending, msg: dict) -> BaseException:
@@ -646,8 +668,10 @@ class ShardRouter:
         }
         if pending.deadline_s is not None:
             message["deadline_s"] = pending.deadline_s
+        # Internal replays are never recorded, so they copy nothing.
+        on_sent = None if pending.internal else pending.capture_copies
         try:
-            handle.pump.send(message)
+            handle.pump.send(message, on_sent=on_sent)
         except SendQueueFull as exc:
             raise Backpressure(depth=exc.depth,
                                retry_after_s=0.05) from exc

@@ -1,12 +1,29 @@
 """Length-prefixed frame transport between the router and shards.
 
 The shard plane moves work across a *process* boundary, so the wire
-format is the contract: each message is ``MAGIC (4 bytes) | payload
-length (u32 big-endian) | pickled payload``.  The magic bytes reject
-cross-talk from anything that is not a shard peer (a stray client
-connecting to the rendezvous port) before a single payload byte is
-parsed, and the length prefix bounds each read so a truncated stream
-surfaces as :class:`TransportClosed` instead of a hang.
+format is the contract.  Each message is::
+
+    MAGIC (4 bytes) | pickle length (u32) | buffer count (u32)
+    | one u64 length per buffer | pickle | buffers
+
+all integers big-endian.  The magic bytes reject cross-talk from
+anything that is not a shard peer (a stray client connecting to the
+rendezvous port) before a single payload byte is parsed, and the
+lengths bound each read -- checked against :data:`MAX_MESSAGE_BYTES`
+before anything is allocated -- so a truncated stream surfaces as
+:class:`TransportClosed` instead of a hang.
+
+The pickle is protocol 5 with out-of-band buffers: every contiguous
+array of at least :data:`OUT_OF_BAND_BYTES` (a frame's ``gray`` and
+``depth``) travels as a raw buffer after the pickle instead of inside
+it.  The sender hands those buffers to the kernel where they sit, and
+the receiver reads each straight into its own fresh allocation, which
+the unpickled array then views -- the kernel's send and receive copies
+are the only two a frame takes.  Each buffer gets its own allocation
+rather than a slice of one shared block: a slice would sit at whatever
+offset the bytes before it left, and misaligned float64 frames made
+the worker's tracking measurably slower.  Smaller arrays (a
+``TrackResult``'s pose) stay in band and cost no extra reads.
 
 :class:`MessagePump` owns one connected socket end and runs two
 daemon threads over it:
@@ -33,20 +50,35 @@ import socket
 import struct
 import threading
 import time
-from typing import Callable, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
+
+import numpy as np
 
 __all__ = ["MAGIC", "MessagePump", "SendQueueFull", "TransportClosed",
            "connect_back", "read_message", "rendezvous_listener",
            "write_message"]
 
 #: Frame preamble: rejects non-shard peers before any payload parse.
-MAGIC = b"RSH1"
+MAGIC = b"RSH2"
 
-_HEADER = struct.Struct(">4sI")
+#: ``MAGIC | pickle length | buffer count``.
+_HEADER = struct.Struct(">4sII")
 
-#: Upper bound on one message (128 MiB): a corrupt length prefix fails
-#: fast instead of attempting a multi-gigabyte allocation.
+#: One entry of the buffer-length table that follows the header.
+_BUFFER_LENGTH = struct.Struct(">Q")
+
+#: Upper bound on one message (128 MiB), table, pickle and buffers
+#: together: a corrupt header fails fast instead of attempting a
+#: multi-gigabyte allocation.
 MAX_MESSAGE_BYTES = 128 << 20
+
+#: Contiguous arrays at least this large travel out of band; smaller
+#: ones are cheaper to copy into the pickle than to read on their own.
+OUT_OF_BAND_BYTES = 1 << 16
+
+#: Most buffers one ``sendmsg`` call is handed (Linux's ``IOV_MAX`` is
+#: 1024).
+_MAX_IOV = 512
 
 
 class TransportClosed(ConnectionError):
@@ -62,42 +94,85 @@ class SendQueueFull(RuntimeError):
         self.depth = depth
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise :class:`TransportClosed`."""
-    chunks = []
-    remaining = n
-    while remaining:
+def _recv_into(sock: socket.socket, buffer) -> None:
+    """Fill the writable ``buffer`` from the socket or raise
+    :class:`TransportClosed`."""
+    view = memoryview(buffer)
+    n = view.nbytes
+    got = 0
+    while got < n:
         try:
-            chunk = sock.recv(min(remaining, 1 << 20))
+            k = sock.recv_into(view[got:])
         except OSError as exc:
             raise TransportClosed(str(exc)) from exc
-        if not chunk:
+        if not k:
             raise TransportClosed(
-                f"peer closed mid-message ({n - remaining}/{n} bytes)")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+                f"peer closed mid-message ({got}/{n} bytes)")
+        got += k
+
+
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read exactly ``n`` bytes or raise :class:`TransportClosed`."""
+    buffer = bytearray(n)
+    _recv_into(sock, buffer)
+    return buffer
+
+
+def _send_parts(sock: socket.socket, parts: List[memoryview]) -> None:
+    """Send every part in order without joining them first."""
+    parts = list(parts)
+    while parts:
+        try:
+            sent = sock.sendmsg(parts[:_MAX_IOV])
+        except OSError as exc:
+            raise TransportClosed(str(exc)) from exc
+        while parts and sent >= parts[0].nbytes:
+            sent -= parts.pop(0).nbytes
+        if sent:
+            parts[0] = parts[0][sent:]
 
 
 def write_message(sock: socket.socket, payload: object) -> None:
     """Frame and send one message (blocking on the socket)."""
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    try:
-        sock.sendall(_HEADER.pack(MAGIC, len(blob)) + blob)
-    except OSError as exc:
-        raise TransportClosed(str(exc)) from exc
+    buffers: List[memoryview] = []
+
+    def out_of_band(buffer: pickle.PickleBuffer) -> bool:
+        raw = buffer.raw()
+        if raw.nbytes < OUT_OF_BAND_BYTES:
+            return True  # in band
+        buffers.append(raw)
+        return False
+
+    head = pickle.dumps(payload, protocol=5, buffer_callback=out_of_band)
+    table = struct.pack(f">4sII{len(buffers)}Q", MAGIC, len(head),
+                        len(buffers), *(b.nbytes for b in buffers))
+    _send_parts(sock, [memoryview(table), memoryview(head), *buffers])
 
 
 def read_message(sock: socket.socket) -> object:
     """Read and decode one framed message (blocking)."""
-    magic, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    magic, head_length, count = _HEADER.unpack(
+        _recv_exact(sock, _HEADER.size))
     if magic != MAGIC:
         raise TransportClosed(
             f"bad frame magic {magic!r} (not a shard peer)")
-    if length > MAX_MESSAGE_BYTES:
+    table_length = count * _BUFFER_LENGTH.size
+    if table_length + head_length > MAX_MESSAGE_BYTES:
         raise TransportClosed(
-            f"frame length {length} exceeds {MAX_MESSAGE_BYTES}")
-    return pickle.loads(_recv_exact(sock, length))
+            f"frame of {count} buffers and a {head_length}-byte pickle "
+            f"exceeds {MAX_MESSAGE_BYTES}")
+    lengths = struct.unpack(f">{count}Q",
+                            _recv_exact(sock, table_length))
+    total = table_length + head_length + sum(lengths)
+    if total > MAX_MESSAGE_BYTES:
+        raise TransportClosed(
+            f"frame length {total} exceeds {MAX_MESSAGE_BYTES}")
+    head = _recv_exact(sock, head_length)
+    # One allocation per buffer, so every array lands aligned.
+    buffers = [np.empty(length, dtype=np.uint8) for length in lengths]
+    for buffer in buffers:
+        _recv_into(sock, buffer)
+    return pickle.loads(head, buffers=buffers)
 
 
 class MessagePump:
@@ -132,19 +207,23 @@ class MessagePump:
     # -- sending ---------------------------------------------------------
 
     def send(self, payload: object, block: bool = False,
-             timeout: Optional[float] = None) -> None:
+             timeout: Optional[float] = None,
+             on_sent: Optional[Callable[[], None]] = None) -> None:
         """Enqueue one message for the writer thread.
 
         Non-blocking by default: raises :class:`SendQueueFull` when
         the bounded queue is full (the caller owns shedding or
         retrying -- the front door maps this onto admission
         backpressure).  Raises :class:`TransportClosed` once the pump
-        is closed.
+        is closed.  ``on_sent`` runs on the writer thread once the
+        message is on the wire (never if the send fails), so work the
+        reply does not need first can overlap the peer's.
         """
         if self._closed.is_set():
             raise TransportClosed(f"pump {self.name} is closed")
         try:
-            self._sendq.put(payload, block=block, timeout=timeout)
+            self._sendq.put((payload, on_sent), block=block,
+                            timeout=timeout)
         except queue.Full:
             raise SendQueueFull(self._sendq.qsize()) from None
 
@@ -155,21 +234,30 @@ class MessagePump:
 
     def _write_loop(self) -> None:
         while True:
-            payload = self._sendq.get()
-            if payload is _STOP or self._closed.is_set():
+            item = self._sendq.get()
+            if item is _STOP or self._closed.is_set():
                 return
+            payload, on_sent = item
             try:
                 write_message(self.sock, payload)
             except TransportClosed:
                 self._shutdown()
                 return
+            if on_sent is not None:
+                try:
+                    on_sent()
+                except Exception:  # noqa: BLE001 -- a callback bug
+                    # must not kill the writer, as in the reader.
+                    pass
 
     def _read_loop(self) -> None:
         while not self._closed.is_set():
             try:
                 message = read_message(self.sock)
             except (TransportClosed, pickle.UnpicklingError,
-                    EOFError, AttributeError):
+                    EOFError, AttributeError, ValueError):
+                # ValueError: buffer lengths that disagree with the
+                # arrays the pickle describes.
                 self._shutdown()
                 return
             try:
@@ -271,7 +359,7 @@ def accept_worker(listener: socket.socket, tokens: Set[bytes],
         except TransportClosed:
             sock.close()
             continue
-        token = hello[len(MAGIC):]
+        token = bytes(hello[len(MAGIC):])
         if hello[:len(MAGIC)] != MAGIC or token not in tokens:
             sock.close()
             continue

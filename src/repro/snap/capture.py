@@ -78,7 +78,8 @@ class CaptureRing:
     ``capacity`` bounds the frames kept *per session*; overflow drops
     the oldest (counted -- a truncated stream is flagged not fully
     replayable).  Recording copies the inbound arrays, so the ring
-    never aliases caller buffers.
+    never aliases caller buffers -- unless the caller passes
+    ``copy=False`` to hand over private copies it already took.
     """
 
     def __init__(self, capacity: int = 1024):
@@ -105,18 +106,21 @@ class CaptureRing:
     # -- recording -------------------------------------------------------
 
     def record(self, session: str, seq: int, gray, depth,
-               timestamp: float, outcome: dict) -> None:
+               timestamp: float, outcome: dict,
+               copy: bool = True) -> None:
         """Append one completed frame and its live outcome.
 
         A skipped frame passes ``None`` arrays: it never reached the
-        tracker, so there is nothing to replay.
+        tracker, so there is nothing to replay.  ``copy=False`` stores
+        the arrays as given: the caller hands over copies no one else
+        holds.
         """
         record = {
             "seq": int(seq),
             "timestamp": float(timestamp),
-            "gray": None if gray is None else np.array(gray, copy=True),
+            "gray": None if gray is None else np.array(gray, copy=copy),
             "depth": None if depth is None
-            else np.array(depth, copy=True),
+            else np.array(depth, copy=copy),
             "outcome": outcome,
         }
         with self._lock:

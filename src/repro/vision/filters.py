@@ -18,6 +18,9 @@ SOBEL_X = np.array([[-1, 0, 1],
                     [-1, 0, 1]], dtype=np.float64)
 SOBEL_Y = SOBEL_X.T
 
+#: Output rows :func:`conv2d` computes per pass.
+_BAND_ROWS = 32
+
 
 def conv2d(image: np.ndarray, kernel: np.ndarray,
            pad: str = "zero") -> np.ndarray:
@@ -39,19 +42,37 @@ def conv2d(image: np.ndarray, kernel: np.ndarray,
     ph, pw = kh // 2, kw // 2
     mode = "constant" if pad == "zero" else "edge"
     padded = np.pad(image, ((ph, ph), (pw, pw)), mode=mode)
+    h, w = image.shape
+    row = padded.shape[1]
+    # One product of the padded image per distinct weight, sliced per
+    # tap: the same floats as one product per tap.  Weights are told
+    # apart by bit pattern, since -0.0 and 0.0 give products of
+    # opposite sign; zero weights still count, since 0 * inf is NaN.
+    bits = kernel[::-1, ::-1].view(np.uint64).ravel().tolist()
+    distinct = list(dict.fromkeys(bits))
+    weights = np.array(distinct, dtype=np.uint64).view(np.float64)
     out = np.empty_like(image)
-    tap = np.empty_like(image)
-    flipped = kernel[::-1, ::-1]
-    for dy in range(kh):
-        for dx in range(kw):
-            window = padded[dy:dy + image.shape[0], dx:dx + image.shape[1]]
-            if dy == dx == 0:
+    # A band of rows at a time keeps the products small: whole-image
+    # products were fresh multi-megabyte allocations that page-faulted
+    # on worker threads.  Within a band, each tap's window is one
+    # contiguous run of the flattened product at the padded row pitch;
+    # the columns between output rows are computed and dropped.
+    for top in range(0, h, _BAND_ROWS):
+        rows = min(_BAND_ROWS, h - top)
+        products = np.multiply.outer(
+            weights, padded[top:top + rows + kh - 1].ravel())
+        span = (rows - 1) * row + w
+        acc = np.empty(rows * row)
+        for tap, key in enumerate(bits):
+            start = (tap // kw) * row + tap % kw
+            window = products[distinct.index(key), start:start + span]
+            if tap == 0:
                 # Written, not added to zeros: adding +0.0 turns a
                 # -0.0 product into +0.0, as ``0.0 + tap`` did.
-                np.multiply(flipped[0, 0], window, out=out)
-                out += 0.0
+                np.add(window, 0.0, out=acc[:span])
             else:
-                out += np.multiply(flipped[dy, dx], window, out=tap)
+                acc[:span] += window
+        out[top:top + rows] = acc.reshape(rows, row)[:, :w]
     return out
 
 

@@ -14,8 +14,10 @@ import urllib.error
 import urllib.request
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
+from repro.geometry import SE3
 from repro.geometry.camera import TUM_QVGA
 from repro.serve import (
     Backpressure,
@@ -463,6 +465,77 @@ class TestMigration:
         assert (first.frame_index, second.frame_index) == (0, 1)
 
 
+class TestCaptureCopy:
+    """The ring holds a private copy of every recorded frame before
+    its future resolves, taken once, off the reply path when it can
+    be."""
+
+    def test_ring_keeps_its_copy_when_the_client_reuses_arrays(self):
+        workload = build_workload(sessions=1, frames=3, scale=0.25)
+        frames = next(iter(workload.values())).frames
+        with ShardRouter(shards=2, spec=_spec()) as router:
+            for seq, frame in enumerate(frames, 1):
+                gray, depth = frame.gray.copy(), frame.depth.copy()
+                router.submit_nowait("s", gray, depth,
+                                     frame.timestamp).result(timeout=120)
+                gray[:] = -1.0
+                depth[:] = -1.0
+                (rec,) = router.capture.tail("s", seq - 1)
+                assert np.array_equal(rec["gray"], frame.gray)
+                assert np.array_equal(rec["depth"], frame.depth)
+
+    def test_reply_before_the_post_send_copy_records_one_copy(self):
+        """A reply that beats the writer's post-send copy takes the
+        copy itself; the late writer then finds it taken and leaves
+        the ring's record alone."""
+        router = ShardRouter(shards=1, spec=_spec())
+        handle = router.shards[0]
+        handle.pump = _HeldPump()
+        handle.state = "up"
+        router.ring.add(0)
+        try:
+            gray, depth = np.ones((4, 6)), np.full((4, 6), 2.0)
+            future = router.submit_nowait("s", gray, depth)
+            ((message, on_sent),) = handle.pump.held
+            router._on_message(0, {
+                "op": "result", "id": message["id"], "ok": True,
+                "result": _track_result()})
+            assert future.result(timeout=0).frame_index == 0
+            gray[:] = 0.0
+            depth[:] = 0.0
+            (rec,) = router.capture.tail("s", 0)
+            kept = rec["gray"], rec["depth"]
+            on_sent()
+            (rec,) = router.capture.tail("s", 0)
+            assert rec["gray"] is kept[0] and rec["depth"] is kept[1]
+            assert (rec["gray"] == 1.0).all()
+            assert (rec["depth"] == 2.0).all()
+        finally:
+            router.close()
+
+    def test_internal_replay_takes_no_copy(self):
+        router = ShardRouter(shards=1, spec=_spec())
+        handle = router.shards[0]
+        handle.pump = _HeldPump()
+        try:
+            from repro.shard.router import _Pending
+            replay = _Pending(router._alloc_id(), "s", 1, np.ones(3),
+                              np.ones(3), 0.0, None, 0, internal=True)
+            router._send_frame(handle, replay)
+            ((_message, on_sent),) = handle.pump.held
+            assert on_sent is None
+        finally:
+            router.close()
+
+
+def _track_result():
+    from repro.serve.pool import TrackResult
+    return TrackResult(
+        session="s", generation=0, frame_index=0, pose=SE3.identity(),
+        is_keyframe=True, num_features=0, lm_iterations=0, worker=0,
+        queue_s=0.0, service_s=0.0, device_cycles=0)
+
+
 class _SilentPump:
     """A connected pump whose shard never replies."""
 
@@ -471,11 +544,24 @@ class _SilentPump:
     def __init__(self):
         self.sent = []
 
-    def send(self, message, block=False, timeout=None):
+    def send(self, message, block=False, timeout=None, on_sent=None):
         self.sent.append(message)
 
     def close(self):
         self.closed = True
+
+
+class _HeldPump(_SilentPump):
+    """A silent pump that holds each message's post-send callback
+    instead of running it, so a test decides when the send ends."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = []
+
+    def send(self, message, block=False, timeout=None, on_sent=None):
+        super().send(message, block, timeout)
+        self.held.append((message, on_sent))
 
 
 class _NeverDone(Future):

@@ -1,5 +1,6 @@
 """Wire-level tests for the shard transport (no worker processes)."""
 
+import pickle
 import socket
 import struct
 import threading
@@ -10,6 +11,8 @@ import pytest
 
 from repro.shard.transport import (
     MAGIC,
+    MAX_MESSAGE_BYTES,
+    OUT_OF_BAND_BYTES,
     MessagePump,
     SendQueueFull,
     TransportClosed,
@@ -22,6 +25,26 @@ from repro.shard.transport import (
 
 
 @pytest.fixture()
+def reader():
+    """``reader(wire)``: a socket that reads ``wire``, then EOF."""
+    opened = []
+
+    def make(wire: bytes) -> socket.socket:
+        a, b = socket.socketpair()
+        writer = threading.Thread(
+            target=lambda: (a.sendall(wire), a.close()))
+        writer.start()
+        opened.append((b, writer))
+        return b
+
+    yield make
+    for sock, writer in opened:
+        sock.close()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.fixture()
 def pair():
     a, b = socket.socketpair()
     yield a, b
@@ -30,6 +53,39 @@ def pair():
             s.close()
         except OSError:
             pass
+
+
+def _wire(payload) -> bytes:
+    """The exact bytes :func:`write_message` puts on the wire."""
+    a, b = socket.socketpair()
+    with a, b:
+        def send():
+            write_message(a, payload)
+            a.shutdown(socket.SHUT_WR)
+
+        writer = threading.Thread(target=send)
+        writer.start()
+        chunks = []
+        while True:
+            chunk = b.recv(1 << 16)
+            if not chunk:
+                break
+            chunks.append(chunk)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    return b"".join(chunks)
+
+
+def _header(wire: bytes):
+    """``(pickle length, buffer lengths)`` of one wire message."""
+    magic, head_length, count = struct.unpack(">4sII", wire[:12])
+    assert magic == MAGIC
+    return head_length, struct.unpack(f">{count}Q",
+                                      wire[12:12 + 8 * count])
+
+
+#: Enough float64 elements to travel out of band.
+_BIG = OUT_OF_BAND_BYTES // 8
 
 
 class TestFraming:
@@ -44,6 +100,58 @@ class TestFraming:
         assert np.array_equal(decoded["gray"], payload["gray"])
         assert decoded["meta"] == payload["meta"]
 
+    def test_roundtrip_of_every_array_layout(self, reader):
+        big = np.arange(2 * _BIG, dtype=np.float64).reshape(-1, 16)
+        small = np.arange(12.0).reshape(3, 4)
+        read_only = big.copy()
+        read_only.flags.writeable = False
+        read_only_small = small.copy()
+        read_only_small.flags.writeable = False
+        payload = {
+            "c": big, "f": np.asfortranarray(big), "strided": big[:, ::2],
+            "scalar": np.array(3.0), "empty": np.zeros((0, 3)),
+            "read_only": read_only, "read_only_small": read_only_small,
+            "bool": np.arange(_BIG * 8) % 3 == 0,
+            "object": np.array([1, "x", None], dtype=object),
+            "small": small,
+        }
+        decoded = read_message(reader(_wire(payload)))
+        assert decoded.keys() == payload.keys()
+        for key, sent in payload.items():
+            got = decoded[key]
+            assert got.dtype == sent.dtype and got.shape == sent.shape
+            assert np.array_equal(got, sent), key
+        assert decoded["f"].flags.f_contiguous
+        assert not decoded["read_only"].flags.writeable
+        assert not decoded["read_only_small"].flags.writeable
+
+    def test_only_large_contiguous_arrays_travel_out_of_band(self):
+        big = np.zeros(_BIG)
+        small = np.zeros(_BIG - 1)
+        _head, lengths = _header(_wire({"big": big, "small": small,
+                                        "strided": np.zeros(4 * _BIG)[::2]}))
+        assert lengths == (big.nbytes,)
+        head, lengths = _header(_wire({"pose": np.eye(3)}))
+        assert lengths == () and head < 1024
+
+    @pytest.mark.parametrize("pad", [0, 1, 3, 13])
+    def test_frame_arrays_arrive_aligned_writable_and_unshared(
+            self, reader, pad):
+        """Each out-of-band buffer gets its own allocation: whatever
+        the pickle's length, float64 frames land aligned."""
+        gray = np.random.default_rng(pad).uniform(0, 255, (128, 96))
+        depth = gray * 2.0
+        payload = {"pad": "x" * pad, "gray": gray, "depth": depth}
+        wire = _wire(payload)
+        assert len(_header(wire)[1]) == 2
+        decoded = read_message(reader(wire))
+        for key in ("gray", "depth"):
+            got = decoded[key]
+            assert got.flags.aligned and got.flags.writeable
+            assert np.array_equal(got, payload[key])
+            assert not np.shares_memory(got, payload[key])
+        assert not np.shares_memory(decoded["gray"], decoded["depth"])
+
     def test_messages_arrive_in_order(self, pair):
         a, b = pair
         for i in range(20):
@@ -52,22 +160,42 @@ class TestFraming:
 
     def test_bad_magic_rejected_before_payload(self, pair):
         a, b = pair
-        a.sendall(struct.pack(">4sI", b"EVIL", 4) + b"....")
+        a.sendall(struct.pack(">4sII", b"EVIL", 4, 0) + b"....")
         with pytest.raises(TransportClosed, match="magic"):
             read_message(b)
 
-    def test_oversized_length_prefix_fails_fast(self, pair):
+    def test_previous_wire_format_is_refused(self, pair):
         a, b = pair
-        a.sendall(struct.pack(">4sI", MAGIC, (1 << 32) - 1))
-        with pytest.raises(TransportClosed, match="exceeds"):
+        blob = pickle.dumps({"op": "frame"})
+        a.sendall(struct.pack(">4sI", b"RSH1", len(blob)) + blob)
+        with pytest.raises(TransportClosed, match="magic"):
             read_message(b)
 
-    def test_truncated_stream_is_closed_not_hung(self, pair):
-        a, b = pair
-        a.sendall(struct.pack(">4sI", MAGIC, 100) + b"only-a-bit")
-        a.close()
-        with pytest.raises(TransportClosed):
-            read_message(b)
+    def test_oversized_length_prefix_fails_fast(self, reader):
+        """Only the header arrives: a reader that allocated or read on
+        before checking would fail some other way, or hang."""
+        headers = {
+            "pickle": struct.pack(">4sII", MAGIC, (1 << 32) - 1, 0),
+            "count": struct.pack(">4sII", MAGIC, 16, (1 << 32) - 1),
+            "buffer": struct.pack(">4sIIQ", MAGIC, 16, 1, 1 << 60),
+            "total": struct.pack(">4sIIQQ", MAGIC, 16, 2,
+                                 MAX_MESSAGE_BYTES // 2,
+                                 MAX_MESSAGE_BYTES // 2),
+        }
+        for header in headers.values():
+            with pytest.raises(TransportClosed, match="exceeds"):
+                read_message(reader(header))
+
+    def test_truncated_stream_is_closed_not_hung(self, reader):
+        wire = _wire({"gray": np.ones(_BIG), "depth": np.ones(_BIG)})
+        head, lengths = _header(wire)
+        table_end = 12 + 8 * len(lengths)
+        # Cut inside the header, the length table, the pickle and the
+        # last buffer.
+        for keep in (7, table_end - 3, table_end + head // 2,
+                     len(wire) - lengths[-1] // 2):
+            with pytest.raises(TransportClosed):
+                read_message(reader(wire[:keep]))
 
 
 class TestMessagePump:
@@ -94,6 +222,24 @@ class TestMessagePump:
         assert closes == [1]
         with pytest.raises(TransportClosed):
             pump.send({"op": "late"})
+
+    def test_buffer_that_disagrees_with_its_pickle_closes_the_pump(
+            self, pair):
+        a, b = pair
+        closes = []
+        pump = MessagePump(b, name="t", on_message=lambda m: None,
+                           on_close=lambda: closes.append(1))
+        pump.start()
+        wire = _wire({"gray": np.zeros(_BIG)})
+        head, _lengths = _header(wire)
+        table_end = 12 + 8
+        a.sendall(struct.pack(">4sIIQ", MAGIC, head, 1, 8) +
+                  wire[table_end:table_end + head] + bytes(8))
+        deadline = time.monotonic() + 5
+        while not pump.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pump.closed and closes == [1]
+        pump.close()
 
     def test_bounded_send_queue_sheds_not_buffers(self, pair):
         a, b = pair

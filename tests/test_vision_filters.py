@@ -10,6 +10,7 @@ from repro.vision import (
     sobel,
     sobel_magnitude,
 )
+from repro.vision.filters import SOBEL_X
 
 
 def random_image(shape=(24, 32), seed=0):
@@ -41,25 +42,33 @@ class TestConv2d:
         assert abs(out[5:-5, 5:-5].mean() - img[4:-4, 4:-4].mean()) < 10
 
     @pytest.mark.parametrize("pad", ["zero", "edge"])
+    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_taps_summed_in_row_major_order(self, pad):
         """Bit-identical to one ``out += weight * window`` per tap, in
         row-major order of the flipped kernel, from zeros: a sum of
-        -0.0 taps is +0.0 either way."""
+        -0.0 taps is +0.0 either way, and a zero weight on an infinite
+        pixel still makes the sum NaN."""
         rng = np.random.default_rng(4)
-        img = rng.uniform(-300.0, 300.0, (13, 17))
-        img[4:10, 5:13] = -0.0
-        padded = np.pad(img, ((1, 1), (2, 2)),
-                        mode="constant" if pad == "zero" else "edge")
-        for kernel in (rng.normal(size=(3, 5)), rng.uniform(1, 2, (3, 5))):
+        # 70 rows: two full bands of conv2d's rows and a partial one.
+        img = rng.uniform(-300.0, 300.0, (70, 17))
+        img[4:40, 5:13] = -0.0
+        img[1, 2], img[31, 3], img[32, 15] = np.inf, -np.inf, np.nan
+        signed_zeros = np.array([[0.0, -0.0, 1.0], [2.0, -0.0, 0.0],
+                                 [-1.0, 0.0, -0.0]])
+        for kernel in (rng.normal(size=(3, 5)), rng.uniform(1, 2, (3, 5)),
+                       BINOMIAL_3x3, SOBEL_X, SOBEL_X.T, signed_zeros):
+            ph, pw = kernel.shape[0] // 2, kernel.shape[1] // 2
+            padded = np.pad(img, ((ph, ph), (pw, pw)),
+                            mode="constant" if pad == "zero" else "edge")
             want = np.zeros_like(img)
             flipped = kernel[::-1, ::-1]
-            for dy in range(3):
-                for dx in range(5):
-                    want += flipped[dy, dx] * padded[dy:dy + 13,
+            for dy in range(kernel.shape[0]):
+                for dx in range(kernel.shape[1]):
+                    want += flipped[dy, dx] * padded[dy:dy + 70,
                                                      dx:dx + 17]
             got = conv2d(img, kernel, pad=pad)
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):

@@ -143,17 +143,17 @@ def detect_edges_replay(device, image: np.ndarray, th1: int = DEFAULT_TH1,
     with obs_span("detect_edges", device=device, category="pipeline",
                   height=height, width=width, variant="replay",
                   mode=mode):
-        snap = device.ledger.snapshot()
+        start = device.ledger.cycles
         lpf_pim(device, height, base_row, mode=mode)
-        cycles["lpf"] = device.ledger.cycles - snap.cycles
+        cycles["lpf"] = device.ledger.cycles - start
 
-        snap = device.ledger.snapshot()
+        start = device.ledger.cycles
         hpf_pim_replay(device, height, base_row, mode=mode)
-        cycles["hpf"] = device.ledger.cycles - snap.cycles
+        cycles["hpf"] = device.ledger.cycles - start
 
-        snap = device.ledger.snapshot()
+        start = device.ledger.cycles
         nms_pim_replay(device, height, th1, th2, base_row, mode=mode)
-        cycles["nms"] = device.ledger.cycles - snap.cycles
+        cycles["nms"] = device.ledger.cycles - start
 
     mask = read_image(device, height, width, base_row)
     return EdgeDetectionResult(

@@ -74,6 +74,27 @@ __all__ = ["PIMDevice", "BitPIMDevice", "TMP", "Tmp", "Imm", "Rel"]
 _LANE_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 
 
+def _as_rows(rows) -> np.ndarray:
+    """Row indices (a ``range`` or a sequence of ints) as one int64 array."""
+    if isinstance(rows, range):
+        return np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
+    return np.asarray(rows, dtype=np.int64)
+
+
+def _alias_hit(bases: np.ndarray, rows, offsets) -> bool:
+    """Whether some ``base + offset`` equals one of ``rows``.
+
+    ``bases`` must be sorted: each ``row - offset`` is looked up in
+    them by binary search.
+    """
+    if not bases.size or not rows or not offsets:
+        return False
+    want = (np.fromiter(rows, np.int64, len(rows))[:, None]
+            - np.fromiter(offsets, np.int64, len(offsets))).ravel()
+    pos = np.searchsorted(bases, want)
+    return bool((bases[np.minimum(pos, bases.size - 1)] == want).any())
+
+
 def _read_signedness(method: str, kwargs: dict) -> bool:
     """Signedness with which a micro-op interprets its source lanes."""
     if method.startswith("logic_"):
@@ -406,37 +427,48 @@ class PIMDevice(_DeviceCore):
         """Host DMA: write a 2-D block of lane values, one row each.
 
         ``values`` has shape ``(len(rows), <= lanes)``; short rows are
-        zero-padded.  Charges one host transfer per row, identical to a
-        loop of :meth:`load`, but performs the pack and the memory
-        scatter as single numpy operations.
+        zero-padded.  Charges one host transfer per row, and writes and
+        refuses exactly what a loop of :meth:`load` would, but performs
+        the pack and the memory scatter as single numpy operations.
+        Integer blocks are range-checked in their own dtype; float,
+        bool and ``uint64`` blocks are first converted to int64, as
+        :meth:`load` does (floats truncate, ``uint64`` wraps).  The
+        pack writes straight into the lane dtype, whose cast wraps
+        each checked value to its n-bit pattern.
         """
-        idx = np.asarray([int(r) for r in rows], dtype=np.int64)
+        idx = _as_rows(rows)
         if idx.size == 0:
             return
         if idx.min() < 0 or idx.max() >= self.config.num_rows:
             raise IndexError(
                 f"rows outside [0, {self.config.num_rows})")
-        vals = np.asarray(values, dtype=np.int64)
+        if isinstance(values, np.ndarray) and values.dtype.kind in "iu" \
+                and values.dtype != np.uint64:
+            vals = values
+        else:
+            vals = np.asarray(values, dtype=np.int64)
         if vals.ndim != 2 or vals.shape[0] != idx.size:
             raise ValueError(
                 f"values must have shape ({idx.size}, <= {self.lanes})")
-        if vals.shape[1] > self.lanes:
+        width = vals.shape[1]
+        if width > self.lanes:
             raise ValueError(
-                f"{vals.shape[1]} values exceed {self.lanes} lanes")
-        lo = -(1 << (self._precision - 1)) if signed else 0
-        hi = (1 << (self._precision - 1)) - 1 if signed \
-            else (1 << self._precision) - 1
-        if vals.size and (vals.min() < lo or vals.max() > hi):
-            raise ValueError(f"values exceed {self._precision}-bit range")
-        full = np.zeros((idx.size, self.lanes), dtype=np.int64)
-        full[:, :vals.shape[1]] = vals
-        self._mem[idx] = self._pack(full)
+                f"{width} values exceed {self.lanes} lanes")
+        n = self._precision
+        lo = -(1 << (n - 1)) if signed else 0
+        hi = (1 << (n - 1)) - 1 if signed else (1 << n) - 1
+        if vals.size and (int(vals.min()) < lo or int(vals.max()) > hi):
+            raise ValueError(f"values exceed {n}-bit range")
+        block = np.empty((idx.size, self.lanes), dtype=_LANE_DTYPES[n])
+        block[:, :width] = vals
+        block[:, width:] = 0
+        self._mem[idx] = block.view(np.uint8)
         self.ledger.charge_host_transfer(int(idx.size))
 
     def store_rows(self, rows: Sequence[int],
                    signed: bool = True) -> np.ndarray:
         """Host DMA: read several rows back as a 2-D lane-value block."""
-        idx = np.asarray([int(r) for r in rows], dtype=np.int64)
+        idx = _as_rows(rows)
         if idx.size == 0:
             return np.zeros((0, self.lanes), dtype=np.int64)
         if idx.min() < 0 or idx.max() >= self.config.num_rows:
@@ -660,8 +692,8 @@ class PIMDevice(_DeviceCore):
         if program.config_digest != self.config.digest():
             raise ValueError(
                 "program was recorded for a different device geometry")
-        bases = [int(b) for b in base_rows]
-        if not bases:
+        bases = _as_rows(base_rows)
+        if not bases.size:
             return
         if mode == "eager":
             reason: Optional[str] = "mode-forced-eager"
@@ -678,7 +710,7 @@ class PIMDevice(_DeviceCore):
                 "pim_replay_fallback_total",
                 "auto-mode compiled->eager fallbacks by hazard rule"
             ).inc(reason=reason)
-        attrs = {"program": program.name, "bases": len(bases),
+        attrs = {"program": program.name, "bases": int(bases.size),
                  "requested_mode": mode, "executed_mode": executed}
         if reason is not None:
             attrs["fallback_reason"] = reason
@@ -687,13 +719,12 @@ class PIMDevice(_DeviceCore):
                                **attrs):
             self.set_precision(program.initial_precision)
             if reason is not None:
-                for base in bases:
+                for base in bases.tolist():
                     program.replay(self, base)
                 return
             from repro.pim.lowering import compiled_plan
             self._replay_compiled(
-                program, compiled_plan(program, self.config),
-                np.asarray(bases, dtype=np.int64))
+                program, compiled_plan(program, self.config), bases)
 
     def _replay_compiled(self, program, plan,
                          bases: np.ndarray) -> None:
@@ -707,7 +738,7 @@ class PIMDevice(_DeviceCore):
             self._emit_program_trace(program, bases)
 
     def batch_rejection_reason(self, program,
-                               bases: List[int]) -> Optional[str]:
+                               bases: Sequence[int]) -> Optional[str]:
         """Why compiled replay is not provably eager-equivalent (None =
         it is).
 
@@ -744,6 +775,14 @@ class PIMDevice(_DeviceCore):
         ``"abs-write-aliases-rel-row"`` or
         ``"abs-read-aliases-rel-write"`` -- so auto-mode fallbacks
         are attributable instead of silent.
+
+        Rules are checked in that order, and an :class:`IndexError`
+        for bases that address rows outside the array is raised after
+        the span rule and before the two aliasing rules.  Each check
+        works in array form, with no per-base Python loop: the order
+        and span rules on ``np.diff`` of the bases, the row range on
+        the end bases (sorted by then), and the aliasing rules by a
+        binary search of each ``row - offset`` in the bases.
         """
         if self._fault_injector is not None and \
                 self._fault_injector.transient:
@@ -752,34 +791,33 @@ class PIMDevice(_DeviceCore):
             # the compiled plan reads memory wholesale and would skip
             # the corruption hook.
             return "fault-injection-active"
-        if len(bases) > 1 and any(b2 <= b1 for b1, b2 in
-                                  zip(bases, bases[1:])):
+        bases = np.asarray(bases, dtype=np.int64)
+        multi = bases.size > 1
+        min_gap = int(np.diff(bases).min()) if multi else 0
+        if multi and min_gap <= 0:
             return "bases-not-increasing"
-        if len(bases) > 1 and not program.precision_stable:
+        if multi and not program.precision_stable:
             # Eager replay is base-major: a precision switch recorded
             # after a compute op persists into the next base's replay
             # of the earlier ops, so op-major execution would compute
             # (and charge) those ops at the wrong precision.
             return "precision-switch-mid-program"
-        if len(bases) > 1 and not program.registers_ok:
+        if multi and not program.registers_ok:
             return "register-reuse-hazard"
-        if len(bases) > 1 and not program.rel_order_safe:
-            span = program.rel_span
-            if any(b2 - b1 <= span for b1, b2 in zip(bases, bases[1:])):
-                return "rel-aliasing-within-span"
-        rel_rows = {b + off for b in bases
-                    for off in program.rel_read_offsets |
-                    program.rel_write_offsets}
-        if rel_rows and (min(rel_rows) < 0 or
-                         max(rel_rows) >= self.config.num_rows):
+        if multi and not program.rel_order_safe and \
+                min_gap <= program.rel_span:
+            return "rel-aliasing-within-span"
+        offsets = program.rel_read_offsets | program.rel_write_offsets
+        if bases.size and offsets and (
+                int(bases[0]) + min(offsets) < 0 or
+                int(bases[-1]) + max(offsets) >= self.config.num_rows):
             raise IndexError(
                 f"program addresses rows outside "
                 f"[0, {self.config.num_rows}) for these bases")
-        if program.abs_write_rows & rel_rows:
+        if _alias_hit(bases, program.abs_write_rows, offsets):
             return "abs-write-aliases-rel-row"
-        rel_written = {b + off for b in bases
-                       for off in program.rel_write_offsets}
-        if program.abs_read_rows & rel_written:
+        if _alias_hit(bases, program.abs_read_rows,
+                      program.rel_write_offsets):
             return "abs-read-aliases-rel-write"
         return None
 

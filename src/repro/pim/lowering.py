@@ -108,6 +108,31 @@ _MODN_METHODS = frozenset((
 ))
 
 
+def _emits_pattern(op, n: int) -> bool:
+    """Whether the hand-lowered ``op`` already yields n-bit patterns.
+
+    Every cached slot holds an unsigned n-bit pattern, and immediates
+    of the mod-``2**n`` logic ops are masked on read, so AND/OR/XOR
+    of them stays one; a comparison yields 0/1; ``|a - b|`` of two
+    n-bit values (either view) is at most ``2**n - 1``; and the
+    average, maximum and minimum of unsigned patterns lie between
+    them.  ``emit`` skips the ``& mask`` pass for these ops.  Signed
+    reads (negative values) and semantic immediates (raw values) stay
+    masked.
+    """
+    if n >= 64:
+        return False
+    method = op.method
+    if method in ("logic_and", "logic_or", "logic_xor"):
+        return True
+    no_imm = not any(isinstance(s, Imm) for s in op.srcs)
+    if method in ("cmp_gt", "abs_diff"):
+        return no_imm
+    if method in ("avg", "maximum", "minimum"):
+        return no_imm and not _read_signedness(method, op.kwargs)
+    return False
+
+
 class _Unsupported(Exception):
     """Raised during lowering when an op cannot be proven exact."""
 
@@ -179,9 +204,13 @@ class _Exec:
         self.dirty: Dict[Tuple[str, int], bool] = {}
         self.rel_seq: Dict[int, int] = {}
         self._seq = 0
-        #: Byte images of written Tmp/abs slots, one row per base,
-        #: carried across precision sections (reinterpretation happens
-        #: on bytes, exactly as eager replay's register/row state).
+        #: Byte image of the last base's value of each written Tmp/abs
+        #: slot, carried across precision sections (reinterpretation
+        #: happens on bytes, exactly as eager replay's register/row
+        #: state).  One row suffices: only that value is written back,
+        #: and a later section reads a carrier only in a single-base
+        #: replay, since a precision switch after a compute op refuses
+        #: compiled replay over more bases.
         self.carriers: Dict[Tuple[str, int], np.ndarray] = {}
 
     # -- section lifecycle ------------------------------------------
@@ -195,13 +224,8 @@ class _Exec:
         self.flush_rel()
         for key, is_dirty in self.dirty.items():
             if is_dirty and key[0] in ("t", "a"):
-                packed = _pack_pattern(self.vals[key], self.n)
-                packed = packed.reshape(self.reps, -1)
-                carrier = self.carriers.get(key)
-                if carrier is None:
-                    self.carriers[key] = np.ascontiguousarray(packed)
-                else:
-                    carrier[:] = packed
+                self.carriers[key] = _pack_pattern(
+                    self.vals[key][-1:], self.n)
         self.vals.clear()
         self.dirty.clear()
 
@@ -332,7 +356,7 @@ def _lower_op(op, n: int, lanes: int):
     method, kw = op.method, op.kwargs
     D = _COMPUTE_DTYPES[n]
     mask = (1 << n) - 1
-    mask_d = D(mask) if n < 64 else None
+    mask_d = D(mask) if n < 64 and not _emits_pattern(op, n) else None
     signed = bool(kw.get("signed", True))
     read_signed = _read_signedness(method, kw)
     semantic = method not in _MODN_METHODS and not (
@@ -357,8 +381,8 @@ def _lower_op(op, n: int, lanes: int):
         if sat:
             if n >= 64:
                 raise _Unsupported("64-bit saturation wraps host-side")
-            lo = -(1 << (n - 1)) if signed else 0
-            hi = (1 << (n - 1)) - 1 if signed else mask
+            lo = D(-(1 << (n - 1)) if signed else 0)
+            hi = D((1 << (n - 1)) - 1 if signed else mask)
             use_njit = _njit_sat_add_u is not None and not signed \
                 and not sub
 
@@ -367,10 +391,13 @@ def _lower_op(op, n: int, lanes: int):
                 if use_njit and a.ndim == 2 and b.ndim == 2:
                     emit(ex, _njit_sat_add_u(
                         np.ascontiguousarray(a),
-                        np.ascontiguousarray(b), D(hi)))
+                        np.ascontiguousarray(b), hi))
                     return
                 s = a - b if sub else a + b
-                emit(ex, np.clip(s, lo, hi))
+                # The sum is a fresh array (only two immediates give a
+                # 0-d one), so it clips in place.
+                emit(ex, s.clip(lo, hi, out=s) if s.ndim
+                     else np.clip(s, lo, hi))
         else:
             def step(ex):
                 a, b = readers[0](ex), readers[1](ex)
@@ -403,13 +430,15 @@ def _lower_op(op, n: int, lanes: int):
 
         def step(ex):
             a = _broadcast2d(readers[0](ex), ex)
-            out = np.zeros((ex.reps, lanes), dtype=D)
+            out = np.empty((ex.reps, lanes), dtype=D)
             if pixels == 0:
                 out[...] = a
             elif pixels > 0:
                 out[..., :-pixels or None] = a[..., pixels:]
+                out[..., -pixels:] = 0
             else:
                 out[..., -pixels:] = a[..., :pixels]
+                out[..., :-pixels] = 0
             ex.put(dst_key, out)
         return step
 

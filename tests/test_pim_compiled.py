@@ -7,7 +7,9 @@ property pins that every program the recorder accepts lowers to a
 plan, immediates at the validated range ends included.  Directed tests
 pin the plan cache metrics, the fallback accounting, and the
 single-base hazard relaxation that lets every one-base replay take the
-vectorized path.
+vectorized path.  The array-form admission check is held to its
+set-based reference, and the ops whose results skip the lane mask are
+pinned and run at the lane bounds.
 """
 
 from dataclasses import replace
@@ -29,7 +31,8 @@ from repro.pim import (
     Rel,
     TMP,
 )
-from repro.pim.lowering import CompiledPlan, compiled_plan
+from repro.pim.faults import FaultInjector, FaultPlan
+from repro.pim.lowering import CompiledPlan, _emits_pattern, compiled_plan
 
 CONFIG = PIMConfig(wordline_bits=64, num_rows=16)
 
@@ -356,3 +359,204 @@ def test_out_of_int64_immediate_fails_closed():
     for mode in ("auto", "eager"):
         with pytest.raises(ValueError, match="immediate"):
             PIMDevice(CONFIG).run_program(tampered, [1], mode=mode)
+
+
+# -- the admission check against its set-based reference ---------------------
+
+def _reference_rejection_reason(device, program, bases):
+    """The set-based admission check that ``batch_rejection_reason``
+    decides in array form: same rules, same order, same exceptions."""
+    bases = [int(b) for b in bases]
+    if device._fault_injector is not None and \
+            device._fault_injector.transient:
+        return "fault-injection-active"
+    if len(bases) > 1 and any(b2 <= b1 for b1, b2 in
+                              zip(bases, bases[1:])):
+        return "bases-not-increasing"
+    if len(bases) > 1 and not program.precision_stable:
+        return "precision-switch-mid-program"
+    if len(bases) > 1 and not program.registers_ok:
+        return "register-reuse-hazard"
+    if len(bases) > 1 and not program.rel_order_safe:
+        span = program.rel_span
+        if any(b2 - b1 <= span for b1, b2 in zip(bases, bases[1:])):
+            return "rel-aliasing-within-span"
+    rel_rows = {b + off for b in bases
+                for off in program.rel_read_offsets |
+                program.rel_write_offsets}
+    if rel_rows and (min(rel_rows) < 0 or
+                     max(rel_rows) >= device.config.num_rows):
+        raise IndexError(
+            f"program addresses rows outside "
+            f"[0, {device.config.num_rows}) for these bases")
+    if program.abs_write_rows & rel_rows:
+        return "abs-write-aliases-rel-row"
+    rel_written = {b + off for b in bases
+                   for off in program.rel_write_offsets}
+    if program.abs_read_rows & rel_written:
+        return "abs-read-aliases-rel-write"
+    return None
+
+
+_admit_operand = st.one_of(
+    st.builds(Rel, st.integers(-3, 3)),
+    st.integers(0, CONFIG.num_rows - 1),
+    st.just(TMP))
+_admit_op = st.one_of(
+    st.tuples(st.just("copy"), _admit_operand, _admit_operand),
+    st.tuples(st.just("add"), _admit_operand, _admit_operand,
+              _admit_operand))
+_admit_bases = st.one_of(
+    st.lists(st.integers(-4, CONFIG.num_rows + 4), max_size=8),
+    st.integers(-1, CONFIG.num_rows).map(lambda base: [base]),
+    st.lists(st.integers(0, CONFIG.num_rows - 1), max_size=8,
+             unique=True).map(sorted),
+    st.integers(1, 5).flatmap(lambda gap: st.integers(0, 4).map(
+        lambda first: list(range(first, CONFIG.num_rows, gap)))))
+
+
+def _admission_outcome(check, device, program, bases):
+    try:
+        return check(device, program, bases)
+    except IndexError as exc:
+        return ("IndexError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(_admit_op, min_size=1, max_size=6), bases=_admit_bases,
+       switch_at=st.sampled_from([None] * 4 + list(range(6))),
+       as_range=_flag, transient=st.sampled_from([False] * 5 + [True]))
+@example(ops=[("add", Rel(0), Rel(-1), Rel(2))], bases=[2, 5, 8],
+         switch_at=None, as_range=False, transient=False)
+@example(ops=[("copy", Rel(1), 7)], bases=[6], switch_at=None,
+         as_range=False, transient=False)
+def test_admission_check_matches_set_reference(ops, bases, switch_at,
+                                                as_range, transient):
+    """The array-form admission check returns the reference's reason,
+    or raises its ``IndexError``, for any program and base list --
+    empty, single, unsorted, duplicated, negative or past the array.
+    The examples pin the span rule's ``<=`` at a gap equal to the span
+    and the absolute-read rule at one base."""
+    rec = ProgramRecorder(CONFIG, name="admit")
+    for index, (method, *operands) in enumerate(ops):
+        if index == switch_at:
+            rec.set_precision(16)
+        getattr(rec, method)(*operands)
+    program = rec.finish()
+    device = PIMDevice(CONFIG)
+    if transient:
+        device.attach_fault_injector(FaultInjector(FaultPlan(
+            seed=0, read_flip_prob=0.01)))
+    if as_range and len(bases) > 1 and bases[1] > bases[0]:
+        spec = range(bases[0], bases[-1] + 1, bases[1] - bases[0])
+    else:
+        spec = bases
+    want = _admission_outcome(_reference_rejection_reason, device,
+                              program, list(spec))
+    got = _admission_outcome(
+        lambda d, p, b: d.batch_rejection_reason(p, b), device,
+        program, spec)
+    assert got == want
+
+
+# -- results that need no mask ----------------------------------------------
+
+_LOGIC_METHODS = ("logic_and", "logic_or", "logic_xor", "logic_nor")
+_VALUE_METHODS = ("cmp_gt", "abs_diff", "avg", "maximum", "minimum")
+_WIDE = PIMConfig(wordline_bits=256, num_rows=32)
+_PATTERN_BASES = [0, 4, 8, 12, 16, 20]
+
+
+def _two_source_ops(n):
+    """Every two-source compare/logic/min-max op at lane width ``n``:
+    ``(method, kwargs, second source)``, the second source a row or an
+    immediate at a range end (the recorder refuses some of them)."""
+    for method in _LOGIC_METHODS + _VALUE_METHODS:
+        views = [{}] if method in _LOGIC_METHODS else \
+            [{"signed": False}, {"signed": True}]
+        for kwargs in views:
+            for second in [Rel(1)] + _edge_imms(n):
+                yield method, kwargs, second
+
+
+def _pattern_program(n, method, kwargs, second):
+    """``method`` into Tmp, then two ops that read Tmp by value: a
+    logical right shift and an unsigned saturating add, which see any
+    bits of a cached result above the lane width."""
+    rec = ProgramRecorder(_WIDE, name="pattern")
+    if n != 8:
+        rec.set_precision(n)
+    getattr(rec, method)(TMP, Rel(0), second, **kwargs)
+    rec.shift_bits(Rel(2), TMP, -1, signed=False)
+    rec.add(Rel(3), TMP, Imm(0), saturate=True, signed=False)
+    return rec.finish()
+
+
+def _lane_bound_device(n, seed):
+    """Rows ``base`` and ``base + 1`` hold 0, 1, the signed bounds and
+    ``mask`` in every pairing across the bases; the rest is random."""
+    device = PIMDevice(_WIDE, trace=True)
+    rng = np.random.default_rng(seed)
+    device._mem[:] = rng.integers(0, 256, size=device._mem.shape,
+                                  dtype=np.uint8)
+    half, mask = 1 << (n - 1), (1 << n) - 1
+    bounds = np.array([0, 1, half - 1, half, mask - 1, mask],
+                      dtype=object)
+    lanes = _WIDE.lanes(n)
+    device.set_precision(n)
+    for shift, base in enumerate(_PATTERN_BASES):
+        for row, pats in ((base, bounds),
+                          (base + 1, np.roll(bounds, shift))):
+            values = [int(v) - (1 << n) if v >= half else int(v)
+                      for v in np.resize(pats, lanes)]
+            device.load(row, values)
+    device.set_precision(8)
+    device.ledger.reset()
+    return device
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_unmasked_results_match_eager_at_lane_bounds(n):
+    """Every compare/logic/min-max op, with and without the mask pass,
+    runs compiled == eager with lanes at 0, ``mask`` and the signed
+    bounds, and with immediates -- followed by ops that would see any
+    bit of a cached result above the lane width."""
+    for method, kwargs, second in _two_source_ops(n):
+        try:
+            program = _pattern_program(n, method, kwargs, second)
+        except ValueError:
+            continue  # an immediate outside the op's read range
+        dev_c = _lane_bound_device(n, seed=n)
+        dev_e = _lane_bound_device(n, seed=n)
+        dev_c.run_program(program, _PATTERN_BASES, mode="auto")
+        dev_e.run_program(program, _PATTERN_BASES, mode="eager")
+        assert dev_c.batch_rejection_reason(
+            program, _PATTERN_BASES) is None
+        _assert_state_equal(dev_c, dev_e)
+
+
+def test_mask_skip_set_is_pinned():
+    """The ops whose compiled result skips the ``& mask`` pass: AND,
+    OR and XOR; compare and absolute difference without an immediate;
+    average, maximum and minimum of unsigned reads without one -- all
+    below 64-bit lanes, where the mask exists."""
+    skipping = set()
+    for n in (8, 16, 32, 64):
+        for method, kwargs, second in _two_source_ops(n):
+            try:
+                program = _pattern_program(n, method, kwargs, second)
+            except ValueError:
+                continue
+            op = next(op for op in program.ops if op.method == method)
+            if _emits_pattern(op, n):
+                skipping.add((n, method, kwargs.get("signed"),
+                              isinstance(second, Imm)))
+    expected = set()
+    for n in (8, 16, 32):
+        for method in ("logic_and", "logic_or", "logic_xor"):
+            expected |= {(n, method, None, False), (n, method, None, True)}
+        for method in ("cmp_gt", "abs_diff"):
+            expected |= {(n, method, False, False), (n, method, True, False)}
+        for method in ("avg", "maximum", "minimum"):
+            expected.add((n, method, False, False))
+    assert skipping == expected

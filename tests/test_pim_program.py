@@ -421,3 +421,95 @@ class TestBlockDMA:
     def test_store_rows_empty(self):
         device = PIMDevice(SMALL)
         assert device.store_rows([]).shape == (0, device.lanes)
+
+    # Candidate lane values per host dtype: the bounds of every lane
+    # width and view, one past them, and (for floats) fractions that
+    # truncate toward zero into or out of range.
+    _DMA_VALUES = {
+        "uint8": [0, 1, 127, 128, 255],
+        "int16": [-32768, -129, -128, -1, 0, 127, 128, 255, 256, 32767],
+        "int64": [-(1 << 63), -(1 << 31) - 1, -(1 << 31), -32769, -32768,
+                  -129, -128, -1, 0, 255, 256, 65535, 65536,
+                  (1 << 31) - 1, 1 << 31, (1 << 32) - 1, 1 << 32,
+                  (1 << 63) - 1],
+        "uint64": [0, 255, 256, (1 << 63) - 1, 1 << 63, (1 << 64) - 1],
+        "float64": [-129.5, -128.9, -1.5, -0.7, 0.4, 127.9, 128.5, 255.99,
+                    256.0, 32767.5, 65535.9, 65536.0, -32768.9],
+        "bool": [False, True],
+    }
+
+    @staticmethod
+    def _loop_load(config, precision, rows, values, signed):
+        """A loop of ``load``: the device state or the exception."""
+        device = PIMDevice(config)
+        device.set_precision(precision)
+        try:
+            for row, line in zip(rows, values):
+                device.load(row, line, signed=signed)
+        except (ValueError, IndexError) as exc:
+            return device, exc
+        return device, None
+
+    @pytest.mark.parametrize("dtype", sorted(_DMA_VALUES))
+    @pytest.mark.parametrize("precision", [8, 16, 32, 64])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_dtype_matrix_matches_loop(self, dtype, precision, signed):
+        """``load_rows``/``store_rows`` write, refuse and read back
+        exactly what loops of ``load``/``store`` do, for every host
+        dtype, lane width and view, full and short rows, and both
+        ``range`` and list row specs."""
+        config = PIMConfig(wordline_bits=128, num_rows=16)
+        lanes = config.lanes(precision)
+        candidates = self._DMA_VALUES[dtype]
+        blocks = []
+        for width in (lanes, lanes - 1):
+            for k, value in enumerate(candidates):
+                block = np.zeros((3, width), dtype=dtype)
+                block[k % 3, k % width] = value
+                blocks.append(block)
+            # Every candidate a loop accepts, packed together.
+            accepted = [v for v in candidates if self._loop_load(
+                config, precision, [0], np.full((1, 1), v, dtype=dtype),
+                signed)[1] is None]
+            if accepted:
+                blocks.append(np.resize(np.array(accepted, dtype=dtype),
+                                        (3, width)))
+        for block in blocks:
+            for rows in (range(4, 7), [9, 2, 13]):
+                want, error = self._loop_load(config, precision,
+                                              list(rows), block, signed)
+                device = PIMDevice(config)
+                device.set_precision(precision)
+                if error is not None:
+                    with pytest.raises(type(error)) as got:
+                        device.load_rows(rows, block, signed=signed)
+                    assert str(got.value) == str(error)
+                    assert not device._mem.any()
+                    assert device.ledger.host_transfers == 0
+                    continue
+                device.load_rows(rows, block, signed=signed)
+                assert np.array_equal(device._mem, want._mem)
+                assert device.ledger.host_transfers == \
+                    want.ledger.host_transfers == 3
+                for view in (False, True):
+                    got = device.store_rows(rows, signed=view)
+                    ref = np.stack([want.store(r, signed=view)
+                                    for r in rows])
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, ref)
+                assert device.ledger.host_transfers == \
+                    want.ledger.host_transfers
+
+    @pytest.mark.parametrize("rows", [[16], [-1], range(14, 17),
+                                      range(-1, 2), [3, 99, 4]])
+    def test_rows_outside_the_array_raise_like_the_loop(self, rows):
+        values = np.zeros((len(rows), 4), dtype=np.uint8)
+        _, error = self._loop_load(SMALL, 8, list(rows), values, True)
+        assert isinstance(error, IndexError)
+        device = PIMDevice(SMALL)
+        with pytest.raises(IndexError):
+            device.load_rows(rows, values)
+        with pytest.raises(IndexError):
+            device.store_rows(rows)
+        assert not device._mem.any()
+        assert device.ledger.host_transfers == 0

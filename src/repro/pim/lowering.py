@@ -114,11 +114,12 @@ def _emits_pattern(op, n: int) -> bool:
     Every cached slot holds an unsigned n-bit pattern, and immediates
     of the mod-``2**n`` logic ops are masked on read, so AND/OR/XOR
     of them stays one; a comparison yields 0/1; ``|a - b|`` of two
-    n-bit values (either view) is at most ``2**n - 1``; and the
+    n-bit values (either view) is at most ``2**n - 1``; the
     average, maximum and minimum of unsigned patterns lie between
-    them.  ``emit`` skips the ``& mask`` pass for these ops.  Signed
-    reads (negative values) and semantic immediates (raw values) stay
-    masked.
+    them; and an unsigned saturating sum or difference is clipped to
+    ``[0, 2**n - 1]``, immediate or not.  ``emit`` skips the
+    ``& mask`` pass for these ops.  Other signed reads (negative
+    values) and semantic immediates (raw values) stay masked.
     """
     if n >= 64:
         return False
@@ -130,6 +131,9 @@ def _emits_pattern(op, n: int) -> bool:
         return no_imm
     if method in ("avg", "maximum", "minimum"):
         return no_imm and not _read_signedness(method, op.kwargs)
+    if method in ("add", "sub"):
+        return bool(op.kwargs.get("saturate")) and \
+            not _read_signedness(method, op.kwargs)
     return False
 
 

@@ -388,7 +388,7 @@ class PoolWorker:
             fault_signal = fault_signal or retries > 0
             result = TrackResult(
                 session=session.sid, generation=session.generation,
-                frame_index=len(session.state.results) - 1,
+                frame_index=session.state.n_frames - 1,
                 pose=frame.pose, is_keyframe=frame.is_keyframe,
                 num_features=frame.num_features,
                 lm_iterations=frame.lm.iterations if frame.lm else 0,

@@ -1,9 +1,10 @@
 """Per-client tracker state with idle eviction.
 
 A *session* is one client's tracking stream: its
-:class:`~repro.vo.tracker.TrackerState` (keyframe, last relative pose,
-per-frame results) plus bookkeeping.  The :class:`SessionManager` keys
-sessions by a caller-chosen string id and enforces two bounds:
+:class:`~repro.vo.tracker.TrackerState` (keyframe, last relative and
+world poses, frame count; no per-frame history) plus bookkeeping.
+The :class:`SessionManager` keys sessions by a caller-chosen string
+id and enforces two bounds:
 
 * **Idle eviction** -- a session untouched for ``idle_timeout_s`` is
   dropped on the next sweep.  A client that resubmits after eviction
@@ -196,8 +197,7 @@ class SessionManager:
         after a frame that anchored a keyframe while healthy)."""
         with self._lock:
             session.checkpointed = session.state.checkpoint()
-            session.checkpoint_frame = \
-                len(session.state.results) - 1
+            session.checkpoint_frame = session.state.n_frames - 1
             self._checkpoints.inc()
 
     def restore_checkpoint(self, session: Session) -> bool:
@@ -226,11 +226,11 @@ class SessionManager:
 
         Everything another :class:`SessionManager` needs to resume the
         stream bit-identically: the tracker state and checkpoint
-        (structural copies: later frames never change the record, and
-        it shares only the keyframes and results that ``process``
-        never mutates), the stream
-        counters, and the generation watermark (so the importing
-        manager can never reuse a generation this id already had).
+        (field copies: later frames never change the record, and it
+        shares only the keyframes and poses that ``process`` replaces
+        but never mutates), the stream counters, and the generation
+        watermark (so the importing manager can never reuse a
+        generation this id already had).
         Wall-clock bookkeeping (``created_at``/``last_active``) is
         deliberately excluded: it is meaningless across processes and
         would make equal states hash unequal.

@@ -82,7 +82,7 @@ class SnapshotError(ValueError):
 # -- dataclass whitelist --------------------------------------------------
 
 #: name -> class for dataclasses allowed in snapshots.  Populated by
-#: :func:`register_dataclass` and by :func:`_builtin_registry` on first
+#: :func:`register_dataclass` and by :func:`_load_builtins` on first
 #: use (lazy, to keep this module import-light).
 _DATACLASSES: Dict[str, type] = {}
 _BUILTINS_LOADED = False
@@ -108,11 +108,9 @@ def _load_builtins() -> None:
     from repro.pim.cost import CostLedger
     from repro.vo.config import TrackerConfig
     from repro.vo.frontend import KeyframeMaps
-    from repro.vo.lm import LMStats
-    from repro.vo.tracker import FrameResult, Keyframe, TrackerState
+    from repro.vo.tracker import Keyframe, TrackerState
     for cls in (CameraIntrinsics, SE3, PIMConfig, CostLedger,
-                TrackerConfig, KeyframeMaps, LMStats, FrameResult,
-                Keyframe, TrackerState):
+                TrackerConfig, KeyframeMaps, Keyframe, TrackerState):
         register_dataclass(cls)
 
 

@@ -18,7 +18,7 @@ without the health machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -74,35 +74,35 @@ class Keyframe:
 class TrackerState:
     """The mutable per-client state of one tracking stream.
 
-    Everything a tracker accumulates while following one camera lives
-    here -- the current keyframe, the last relative pose, and the
-    per-frame results -- while :class:`EBVOTracker` itself holds only
-    configuration and (stateless-per-frame) frontends.  The split lets
-    one tracker serve many interleaved streams by swapping
-    :attr:`EBVOTracker.state` between frames (see
+    A frame aligns against one keyframe, so this is all a stream
+    carries from frame to frame: the current keyframe, the last
+    relative and world poses, the frame count and the health counters
+    -- O(1) in the stream length.  :class:`EBVOTracker` itself holds
+    only configuration, (stateless-per-frame) frontends and an offline
+    result history.  The split lets one tracker serve many interleaved
+    streams by swapping :attr:`EBVOTracker.state` between frames (see
     :mod:`repro.serve.session`); a state detached mid-stream and
     re-attached later resumes bit-identically.
 
-    Two snapshot granularities support the serving layer's fault
-    containment:
+    :meth:`checkpoint` / :meth:`restore` are field copies: durable
+    per-session checkpoints (used to resume from the last good
+    keyframe, and exported in session records), and, under the names
+    :meth:`restore_point` / :meth:`rollback`, the mark for in-place
+    retry of a single frame.  Only the bounded ``recent_keyframes``
+    list is copied; its elements are shared with the live state.
 
-    * :meth:`checkpoint` / :meth:`restore` -- structural copies for
-      durable per-session checkpoints (used to resume from the last
-      good keyframe, and exported in session records): fresh
-      ``results`` / ``recent_keyframes`` lists whose elements are
-      shared with the live state.
-    * :meth:`restore_point` / :meth:`rollback` -- O(1) shallow marks
-      for in-place retry of a single frame.
-
-    Both rest on one contract: ``process`` only ever *replaces*
-    keyframes and poses and *appends* results, never mutates them.
-    :class:`~repro.vo.frontend.KeyframeMaps` enforces it for the
+    This rests on one contract: ``process`` only ever *replaces*
+    keyframes and poses and *advances* the frame count, never mutates
+    them.  :class:`~repro.vo.frontend.KeyframeMaps` enforces it for the
     keyframe maps by marking its arrays read-only.
     """
 
     keyframe: Optional[Keyframe] = None
     last_rel: SE3 = field(default_factory=SE3.identity)  # cur -> keyframe
-    results: List[FrameResult] = field(default_factory=list)
+    #: Frames this stream has processed.
+    n_frames: int = 0
+    #: World pose of the last processed frame (``None`` before the first).
+    last_pose: Optional[SE3] = None
     #: Tracking health (``OK/DEGRADED/LOST``).
     health: str = OK
     #: Consecutive degraded frames since the last clean one.
@@ -113,47 +113,28 @@ class TrackerState:
     #: (newest last; bounded by ``config.reloc_keyframes``).
     recent_keyframes: List[Keyframe] = field(default_factory=list)
 
-    @property
-    def trajectory(self) -> List[SE3]:
-        """Estimated camera-to-world poses, one per processed frame."""
-        return [r.pose for r in self.results]
-
     # -- snapshots -------------------------------------------------------
 
     def checkpoint(self) -> "TrackerState":
-        """Structural snapshot: it survives any later ``process`` or
-        :meth:`rollback` of the live state, which only replace and
-        append elements, never mutate them."""
-        return replace(self, results=list(self.results),
-                       recent_keyframes=list(self.recent_keyframes))
+        """Snapshot that survives any later ``process`` or
+        :meth:`rollback` of the live state, which only replace fields
+        and the ``recent_keyframes`` list, never mutate them."""
+        return replace(self, recent_keyframes=list(self.recent_keyframes))
 
     def restore(self, snapshot: "TrackerState") -> "TrackerState":
         """Load a :meth:`checkpoint` snapshot in place; returns self.
 
-        The snapshot itself stays untouched (its lists are copied in),
+        The snapshot itself stays untouched (its list is copied in),
         so one checkpoint can be restored any number of times.
         """
-        self.keyframe = snapshot.keyframe
-        self.last_rel = snapshot.last_rel
-        self.results = list(snapshot.results)
-        self.health = snapshot.health
-        self.degraded_streak = snapshot.degraded_streak
-        self.last_delta = snapshot.last_delta
+        for f in fields(self):
+            setattr(self, f.name, getattr(snapshot, f.name))
         self.recent_keyframes = list(snapshot.recent_keyframes)
         return self
 
-    def restore_point(self) -> tuple:
-        """O(1) mark for :meth:`rollback` after a failed frame."""
-        return (self.keyframe, self.last_rel, len(self.results),
-                self.health, self.degraded_streak, self.last_delta,
-                list(self.recent_keyframes))
-
-    def rollback(self, point: tuple) -> None:
-        """Undo every mutation since the matching :meth:`restore_point`."""
-        (self.keyframe, self.last_rel, n_results, self.health,
-         self.degraded_streak, self.last_delta, recent) = point
-        del self.results[n_results:]
-        self.recent_keyframes = list(recent)
+    #: Mark and undo for in-place retry of a failed frame.
+    restore_point = checkpoint
+    rollback = restore
 
 
 # Back-compat alias for the former private name.
@@ -171,7 +152,8 @@ class EBVOTracker:
 
     All mutable tracking state lives in :attr:`state` (a
     :class:`TrackerState`); replacing that attribute switches the
-    tracker to another stream without rebuilding frontends or devices.
+    tracker to another stream without rebuilding frontends or devices,
+    and starts a fresh :attr:`results` history for offline callers.
     """
 
     def __init__(self, frontend=None, config: Optional[TrackerConfig] = None):
@@ -185,14 +167,20 @@ class EBVOTracker:
         self.state = TrackerState()
 
     @property
-    def results(self) -> List[FrameResult]:
-        """Per-frame results of the attached state."""
-        return self.state.results
+    def state(self) -> TrackerState:
+        """The attached stream's state."""
+        return self._state
+
+    @state.setter
+    def state(self, state: TrackerState) -> None:
+        self._state = state
+        #: Per-frame results since :attr:`state` was attached.
+        self.results: List[FrameResult] = []
 
     @property
     def trajectory(self) -> List[SE3]:
-        """Estimated camera-to-world poses, one per processed frame."""
-        return self.state.trajectory
+        """Estimated camera-to-world poses, one per result."""
+        return [r.pose for r in self.results]
 
     def _make_keyframe(self, pyramid, pose_world: SE3,
                        edge_map_l0: np.ndarray) -> None:
@@ -276,8 +264,7 @@ class EBVOTracker:
         self._set_health(OK)
 
     def _prev_world(self) -> Optional[SE3]:
-        results = self.state.results
-        return results[-1].pose if results else None
+        return self.state.last_pose
 
     def _predicted_world(self) -> SE3:
         """Constant-velocity prediction of this frame's world pose."""
@@ -292,7 +279,7 @@ class EBVOTracker:
                 timestamp: float = 0.0) -> FrameResult:
         """Track one RGB-D frame; returns its world pose estimate."""
         with obs_span("frame", category="frame",
-                      frame_index=len(self.results)) as frame_span:
+                      frame_index=self.state.n_frames) as frame_span:
             result = self._process(gray, depth, timestamp, frame_span)
         registry = get_registry()
         registry.counter("vo_frames_total",
@@ -312,6 +299,8 @@ class EBVOTracker:
         frame_span.set_attr("health", result.health)
         if result.events:
             frame_span.set_attr("events", list(result.events))
+        self.state.n_frames += 1
+        self.state.last_pose = result.pose
         self.results.append(result)
         return result
 

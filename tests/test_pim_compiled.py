@@ -463,18 +463,22 @@ def test_admission_check_matches_set_reference(ops, bases, switch_at,
 
 _LOGIC_METHODS = ("logic_and", "logic_or", "logic_xor", "logic_nor")
 _VALUE_METHODS = ("cmp_gt", "abs_diff", "avg", "maximum", "minimum")
+_SATURATING_METHODS = ("add", "sub")
 _WIDE = PIMConfig(wordline_bits=256, num_rows=32)
 _PATTERN_BASES = [0, 4, 8, 12, 16, 20]
 
 
 def _two_source_ops(n):
-    """Every two-source compare/logic/min-max op at lane width ``n``:
-    ``(method, kwargs, second source)``, the second source a row or an
-    immediate at a range end (the recorder refuses some of them)."""
-    for method in _LOGIC_METHODS + _VALUE_METHODS:
+    """Every two-source compare/logic/min-max op and saturating
+    add/sub at lane width ``n``: ``(method, kwargs, second source)``,
+    the second source a row or an immediate at a range end (the
+    recorder refuses some of them)."""
+    for method in _LOGIC_METHODS + _VALUE_METHODS + _SATURATING_METHODS:
         views = [{}] if method in _LOGIC_METHODS else \
             [{"signed": False}, {"signed": True}]
         for kwargs in views:
+            if method in _SATURATING_METHODS:
+                kwargs = dict(kwargs, saturate=True)
             for second in [Rel(1)] + _edge_imms(n):
                 yield method, kwargs, second
 
@@ -517,10 +521,11 @@ def _lane_bound_device(n, seed):
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_unmasked_results_match_eager_at_lane_bounds(n):
-    """Every compare/logic/min-max op, with and without the mask pass,
-    runs compiled == eager with lanes at 0, ``mask`` and the signed
-    bounds, and with immediates -- followed by ops that would see any
-    bit of a cached result above the lane width."""
+    """Every compare/logic/min-max op and saturating add/sub, with and
+    without the mask pass, runs compiled == eager with lanes at 0,
+    ``mask`` and the signed bounds, and with immediates -- followed by
+    ops that would see any bit of a cached result above the lane
+    width."""
     for method, kwargs, second in _two_source_ops(n):
         try:
             program = _pattern_program(n, method, kwargs, second)
@@ -538,8 +543,9 @@ def test_unmasked_results_match_eager_at_lane_bounds(n):
 def test_mask_skip_set_is_pinned():
     """The ops whose compiled result skips the ``& mask`` pass: AND,
     OR and XOR; compare and absolute difference without an immediate;
-    average, maximum and minimum of unsigned reads without one -- all
-    below 64-bit lanes, where the mask exists."""
+    average, maximum and minimum of unsigned reads without one;
+    unsigned saturating add and sub with or without one -- all below
+    64-bit lanes, where the mask exists."""
     skipping = set()
     for n in (8, 16, 32, 64):
         for method, kwargs, second in _two_source_ops(n):
@@ -559,4 +565,6 @@ def test_mask_skip_set_is_pinned():
             expected |= {(n, method, False, False), (n, method, True, False)}
         for method in ("avg", "maximum", "minimum"):
             expected.add((n, method, False, False))
+        for method in ("add", "sub"):
+            expected |= {(n, method, False, False), (n, method, False, True)}
     assert skipping == expected

@@ -112,9 +112,9 @@ class TestSessionManager:
         assert second is not first
         assert second.generation > first.generation
         # The recreated session starts from a clean TrackerState: no
-        # keyframe, no results -- the next frame re-anchors fresh.
+        # keyframe, no frames -- the next frame re-anchors fresh.
         assert second.state.keyframe is None
-        assert second.state.results == []
+        assert second.state.n_frames == 0
 
     def test_busy_sessions_survive_sweeps(self):
         clock = FakeClock()
@@ -232,6 +232,23 @@ class TestService:
         assert [r.frame_index for r in results] == [0, 1, 2, 3]
         assert results[0].is_keyframe
 
+    def test_worker_result_history_stays_bounded(self):
+        # A worker re-attaches ``tracker.state`` on every frame, which
+        # starts a fresh result history: however long the streams
+        # run, it holds at most the last frame's result.  The replies
+        # still count each session's frames from its state.
+        config = TrackerConfig(camera=TINY_CAMERA)
+        workload = build_workload(sessions=2, frames=12, scale=0.25)
+        with VOService(workers=2, frontend="float",
+                       config=config) as service:
+            report, clients = run_load(service, workload)
+            trackers = [worker.tracker for worker in service.pool.workers]
+        assert report["frames_tracked"] == 24
+        assert all(len(tracker.results) <= 1 for tracker in trackers)
+        for client in clients:
+            assert [r.frame_index for r in client.results] == \
+                list(range(12))
+
     def test_backpressure_under_saturation(self):
         config = TrackerConfig(camera=TINY_CAMERA)
         rejected = get_registry().counter(
@@ -268,8 +285,9 @@ class FlakyTracker:
 
     ``failures`` maps global attempt number (0-based, counted across
     every ``process`` call) to an exception to raise.  Successful
-    calls append a minimal :class:`FrameResult`; every third frame is
-    a "keyframe" so checkpointing has something to snapshot.
+    calls count a frame and return a minimal :class:`FrameResult`;
+    every third frame is a "keyframe" so checkpointing has something
+    to snapshot.
     """
 
     _frontends = ()  # no devices
@@ -285,12 +303,12 @@ class FlakyTracker:
         self.attempts += 1
         if attempt in self.failures:
             raise self.failures[attempt]
-        index = len(self.state.results)
+        index = self.state.n_frames
         result = FrameResult(pose=SE3.identity(),
                              is_keyframe=index % 3 == 0,
                              lm=None, num_features=10,
                              timestamp=timestamp)
-        self.state.results.append(result)
+        self.state.n_frames += 1
         return result
 
 

@@ -192,12 +192,12 @@ class _FlakyTracker:
         self.attempts += 1
         if attempt in self.failures:
             raise self.failures[attempt]
-        index = len(self.state.results)
+        index = self.state.n_frames
         result = FrameResult(pose=SE3.identity(),
                              is_keyframe=index % 3 == 0,
                              lm=None, num_features=10,
                              timestamp=timestamp)
-        self.state.results.append(result)
+        self.state.n_frames += 1
         return result
 
 

@@ -25,6 +25,7 @@ from repro.snap.codec import (
     register_dataclass,
     verify_snapshot,
 )
+from repro.vo.tracker import FrameResult
 
 
 class TestEncodeDecode:
@@ -89,6 +90,13 @@ class TestEncodeDecode:
             pass
         with pytest.raises(SnapshotError, match="Mystery"):
             encode(Mystery())
+
+    def test_frame_results_are_not_snapshotted(self):
+        # Records carry a stream's state, never its per-frame history.
+        result = FrameResult(pose=SE3.identity(), is_keyframe=True,
+                             lm=None, num_features=0)
+        with pytest.raises(SnapshotError, match="FrameResult"):
+            encode(result)
 
     def test_non_string_dict_keys_rejected(self):
         with pytest.raises(SnapshotError, match="keys must be strings"):

@@ -190,10 +190,31 @@ class TestKeyframeTable:
         for frame in seq.frames[40:]:
             control.process(frame.gray, frame.depth, frame.timestamp)
             resumed.process(frame.gray, frame.depth, frame.timestamp)
-        assert len(resumed.results) == len(control.results) == 60
+        assert resumed.state.n_frames == control.state.n_frames == 60
+        assert len(resumed.results) == 20
         for (ra, ta), (rb, tb) in zip(_poses(resumed.results),
-                                      _poses(control.results)):
+                                      _poses(control.results[40:])):
             assert np.array_equal(ra, rb) and np.array_equal(ta, tb)
+
+
+class TestRecordSize:
+    def test_record_is_sized_by_its_keyframes_not_its_frames(self):
+        # One relocalization candidate gives both records the same
+        # keyframe slots, and fewer than 256 frames keep every counter
+        # a one-byte pickle int, so only per-frame history could make
+        # the bodies differ.
+        config = TrackerConfig(camera=TINY_CAMERA, reloc_keyframes=1)
+        n = 20
+        seq = make_sequence("fr1_xyz", n_frames=10 * n,
+                            camera=TINY_CAMERA)
+        sizes = []
+        for frames in (seq.frames[:n], seq.frames):
+            manager = SessionManager()
+            _track(manager, config, frames)
+            body = encode_session_record(manager.export_session("s"))
+            assert body.pop("keyframes")
+            sizes.append(len(pickle.dumps(body)))
+        assert sizes[0] == sizes[1] < 4096
 
 
 class TestEncodeWhileTracking:
@@ -235,7 +256,7 @@ class TestEncodeWhileTracking:
 
 class TestStructuralCheckpoint:
     """The sharing contract: ``process`` and ``rollback`` replace
-    keyframes and append results but never mutate them."""
+    keyframes and poses and advance a counter but never mutate them."""
 
     def test_keyframe_maps_are_read_only(self):
         config = _config()

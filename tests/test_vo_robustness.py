@@ -260,7 +260,7 @@ class TestCheckpointRestore:
                  for _, fr in frames[3:]]
         # Mutating on after the snapshot must not have leaked into it.
         tracker.state.restore(snapshot)
-        assert len(tracker.state.results) == 3
+        assert tracker.state.n_frames == 3
         second = [tracker.process(fr.gray, fr.depth, fr.timestamp)
                   for _, fr in frames[3:]]
         for a, b in zip(first, second):
@@ -279,7 +279,7 @@ class TestCheckpointRestore:
         _, last = frames[3]
         first = tracker.process(last.gray, last.depth, last.timestamp)
         tracker.state.rollback(point)
-        assert len(tracker.state.results) == 3
+        assert tracker.state.n_frames == 3
         again = tracker.process(last.gray, last.depth, last.timestamp)
         assert np.array_equal(first.pose.R, again.pose.R)
         assert np.array_equal(first.pose.t, again.pose.t)

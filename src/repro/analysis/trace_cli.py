@@ -83,7 +83,7 @@ def trace_main(argv=None) -> int:
         for fr in sequence.frames:
             result = tracker.process(fr.gray, fr.depth, fr.timestamp)
             if result.lm is not None:
-                maps = tracker.state.keyframe.maps[0]
+                maps = tracker.keyframe_maps(tracker.state.keyframe)
                 lm_iteration_pim(lm_device, qpose, qfeats, cfg.camera,
                                  maps.dt_raw, maps.gu_raw, maps.gv_raw,
                                  clamp)

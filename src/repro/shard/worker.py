@@ -16,8 +16,8 @@ one :class:`~repro.shard.transport.MessagePump`:
     back as a typed error reply carrying ``retry_after_s``.
 ``checkpoint``
     Quiesce every resident session, export and encode each one
-    (:func:`~repro.snap.state.encode_session_record`: every distinct
-    keyframe once), resubmit the extracted queued frames, and
+    (:func:`~repro.snap.state.encode_session_record`: each keyframe
+    as its edge maps), resubmit the extracted queued frames, and
     reply with the encoded records plus per-session settled
     watermarks (the last router seq whose outcome each exported state
     reflects).

@@ -14,9 +14,10 @@ turns that property into three tools:
 * :mod:`repro.snap.state` -- the one state-transfer primitive: a
   session record exported on the source
   (:meth:`~repro.serve.session.SessionManager.export_session`),
-  encoded with each keyframe once (:func:`encode_session_record`) and
-  imported on the target (:func:`restore_session_record`).  Failover,
-  drain, rebalance and shard checkpoints all move state this way.
+  encoded with each keyframe as its edge maps
+  (:func:`encode_session_record`) and imported on the target
+  (:func:`restore_session_record`).  Failover, drain, rebalance and
+  shard checkpoints all move state this way.
 * :mod:`repro.snap.capture` -- the record/replay path: a per-session
   inbound-frame + seed capture ring that dumps replayable incident
   bundles (wired into the flight recorder's breaker-open path), and

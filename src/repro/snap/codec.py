@@ -25,13 +25,10 @@ dataclasses of the tracker/serving layers.  Arbitrary objects are
 rejected at encode time -- an explicit format beats pickle because a
 snapshot outlives the process that wrote it.
 
-A shared object can be written once and referenced: ``encode(obj,
-refs=...)`` replaces each listed object by a ``{"__snap__": "ref",
-"key": ...}`` node, and ``decode(node, refs=...)`` resolves the keys
-against a table of already decoded objects.  A ref with no table or
-an unknown key raises :class:`SnapshotError`.  The session record's
-keyframe table (:func:`repro.snap.state.encode_session_record`) is
-the one user.
+Every occurrence of an object is encoded inline, shared or not.  The
+bulk of a session record is its keyframes' boolean edge maps, one
+byte per pixel (``nd`` nodes of dtype ``|b1``); a keyframe's derived
+lookup maps are not dataclass fields and never reach the encoding.
 """
 
 from __future__ import annotations
@@ -107,10 +104,9 @@ def _load_builtins() -> None:
     from repro.pim.config import PIMConfig
     from repro.pim.cost import CostLedger
     from repro.vo.config import TrackerConfig
-    from repro.vo.frontend import KeyframeMaps
     from repro.vo.tracker import Keyframe, TrackerState
     for cls in (CameraIntrinsics, SE3, PIMConfig, CostLedger,
-                TrackerConfig, KeyframeMaps, Keyframe, TrackerState):
+                TrackerConfig, Keyframe, TrackerState):
         register_dataclass(cls)
 
 
@@ -135,18 +131,12 @@ def _unb64(text: str) -> bytes:
         raise SnapshotError(f"invalid base64 payload: {exc}") from exc
 
 
-def encode(obj: Any, refs: Optional[Dict[int, str]] = None) -> Any:
-    """Encode a whitelisted object graph into JSON-safe structures.
-
-    ``refs`` maps ``id(obj)`` of shared objects to their keys; each
-    occurrence of such an object is encoded as a ref node to its key.
-    """
+def encode(obj: Any) -> Any:
+    """Encode a whitelisted object graph into JSON-safe structures."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj
-    if refs is not None and id(obj) in refs:
-        return {_TAG: "ref", "key": refs[id(obj)]}
     if isinstance(obj, np.generic):
         # A 0-d scalar keeps its dtype through the array encoding, so
         # e.g. an np.int64 count round-trips as np.int64, not int.
@@ -160,9 +150,9 @@ def encode(obj: Any, refs: Optional[Dict[int, str]] = None) -> Any:
     if isinstance(obj, bytes):
         return {_TAG: "bytes", "data": _b64(obj)}
     if isinstance(obj, tuple):
-        return {_TAG: "tuple", "items": [encode(v, refs) for v in obj]}
+        return {_TAG: "tuple", "items": [encode(v) for v in obj]}
     if isinstance(obj, list):
-        return [encode(v, refs) for v in obj]
+        return [encode(v) for v in obj]
     if isinstance(obj, Counter):
         # Counter keys may be OpKind enums or (OpKind, ...) tuples;
         # store as an ordered pair list so keys stay structured.
@@ -177,10 +167,10 @@ def encode(obj: Any, refs: Optional[Dict[int, str]] = None) -> Any:
                 f"dict keys must be strings, got {bad[:3]!r}")
         if _TAG in obj:
             raise SnapshotError(f"dict key {_TAG!r} is reserved")
-        return {k: encode(v, refs) for k, v in obj.items()}
+        return {k: encode(v) for k, v in obj.items()}
     name = _dataclass_name(obj)
     if name is not None:
-        fields = {f.name: encode(getattr(obj, f.name), refs)
+        fields = {f.name: encode(getattr(obj, f.name))
                   for f in dataclasses.fields(obj)}
         return {_TAG: "dc", "type": name, "fields": fields}
     from repro.pim.isa import OpKind
@@ -196,28 +186,17 @@ def _encode_key(key: Any) -> Any:
     return key
 
 
-def decode(obj: Any, refs: Optional[Dict[str, Any]] = None) -> Any:
-    """Inverse of :func:`encode`; raises :class:`SnapshotError`.
-
-    ``refs`` maps ref keys to their decoded objects; a ref node
-    decodes to that very object (shared, not copied).
-    """
+def decode(obj: Any) -> Any:
+    """Inverse of :func:`encode`; raises :class:`SnapshotError`."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, list):
-        return [decode(v, refs) for v in obj]
+        return [decode(v) for v in obj]
     if not isinstance(obj, dict):
         raise SnapshotError(f"unexpected node {type(obj).__name__}")
     kind = obj.get(_TAG)
     if kind is None:
-        return {k: decode(v, refs) for k, v in obj.items()}
-    if kind == "ref":
-        key = obj.get("key")
-        if refs is None:
-            raise SnapshotError(f"ref {key!r} without a ref table")
-        if not isinstance(key, str) or key not in refs:
-            raise SnapshotError(f"dangling ref {key!r}")
-        return refs[key]
+        return {k: decode(v) for k, v in obj.items()}
     if kind == "nd":
         try:
             dtype = np.dtype(obj["dtype"])
@@ -235,7 +214,7 @@ def decode(obj: Any, refs: Optional[Dict[str, Any]] = None) -> Any:
     if kind == "bytes":
         return _unb64(obj["data"])
     if kind == "tuple":
-        return tuple(decode(v, refs) for v in obj["items"])
+        return tuple(decode(v) for v in obj["items"])
     if kind == "counter":
         counter: Counter = Counter()
         for key, value in obj["items"]:
@@ -254,7 +233,7 @@ def decode(obj: Any, refs: Optional[Dict[str, Any]] = None) -> Any:
         if cls is None:
             raise SnapshotError(
                 f"unknown dataclass {obj.get('type')!r} in snapshot")
-        fields = {k: decode(v, refs) for k, v in obj["fields"].items()}
+        fields = {k: decode(v) for k, v in obj["fields"].items()}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(fields) - known
         if unknown:

@@ -56,20 +56,25 @@ def _check_frame(gray: np.ndarray) -> np.ndarray:
 
 @dataclass
 class KeyframeMaps:
-    """Pre-computed lookup maps of one keyframe (paper section 2.3).
+    """Lookup maps of one keyframe level (paper section 2.3).
 
-    ``grad_u``/``grad_v`` are the DT gradients pre-multiplied by the
-    focal lengths, matching the ``(I_u, I_v)`` of Fig. 5-c.  The
-    quantized fields are present only for the PIM frontend.
+    A pure function of the keyframe's edge map: ``prepare_keyframe``
+    builds them, and a decoded keyframe rebuilds them on first use
+    (:meth:`repro.vo.tracker.EBVOTracker.keyframe_maps`), so they are
+    never encoded.  ``grad_u``/``grad_v`` are the DT gradients
+    pre-multiplied by the focal lengths, matching the ``(I_u, I_v)``
+    of Fig. 5-c.  The float frontend fills the float maps; the PIM
+    frontend fills only the Q14.2 raws it reads: the DT as int64 and
+    the gradients as int32.
 
-    The maps are write-once: tracker checkpoints and session records
-    share a keyframe instead of copying it, so every array is marked
-    read-only here and an in-place write raises.
+    The maps are write-once: tracker checkpoints share a keyframe
+    instead of copying it, so every array is marked read-only here and
+    an in-place write raises.
     """
 
-    dt: np.ndarray
-    grad_u: np.ndarray
-    grad_v: np.ndarray
+    dt: Optional[np.ndarray] = None
+    grad_u: Optional[np.ndarray] = None
+    grad_v: Optional[np.ndarray] = None
     dt_raw: Optional[np.ndarray] = None
     gu_raw: Optional[np.ndarray] = None
     gv_raw: Optional[np.ndarray] = None
@@ -282,12 +287,12 @@ class PIMFrontend:
         cam = self.config.camera
         dt = distance_transform(edge_map)
         gu, gv = dt_gradient(dt)
-        grad_u, grad_v = gu * cam.fx, gv * cam.fy
+        # The DT residual is squared and summed in int64 (_mean_square,
+        # the bilinear blend); the gradients feed int32 Jacobian lanes.
         return KeyframeMaps(
-            dt=dt, grad_u=grad_u, grad_v=grad_v,
-            dt_raw=np.asarray(Q14_2.quantize(dt), dtype=np.int64),
-            gu_raw=np.asarray(Q14_2.quantize(grad_u), dtype=np.int64),
-            gv_raw=np.asarray(Q14_2.quantize(grad_v), dtype=np.int64))
+            dt_raw=Q14_2.quantize(dt).astype(np.int64),
+            gu_raw=Q14_2.quantize(gu * cam.fx).astype(np.int32),
+            gv_raw=Q14_2.quantize(gv * cam.fy).astype(np.int32))
 
     def make_features(self, features: FeatureSet):
         """Frontend representation: Q4.12 inverse-depth raws."""
@@ -392,9 +397,9 @@ class PIMFrontend:
         n = int(np.count_nonzero(valid))
         if n == 0:
             return np.zeros((6, 6)), np.zeros(6), np.inf, 0
-        iu = maps.gu_raw.take(idx).astype(np.int32)
+        iu = maps.gu_raw.take(idx)
         iu *= valid
-        iv = maps.gv_raw.take(idx).astype(np.int32)
+        iv = maps.gv_raw.take(idx)
         iv *= valid
         jac = jacobian_fast(res, qfeats.lanes[2], iu, iv,
                             feature_frac=qfeats.fmt.fraction_bits)

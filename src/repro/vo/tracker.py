@@ -64,10 +64,24 @@ class FrameResult:
 
 @dataclass
 class Keyframe:
-    """The reference frame tracking aligns against."""
+    """The reference frame tracking aligns against.
+
+    A keyframe is its pose and its edge maps, one per pyramid level
+    (0 = full res), marked read-only.  Its lookup maps are a pure
+    function of those edges (the host DT of paper section 2.3), so
+    they are a derived attribute, not a field: snapshots never carry
+    them, and :meth:`EBVOTracker.keyframe_maps` rebuilds a decoded
+    keyframe's maps on first use.
+    """
 
     pose_world: SE3           # keyframe camera-to-world
-    maps: List[KeyframeMaps]  # one per pyramid level (0 = full res)
+    edges: List[np.ndarray]   # boolean edge map per pyramid level
+
+    def __post_init__(self) -> None:
+        for edges in self.edges:
+            edges.flags.writeable = False
+        #: Lookup maps per level, ``None`` until built.
+        self.maps: List[Optional[KeyframeMaps]] = [None] * len(self.edges)
 
 
 @dataclass
@@ -93,8 +107,10 @@ class TrackerState:
 
     This rests on one contract: ``process`` only ever *replaces*
     keyframes and poses and *advances* the frame count, never mutates
-    them.  :class:`~repro.vo.frontend.KeyframeMaps` enforces it for the
-    keyframe maps by marking its arrays read-only.
+    them.  :class:`Keyframe` and :class:`~repro.vo.frontend.KeyframeMaps`
+    enforce it by marking their arrays read-only; the one write to a
+    keyframe is filling its derived maps the first time they are used,
+    which changes nothing a snapshot carries.
     """
 
     keyframe: Optional[Keyframe] = None
@@ -184,16 +200,33 @@ class EBVOTracker:
 
     def _make_keyframe(self, pyramid, pose_world: SE3,
                        edge_map_l0: np.ndarray) -> None:
-        maps = [self._frontends[0].prepare_keyframe(edge_map_l0)]
+        edges = [edge_map_l0]
         for level in range(1, min(len(self._frontends), len(pyramid))):
-            frontend = self._frontends[level]
-            edges = frontend.detect(pyramid[level][0])
-            maps.append(frontend.prepare_keyframe(edges))
-        self.state.keyframe = Keyframe(pose_world=pose_world, maps=maps)
+            edges.append(self._frontends[level].detect(pyramid[level][0]))
+        keyframe = Keyframe(pose_world=pose_world, edges=edges)
+        for level in range(len(edges)):
+            self.keyframe_maps(keyframe, level)
+        self.state.keyframe = keyframe
         self.state.last_rel = SE3.identity()
         self.state.recent_keyframes.append(self.state.keyframe)
         keep = max(1, self.config.reloc_keyframes)
         del self.state.recent_keyframes[:-keep]
+
+    def keyframe_maps(self, keyframe: Keyframe, level: int = 0
+                      ) -> KeyframeMaps:
+        """One level's lookup maps of ``keyframe``, built on first use.
+
+        A keyframe made here gets its maps at once; a decoded one
+        (its maps are never encoded) gets each level's maps from its
+        edges the first time that level is tracked against, bit for
+        bit the maps it was made with.
+        """
+        maps = keyframe.maps[level]
+        if maps is None:
+            maps = self._frontends[level].prepare_keyframe(
+                keyframe.edges[level])
+            keyframe.maps[level] = maps
+        return maps
 
     def _needs_keyframe(self, rel_pose: SE3, stats: LMStats,
                         n_features: int) -> bool:
@@ -215,7 +248,8 @@ class EBVOTracker:
         """Coarse-to-fine pose estimation against the keyframe maps."""
         pose = init
         stats = None
-        levels = min(len(self.state.keyframe.maps), len(pyramid))
+        keyframe = self.state.keyframe
+        levels = min(len(keyframe.edges), len(pyramid))
         for level in reversed(range(levels)):
             frontend = self._frontends[level]
             cfg = frontend.config
@@ -228,7 +262,7 @@ class EBVOTracker:
                     cfg.min_depth, cfg.max_depth)
             feats = frontend.make_features(feature_set)
             pose, stats = lm_estimate(frontend, feats,
-                                      self.state.keyframe.maps[level],
+                                      self.keyframe_maps(keyframe, level),
                                       pose, cfg)
             if stats.lost and level > 0:
                 pose = init  # coarse level unusable; retry finer
@@ -454,8 +488,8 @@ class EBVOTracker:
         for rank, kf in enumerate(candidates):
             init = self.state.last_rel if rank == 0 else \
                 kf.pose_world.inverse() @ held_world
-            pose, stats = lm_estimate(frontend, feats, kf.maps[0],
-                                      init, cfg)
+            pose, stats = lm_estimate(frontend, feats,
+                                      self.keyframe_maps(kf), init, cfg)
             if stats.lost or stats.final_error > cfg.reloc_max_error:
                 continue
             reloc_ctr.inc(outcome="matched")

@@ -26,9 +26,11 @@ FRONTEND = PIMFrontend(TrackerConfig(camera=CAM,
 CLAMP_RAW = int(Q14_2.quantize(32.0))
 
 
-def make_inputs(n=400, seed=0, twist=0.02, period=40.0, amp=10.0):
+def make_inputs(n=400, seed=0, twist=0.02, period=40.0, amp=10.0,
+                grad_dtype=np.int64):
     """A pose, ``n`` quantized features and synthetic keyframe maps:
-    smooth ramps quantized to Q14.2, like ``prepare_keyframe``'s."""
+    smooth ramps quantized to Q14.2, like ``prepare_keyframe``'s (which
+    stores the gradient raws as int32)."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(10, CAM.width - 10, n)
     v = rng.uniform(10, CAM.height - 10, n)
@@ -41,10 +43,10 @@ def make_inputs(n=400, seed=0, twist=0.02, period=40.0, amp=10.0):
                 np.cos(ys / (0.75 * period)) * 0.8 * amp) + 1
     gu = np.gradient(dt, axis=1) * CAM.fx
     gv = np.gradient(dt, axis=0) * CAM.fy
-    dt_raw, gu_raw, gv_raw = (np.asarray(Q14_2.quantize(m), dtype=np.int64)
-                              for m in (dt, gu, gv))
-    maps = KeyframeMaps(dt=dt, grad_u=gu, grad_v=gv, dt_raw=dt_raw,
-                        gu_raw=gu_raw, gv_raw=gv_raw)
+    maps = KeyframeMaps(dt=dt, grad_u=gu, grad_v=gv,
+                        dt_raw=Q14_2.quantize(dt).astype(np.int64),
+                        gu_raw=Q14_2.quantize(gu).astype(grad_dtype),
+                        gv_raw=Q14_2.quantize(gv).astype(grad_dtype))
     return pose, feats, maps
 
 
@@ -98,20 +100,28 @@ class TestLMIteration:
         self.assert_mirror_equals_device(*make_inputs(400, seed=1))
 
     # n = 1, one 16-bit batch and either side of it, and a partial
-    # sixth batch.
+    # sixth batch; gradient raws as prepare_keyframe's int32 and as
+    # int64.
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(1, 480), seed=st.integers(0, 2**32 - 1),
            twist=st.floats(0.0, 0.1), period=st.floats(8.0, 80.0),
-           amp=st.floats(1.0, 40.0))
-    @example(n=1, seed=0, twist=0.02, period=40.0, amp=10.0)
-    @example(n=159, seed=1, twist=0.02, period=40.0, amp=10.0)
-    @example(n=160, seed=2, twist=0.05, period=20.0, amp=30.0)
-    @example(n=161, seed=3, twist=0.1, period=8.0, amp=40.0)
-    @example(n=801, seed=4, twist=0.02, period=40.0, amp=10.0)
+           amp=st.floats(1.0, 40.0),
+           grad_dtype=st.sampled_from([np.int32, np.int64]))
+    @example(n=1, seed=0, twist=0.02, period=40.0, amp=10.0,
+             grad_dtype=np.int32)
+    @example(n=159, seed=1, twist=0.02, period=40.0, amp=10.0,
+             grad_dtype=np.int64)
+    @example(n=160, seed=2, twist=0.05, period=20.0, amp=30.0,
+             grad_dtype=np.int32)
+    @example(n=161, seed=3, twist=0.1, period=8.0, amp=40.0,
+             grad_dtype=np.int64)
+    @example(n=801, seed=4, twist=0.02, period=40.0, amp=10.0,
+             grad_dtype=np.int32)
     def test_mirror_equals_device_property(self, n, seed, twist, period,
-                                           amp):
+                                           amp, grad_dtype):
         self.assert_mirror_equals_device(
-            *make_inputs(n, seed, twist=twist, period=period, amp=amp))
+            *make_inputs(n, seed, twist=twist, period=period, amp=amp,
+                         grad_dtype=grad_dtype))
 
     def test_breakdown_phases_all_populated(self):
         pose, feats, maps = make_inputs(200, seed=2)

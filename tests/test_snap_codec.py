@@ -25,6 +25,7 @@ from repro.snap.codec import (
     register_dataclass,
     verify_snapshot,
 )
+from repro.vo.frontend import KeyframeMaps
 from repro.vo.tracker import FrameResult
 
 
@@ -98,6 +99,12 @@ class TestEncodeDecode:
         with pytest.raises(SnapshotError, match="FrameResult"):
             encode(result)
 
+    def test_keyframe_maps_are_not_snapshotted(self):
+        # A keyframe travels as its edge maps; its lookup maps are
+        # rebuilt from them, never encoded.
+        with pytest.raises(SnapshotError, match="KeyframeMaps"):
+            encode(KeyframeMaps())
+
     def test_non_string_dict_keys_rejected(self):
         with pytest.raises(SnapshotError, match="keys must be strings"):
             encode({1: "a"})
@@ -135,30 +142,6 @@ class TestEncodeDecode:
         register_dataclass(Probe, name="_test_probe")
         out = decode(encode(Probe(x=3)))
         assert isinstance(out, Probe) and out.x == 3
-
-
-class TestRefs:
-    def test_shared_object_encodes_as_ref_and_decodes_shared(self):
-        pose = SE3(R=np.eye(3), t=np.arange(3.0))
-        node = encode({"a": pose, "b": [pose]}, refs={id(pose): "p"})
-        assert node["a"] == {"__snap__": "ref", "key": "p"}
-        assert node["b"] == [node["a"]]
-        out = decode(node, refs={"p": pose})
-        assert out["a"] is pose and out["b"][0] is pose
-
-    def test_ref_without_table_rejected(self):
-        with pytest.raises(SnapshotError, match="without a ref table"):
-            decode({"__snap__": "ref", "key": "p"})
-
-    def test_unknown_ref_key_rejected(self):
-        for key in ("q", ["p"]):
-            with pytest.raises(SnapshotError, match="dangling ref"):
-                decode({"__snap__": "ref", "key": key}, refs={"p": 1})
-
-    def test_record_without_refs_decodes_as_before(self):
-        value = {"x": np.arange(3), "y": (1, 2.5)}
-        assert content_hash(encode(decode(encode(value), refs={}))) == \
-            content_hash(encode(value))
 
 
 class TestCanonicalHash:

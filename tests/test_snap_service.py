@@ -2,8 +2,8 @@
 
 Covers the service layer of :mod:`repro.snap`: the session
 export/import pair that failover and the shard router move state
-with, the record's keyframe table (each distinct keyframe encoded
-once), the structural-checkpoint contract it rests on, and the
+with, the record's keyframes (edge maps inline, lookup maps rebuilt
+on first use), the structural-checkpoint contract it rests on, and the
 health-gauge restore regression.  Restore-then-continue is also gated
 by ``tests/test_shard_router.py``, the failover tests and the chaos
 ``migrate`` storm.
@@ -19,11 +19,13 @@ import pytest
 
 from repro.dataset import make_sequence
 from repro.geometry.camera import TUM_QVGA
+from repro.geometry.se3 import SE3
 from repro.obs.metrics import get_registry
 from repro.serve import SessionManager, VOService, build_workload
-from repro.snap import SnapshotError, content_hash, decode, encode
+from repro.snap import content_hash, decode, encode
 from repro.snap.state import encode_session_record, restore_session_record
 from repro.vo import EBVOTracker, FloatFrontend, PIMFrontend, TrackerConfig
+from repro.vo.tracker import Keyframe
 from repro.vo.health import DEGRADED, HEALTH_LEVELS, OK
 
 TINY_CAMERA = TUM_QVGA.scaled(0.25)
@@ -97,10 +99,10 @@ class TestSessionExportImport:
         assert a.state is not b.state
 
 
-def _track(manager, config, frames, sid="s"):
+def _track(manager, config, frames, frontend_cls=FloatFrontend, sid="s"):
     """Run ``frames`` through one session the way a pool worker does:
     checkpoint after every healthy keyframe."""
-    tracker = EBVOTracker(FloatFrontend(config), config)
+    tracker = EBVOTracker(frontend_cls(config), config)
     session = manager.touch(sid)
     tracker.state = session.state
     for frame in frames:
@@ -118,6 +120,18 @@ def _keyframe_slots(record):
     return slots
 
 
+def _keyframe_nodes(encoded):
+    """Every encoded ``Keyframe`` node of an encoded record."""
+    if isinstance(encoded, list):
+        return [n for item in encoded for n in _keyframe_nodes(item)]
+    if not isinstance(encoded, dict):
+        return []
+    if encoded.get("type") == "Keyframe":
+        return [encoded]
+    return [n for value in encoded.values()
+            for n in _keyframe_nodes(value)]
+
+
 def _poses(results):
     return [(r.pose.R, r.pose.t) for r in results]
 
@@ -131,48 +145,65 @@ def qvga_record():
     return manager.export_session("s")
 
 
-class TestKeyframeTable:
-    def test_table_holds_each_distinct_keyframe_once(self, qvga_record):
+class TestKeyframeRecord:
+    """A keyframe travels as its pose and edge maps, inline in every
+    slot; its lookup maps are rebuilt on first use after a decode."""
+
+    def test_record_carries_edge_maps_only(self, qvga_record):
         slots = _keyframe_slots(qvga_record)
         encoded = encode_session_record(qvga_record)
         assert len(slots) == 8
         assert len({id(kf) for kf in slots}) == 3
-        assert sorted(encoded["keyframes"]) == ["k0", "k1", "k2"]
-        # Encoded inline, each slot carries its own copy: 19.7 MB.
-        assert len(pickle.dumps(encoded)) <= 8_000_000
+        nodes = _keyframe_nodes(encoded)
+        assert len(nodes) == 8
+        for node in nodes:
+            assert sorted(node["fields"]) == ["edges", "pose_world"]
+            assert [edges["dtype"] for edges in node["fields"]["edges"]] \
+                == ["|b1"]
+        # With the DT and gradient maps in every slot it was 19.7 MB.
+        assert len(pickle.dumps(encoded)) <= 1_000_000
 
     def test_encoding_is_deterministic(self, qvga_record):
         first = encode_session_record(qvga_record)
         second = encode_session_record(qvga_record)
         assert content_hash(first) == content_hash(second)
 
-    def test_round_trip_keeps_the_state_and_the_sharing(self,
-                                                         qvga_record):
+    def test_round_trip_keeps_the_state(self, qvga_record):
         encoded = encode_session_record(qvga_record)
         target = SessionManager()
         restore_session_record(target, encoded)
         again = target.export_session("s")
-        # The table changes the bytes, never the state ...
         assert content_hash(encode(again)) == \
             content_hash(encode(qvga_record))
-        # ... and the import shares what the export shared.
-        assert content_hash(encode_session_record(again)) == \
-            content_hash(encoded)
 
-    def test_dangling_ref_admits_no_session(self, qvga_record):
-        encoded = encode_session_record(qvga_record)
-        dangling = dict(encoded)
-        dangling["keyframes"] = {key: node for key, node
-                                 in encoded["keyframes"].items()
-                                 if key != "k1"}
-        target = SessionManager()
-        with pytest.raises(SnapshotError, match="dangling ref 'k1'"):
-            restore_session_record(target, dangling)
-        tableless = dict(encoded)
-        del tableless["keyframes"]
-        with pytest.raises(SnapshotError, match="without a ref table"):
-            restore_session_record(target, tableless)
-        assert len(target) == 0
+    @pytest.mark.parametrize("frontend_cls", [FloatFrontend, PIMFrontend])
+    def test_decoded_keyframe_rebuilds_its_maps_bit_for_bit(
+            self, frontend_cls):
+        config = TrackerConfig(camera=TINY_CAMERA, pyramid_levels=2)
+        seq = make_sequence("fr2_desk", n_frames=30, camera=TINY_CAMERA)
+        tracker = _track(SessionManager(), config, seq.frames,
+                         frontend_cls)
+        record = tracker.state.checkpoint()
+        decoded = decode(encode(record))
+        pairs = list(zip(
+            [record.keyframe, *record.recent_keyframes],
+            [decoded.keyframe, *decoded.recent_keyframes]))
+        assert len({id(kf) for kf, _ in pairs}) >= 2
+        fresh = EBVOTracker(frontend_cls(config), config)
+        for original, restored in pairs:
+            assert len(restored.edges) == 2
+            assert restored.maps == [None, None]
+            for level in range(2):
+                want = original.maps[level]
+                got = fresh.keyframe_maps(restored, level)
+                assert fresh.keyframe_maps(restored, level) is got
+                for f in dataclasses.fields(want):
+                    a, b = getattr(want, f.name), getattr(got, f.name)
+                    if a is None:
+                        assert b is None
+                        continue
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a, b)
 
     def test_restored_session_continues_bit_identically(self):
         config = _config()
@@ -212,7 +243,10 @@ class TestRecordSize:
             manager = SessionManager()
             _track(manager, config, frames)
             body = encode_session_record(manager.export_session("s"))
-            assert body.pop("keyframes")
+            nodes = _keyframe_nodes(body)
+            assert len(nodes) == 4
+            for node in nodes:
+                node["fields"]["edges"] = []
             sizes.append(len(pickle.dumps(body)))
         assert sizes[0] == sizes[1] < 4096
 
@@ -263,14 +297,31 @@ class TestStructuralCheckpoint:
         seq = make_sequence("fr1_xyz", n_frames=1, camera=TINY_CAMERA)
         gray = seq.frames[0].gray
         for frontend in (FloatFrontend(config), PIMFrontend(config)):
-            maps = frontend.prepare_keyframe(frontend.detect(gray))
-            for candidate in (maps, decode(encode(maps))):
-                for f in dataclasses.fields(candidate):
-                    arr = getattr(candidate, f.name)
-                    if arr is None:
-                        continue
+            tracker = EBVOTracker(frontend, config)
+            keyframe = Keyframe(pose_world=SE3.identity(),
+                                edges=[frontend.detect(gray)])
+            decoded = decode(encode(keyframe))
+            for candidate in (frontend.prepare_keyframe(keyframe.edges[0]),
+                              tracker.keyframe_maps(decoded)):
+                arrays = [getattr(candidate, f.name)
+                          for f in dataclasses.fields(candidate)]
+                arrays = [arr for arr in arrays if arr is not None]
+                assert len(arrays) == 3
+                for arr in arrays:
                     with pytest.raises(ValueError, match="read-only"):
                         arr[0, 0] = 1
+
+    def test_keyframe_edges_are_read_only(self):
+        config = _config()
+        seq = make_sequence("fr1_xyz", n_frames=1, camera=TINY_CAMERA)
+        frame = seq.frames[0]
+        tracker = EBVOTracker(FloatFrontend(config), config)
+        tracker.process(frame.gray, frame.depth, frame.timestamp)
+        keyframe = tracker.state.keyframe
+        for candidate in (keyframe, decode(encode(keyframe))):
+            assert candidate.edges[0].dtype == bool
+            with pytest.raises(ValueError, match="read-only"):
+                candidate.edges[0][0, 0] = True
 
     def test_checkpoint_survives_later_frames_and_rollback(self):
         config = _config()

@@ -263,6 +263,9 @@ class TestKeyframeMaps:
         maps = fe.prepare_keyframe(edge)
         assert maps.dt_raw is not None
         assert maps.dt_raw.dtype == np.int64
+        # Only the raws PIM reads: gradients at int32, no float maps.
+        assert maps.gu_raw.dtype == maps.gv_raw.dtype == np.int32
+        assert maps.dt is maps.grad_u is maps.grad_v is None
         assert maps.dt_raw[30, 40] == 0
         assert maps.dt_raw[30, 44] == 16  # 4 px in Q14.2
 

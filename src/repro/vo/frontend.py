@@ -58,14 +58,12 @@ def _check_frame(gray: np.ndarray) -> np.ndarray:
 class KeyframeMaps:
     """Lookup maps of one keyframe level (paper section 2.3).
 
-    A pure function of the keyframe's edge map: ``prepare_keyframe``
-    builds them, and a decoded keyframe rebuilds them on first use
-    (:meth:`repro.vo.tracker.EBVOTracker.keyframe_maps`), so they are
-    never encoded.  ``grad_u``/``grad_v`` are the DT gradients
-    pre-multiplied by the focal lengths, matching the ``(I_u, I_v)``
-    of Fig. 5-c.  The float frontend fills the float maps; the PIM
-    frontend fills only the Q14.2 raws it reads: the DT as int64 and
-    the gradients as int32.
+    A pure function of the level's edge map, built by
+    ``prepare_keyframe`` and never encoded (see
+    :meth:`repro.vo.tracker.EBVOTracker.keyframe_maps`).
+    ``grad_u``/``grad_v`` are the DT gradients pre-multiplied by the
+    focal lengths, matching the ``(I_u, I_v)`` of Fig. 5-c.  The float
+    frontend fills the float maps, the PIM frontend only the Q14.2 raws.
 
     The maps are write-once: tracker checkpoints share a keyframe
     instead of copying it, so every array is marked read-only here and

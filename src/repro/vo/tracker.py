@@ -64,14 +64,12 @@ class FrameResult:
 
 @dataclass
 class Keyframe:
-    """The reference frame tracking aligns against.
+    """The reference frame tracking aligns against: a pose and one
+    read-only boolean edge map per pyramid level (0 = full res).
 
-    A keyframe is its pose and its edge maps, one per pyramid level
-    (0 = full res), marked read-only.  Its lookup maps are a pure
-    function of those edges (the host DT of paper section 2.3), so
-    they are a derived attribute, not a field: snapshots never carry
-    them, and :meth:`EBVOTracker.keyframe_maps` rebuilds a decoded
-    keyframe's maps on first use.
+    Its lookup maps are a pure function of the edges (the host DT of
+    paper section 2.3), so they are a derived attribute, never
+    encoded: :meth:`EBVOTracker.keyframe_maps` builds them on first use.
     """
 
     pose_world: SE3           # keyframe camera-to-world
@@ -216,10 +214,9 @@ class EBVOTracker:
                       ) -> KeyframeMaps:
         """One level's lookup maps of ``keyframe``, built on first use.
 
-        A keyframe made here gets its maps at once; a decoded one
-        (its maps are never encoded) gets each level's maps from its
-        edges the first time that level is tracked against, bit for
-        bit the maps it was made with.
+        :meth:`_make_keyframe` builds every level at once; a decoded
+        keyframe rebuilds a level from its edges, bit for bit, the
+        first time it is tracked against.
         """
         maps = keyframe.maps[level]
         if maps is None:

@@ -25,8 +25,8 @@ from repro.serve import SessionManager, VOService, build_workload
 from repro.snap import content_hash, decode, encode
 from repro.snap.state import encode_session_record, restore_session_record
 from repro.vo import EBVOTracker, FloatFrontend, PIMFrontend, TrackerConfig
-from repro.vo.tracker import Keyframe
 from repro.vo.health import DEGRADED, HEALTH_LEVELS, OK
+from repro.vo.tracker import Keyframe
 
 TINY_CAMERA = TUM_QVGA.scaled(0.25)
 

@@ -76,12 +76,26 @@ def _left_jacobian(w: np.ndarray) -> np.ndarray:
 
 
 def se3_exp(xi: np.ndarray) -> "SE3":
-    """Exponential map: twist ``(v, w)`` to a rigid transform."""
+    """Exponential map: twist ``(v, w)`` to a rigid transform.
+
+    :func:`so3_exp` of ``w`` and ``_left_jacobian(w) @ v``, bit for bit,
+    with ``theta``, ``hat(w)``, its square, ``sin`` and ``cos`` taken
+    once for both.
+    """
     xi = np.asarray(xi, dtype=np.float64)
     v, w = xi[:3], xi[3:]
-    rot = so3_exp(w)
-    t = _left_jacobian(w) @ v
-    return SE3(rot, t)
+    theta = np.linalg.norm(w)
+    k = hat(w)
+    kk = k @ k
+    if theta < _EPS:
+        rot = np.eye(3) + k + 0.5 * kk
+        jac = np.eye(3) + 0.5 * k + kk / 6.0
+    else:
+        sin, cos = np.sin(theta), np.cos(theta)
+        c = (1.0 - cos) / (theta * theta)
+        rot = np.eye(3) + (sin / theta) * k + c * kk
+        jac = np.eye(3) + c * k + ((theta - sin) / (theta ** 3)) * kk
+    return SE3(rot, jac @ v)
 
 
 def se3_log(transform: "SE3") -> np.ndarray:

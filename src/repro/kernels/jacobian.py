@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.fixedpoint import Q14_2, ops
 from repro.kernels.common import peak, shr_peak
-from repro.kernels.warp import FEATURE_FORMAT, WarpResult, qdiv_lanes
+from repro.kernels.warp import FEATURE_FORMAT, WarpResult, _qdiv
 from repro.obs.metrics import get_registry
 from repro.pim.device import TMP, Imm
 
@@ -100,13 +100,20 @@ def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
     Args:
         warp: Output of the quantized warp (``rx``, ``ry``, ``z`` raws).
         c_raw: Inverse-depth raws of the features (feature format).
+            ``c_raw`` and ``warp.z`` are 16-bit lanes, as for
+            :func:`~repro.kernels.warp.warp_fast`, which rejects
+            features outside the lane and saturates ``z``; the divide
+            ``c / z`` does not check them again.
         iu_raw, iv_raw: Gradient lookups as Q14.2 raws.
 
     Returns:
         (N x 6) array of Q14.2 raws.
     """
     f = feature_frac
-    w = qdiv_lanes(c_raw, warp.z, lshift=f)
+    # 16-bit lanes, like the warp's divide operands: the range
+    # qdiv_lanes checks holds by construction.
+    w = _qdiv(np.asarray(c_raw).astype(np.int32, copy=False) << f,
+              np.asarray(warp.z).astype(np.int32, copy=False))
     rx, ry, iu, iv = (np.asarray(x) for x in (warp.rx, warp.ry, iu_raw,
                                               iv_raw))
     n = w.size

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -80,13 +81,18 @@ class QuantizedFeatures:
     lanes: np.ndarray = field(init=False, repr=False, compare=False)
     #: Every value of ``a``, ``b`` and ``c`` fits the 16-bit lane.
     in_lane: bool = field(init=False, repr=False, compare=False)
+    #: Some value is the lane minimum ``-2**15``, the one operand whose
+    #: product with a ``-2**15`` pose raw leaves the lane.
+    holds_lane_min: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         components = tuple(np.asarray(x) for x in (self.a, self.b, self.c))
         self.a, self.b, self.c = components
-        self.in_lane = not self.a.size or all(
-            _LANE_MIN <= int(x.min()) and int(x.max()) <= _LANE_MAX
-            for x in components)
+        lows = [int(x.min()) for x in components] if self.a.size else []
+        self.in_lane = all(
+            low >= _LANE_MIN and int(x.max()) <= _LANE_MAX
+            for low, x in zip(lows, components))
+        self.holds_lane_min = _LANE_MIN in lows
         self.lanes = np.array(components, dtype=np.int32)
         for arr in components + (self.lanes,):
             arr.flags.writeable = False
@@ -101,6 +107,11 @@ class QuantizedPose:
 
     r: np.ndarray  # 3x3 int raws
     t: np.ndarray  # 3 int raws
+
+    def key(self) -> bytes:
+        """The raws as bytes: equal keys, equal warps."""
+        return (np.asarray(self.r, dtype=np.int64).tobytes()
+                + np.asarray(self.t, dtype=np.int64).tobytes())
 
     @property
     def r_float(self) -> np.ndarray:
@@ -121,6 +132,10 @@ class WarpResult:
     ry: np.ndarray       # Y/Z, feature format
     z: np.ndarray        # scaled depth Z~, feature format
     valid: np.ndarray    # bool
+    #: ``u`` and ``v`` as the rows of one ``(2, n)`` block, when they
+    #: are (:func:`warp_fast`); None otherwise.
+    uv: Optional[np.ndarray] = field(default=None, repr=False,
+                                     compare=False)
 
     def uv_float(self) -> tuple:
         """Warped coordinates in pixels (float)."""
@@ -142,10 +157,18 @@ def quantize_pose(pose: SE3) -> QuantizedPose:
 
     Entries are saturated to the (-1, 1) range; the paper relies on the
     inter-frame pose being small, which the keyframe policy enforces.
+    ``r`` and ``t`` are the int64 column blocks of one ``(3, 4)`` pass
+    of :meth:`~repro.fixedpoint.QFormat.quantize`'s arithmetic.
     """
-    return QuantizedPose(
-        r=np.asarray(POSE_FORMAT.quantize(pose.R), dtype=np.int64),
-        t=np.asarray(POSE_FORMAT.quantize(pose.t), dtype=np.int64))
+    raw = np.empty((3, 4))
+    raw[:, :3] = pose.R
+    raw[:, 3] = pose.t
+    raw *= POSE_FORMAT.scale
+    np.rint(raw, out=raw)
+    np.maximum(raw, POSE_FORMAT.raw_min, out=raw)
+    np.minimum(raw, POSE_FORMAT.raw_max, out=raw)
+    rt = raw.astype(np.int64)
+    return QuantizedPose(r=rt[:, :3], t=rt[:, 3])
 
 
 def warp_float(pose: SE3, a, b, c, camera: CameraIntrinsics) -> WarpResult:
@@ -251,10 +274,23 @@ def qdiv_lanes(a_raw, b_raw, lshift: int = 0) -> np.ndarray:
                         dtype=np.int32)
     if peak(a) << lshift >= 1 << 31 or peak(b) > 1 << 15:
         raise ValueError("divide operands exceed the float-quotient range")
-    num = a.astype(np.int32, copy=False) << lshift
-    den = b.astype(np.int32, copy=False)
+    return _qdiv(a.astype(np.int32, copy=False) << lshift,
+                 b.astype(np.int32, copy=False))
+
+
+def _qdiv(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """:func:`qdiv_lanes` of int32 ``num = a << lshift`` by ``den``,
+    with no range check.
+
+    For callers whose operands are in range by construction: ``den``
+    a saturated 16-bit lane and ``num`` a 16-bit lane shifted left by
+    at most 15.  The denominator is converted to float64 once, for
+    every row of ``num`` it broadcasts over.
+    """
     zero = den == 0
-    q = (num / (den + zero)).astype(np.int32)
+    fden = den.astype(np.float64)
+    fden += zero
+    q = np.divide(num, fden).astype(np.int32)
     _sat16(q)
     if zero.any():
         np.copyto(q, np.where(num >= 0, _LANE_MAX, -_LANE_MAX), where=zero)
@@ -288,6 +324,7 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     int32 rows of one ``(5, n)`` block.
     """
     f = feats.fmt.fraction_bits
+    assert f <= 15, "the divide's numerator x << f must fit int32"
     r = np.asarray(qpose.r).tolist()
     t = np.asarray(qpose.t).reshape(-1).tolist()
     # Per axis, the multiplier of a, b and c: r0, r1 and t.
@@ -301,10 +338,12 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
                    for row in r], dtype=np.int32).reshape(3, 1)
 
     # (axis, term, feature): products >> 15 lie in [-2**15 + 1, 2**15],
-    # so their saturation only ever clamps from above.
+    # so their saturation only ever clamps from above, and only the
+    # product of two lane minima -2**15 reaches 2**15.
     m = np.array(coef, dtype=np.int32)[:, :, None] * feats.lanes
     m >>= 15
-    np.minimum(m, _LANE_MAX, out=m)
+    if feats.holds_lane_min and any(_LANE_MIN in row for row in coef):
+        np.minimum(m, _LANE_MAX, out=m)
     xyz = _sat16(m[:, 0] + m[:, 1])
     xyz += r2
     _sat16(xyz)
@@ -315,7 +354,9 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     den = xyz[2]
     out[4] = den
     rxy = out[2:4]
-    rxy[...] = qdiv_lanes(xyz[:2], den, lshift=f)
+    # Saturated lanes: |x << f| < 2**31 and |den| <= 2**15, the range
+    # qdiv_lanes checks.
+    rxy[...] = _qdiv(xyz[:2] << f, den)
 
     fxy, cxy, shift, lim = _intrinsic_lanes(camera, f)
     uv = out[:2]
@@ -330,7 +371,7 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     valid = inside[0] & inside[1]
     valid &= den > 0
     u, v, rx, ry, z = out
-    return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid)
+    return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid, uv=uv)
 
 
 @dataclass

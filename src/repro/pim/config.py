@@ -106,11 +106,18 @@ class PIMConfig:
         geometry enters the digest -- ``num_banks`` is timing-only
         structure, so two configs differing in banking alone share
         programs (and persistent store entries) by design.
+
+        Every ``run_program`` compares it, so it is computed once per
+        config (which is frozen) and kept.
         """
-        import hashlib
-        blob = (f"{self.wordline_bits}:{self.num_rows}:"
-                f"{self.slice_bits}:{self.num_tmp_registers}")
-        return hashlib.sha1(blob.encode()).hexdigest()[:12]
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            import hashlib
+            blob = (f"{self.wordline_bits}:{self.num_rows}:"
+                    f"{self.slice_bits}:{self.num_tmp_registers}")
+            digest = hashlib.sha1(blob.encode()).hexdigest()[:12]
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     @property
     def capacity_bytes(self) -> int:

@@ -81,6 +81,10 @@ def _as_rows(rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
+#: Base-row sets whose admission verdict one program keeps.
+_ADMISSION_MEMO_SIZE = 16
+
+
 def _alias_hit(bases: np.ndarray, rows, offsets) -> bool:
     """Whether some ``base + offset`` equals one of ``rows``.
 
@@ -776,6 +780,11 @@ class PIMDevice(_DeviceCore):
         ``"abs-read-aliases-rel-write"`` -- so auto-mode fallbacks
         are attributable instead of silent.
 
+        The fault rule is evaluated on every call; the verdict of the
+        rules after it is kept on the program
+        (:attr:`~repro.pim.program.PIMProgram.admission_memo`), keyed
+        by ``num_rows`` and the bases.
+
         Rules are checked in that order, and an :class:`IndexError`
         for bases that address rows outside the array is raised after
         the span rule and before the two aliasing rules.  Each check
@@ -792,6 +801,20 @@ class PIMDevice(_DeviceCore):
             # the corruption hook.
             return "fault-injection-active"
         bases = np.asarray(bases, dtype=np.int64)
+        # Every later rule reads only the immutable program, the bases
+        # and num_rows, so its verdict is kept per program.
+        memo = program.admission_memo
+        key = (self.config.num_rows, bases.tobytes())
+        reason = memo.get(key, False)
+        if reason is False:
+            reason = self._structural_rejection(program, bases)
+            if len(memo) < _ADMISSION_MEMO_SIZE:
+                memo[key] = reason
+        return reason
+
+    def _structural_rejection(self, program,
+                              bases: np.ndarray) -> Optional[str]:
+        """:meth:`batch_rejection_reason` after its fault rule."""
         multi = bases.size > 1
         min_gap = int(np.diff(bases).min()) if multi else 0
         if multi and min_gap <= 0:

@@ -71,6 +71,12 @@ class OpKind(enum.Enum):
     MUL = "mul"
     DIV = "div"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is valid, and it is computed in C: ``Enum.__hash__`` hashes the
+    # name in Python, and the ledger hashes a kind for every key it
+    # charges (``CostLedger.charge_program``, 26 keys per program).
+    __hash__ = object.__hash__
+
 
 def op_cycles(kind: OpKind, precision: int) -> int:
     """Issue cycles for one micro-op at the given lane width.

@@ -212,6 +212,10 @@ class PIMProgram:
         object.__setattr__(self, "precision_stable", stable)
         object.__setattr__(self, "batchable",
                            tmp_ok and abs_ok and self.rel_order_safe)
+        #: ``(num_rows, bases bytes) -> reason`` of
+        #: :meth:`PIMDevice.batch_rejection_reason`'s replay-time rules,
+        #: which depend on nothing else.  Not a field.
+        object.__setattr__(self, "admission_memo", {})
 
     @property
     def rel_span(self) -> int:

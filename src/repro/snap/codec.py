@@ -29,6 +29,8 @@ Every occurrence of an object is encoded inline, shared or not.  The
 bulk of a session record is its keyframes' boolean edge maps, one
 byte per pixel (``nd`` nodes of dtype ``|b1``); a keyframe's derived
 lookup maps are not dataclass fields and never reach the encoding.
+A decode returns one ``Keyframe`` per distinct encoding (interned by
+content), so the lookup maps are rebuilt once per keyframe.
 """
 
 from __future__ import annotations
@@ -82,14 +84,25 @@ class SnapshotError(ValueError):
 #: :func:`register_dataclass` and by :func:`_load_builtins` on first
 #: use (lazy, to keep this module import-light).
 _DATACLASSES: Dict[str, type] = {}
+#: Names of the registered dataclasses :func:`decode` interns.
+_INTERNED: set = set()
 _BUILTINS_LOADED = False
 
 
-def register_dataclass(cls: type, name: Optional[str] = None) -> type:
-    """Whitelist a dataclass for snapshot encoding; returns ``cls``."""
+def register_dataclass(cls: type, name: Optional[str] = None,
+                       interned: bool = False) -> type:
+    """Whitelist a dataclass for snapshot encoding; returns ``cls``.
+
+    ``interned`` says that instances are never written after they are
+    built, so one :func:`decode` may return one object for every node
+    with the same encoding.
+    """
     if not dataclasses.is_dataclass(cls):
         raise TypeError(f"{cls!r} is not a dataclass")
-    _DATACLASSES[name or cls.__name__] = cls
+    name = name or cls.__name__
+    _DATACLASSES[name] = cls
+    if interned:
+        _INTERNED.add(name)
     return cls
 
 
@@ -106,8 +119,12 @@ def _load_builtins() -> None:
     from repro.vo.config import TrackerConfig
     from repro.vo.tracker import Keyframe, TrackerState
     for cls in (CameraIntrinsics, SE3, PIMConfig, CostLedger,
-                TrackerConfig, Keyframe, TrackerState):
+                TrackerConfig, TrackerState):
         register_dataclass(cls)
+    # A keyframe is write-once and its lookup maps are rebuilt on first
+    # use, so slots holding the same keyframe decode to one object and
+    # the maps are rebuilt once per keyframe, not once per slot.
+    register_dataclass(Keyframe, interned=True)
 
 
 def _dataclass_name(obj) -> Optional[str]:
@@ -187,16 +204,26 @@ def _encode_key(key: Any) -> Any:
 
 
 def decode(obj: Any) -> Any:
-    """Inverse of :func:`encode`; raises :class:`SnapshotError`."""
+    """Inverse of :func:`encode`; raises :class:`SnapshotError`.
+
+    Nodes of an interned dataclass (see :func:`register_dataclass`)
+    with equal encodings decode to one object.
+    """
+    return _decode(obj, {})
+
+
+def _decode(obj: Any, interned: dict) -> Any:
+    """:func:`decode`, with ``interned`` mapping the canonical bytes
+    of each interned node decoded so far to its object."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, list):
-        return [decode(v) for v in obj]
+        return [_decode(v, interned) for v in obj]
     if not isinstance(obj, dict):
         raise SnapshotError(f"unexpected node {type(obj).__name__}")
     kind = obj.get(_TAG)
     if kind is None:
-        return {k: decode(v) for k, v in obj.items()}
+        return {k: _decode(v, interned) for k, v in obj.items()}
     if kind == "nd":
         try:
             dtype = np.dtype(obj["dtype"])
@@ -214,11 +241,11 @@ def decode(obj: Any) -> Any:
     if kind == "bytes":
         return _unb64(obj["data"])
     if kind == "tuple":
-        return tuple(decode(v) for v in obj["items"])
+        return tuple(_decode(v, interned) for v in obj["items"])
     if kind == "counter":
         counter: Counter = Counter()
         for key, value in obj["items"]:
-            counter[decode(key)] = int(value)
+            counter[_decode(key, interned)] = int(value)
         return counter
     if kind == "opkind":
         from repro.pim.isa import OpKind
@@ -233,14 +260,22 @@ def decode(obj: Any) -> Any:
         if cls is None:
             raise SnapshotError(
                 f"unknown dataclass {obj.get('type')!r} in snapshot")
-        fields = {k: decode(v) for k, v in obj["fields"].items()}
+        key = None
+        if obj["type"] in _INTERNED:
+            key = canonical_bytes(obj)
+            if key in interned:
+                return interned[key]
+        fields = {k: _decode(v, interned) for k, v in obj["fields"].items()}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(fields) - known
         if unknown:
             raise SnapshotError(
                 f"{obj['type']} snapshot carries unknown fields "
                 f"{sorted(unknown)}; likely a newer format")
-        return cls(**fields)
+        value = cls(**fields)
+        if key is not None:
+            interned[key] = value
+        return value
     raise SnapshotError(f"unknown node kind {kind!r}")
 
 

@@ -14,6 +14,8 @@ pyramid level, encoded inline in every slot that holds it.  Its DT
 and gradient maps are a pure function of those edges, so they stay
 behind; the importing tracker rebuilds them the first time it tracks
 against the keyframe (:meth:`repro.vo.tracker.EBVOTracker.keyframe_maps`).
+The slots of one keyframe decode to one object, so that happens once
+per keyframe, whichever slot a restore tracks from.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ solver and the tracker are frontend-agnostic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
@@ -28,6 +29,7 @@ from repro.kernels.warp import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
+from repro.pim.energy import EnergyModel
 from repro.vision.distance_transform import distance_transform, dt_gradient
 from repro.vision.edges import detect_edges_reference
 from repro.vo.config import TrackerConfig
@@ -44,9 +46,16 @@ def _check_frame(gray: np.ndarray) -> np.ndarray:
     long before this point; anything non-finite arriving here means a
     caller bypassed it, and failing fast beats silently loading NaN
     bit patterns into the (simulated) PIM array.
+
+    On a real array ``min`` and ``max`` are finite exactly when every
+    value is: a NaN propagates through both, an infinity is one of them.
     """
     gray = np.asarray(gray)
-    if not np.isfinite(gray).all():
+    if gray.size and gray.dtype.kind in "biuf":
+        finite = np.isfinite(gray.min()) and np.isfinite(gray.max())
+    else:
+        finite = np.isfinite(gray).all()
+    if not finite:
         raise CorruptFrameError(
             "frame contains non-finite intensities; run "
             "repro.vo.health.validate_frame or enable "
@@ -126,6 +135,21 @@ def _blend(grid: np.ndarray, plan: tuple) -> np.ndarray:
 def _bilinear(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bilinear interpolation with edge clamping."""
     return _blend(grid, _bilinear_plan(grid.shape, u, v))
+
+
+@functools.lru_cache(maxsize=8)
+def _map_bounds(h: int, w: int) -> np.ndarray:
+    """The largest pixel ``(u, v)`` of an ``h x w`` map, an int32
+    ``(2, 1)`` column."""
+    bounds = np.array([[w - 1], [h - 1]], dtype=np.int32)
+    bounds.flags.writeable = False
+    return bounds
+
+
+def _energy_counters(ledger) -> tuple:
+    """The ledger totals a detect's cycles and energy are read from."""
+    return (ledger.cycles, ledger.sram_reads, ledger.sram_writes,
+            ledger.tmp_accesses, ledger.logic_ops)
 
 
 class FloatFrontend:
@@ -235,6 +259,9 @@ class PIMFrontend:
         #: Per-stage device cycles of the most recent detect() when
         #: ``config.pim_device_detect`` is on (empty otherwise).
         self.last_detect_cycles: dict = {}
+        #: ``(pose, quantize_pose(pose))`` of the last :meth:`pose_key`:
+        #: a warp of that same pose object does not quantize it again.
+        self._keyed: Optional[tuple] = None
 
     def _detect_device(self, shape):
         device = self._detect_devices.get(shape)
@@ -257,20 +284,24 @@ class PIMFrontend:
         gray = _check_frame(gray)
         if self.config.pim_device_detect:
             device = self._detect_device(gray.shape)
-            snap = device.ledger.snapshot()
+            before = _energy_counters(device.ledger)
             with obs_span("frontend_detect", device=device, category="vo",
                           shape=list(gray.shape)):
                 result = detect_edges_replay(device, gray, self.config.th1,
                                              self.config.th2)
-            delta = device.ledger.delta_since(snap)
+            cycles, reads, writes, tmp, logic = (
+                a - b for a, b in zip(_energy_counters(device.ledger),
+                                      before))
             registry = get_registry()
             registry.histogram(
                 "frame_detect_cycles",
-                "Device cycles per detected frame").observe(delta.cycles)
+                "Device cycles per detected frame").observe(cycles)
             registry.histogram(
                 "frame_detect_energy_pj",
                 "Device energy (pJ) per detected frame").observe(
-                    delta.energy().total_pj)
+                    EnergyModel().report(
+                        sram_accesses=reads + writes, logic_ops=logic,
+                        tmp_accesses=tmp).total_pj)
             registry.histogram(
                 "frame_edge_pixels",
                 "Edge pixels per detected frame").observe(
@@ -318,31 +349,42 @@ class PIMFrontend:
         bot = (4 - fu) * grid_raw[v1, u0] + fu * grid_raw[v1, u1]
         return ((4 - fv) * top + fv * bot) >> 4
 
+    def pose_key(self, pose: SE3) -> bytes:
+        """The Q1.15 raws of ``pose``: poses with equal keys have equal
+        :meth:`error` (see :func:`repro.vo.lm._lm_loop`).
+
+        The next warp of this same pose object reuses the quantization.
+        """
+        qpose = quantize_pose(pose)
+        self._keyed = (pose, qpose)
+        return qpose.key()
+
     def _warp_and_lookup(self, qfeats, pose: SE3, maps: KeyframeMaps):
         """Warp at a pose and look the residuals up: the lookup.
 
         Returns ``(warp, r_raw, idx, valid)``: the
         :func:`~repro.kernels.warp.warp_fast` result, the clamped Q14.2
-        DT residual per feature (zero where invalid) and the flat index
-        ``vi * w + ui`` of the nearest keyframe pixel, for the gradient
-        lookups.  The residual clamp is quantized once, at construction.
+        DT residual per feature (zero where invalid) and the flat intp
+        index ``vi * w + ui`` of the nearest keyframe pixel, for the
+        gradient lookups.  The residual clamp is quantized once, at
+        construction.
         """
-        qpose = quantize_pose(pose)
+        keyed = self._keyed
+        qpose = keyed[1] if keyed is not None and keyed[0] is pose \
+            else quantize_pose(pose)
         res = warp_fast(qpose, qfeats, self.config.camera)
         valid = res.valid
         h, w = maps.dt_raw.shape
-        # Nearest integer pixel, clipped into the map, all in the warp's
-        # int32 (a 16-bit lane plus ``half`` cannot overflow; int32
-        # scalar bounds keep the clip off its Python-int dtype check).
-        half = UV_FORMAT.scale // 2
-        ui = res.u + half
-        ui >>= 2
-        vi = res.v + half
-        vi >>= 2
-        ui.clip(np.int32(0), np.int32(w - 1), out=ui)
-        vi.clip(np.int32(0), np.int32(h - 1), out=vi)
-        idx = vi * np.int32(w)
-        idx += ui
+        # Nearest integer pixel, clipped into the map: u and v as one
+        # (2, n) pass in the warp's int32 (a 16-bit lane plus ``half``
+        # cannot overflow), then the flat index in intp, which ``take``
+        # would otherwise convert on every gather.
+        uvi = res.uv + np.int32(UV_FORMAT.scale // 2)
+        uvi >>= 2
+        np.maximum(uvi, np.int32(0), out=uvi)
+        np.minimum(uvi, _map_bounds(h, w), out=uvi)
+        idx = np.multiply(uvi[1], w, dtype=np.intp)
+        idx += uvi[0]
         if self.config.pim_bilinear_residual:
             r_raw = np.zeros(len(valid), dtype=np.int64)
             r_raw[valid] = np.minimum(

@@ -114,6 +114,11 @@ def validate_frame(gray, depth,
     * empty arrays;
     * more than ``max_bad_fraction`` of gray pixels non-finite (the
       frame carries too little real signal to repair).
+
+    A clean real-valued frame is proven clean by three reductions and
+    returned as is: a NaN makes ``min``/``max`` NaN, which fails every
+    bound, and an infinity fails the gray bounds or the depth minimum
+    (an infinite depth is valid).  Anything else takes the repair path.
     """
     events: List[str] = []
     gray = np.asarray(gray)
@@ -128,6 +133,10 @@ def validate_frame(gray, depth,
             not np.issubdtype(depth.dtype, np.number):
         return FrameCheck(ok=False, gray=None, depth=None,
                           events=("rejected:non-numeric",))
+    if max_bad_fraction >= 0 and gray.dtype.kind in "iuf" and \
+            depth.dtype.kind in "iuf" and gray.min() >= 0 and \
+            gray.max() <= 255 and depth.min() >= 0:
+        return FrameCheck(ok=True, gray=gray, depth=depth)
 
     bad_gray = ~np.isfinite(gray)
     n_bad = int(bad_gray.sum())

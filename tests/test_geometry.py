@@ -47,7 +47,28 @@ class TestSO3:
         np.testing.assert_allclose(np.abs(back), np.abs(w), atol=1e-5)
 
 
+def _twist_scales():
+    """Twists from ``1e-14`` (below the small-angle cut) up to ``pi``."""
+    return st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        st.sampled_from([0.0, 1e-14, 1e-11, 1e-10, 1.2e-10, 1e-6, 1e-3,
+                         0.1, 1.0, np.pi]),
+        st.booleans(),
+    ).map(lambda d: np.array(d[0]) * ([1.0] * 3 + [d[1]] * 3)
+          if d[2] else np.array(d[0]) * d[1])
+
+
 class TestSE3:
+    @given(_twist_scales())
+    @settings(max_examples=200)
+    def test_exp_equals_the_two_function_formula(self, xi):
+        """``se3_exp`` is ``so3_exp(w)`` and ``V(w) @ v``, bit for bit,
+        on both sides of the ``|w| < 1e-10`` cut."""
+        from repro.geometry.se3 import _left_jacobian
+        pose = se3_exp(xi)
+        assert np.array_equal(pose.R, so3_exp(xi[3:]))
+        assert np.array_equal(pose.t, _left_jacobian(xi[3:]) @ xi[:3])
+
     @given(small_twists())
     @settings(max_examples=50)
     def test_exp_log_roundtrip(self, xi):

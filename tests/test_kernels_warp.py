@@ -362,3 +362,63 @@ class TestWarpDivideExtremes:
             qdiv_lanes([1 << 16], [1], lshift=15)
         with pytest.raises(ValueError):
             qdiv_lanes([1], [(1 << 15) + 1])
+
+
+@st.composite
+def lane_edges(draw):
+    """Pose raws and feature lanes all drawn at or near the 16-bit
+    edges, so ``-2**15 * -2**15`` products occur."""
+    n = draw(st.integers(1, 160))
+    lanes = draw(arrays(np.int64, (3, n), elements=_EDGE))
+    r = [[draw(_EDGE) for _ in range(3)] for _ in range(3)]
+    t = [draw(_EDGE) for _ in range(3)]
+    return _raw_pose(r, t), _raw_feats(*lanes)
+
+
+class TestLaneMinClamp:
+    """``warp_fast`` clamps the MAC products only when a pose raw and a
+    feature lane are both ``-2**15``: ``2**30 >> 15 = 2**15`` is the one
+    product that leaves the lane."""
+
+    def test_flag_follows_the_lane_minimum(self):
+        assert _raw_feats([LANE_MIN], [0], [0]).holds_lane_min
+        assert _raw_feats([0], [1], [LANE_MIN]).holds_lane_min
+        assert not _raw_feats([LANE_MIN + 1], [LANE_MAX],
+                              [0]).holds_lane_min
+        assert not _raw_feats([], [], []).holds_lane_min
+
+    def test_the_clamp_case_equals_device(self):
+        """``r00 = a = -2**15`` gives ``m0 = 2**15``, clamped to
+        ``2**15 - 1``; ``m1 = (1 * -1) >> 15 = -1`` makes the clamp show
+        in ``X = 2**15 - 2`` (unclamped, ``X`` would saturate at
+        ``2**15 - 1``).  ``Z~ = 4095 + 1`` makes ``rx = X`` exactly."""
+        qp = _raw_pose([[LANE_MIN, 1, 0], [0, 0, 0], [0, 0, LANE_MAX]],
+                       [0, 0, 1 << 14])
+        qf = _raw_feats([LANE_MIN, 100], [-1, 0], [2, 2])
+        got, want = warp_both(qp, qf)
+        assert want.z.tolist() == [4096, 4096]
+        assert int(want.rx[0]) == LANE_MAX - 1
+        assert_same_fields(got, want)
+
+    @pytest.mark.parametrize("r00, a", [(LANE_MIN, LANE_MIN + 1),
+                                        (LANE_MIN + 1, LANE_MIN),
+                                        (LANE_MAX, LANE_MIN),
+                                        (LANE_MIN, LANE_MAX)])
+    def test_unclamped_neighbours_equal_device(self, r00, a):
+        qp = _raw_pose([[r00, 1, 0], [0, 0, 0], [0, 0, LANE_MAX]],
+                       [0, 0, 1 << 14])
+        qf = _raw_feats([a, 0], [-1, 1], [2, 2])
+        assert_same_fields(*warp_both(qp, qf))
+
+    @given(lane_edges())
+    @settings(max_examples=60, deadline=None)
+    def test_fast_equals_device_program(self, inputs):
+        assert_same_fields(*warp_both(*inputs))
+
+    def test_public_divide_keeps_its_range_check(self):
+        with pytest.raises(ValueError):
+            qdiv_lanes([LANE_MIN * 2], [1], lshift=15)
+        with pytest.raises(ValueError):
+            qdiv_lanes([1], [-(1 << 15) - 1])
+        assert qdiv_lanes([LANE_MIN], [1], lshift=15).tolist() == \
+            [LANE_MIN]

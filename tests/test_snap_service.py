@@ -189,9 +189,16 @@ class TestKeyframeRecord:
             [record.keyframe, *record.recent_keyframes],
             [decoded.keyframe, *decoded.recent_keyframes]))
         assert len({id(kf) for kf, _ in pairs}) >= 2
+        # The decode shares a keyframe exactly where the record did.
+        assert len({(id(a), id(b)) for a, b in pairs}) == \
+            len({id(a) for a, _ in pairs}) == len({id(b) for _, b in pairs})
         fresh = EBVOTracker(frontend_cls(config), config)
+        rebuilt = set()
         for original, restored in pairs:
             assert len(restored.edges) == 2
+            if id(restored) in rebuilt:
+                continue
+            rebuilt.add(id(restored))
             assert restored.maps == [None, None]
             for level in range(2):
                 want = original.maps[level]
@@ -223,6 +230,64 @@ class TestKeyframeRecord:
             resumed.process(frame.gray, frame.depth, frame.timestamp)
         assert resumed.state.n_frames == control.state.n_frames == 60
         assert len(resumed.results) == 20
+        for (ra, ta), (rb, tb) in zip(_poses(resumed.results),
+                                      _poses(control.results[40:])):
+            assert np.array_equal(ra, rb) and np.array_equal(ta, tb)
+
+
+class TestKeyframeInterning:
+    """The slots of one keyframe decode to one object, so an imported
+    session rebuilds each keyframe's maps once."""
+
+    @pytest.mark.parametrize("frontend_cls", [FloatFrontend, PIMFrontend])
+    def test_restore_rebuilds_each_keyframe_once(self, frontend_cls,
+                                                  monkeypatch):
+        config = _config()
+        seq = make_sequence("fr2_desk", n_frames=60, camera=TINY_CAMERA)
+        source = SessionManager()
+        control = _track(source, config, seq.frames[:40], frontend_cls)
+        record = source.export_session("s")
+        slots = _keyframe_slots(record)
+        assert len(slots) > len({id(kf) for kf in slots}) >= 2
+
+        prepared = []
+        original = frontend_cls.prepare_keyframe
+
+        def counted(self, edge_map):
+            prepared.append(edge_map)
+            return original(self, edge_map)
+
+        monkeypatch.setattr(frontend_cls, "prepare_keyframe", counted)
+        target = SessionManager()
+        migrated = restore_session_record(
+            target, encode_session_record(record))
+        decoded = _keyframe_slots({"state": migrated.state,
+                                   "checkpointed": migrated.checkpointed})
+        assert len({id(kf) for kf in decoded}) == \
+            len({id(kf) for kf in slots})
+        assert record["state"].keyframe is record["checkpointed"].keyframe
+        assert migrated.state.keyframe is migrated.checkpointed.keyframe
+        resumed = EBVOTracker(frontend_cls(config), config)
+        resumed.state = migrated.state
+        frames = seq.frames[40:]
+        for frame in frames[:5]:
+            control.process(frame.gray, frame.depth, frame.timestamp)
+            resumed.process(frame.gray, frame.depth, frame.timestamp)
+        # Roll both back to their checkpoints, then track on.
+        assert source.restore_checkpoint(source.get("s"))
+        assert target.restore_checkpoint(migrated)
+        for frame in frames[5:]:
+            control.process(frame.gray, frame.depth, frame.timestamp)
+            resumed.process(frame.gray, frame.depth, frame.timestamp)
+
+        # Each decoded keyframe tracked against was rebuilt exactly once,
+        # though the live slot and the checkpoint slot both held it.
+        distinct = {id(kf): kf for kf in decoded}.values()
+        edges = {id(e) for kf in distinct for e in kf.edges}
+        rebuilt = [id(e) for e in prepared if id(e) in edges]
+        assert len(rebuilt) == len(set(rebuilt)) == sum(
+            m is not None for kf in distinct for m in kf.maps) >= 1
+        assert len(resumed.results) == len(frames)
         for (ra, ta), (rb, tb) in zip(_poses(resumed.results),
                                       _poses(control.results[40:])):
             assert np.array_equal(ra, rb) and np.array_equal(ta, tb)

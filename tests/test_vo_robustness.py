@@ -4,6 +4,8 @@ checkpoint/restore)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.dataset.synthetic import make_room_scene, render_frame
 from repro.geometry import SE3, TUM_QVGA, se3_exp
@@ -20,6 +22,7 @@ from repro.vo import (
     lm_estimate,
     validate_frame,
 )
+from repro.vo.frontend import _check_frame
 
 CAM = TUM_QVGA.scaled(0.5)
 
@@ -177,6 +180,119 @@ class TestValidateFrame:
         for frontend in (FloatFrontend(cfg), PIMFrontend(cfg)):
             with pytest.raises(CorruptFrameError):
                 frontend.detect(bad)
+
+
+def _validate_frame_reference(gray, depth, max_bad_fraction=0.5):
+    """:func:`validate_frame` without its clean-frame fast path."""
+    events = []
+    gray = np.asarray(gray)
+    depth = np.asarray(depth)
+    if gray.ndim != 2 or depth.ndim != 2 or gray.size == 0:
+        return False, None, None, ("rejected:malformed",)
+    if gray.shape != depth.shape:
+        return False, None, None, ("rejected:shape-mismatch",)
+    if not np.issubdtype(gray.dtype, np.number) or \
+            not np.issubdtype(depth.dtype, np.number):
+        return False, None, None, ("rejected:non-numeric",)
+    bad_gray = ~np.isfinite(gray)
+    n_bad = int(bad_gray.sum())
+    if n_bad > max_bad_fraction * gray.size:
+        return False, None, None, ("rejected:gray-mostly-invalid",)
+    if n_bad:
+        gray = np.where(bad_gray, 0.0, gray.astype(np.float64))
+        events.append("repaired:gray-nonfinite")
+    out_of_range = np.isfinite(gray) & ((gray < 0) | (gray > 255))
+    if out_of_range.any():
+        gray = np.clip(gray, 0, 255)
+        events.append("repaired:gray-range")
+    bad_depth = np.isnan(depth) | (depth < 0)
+    if bad_depth.any():
+        depth = np.where(bad_depth, np.inf, depth.astype(np.float64))
+        events.append("repaired:depth-invalid")
+    return True, gray, depth, tuple(events)
+
+
+_GRAY_FAULTS = [np.nan, np.inf, -np.inf, -1.0, -0.5, 255.5, 300.0, 1e9]
+_DEPTH_FAULTS = [np.nan, -1.0, -1e-9, -np.inf, np.inf, 0.0]
+
+
+@st.composite
+def dirty_frames(draw):
+    """A small frame pair of any real dtype, clean or with faults
+    injected at drawn pixels."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    gray_dtype = draw(st.sampled_from(
+        [np.float64, np.float32, np.uint8, np.int16, np.int64]))
+    depth_dtype = draw(st.sampled_from([np.float64, np.float32, np.int32]))
+    gray = draw(arrays(np.float64, (h, w),
+                       elements=st.floats(0, 255))).astype(gray_dtype)
+    depth = draw(arrays(np.float64, (h, w),
+                        elements=st.floats(0, 10))).astype(depth_dtype)
+    if np.issubdtype(gray_dtype, np.floating):
+        faults = _GRAY_FAULTS
+    else:
+        faults = [-1, 256, 1000] if gray_dtype != np.uint8 else []
+    for value in draw(st.lists(st.sampled_from(faults), max_size=4)
+                      if faults else st.just([])):
+        gray[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = \
+            value
+    faults = _DEPTH_FAULTS if np.issubdtype(depth_dtype, np.floating) \
+        else [-1, -1000]
+    for value in draw(st.lists(st.sampled_from(faults), max_size=3)):
+        depth[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = \
+            value
+    return gray, depth, draw(st.sampled_from([0.5, 0.0, 1.0]))
+
+
+class TestValidateFrameFastPath:
+    """The clean-frame fast path of :func:`validate_frame` returns what
+    the full repair path returns."""
+
+    @given(dirty_frames())
+    @settings(max_examples=200, deadline=None)
+    def test_fast_path_equals_the_full_path(self, frame):
+        gray, depth, max_bad = frame
+        check = validate_frame(gray, depth, max_bad)
+        ok, want_gray, want_depth, events = _validate_frame_reference(
+            gray, depth, max_bad)
+        assert (check.ok, check.events) == (ok, events)
+        for got, want in ((check.gray, want_gray),
+                          (check.depth, want_depth)):
+            if want is None:
+                assert got is None
+                continue
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        if ok and not events:
+            assert check.gray is gray and check.depth is depth
+
+    def test_clean_frame_returns_the_same_objects(self):
+        for dtype in (np.uint8, np.float32, np.float64):
+            gray = np.arange(12, dtype=dtype).reshape(3, 4)
+            depth = np.full((3, 4), np.inf)
+            check = validate_frame(gray, depth)
+            assert check.ok and check.events == ()
+            assert check.gray is gray and check.depth is depth
+
+
+class TestCheckFrame:
+    @given(arrays(st.sampled_from([np.float64, np.float32, np.int32,
+                                   np.uint8]),
+                  st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                  elements=st.sampled_from([0, 1, 7, 255])),
+           st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 3.0]),
+                    max_size=3), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_raises_exactly_on_non_finite_values(self, gray, faults,
+                                                 rnd):
+        if gray.size and gray.dtype.kind == "f":
+            for value in faults:
+                gray.flat[rnd.randrange(gray.size)] = value
+        if np.isfinite(gray).all():
+            assert _check_frame(gray) is gray
+        else:
+            with pytest.raises(CorruptFrameError):
+                _check_frame(gray)
 
 
 class TestHealthStateMachine:

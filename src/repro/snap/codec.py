@@ -84,25 +84,19 @@ class SnapshotError(ValueError):
 #: :func:`register_dataclass` and by :func:`_load_builtins` on first
 #: use (lazy, to keep this module import-light).
 _DATACLASSES: Dict[str, type] = {}
-#: Names of the registered dataclasses :func:`decode` interns.
-_INTERNED: set = set()
 _BUILTINS_LOADED = False
+#: Dataclasses whose nodes one :func:`decode` returns as one object per
+#: distinct encoding.  A keyframe is write-once and its lookup maps are
+#: rebuilt on first use, so the slots holding one keyframe share it and
+#: its maps are rebuilt once, not once per slot.
+_INTERNED = frozenset({"Keyframe"})
 
 
-def register_dataclass(cls: type, name: Optional[str] = None,
-                       interned: bool = False) -> type:
-    """Whitelist a dataclass for snapshot encoding; returns ``cls``.
-
-    ``interned`` says that instances are never written after they are
-    built, so one :func:`decode` may return one object for every node
-    with the same encoding.
-    """
+def register_dataclass(cls: type, name: Optional[str] = None) -> type:
+    """Whitelist a dataclass for snapshot encoding; returns ``cls``."""
     if not dataclasses.is_dataclass(cls):
         raise TypeError(f"{cls!r} is not a dataclass")
-    name = name or cls.__name__
-    _DATACLASSES[name] = cls
-    if interned:
-        _INTERNED.add(name)
+    _DATACLASSES[name or cls.__name__] = cls
     return cls
 
 
@@ -119,12 +113,8 @@ def _load_builtins() -> None:
     from repro.vo.config import TrackerConfig
     from repro.vo.tracker import Keyframe, TrackerState
     for cls in (CameraIntrinsics, SE3, PIMConfig, CostLedger,
-                TrackerConfig, TrackerState):
+                TrackerConfig, Keyframe, TrackerState):
         register_dataclass(cls)
-    # A keyframe is write-once and its lookup maps are rebuilt on first
-    # use, so slots holding the same keyframe decode to one object and
-    # the maps are rebuilt once per keyframe, not once per slot.
-    register_dataclass(Keyframe, interned=True)
 
 
 def _dataclass_name(obj) -> Optional[str]:
@@ -206,8 +196,8 @@ def _encode_key(key: Any) -> Any:
 def decode(obj: Any) -> Any:
     """Inverse of :func:`encode`; raises :class:`SnapshotError`.
 
-    Nodes of an interned dataclass (see :func:`register_dataclass`)
-    with equal encodings decode to one object.
+    Nodes of an :data:`_INTERNED` dataclass with equal encodings decode
+    to one object.
     """
     return _decode(obj, {})
 

@@ -110,8 +110,6 @@ def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
         (N x 6) array of Q14.2 raws.
     """
     f = feature_frac
-    # 16-bit lanes, like the warp's divide operands: the range
-    # qdiv_lanes checks holds by construction.
     w = _qdiv(np.asarray(c_raw).astype(np.int32, copy=False) << f,
               np.asarray(warp.z).astype(np.int32, copy=False))
     rx, ry, iu, iv = (np.asarray(x) for x in (warp.rx, warp.ry, iu_raw,

@@ -108,11 +108,6 @@ class QuantizedPose:
     r: np.ndarray  # 3x3 int raws
     t: np.ndarray  # 3 int raws
 
-    def key(self) -> bytes:
-        """The raws as bytes: equal keys, equal warps."""
-        return (np.asarray(self.r, dtype=np.int64).tobytes()
-                + np.asarray(self.t, dtype=np.int64).tobytes())
-
     @property
     def r_float(self) -> np.ndarray:
         return POSE_FORMAT.to_float(self.r)

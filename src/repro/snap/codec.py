@@ -202,8 +202,20 @@ def decode(obj: Any) -> Any:
     return _decode(obj, {})
 
 
+def _node_key(node: Any) -> Any:
+    """A hashable key, equal for two encoded nodes exactly when they are
+    equal as JSON of the same types.  Unlike :func:`canonical_bytes` it
+    copies no payload: a base64 string is hashed in place, once."""
+    if isinstance(node, dict):
+        return dict, tuple(sorted((k, _node_key(v))
+                                  for k, v in node.items()))
+    if isinstance(node, list):
+        return list, tuple(_node_key(v) for v in node)
+    return type(node), node
+
+
 def _decode(obj: Any, interned: dict) -> Any:
-    """:func:`decode`, with ``interned`` mapping the canonical bytes
+    """:func:`decode`, with ``interned`` mapping the :func:`_node_key`
     of each interned node decoded so far to its object."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -252,7 +264,7 @@ def _decode(obj: Any, interned: dict) -> Any:
                 f"unknown dataclass {obj.get('type')!r} in snapshot")
         key = None
         if obj["type"] in _INTERNED:
-            key = canonical_bytes(obj)
+            key = _node_key(obj)
             if key in interned:
                 return interned[key]
         fields = {k: _decode(v, interned) for k, v in obj["fields"].items()}

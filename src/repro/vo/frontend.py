@@ -8,7 +8,6 @@ solver and the tracker are frontend-agnostic.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
@@ -135,15 +134,6 @@ def _blend(grid: np.ndarray, plan: tuple) -> np.ndarray:
 def _bilinear(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bilinear interpolation with edge clamping."""
     return _blend(grid, _bilinear_plan(grid.shape, u, v))
-
-
-@functools.lru_cache(maxsize=8)
-def _map_bounds(h: int, w: int) -> np.ndarray:
-    """The largest pixel ``(u, v)`` of an ``h x w`` map, an int32
-    ``(2, 1)`` column."""
-    bounds = np.array([[w - 1], [h - 1]], dtype=np.int32)
-    bounds.flags.writeable = False
-    return bounds
 
 
 def _energy_counters(ledger) -> tuple:
@@ -357,7 +347,7 @@ class PIMFrontend:
         """
         qpose = quantize_pose(pose)
         self._keyed = (pose, qpose)
-        return qpose.key()
+        return qpose.r.tobytes() + qpose.t.tobytes()
 
     def _warp_and_lookup(self, qfeats, pose: SE3, maps: KeyframeMaps):
         """Warp at a pose and look the residuals up: the lookup.
@@ -382,7 +372,8 @@ class PIMFrontend:
         uvi = res.uv + np.int32(UV_FORMAT.scale // 2)
         uvi >>= 2
         np.maximum(uvi, np.int32(0), out=uvi)
-        np.minimum(uvi, _map_bounds(h, w), out=uvi)
+        np.minimum(uvi, np.array([[w - 1], [h - 1]], dtype=np.int32),
+                   out=uvi)
         idx = np.multiply(uvi[1], w, dtype=np.intp)
         idx += uvi[0]
         if self.config.pim_bilinear_residual:

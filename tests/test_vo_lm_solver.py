@@ -338,7 +338,7 @@ class TestRepeatedPoseSkip:
         assert not hasattr(FloatFrontend, "pose_key")
 
     def test_skips_over_40_frames(self, monkeypatch):
-        """The ROADMAP run: 40 QVGA ``fr1_xyz`` frames skip some trials,
+        """40 QVGA ``fr1_xyz`` frames skip some trials,
         the ``lm_solve`` spans and the registry count them, and every
         frame's pose and ``LMStats`` equal those of warping every
         trial."""

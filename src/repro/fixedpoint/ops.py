@@ -213,10 +213,13 @@ def divide(a, b, bits: int, signed: bool = True) -> np.ndarray:
         # |INT64_MIN| does not exist in int64 (np.abs wraps to itself),
         # so develop the magnitudes in uint64 -- exactly what the
         # restoring loop does with its unsigned partial remainder.
+        # The negation wraps for non-negative lanes, whose branch
+        # np.where drops; numpy warns on that only for 0-d operands.
         au = a.astype(np.uint64)
         bu = b.astype(np.uint64)
-        mag_a = np.where(a < 0, ~au + np.uint64(1), au)
-        mag_b = np.where(b < 0, ~bu + np.uint64(1), bu)
+        with np.errstate(over="ignore"):
+            mag_a = np.where(a < 0, ~au + np.uint64(1), au)
+            mag_b = np.where(b < 0, ~bu + np.uint64(1), bu)
         mag = (mag_a // np.maximum(mag_b, np.uint64(1))).astype(np.int64)
     else:
         mag = np.abs(a) // np.maximum(np.abs(b), 1)

@@ -689,7 +689,9 @@ class PIMDevice(_DeviceCore):
         ``pim_replay_fallback_total{reason=...}`` with the hazard rule
         that fired, see :meth:`batch_rejection_reason`) and, when
         tracing, runs under a ``run_program:<name>`` span carrying the
-        same attributes.
+        same attributes -- plus, on a compiled run, the plan's section
+        compute dtypes (``lane_dtypes``, see
+        :attr:`~repro.pim.lowering.CompiledPlan.lane_dtypes`).
         """
         if mode not in ("auto", "eager"):
             raise ValueError(f"unknown replay mode {mode!r}")
@@ -720,15 +722,16 @@ class PIMDevice(_DeviceCore):
             attrs["fallback_reason"] = reason
         with get_tracer().span(f"run_program:{program.name}",
                                device=self, category="replay",
-                               **attrs):
+                               **attrs) as span:
             self.set_precision(program.initial_precision)
             if reason is not None:
                 for base in bases.tolist():
                     program.replay(self, base)
                 return
             from repro.pim.lowering import compiled_plan
-            self._replay_compiled(
-                program, compiled_plan(program, self.config), bases)
+            plan = compiled_plan(program, self.config)
+            span.set_attr("lane_dtypes", plan.lane_dtypes)
+            self._replay_compiled(program, plan, bases)
 
     def _replay_compiled(self, program, plan,
                          bases: np.ndarray) -> None:

@@ -12,9 +12,12 @@ reference):
 * the op stream is split into *sections* at ``set_precision``
   boundaries; within a section every slot (Tmp register, relative
   offset, absolute row) is cached as an unsigned lane *pattern* array
-  in a narrow compute dtype (int16 for 8-bit lanes, int32 for 16-bit,
-  int64 above), so values flow op-to-op without ever round-tripping
-  through row bytes;
+  in a narrow compute dtype, so values flow op-to-op without ever
+  round-tripping through row bytes.  The dtype is chosen per section
+  after seeing all of its ops: uint8 -- the lane bytes themselves --
+  when every op of an 8-bit section is one :func:`_lower_op_u8` runs
+  exactly, else int16 for 8-bit lanes, int32 for 16-bit and int64
+  above;
 * each op is specialized at compile time into a closure with its
   kwargs, masks and dtype escalations baked in.  Ops whose exact
   semantics are risky to re-derive (division always; multiplication at
@@ -157,10 +160,14 @@ def _unpack_pattern(raw: np.ndarray, n: int, D) -> np.ndarray:
 
 
 def _pack_pattern(pat: np.ndarray, n: int) -> np.ndarray:
-    """Lane patterns -> row bytes, mirroring ``PIMDevice._pack``."""
+    """Lane patterns -> row bytes, mirroring ``PIMDevice._pack``.
+
+    uint8 patterns are their bytes and are returned uncopied when
+    contiguous: cached patterns are never written in place.
+    """
     if n < 64:
         return np.ascontiguousarray(pat).astype(
-            _LANE_DTYPES[n]).view(np.uint8)
+            _LANE_DTYPES[n], copy=False).view(np.uint8)
     return np.ascontiguousarray(pat).view(np.uint64).astype(
         "<u8").view(np.uint8)
 
@@ -268,7 +275,10 @@ class _Exec:
             if any(self._conflicts(index, off) for off in self.rel_seq):
                 self.flush_rel()
             raw = dev._mem[self.bases + index]
-            pat = _unpack_pattern(raw, self.n, self.D)
+            # The gather is a fresh array, so uint8 lanes use it as is;
+            # a row view (below) is copied by the unpack.
+            pat = raw if self.D is np.uint8 else \
+                _unpack_pattern(raw, self.n, self.D)
         else:
             carrier = self.carriers.get(key)
             if carrier is not None:
@@ -345,6 +355,34 @@ def _broadcast2d(a: np.ndarray, ex: _Exec) -> np.ndarray:
     if a.ndim < 2:
         return np.broadcast_to(a, (ex.reps, ex.lanes))
     return a
+
+
+def _shift_lanes(a: np.ndarray, pixels: int, shape, D) -> np.ndarray:
+    """Every row's lane ``j`` takes lane ``j + pixels``; vacated lanes
+    read 0 (the eager ``shift_lanes``).
+
+    The rows shift as one flat copy: a row's lanes that spill into its
+    neighbour's vacated lanes are zeroed after.  A source that is not
+    a contiguous ``shape`` block (a broadcast register or immediate)
+    is materialized into the result first and shifted in place; numpy
+    buffers the overlapping copy.
+    """
+    out = np.empty(shape, dtype=D)
+    flat = out.reshape(-1)
+    if a.shape == shape and a.flags.c_contiguous:
+        src = a.reshape(-1)
+    else:
+        out[...] = a
+        src = flat
+    if pixels > 0:
+        flat[:-pixels] = src[pixels:]
+        out[:, -pixels:] = 0
+    elif pixels < 0:
+        flat[-pixels:] = src[:pixels]
+        out[:, :-pixels] = 0
+    elif src is not flat:
+        flat[...] = src
+    return out
 
 
 def _lower_op(op, n: int, lanes: int):
@@ -433,17 +471,8 @@ def _lower_op(op, n: int, lanes: int):
         pixels = int(kw["pixels"])
 
         def step(ex):
-            a = _broadcast2d(readers[0](ex), ex)
-            out = np.empty((ex.reps, lanes), dtype=D)
-            if pixels == 0:
-                out[...] = a
-            elif pixels > 0:
-                out[..., :-pixels or None] = a[..., pixels:]
-                out[..., -pixels:] = 0
-            else:
-                out[..., -pixels:] = a[..., :pixels]
-                out[..., :-pixels] = 0
-            ex.put(dst_key, out)
+            ex.put(dst_key, _shift_lanes(readers[0](ex), pixels,
+                                         (ex.reps, lanes), D))
         return step
 
     if method == "shift_bits":
@@ -573,16 +602,141 @@ def _lower_fallback(op, n: int):
     return step
 
 
+def _in_place(t):
+    """``t`` as an ``out=`` target: a fresh result array, or None for
+    a scalar (the result of two immediates)."""
+    return t if t.ndim else None
+
+
+def _sat_add_u8(a, b):
+    # min(a + b, 255) = a + min(b, 255 - a), and 255 - a is ~a.
+    t = ~a
+    t = np.minimum(t, b, out=_in_place(t))
+    t += a
+    return t
+
+
+def _sat_sub_u8(a, b):
+    # max(a - b, 0) = a - min(a, b).
+    t = np.minimum(a, b)
+    return np.subtract(a, t, out=_in_place(t))
+
+
+def _avg_u8(a, b):
+    # floor((a + b) / 2) without the carry out of the byte.
+    t = a ^ b
+    t >>= 1
+    t += a & b
+    return t
+
+
+def _abs_diff_u8(a, b):
+    t = np.maximum(a, b)
+    t -= np.minimum(a, b)
+    return t
+
+
+def _nor_u8(a, b):
+    t = a | b
+    return np.invert(t, out=_in_place(t))
+
+
+_U8_KERNELS = {
+    "add": _sat_add_u8,
+    "sub": _sat_sub_u8,
+    "avg": _avg_u8,
+    "abs_diff": _abs_diff_u8,
+    "cmp_gt": lambda a, b: (a > b).view(np.uint8),
+    "logic_and": np.bitwise_and,
+    "logic_or": np.bitwise_or,
+    "logic_xor": np.bitwise_xor,
+    "logic_nor": _nor_u8,
+    "maximum": np.maximum,
+    "minimum": np.minimum,
+}
+
+
+def _lower_op_u8(op, lanes: int):
+    """Compile one 8-bit op into a ``step(ex)`` over uint8 patterns.
+
+    The patterns are the lane bytes, and every result below is exact
+    in eight bits: logic, lane shifts and copies are mod-256; an
+    unsigned read *is* the pattern, so compare, maximum, minimum,
+    ``|a - b|`` and the floor average lie in ``[0, 255]``, and the
+    unsigned saturating sum and difference are clipped to it.  Each
+    result is a fresh array (an op never writes its sources).  Raises
+    :class:`_Unsupported` for anything else -- a signed read, a
+    non-saturating add or sub, an immediate outside ``[0, 255]``,
+    bit shifts, multiply, divide -- and the section then runs int16.
+    """
+    method, kw = op.method, op.kwargs
+    if method not in _MODN_METHODS and _read_signedness(method, kw):
+        raise _Unsupported("signed read")
+    if method in ("add", "sub") and not kw.get("saturate"):
+        raise _Unsupported("wrapping add/sub")
+    readers = []
+    for src in op.srcs:
+        if isinstance(src, Imm):
+            if not 0 <= _imm_value(src) <= 255:
+                raise _Unsupported("immediate outside [0, 255]")
+            const = np.array(_imm_value(src), dtype=np.uint8)
+            readers.append(lambda ex, const=const: const)
+        else:
+            key = _slot_key(src)
+            readers.append(lambda ex, key=key: ex.get(key))
+    dst_key = _slot_key(op.dst)
+    read = readers[0]
+
+    if method == "shift_lanes":
+        pixels = int(kw["pixels"])
+
+        def step(ex):
+            ex.put(dst_key, _shift_lanes(read(ex), pixels,
+                                         (ex.reps, lanes), np.uint8))
+        return step
+
+    if method == "copy":
+        def step(ex):
+            ex.put(dst_key, _broadcast2d(read(ex), ex))
+        return step
+
+    fn = _U8_KERNELS.get(method)
+    if fn is None:
+        raise _Unsupported(method)
+    read_b = readers[1]
+
+    def step(ex):
+        ex.put(dst_key, _broadcast2d(fn(read(ex), read_b(ex)), ex))
+    return step
+
+
 # -- the plan ---------------------------------------------------------------
 
 class _Section:
-    __slots__ = ("precision", "lanes", "dtype", "steps")
+    """One precision section, lowered in the dtype its ops allow."""
 
-    def __init__(self, precision: int, lanes: int):
+    __slots__ = ("precision", "lanes", "dtype", "steps", "fallback_ops")
+
+    def __init__(self, precision: int, lanes: int, ops) -> None:
         self.precision = precision
         self.lanes = lanes
         self.dtype = _COMPUTE_DTYPES[precision]
         self.steps: List[Callable[[_Exec], None]] = []
+        self.fallback_ops = 0
+        if precision == 8:
+            try:
+                self.steps = [_lower_op_u8(op, lanes) for op in ops]
+                self.dtype = np.uint8
+                return
+            except _Unsupported:
+                pass
+        for op in ops:
+            try:
+                step = _lower_op(op, precision, lanes)
+            except _Unsupported:
+                step = _lower_fallback(op, precision)
+                self.fallback_ops += 1
+            self.steps.append(step)
 
 
 class CompiledPlan:
@@ -591,33 +745,28 @@ class CompiledPlan:
     Immutable after construction; one plan serves any number of
     executions on any device with the program's geometry (the plan
     holds no device state -- all per-run state lives in the private
-    :class:`_Exec` context).
+    :class:`_Exec` context).  :attr:`lane_dtypes` names the compute
+    dtypes of the sections that run ops, in order and without
+    repeats (``"uint8"``, ``"int16"``, ``"uint8,int32"``, ...).
     """
 
     def __init__(self, program, config) -> None:
         self.name = program.name
         self.final_precision = program.initial_precision
-        self.sections: List[_Section] = []
-        self.fallback_ops = 0
-        section = _Section(program.initial_precision,
-                           config.lanes(program.initial_precision))
-        self.sections.append(section)
-        precision = program.initial_precision
+        groups = [(program.initial_precision, [])]
         for op in program.ops:
             if op.method == "set_precision":
                 new = int(op.kwargs["precision"])
-                if new != precision:
-                    precision = new
-                    section = _Section(new, config.lanes(new))
-                    self.sections.append(section)
+                if new != groups[-1][0]:
+                    groups.append((new, []))
                 self.final_precision = new
-                continue
-            try:
-                step = _lower_op(op, precision, section.lanes)
-            except _Unsupported:
-                step = _lower_fallback(op, precision)
-                self.fallback_ops += 1
-            section.steps.append(step)
+            else:
+                groups[-1][1].append(op)
+        self.sections = [_Section(n, config.lanes(n), ops)
+                         for n, ops in groups]
+        self.fallback_ops = sum(s.fallback_ops for s in self.sections)
+        self.lane_dtypes = ",".join(dict.fromkeys(
+            np.dtype(s.dtype).name for s in self.sections if s.steps))
 
     @property
     def num_ops(self) -> int:

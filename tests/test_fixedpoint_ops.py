@@ -1,9 +1,13 @@
 """Property tests for the lane-level fixed-point primitives (Fig. 7)."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, strategies as st
 
 from repro.fixedpoint import ops
+
+_INT64_EDGES = [-(1 << 63), -(1 << 63) + 1, -1, 0, 1, (1 << 63) - 1]
 
 
 def lanes(bits, signed=True, size=8):
@@ -103,6 +107,34 @@ class TestFig7Algorithms:
         out = ops.divide(np.array([5, -5]), np.array([0, 0]), 16)
         assert int(out[0]) == (1 << 15) - 1
         assert int(out[1]) == -((1 << 15) - 1)
+
+    @given(st.lists(st.tuples(st.sampled_from(_INT64_EDGES) |
+                              st.integers(-(1 << 63), (1 << 63) - 1),
+                              st.sampled_from(_INT64_EDGES) |
+                              st.integers(-(1 << 63), (1 << 63) - 1)),
+                    min_size=1, max_size=6),
+           st.booleans())
+    def test_divide_64_is_silent_on_scalars_and_arrays(self, pairs,
+                                                       signed):
+        """At 64 bits the magnitude negation wraps only in the branch
+        ``np.where`` drops: no warning on 0-d or array operands, and
+        the quotient of each 0-d pair is its lane of the array call
+        and the C-style truncated quotient (INT64_MIN / -1 wraps)."""
+        a = np.array([x for x, _ in pairs], dtype=np.int64)
+        b = np.array([y for _, y in pairs], dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ops.divide(a, b, 64, signed)
+            scalars = [ops.divide(x, y, 64, signed) for x, y in zip(a, b)]
+        hi = (1 << 63) - 1
+        for x, y, q, q0 in zip(a.tolist(), b.tolist(), out, scalars):
+            if y == 0:
+                expected = hi if x >= 0 or not signed else -hi
+            else:
+                mag = abs(x) // abs(y)
+                expected = -mag if (x < 0) != (y < 0) else mag
+                expected = (expected + (1 << 63)) % (1 << 64) - (1 << 63)
+            assert int(q) == int(q0) == expected
 
     @given(lanes(8, signed=False), lanes(8, signed=False))
     def test_average_floor(self, a, b):

@@ -194,6 +194,128 @@ def test_compiled_matches_eager_on_kernel_programs(replay_spans):
                 getattr(dev.ledger, field), (name, field)
 
 
+# -- the section's compute dtype ---------------------------------------------
+
+def test_kernel_plans_run_every_section_on_uint8():
+    """The QVGA LPF, HPF and NMS plans lower every section to uint8
+    lanes: each of their ops is one the u8 tier runs exactly."""
+    cfg = PIMConfig()
+    for program in (lpf_program(cfg), hpf_program(cfg, scratch_base=200),
+                    nms_program(cfg, th1=20, th2=40, scratch_base=210)):
+        plan = compiled_plan(program, cfg)
+        assert [s.dtype for s in plan.sections if s.steps] == \
+            [np.uint8], program.name
+        assert plan.lane_dtypes == "uint8"
+        assert plan.fallback_ops == 0
+
+
+def _u8_base_program(extra=None):
+    """An HPF/NMS-like 8-bit body of u8-tier ops, plus one ``extra``
+    op ``(method, dst, srcs, kwargs)`` appended before its last op."""
+    rec = ProgramRecorder(CONFIG, name="tiers")
+    rec.shift_lanes(12, Rel(1), 2, signed=False)
+    rec.abs_diff(TMP, Rel(-1), 12, signed=False)
+    rec.add(13, TMP, Rel(0), saturate=True, signed=False)
+    rec.avg(13, 13, Imm(200), signed=False)
+    rec.sub(TMP, 13, Imm(40), saturate=True, signed=False)
+    rec.cmp_gt(14, TMP, Imm(20), signed=False)
+    rec.logic_nor(14, 14, Rel(1))
+    rec.maximum(13, 13, 14, signed=False)
+    if extra is not None:
+        method, dst, srcs, kwargs = extra
+        getattr(rec, method)(dst, *srcs, **kwargs)
+    rec.shift_lanes(Rel(-1), 13, -1, signed=False)
+    return rec.finish()
+
+
+@pytest.mark.parametrize("extra", [
+    ("cmp_gt", TMP, (Rel(0), 13), {"signed": True}),
+    ("add", 13, (13, Rel(1)), {"saturate": False, "signed": False}),
+    ("minimum", 13, (13, TMP), {"signed": True}),
+    ("shift_bits", 13, (13, -1), {"signed": False}),
+], ids=lambda extra: extra[0])
+def test_one_op_outside_the_u8_tier_runs_the_section_int16(extra):
+    """A section holding one op the u8 lowering cannot run exactly --
+    a signed read, a wrapping add, a bit shift -- runs on int16, and
+    both tiers match eager replay."""
+    for program, dtype in ((_u8_base_program(), np.uint8),
+                           (_u8_base_program(extra), np.int16)):
+        plan = compiled_plan(program, CONFIG)
+        assert [s.dtype for s in plan.sections] == [dtype]
+        for bases in ([4], [2, 5, 8], list(range(1, 11, 3))):
+            dev_c = _fresh_device(len(bases))
+            dev_e = _fresh_device(len(bases))
+            dev_c.run_program(program, bases, mode="auto")
+            dev_e.run_program(program, bases, mode="eager")
+            _assert_state_equal(dev_c, dev_e)
+
+
+_U8_SRCS = _DSTS + [Imm(0), Imm(1), Imm(77), Imm(128), Imm(255)]
+_u8_src = st.sampled_from(_U8_SRCS)
+_u8_op = st.one_of(
+    st.tuples(st.sampled_from(["add", "sub"]), _dst, _u8_src,
+              _u8_src).map(
+        lambda t: (t[0], t[1:], {"saturate": True, "signed": False})),
+    st.tuples(st.sampled_from(["avg", "abs_diff", "maximum", "minimum",
+                               "cmp_gt"]), _dst, _u8_src, _u8_src).map(
+        lambda t: (t[0], t[1:], {"signed": False})),
+    st.tuples(st.sampled_from(["logic_and", "logic_or", "logic_xor",
+                               "logic_nor"]), _dst, _u8_src,
+              _u8_src).map(lambda t: (t[0], t[1:], {})),
+    st.tuples(st.just("shift_lanes"), _dst, _u8_src,
+              st.integers(-9, 9), _flag).map(
+        lambda t: (t[0], t[1:3], {"pixels": t[3], "signed": t[4]})),
+    st.tuples(st.just("copy"), _dst, _u8_src, _flag).map(
+        lambda t: (t[0], t[1:3], {"signed": t[3]})),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=st.lists(_u8_op, min_size=1, max_size=12), bases=_bases,
+       tail16=_flag, seed=st.integers(0, 2**16))
+@example(ops=[("add", (Rel(0), Rel(0), Rel(1)),
+               {"saturate": True, "signed": False}),
+              ("avg", (Rel(1), Rel(0), Imm(255)), {"signed": False})],
+         bases=[1, 2, 3, 4, 5, 6, 7, 8], tail16=False, seed=0)
+def test_u8_tier_matches_eager(ops, bases, tail16, seed):
+    """Programs of u8-tier ops (unsigned reads, immediates in
+    ``[0, 255]``, lane shifts past the row) lower their 8-bit section
+    to uint8 and replay compiled == eager, alone or ahead of a 16-bit
+    section that reads their Tmp and rows back."""
+    if tail16:
+        ops = ops + [("set_precision", (16,), {}),
+                     ("add", (Rel(0), TMP, 13),
+                      {"saturate": True, "signed": True})]
+        bases = bases[:1]  # a mid-program switch refuses multi-base
+    program = _record_accepted(ops, 8)
+    plan = compiled_plan(program, CONFIG)
+    assert plan.sections[0].dtype is np.uint8
+    dev_c = _fresh_device(seed)
+    dev_e = _fresh_device(seed)
+    dev_c.run_program(program, bases, mode="auto")
+    dev_e.run_program(program, bases, mode="eager")
+    _assert_state_equal(dev_c, dev_e)
+
+
+def test_run_program_span_carries_lane_dtypes(replay_spans):
+    """Compiled ``run_program`` spans name the section dtypes that ran;
+    eager runs carry none."""
+    mixed = _u8_base_program(("add", 13, (13, Rel(1)),
+                              {"saturate": False, "signed": False}))
+    rec = ProgramRecorder(CONFIG, name="two-sections")
+    rec.avg(Rel(0), Rel(0), Rel(1), signed=False)
+    rec.set_precision(16)
+    rec.add(TMP, Rel(0), Imm(3))
+    two = rec.finish()
+    device = PIMDevice(CONFIG)
+    for program, want in ((_u8_base_program(), "uint8"),
+                          (mixed, "int16"), (two, "uint8,int32")):
+        device.run_program(program, [4], mode="auto")
+        assert replay_spans()[-1]["lane_dtypes"] == want
+        device.run_program(program, [4], mode="eager")
+        assert "lane_dtypes" not in replay_spans()[-1]
+
+
 def test_plan_is_compiled_once_per_program():
     """The lowered plan is memoized on the program (hit/miss metrics)."""
     registry = get_registry()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataset import make_sequence
 from repro.dataset.synthetic import make_room_scene, render_frame
@@ -16,6 +18,7 @@ from repro.vo import (
     extract_features,
     lm_estimate,
 )
+from repro.vo.features import FeatureSet
 
 SMALL_CAM = TUM_QVGA.scaled(0.5)  # 160x120 for speed
 
@@ -50,6 +53,48 @@ class TestFeatureExtraction:
         edge = np.ones((5, 5), dtype=bool)
         depth = np.full((5, 5), np.nan)
         assert len(extract_features(edge, depth, 10, 0.2, 10.0)) == 0
+
+    @staticmethod
+    def _reference(edge_map, depth_map, max_features, min_depth,
+                   max_depth):
+        """The 2-D ``np.nonzero`` extraction the flat one replaced."""
+        edge_map = np.asarray(edge_map, dtype=bool)
+        depth_map = np.asarray(depth_map, dtype=np.float64)
+        vs, us = np.nonzero(edge_map)
+        d = depth_map[vs, us]
+        ok = np.isfinite(d) & (d > min_depth) & (d < max_depth)
+        us, vs, d = us[ok], vs[ok], d[ok]
+        if us.size > max_features:
+            idx = np.linspace(0, us.size - 1, max_features).astype(
+                np.int64)
+            us, vs, d = us[idx], vs[idx], d[idx]
+        return FeatureSet(u=us.astype(np.float64),
+                          v=vs.astype(np.float64), depth=d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+           density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           budget=st.integers(0, 80),
+           seed=st.integers(0, 2**16))
+    def test_flat_extraction_matches_nonzero_reference(
+            self, shape, density, budget, seed):
+        """Same u, v and depth arrays, dtypes and order as the 2-D
+        reference: empty and full maps, NaN/inf and out-of-range
+        depths, and budgets below the edge count (the subsampling
+        path)."""
+        rng = np.random.default_rng(seed)
+        edge = rng.random(shape) < density
+        depth = rng.choice(np.array([np.nan, np.inf, -1.0, 0.1, 0.2,
+                                     2.0, 9.99, 10.0, 50.0]),
+                           size=shape)
+        depth = np.where(rng.random(shape) < 0.5, depth,
+                         rng.uniform(0.0, 12.0, shape))
+        got = extract_features(edge, depth, budget, 0.2, 10.0)
+        want = self._reference(edge, depth, budget, 0.2, 10.0)
+        for name in ("u", "v", "depth"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            np.testing.assert_array_equal(g, w, err_msg=name)
 
 
 class TestLMEstimation:

@@ -674,16 +674,11 @@ def _lower_op_u8(op, lanes: int):
         raise _Unsupported("signed read")
     if method in ("add", "sub") and not kw.get("saturate"):
         raise _Unsupported("wrapping add/sub")
-    readers = []
-    for src in op.srcs:
-        if isinstance(src, Imm):
-            if not 0 <= _imm_value(src) <= 255:
-                raise _Unsupported("immediate outside [0, 255]")
-            const = np.array(_imm_value(src), dtype=np.uint8)
-            readers.append(lambda ex, const=const: const)
-        else:
-            key = _slot_key(src)
-            readers.append(lambda ex, key=key: ex.get(key))
+    if any(isinstance(src, Imm) and not 0 <= _imm_value(src) <= 255
+           for src in op.srcs):
+        raise _Unsupported("immediate outside [0, 255]")
+    readers = tuple(_src_reader(src, 8, np.uint8, False, False, 0xFF)
+                    for src in op.srcs)
     dst_key = _slot_key(op.dst)
     read = readers[0]
 

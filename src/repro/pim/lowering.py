@@ -602,55 +602,20 @@ def _lower_fallback(op, n: int):
     return step
 
 
-def _in_place(t):
-    """``t`` as an ``out=`` target: a fresh result array, or None for
-    a scalar (the result of two immediates)."""
-    return t if t.ndim else None
-
-
-def _sat_add_u8(a, b):
-    # min(a + b, 255) = a + min(b, 255 - a), and 255 - a is ~a.
-    t = ~a
-    t = np.minimum(t, b, out=_in_place(t))
-    t += a
-    return t
-
-
-def _sat_sub_u8(a, b):
-    # max(a - b, 0) = a - min(a, b).
-    t = np.minimum(a, b)
-    return np.subtract(a, t, out=_in_place(t))
-
-
-def _avg_u8(a, b):
-    # floor((a + b) / 2) without the carry out of the byte.
-    t = a ^ b
-    t >>= 1
-    t += a & b
-    return t
-
-
-def _abs_diff_u8(a, b):
-    t = np.maximum(a, b)
-    t -= np.minimum(a, b)
-    return t
-
-
-def _nor_u8(a, b):
-    t = a | b
-    return np.invert(t, out=_in_place(t))
-
-
+#: Two-source ops of the u8 tier, exact on unsigned bytes.
 _U8_KERNELS = {
-    "add": _sat_add_u8,
-    "sub": _sat_sub_u8,
-    "avg": _avg_u8,
-    "abs_diff": _abs_diff_u8,
+    # min(a + b, 255) = a + min(b, 255 - a), and 255 - a is ~a.
+    "add": lambda a, b: a + np.minimum(b, ~a),
+    # max(a - b, 0) = a - min(a, b).
+    "sub": lambda a, b: a - np.minimum(a, b),
+    # floor((a + b) / 2) without the carry out of the byte.
+    "avg": lambda a, b: (a & b) + ((a ^ b) >> 1),
+    "abs_diff": lambda a, b: np.maximum(a, b) - np.minimum(a, b),
     "cmp_gt": lambda a, b: (a > b).view(np.uint8),
     "logic_and": np.bitwise_and,
     "logic_or": np.bitwise_or,
     "logic_xor": np.bitwise_xor,
-    "logic_nor": _nor_u8,
+    "logic_nor": lambda a, b: ~(a | b),
     "maximum": np.maximum,
     "minimum": np.minimum,
 }

@@ -120,9 +120,45 @@ def nms_reference(response: np.ndarray, th1: int = DEFAULT_TH1,
     return edges
 
 
+def _binomial_floor_u8(image: np.ndarray) -> np.ndarray:
+    """``floor(binomial_lpf(image))`` of a ``[0, 255]`` integer image.
+
+    The edge-padded ``(1, 2, 1)`` row sum, then column sum, is 16 times
+    the binomial LPF, at most ``16 * 255`` so in int16; ``>> 4`` floors
+    it.  This is exact, not close: every tap product and partial sum of
+    the float LPF is a multiple of 1/16 below 256, so none rounds and
+    any tap order gives the same floor.
+    """
+    h, w = image.shape
+    padded = np.empty((h + 2, w + 2), dtype=np.int16)
+    padded[1:-1, 1:-1] = image
+    padded[0] = padded[1]
+    padded[-1] = padded[-2]
+    padded[:, 0] = padded[:, 1]
+    padded[:, -1] = padded[:, -2]
+    centre = padded[:, 1:-1]
+    rows = padded[:, :-2] + padded[:, 2:]
+    rows += centre
+    rows += centre
+    centre = rows[1:-1]
+    out = rows[:-2] + rows[2:]
+    out += centre
+    out += centre
+    out >>= 4
+    return out
+
+
 def detect_edges_reference(image: np.ndarray, th1: int = DEFAULT_TH1,
                            th2: int = DEFAULT_TH2) -> np.ndarray:
     """Full reference edge detector: LPF -> SAD HPF -> NMS.
+
+    The LPF is the float binomial of :func:`binomial_lpf`, floored
+    once.  The PIM mirror (:func:`repro.kernels.detect_edges_fast`)
+    floors after each of its two 2x2 averages instead, so on the same
+    integer gray the two edge maps differ on some pixels.  An integer
+    image in ``[0, 255]`` takes an exact int16 LPF with the same
+    floored result (:func:`_binomial_floor_u8`); any other image (float
+    gray, out of range, empty) takes the float one.
 
     Args:
         image: 8-bit grayscale image (any numeric dtype, values 0-255).
@@ -130,7 +166,13 @@ def detect_edges_reference(image: np.ndarray, th1: int = DEFAULT_TH1,
     Returns:
         Boolean edge map of the image's shape.
     """
-    smooth = binomial_lpf(image)
+    image = np.asarray(image)
+    if image.size and image.dtype.kind in "iu" and \
+            0 <= image.min() and image.max() <= 255:
+        smooth = _binomial_floor_u8(image)
+    else:
+        smooth = binomial_lpf(image)
+        np.floor(smooth, out=smooth)
     # The HPF casts the floored LPF straight into its lanes.
-    response = hpf_sad_reference(np.floor(smooth, out=smooth))
+    response = hpf_sad_reference(smooth)
     return nms_reference(response, th1, th2)

@@ -18,7 +18,7 @@ from repro.geometry.camera import inverse_depth_coords
 from repro.geometry.se3 import SE3
 from repro.kernels.edge_detect import detect_edges_fast, detect_edges_replay
 from repro.kernels.hessian import hessian_fast, unpack_symmetric
-from repro.kernels.jacobian import jacobian_fast, jacobian_float
+from repro.kernels.jacobian import jacobian_fast
 from repro.kernels.warp import (
     UV_FORMAT,
     quantize_features,
@@ -36,6 +36,9 @@ from repro.vo.features import FeatureSet
 from repro.vo.health import CorruptFrameError
 
 __all__ = ["KeyframeMaps", "FloatFrontend", "PIMFrontend"]
+
+#: The float lookup maps of :class:`KeyframeMaps`.
+_FLOAT_MAPS = ("dt", "grad_u", "grad_v")
 
 
 def _check_frame(gray: np.ndarray) -> np.ndarray:
@@ -76,6 +79,10 @@ class KeyframeMaps:
     The maps are write-once: tracker checkpoints share a keyframe
     instead of copying it, so every array is marked read-only here and
     an in-place write raises.
+
+    Each float map is the top-left ``(h, w)`` view of its
+    :func:`_edge_pad` grid (:meth:`grid`), which the float lookup
+    reads: the maps take no extra memory for it.
     """
 
     dt: Optional[np.ndarray] = None
@@ -86,22 +93,48 @@ class KeyframeMaps:
     gv_raw: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        self._grids = {}
         for f in fields(self):
             arr = getattr(self, f.name)
-            if arr is not None:
-                arr.flags.writeable = False
+            if arr is None:
+                continue
+            if f.name in _FLOAT_MAPS:
+                grid = _edge_pad(arr)
+                grid.flags.writeable = False
+                self._grids[f.name] = grid
+                arr = grid[:-1, :-1]
+                setattr(self, f.name, arr)
+            arr.flags.writeable = False
+
+    def grid(self, name: str) -> np.ndarray:
+        """The read-only :func:`_edge_pad` grid of float map ``name``."""
+        return self._grids[name]
+
+
+def _edge_pad(grid: np.ndarray) -> np.ndarray:
+    """``grid`` in float64 with its last row and column repeated once.
+
+    A :func:`_bilinear_plan` of the ``(h, w)`` grid indexes this
+    ``(h + 1, w + 1)`` one: the repeated cells are exactly the
+    neighbours an edge clamp would pick.
+    """
+    return np.pad(np.asarray(grid, dtype=np.float64), ((0, 1), (0, 1)),
+                  mode="edge")
 
 
 def _bilinear_plan(shape, u: np.ndarray, v: np.ndarray,
                    inside: bool = False) -> tuple:
     """One bilinear lookup at ``(u, v)``, for any grid of ``shape``.
 
-    Returns the flat indices ``v * w + u`` of the four corners
-    ``(v0, u0), (v0, u1), (v1, u0), (v1, u1)`` and the blend weights
-    ``(1 - fu, fu, 1 - fv, fv)``, with the coordinates clamped into the
-    grid (edge clamping).  :func:`_blend` applies it to a grid.
-    ``inside`` says that every coordinate already lies in the grid, so
-    the clamp, which would change nothing, is skipped.
+    Returns the flat indices of the four corners ``(v0, u0), (v0, u0 +
+    1), (v0 + 1, u0), (v0 + 1, u0 + 1)`` in the grid's :func:`_edge_pad`
+    grid, ``(h + 1, w + 1)``, and the blend weights ``(1 - fu, fu, 1 -
+    fv, fv)``, with the coordinates clamped into the grid (edge
+    clamping).  A corner past the last row or column is a repeated
+    cell, so it reads the value the clamped corner would.
+    :func:`_blend` applies the plan to a padded grid.  ``inside`` says
+    that every coordinate already lies in the grid, so the clamp, which
+    would change nothing, is skipped.
     """
     h, w = shape
     if not inside:
@@ -109,31 +142,81 @@ def _bilinear_plan(shape, u: np.ndarray, v: np.ndarray,
         v = np.clip(v, 0.0, h - 1.0)
     u_floor = np.floor(u)
     v_floor = np.floor(v)
-    u0 = u_floor.astype(np.intp)
-    v0 = v_floor.astype(np.intp)
-    # The right and lower neighbours, clamped at the last column/row.
-    du = u0 < w - 1
-    dv = (v0 < h - 1) * w
-    i00 = v0 * w + u0
-    i01 = i00 + du
-    i10 = i00 + dv
-    i11 = i10 + du
-    fu = u - u_floor
-    fv = v - v_floor
+    i00 = v_floor.astype(np.intp)
+    i00 *= w + 1
+    i00 += u_floor.astype(np.intp)
+    i01 = i00 + 1
+    i10 = i00 + (w + 1)
+    i11 = i00 + (w + 2)
+    fu = np.subtract(u, u_floor, out=u_floor)
+    fv = np.subtract(v, v_floor, out=v_floor)
     return i00, i01, i10, i11, 1 - fu, fu, 1 - fv, fv
 
 
 def _blend(grid: np.ndarray, plan: tuple) -> np.ndarray:
-    """Bilinear interpolation of ``grid`` by a :func:`_bilinear_plan`."""
+    """Bilinear interpolation of a padded ``grid`` by a
+    :func:`_bilinear_plan`.
+
+    ``wv0 * (wu0 * g00 + wu1 * g01) + wv1 * (wu0 * g10 + wu1 * g11)``,
+    operand for operand, in two gathered buffers.
+    """
     i00, i01, i10, i11, wu0, wu1, wv0, wv1 = plan
     flat = grid.ravel()
-    return (wv0 * (wu0 * flat.take(i00) + wu1 * flat.take(i01)) +
-            wv1 * (wu0 * flat.take(i10) + wu1 * flat.take(i11)))
+    top = flat.take(i00)
+    np.multiply(wu0, top, out=top)
+    other = flat.take(i01)
+    np.multiply(wu1, other, out=other)
+    top += other
+    np.multiply(wv0, top, out=top)
+    bottom = flat.take(i10)
+    np.multiply(wu0, bottom, out=bottom)
+    flat.take(i11, out=other)
+    np.multiply(wu1, other, out=other)
+    bottom += other
+    np.multiply(wv1, bottom, out=bottom)
+    top += bottom
+    return top
 
 
 def _bilinear(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bilinear interpolation with edge clamping."""
-    return _blend(grid, _bilinear_plan(grid.shape, u, v))
+    return _blend(_edge_pad(grid), _bilinear_plan(grid.shape, u, v))
+
+
+def _jacobian_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                   iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    """:func:`~repro.kernels.jacobian.jacobian_float` of float64 arrays,
+    bit for bit: the same operations in the same order, each written
+    into its column of one C-ordered ``(n, 6)`` array.
+
+    ``x`` and ``y`` are overwritten.
+    """
+    safe_z = z
+    if np.abs(z).min() < 1e-12:
+        safe_z = np.where(np.abs(z) < 1e-12, 1e-12, z)
+    k = x * iu
+    k += y * iv
+    k /= safe_z
+    w = 1.0 / safe_z
+    rx = np.divide(x, safe_z, out=x)
+    ry = np.divide(y, safe_z, out=y)
+    jac = np.empty((z.size, 6))
+    np.multiply(iu, w, out=jac[:, 0])
+    np.multiply(iv, w, out=jac[:, 1])
+    col = jac[:, 2]
+    np.multiply(k, w, out=col)
+    np.negative(col, out=col)
+    col = jac[:, 3]
+    np.multiply(ry, k, out=col)
+    col += iv
+    np.negative(col, out=col)
+    col = jac[:, 4]
+    np.multiply(rx, k, out=col)
+    col += iu
+    col = jac[:, 5]
+    np.multiply(rx, iv, out=col)
+    col -= np.multiply(ry, iu, out=w)
+    return jac
 
 
 def _energy_counters(ledger) -> tuple:
@@ -149,7 +232,12 @@ class FloatFrontend:
         self.config = config
 
     def detect(self, gray: np.ndarray) -> np.ndarray:
-        """Boolean edge map of a frame."""
+        """Boolean edge map of a frame, by the float reference detector.
+
+        Its LPF floors the binomial once; the PIM mirror floors each of
+        two 2x2 averages, so on the same gray the two frontends' edge
+        maps differ on some pixels.
+        """
         gray = _check_frame(gray)
         return detect_edges_reference(gray, self.config.th1,
                                       self.config.th2)
@@ -183,7 +271,7 @@ class FloatFrontend:
         plan = _bilinear_plan(maps.dt.shape, res.u[valid], res.v[valid],
                               inside=maps.dt.shape == (cam.height,
                                                        cam.width))
-        rv = _blend(maps.dt, plan)
+        rv = _blend(maps.grid("dt"), plan)
         np.minimum(rv, self.config.residual_clamp, out=rv)
         return res, rv, valid, plan
 
@@ -214,13 +302,13 @@ class FloatFrontend:
         n = rv.size
         if n == 0:
             return np.zeros((6, 6)), np.zeros(6), np.inf, 0
-        gu = _blend(maps.grad_u, plan)
-        gv = _blend(maps.grad_v, plan)
+        gu = _blend(maps.grid("grad_u"), plan)
+        gv = _blend(maps.grid("grad_v"), plan)
         cv = np.asarray(c)[valid]
         z_real = res.z[valid] / cv
         x_real = res.rx[valid] * z_real
         y_real = res.ry[valid] * z_real
-        jac = jacobian_float(x_real, y_real, z_real, gu, gv)
+        jac = _jacobian_rows(x_real, y_real, z_real, gu, gv)
         if self.config.huber_delta is not None:
             # Iteratively reweighted least squares with Huber weights
             # w = min(1, delta / |r|) applied to H and b.
@@ -295,7 +383,7 @@ class PIMFrontend:
             registry.histogram(
                 "frame_edge_pixels",
                 "Edge pixels per detected frame").observe(
-                    int(result.edge_map.sum()))
+                    int(np.count_nonzero(result.edge_map)))
             self.last_detect_cycles = dict(result.cycles)
             return result.edge_map
         return detect_edges_fast(gray, self.config.th1,

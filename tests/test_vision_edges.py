@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.vision.edges as edges_module
 from repro.vision import (
+    binomial_lpf,
     detect_edges_reference,
     hpf_sad_reference,
     nms_reference,
     sobel_magnitude,
 )
-from repro.vision.edges import _lanes
+from repro.vision.edges import _binomial_floor_u8, _lanes
 
 
 def step_image(width=32, height=24, column=16, lo=20, hi=220):
@@ -283,3 +286,90 @@ class TestNarrowLanesAtTheBound:
                            th1, th2)
         np.testing.assert_array_equal(
             detect_edges_reference(image, th1, th2), want)
+
+
+def _float_lpf_detector(image, th1=40, th2=2):
+    """The detector with the float binomial LPF, floored once."""
+    smooth = np.floor(binomial_lpf(image))
+    return nms_reference(hpf_sad_reference(smooth), th1, th2)
+
+
+#: Odd crops of a QVGA frame, as the pyramid's levels have.
+_QVGA_CROPS = [(239, 319), (121, 161), (61, 81)]
+
+
+class TestIntegerLpf:
+    """An integer image in [0, 255] takes an int16 LPF that equals the
+    floored float binomial bit for bit; anything else the float LPF."""
+
+    @given(st.sampled_from([np.uint8, np.int16, np.int64]),
+           st.integers(1, 24), st.integers(1, 24),
+           st.sampled_from(["random", "zeros", "full", "binary"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_floored_float_binomial(self, dtype, h, w, fill, seed):
+        rng = np.random.default_rng(seed)
+        image = {"random": lambda: rng.integers(0, 256, (h, w)),
+                 "zeros": lambda: np.zeros((h, w), dtype=int),
+                 "full": lambda: np.full((h, w), 255),
+                 "binary": lambda: 255 * rng.integers(0, 2, (h, w)),
+                 }[fill]().astype(dtype)
+        got = _binomial_floor_u8(image)
+        assert got.dtype == np.int16
+        np.testing.assert_array_equal(got, np.floor(binomial_lpf(image)))
+        for th1, th2 in ((40, 2), (0, 0)):
+            np.testing.assert_array_equal(
+                detect_edges_reference(image, th1, th2),
+                _float_lpf_detector(image, th1, th2))
+
+    @pytest.mark.parametrize("shape", _QVGA_CROPS + [(1, 320), (240, 1)])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+    def test_qvga_crops(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        image = rng.integers(0, 256, shape)
+        image[:, shape[1] // 2:] //= 3
+        image[0, 0], image[-1, -1] = 0, 255
+        image = image.astype(dtype)
+        np.testing.assert_array_equal(_binomial_floor_u8(image),
+                                      np.floor(binomial_lpf(image)))
+        got = detect_edges_reference(image)
+        np.testing.assert_array_equal(got, _float_lpf_detector(image))
+        if min(shape) > 3:
+            assert got.any()
+
+    @pytest.mark.parametrize("image,integer", [
+        (np.arange(48).reshape(6, 8) % 256, True),
+        (np.full((6, 8), 255, dtype=np.uint8), True),
+        (np.zeros((6, 8), dtype=np.int16), True),
+        (np.full((6, 8), 255.0), False),
+        (np.arange(48.0).reshape(6, 8), False),
+        (np.arange(48).reshape(6, 8) - 1, False),
+        (np.arange(48).reshape(6, 8) + 209, False),
+        (np.arange(48, dtype=np.uint16).reshape(6, 8) * 6, False),
+        (np.ones((6, 8), dtype=bool), False),
+    ], ids=["int64", "uint8-255", "int16-zeros", "float-255", "float",
+            "negative", "above-255", "uint16-above-255", "bool"])
+    def test_path_is_chosen_by_exactness(self, monkeypatch, image,
+                                         integer):
+        calls = _count_float_lpf(monkeypatch)
+        got = detect_edges_reference(image)
+        assert (not calls) == integer
+        np.testing.assert_array_equal(got, _float_lpf_detector(image))
+
+    def test_empty_image_takes_the_float_path(self, monkeypatch):
+        calls = _count_float_lpf(monkeypatch)
+        with pytest.raises(ValueError, match="empty axis"):
+            detect_edges_reference(np.zeros((0, 5), dtype=int))
+        assert calls
+
+
+def _count_float_lpf(monkeypatch) -> list:
+    """Record every call the detector makes to the float LPF."""
+    calls = []
+
+    def counted(img):
+        calls.append(img.dtype)
+        return binomial_lpf(img)
+
+    monkeypatch.setattr(edges_module, "binomial_lpf", counted)
+    return calls

@@ -11,12 +11,16 @@ from repro.kernels.warp import warp_float
 from repro.vo.config import TrackerConfig
 from repro.vo.features import extract_features
 from repro.vo.pyramid import build_pyramid
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.vo.frontend import (
     FloatFrontend,
+    KeyframeMaps,
     PIMFrontend,
     _bilinear,
     _bilinear_plan,
     _blend,
+    _edge_pad,
+    _jacobian_rows,
 )
 
 
@@ -56,6 +60,45 @@ def _bilinear_2d(grid, u, v):
             fv * ((1 - fu) * grid[v1, u0] + fu * grid[v1, u1]))
 
 
+def _clamped_plan(shape, u, v):
+    """The plan on the unpadded grid: corners clamped by compares."""
+    h, w = shape
+    u = np.clip(u, 0.0, w - 1.0)
+    v = np.clip(v, 0.0, h - 1.0)
+    u_floor = np.floor(u)
+    v_floor = np.floor(v)
+    u0 = u_floor.astype(np.intp)
+    v0 = v_floor.astype(np.intp)
+    du = u0 < w - 1
+    dv = (v0 < h - 1) * w
+    i00 = v0 * w + u0
+    i01 = i00 + du
+    i10 = i00 + dv
+    i11 = i10 + du
+    fu = u - u_floor
+    fv = v - v_floor
+    return i00, i01, i10, i11, 1 - fu, fu, 1 - fv, fv
+
+
+def _clamped_blend(grid, plan):
+    """:func:`_clamped_plan`'s blend of the unpadded grid."""
+    i00, i01, i10, i11, wu0, wu1, wv0, wv1 = plan
+    flat = grid.ravel()
+    return (wv0 * (wu0 * flat.take(i00) + wu1 * flat.take(i01)) +
+            wv1 * (wu0 * flat.take(i10) + wu1 * flat.take(i11)))
+
+
+def _clamped_lookup(grid, u, v):
+    return _clamped_blend(grid, _clamped_plan(grid.shape, u, v))
+
+
+def _assert_bits_equal(got, want):
+    """Equal bit for bit: -0.0 and +0.0 (and NaN payloads) differ."""
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  want.view(np.uint64))
+
+
 class TestBilinearPlan:
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 40),
            st.integers(0, 10 ** 9))
@@ -74,8 +117,43 @@ class TestBilinearPlan:
         for _ in range(3):
             grid = rng.normal(0.0, 50.0, (h, w))
             want = _bilinear_2d(grid, u, v)
-            np.testing.assert_array_equal(_blend(grid, plan), want)
+            np.testing.assert_array_equal(_blend(_edge_pad(grid), plan),
+                                          want)
             np.testing.assert_array_equal(_bilinear(grid, u, v), want)
+            _assert_bits_equal(_bilinear(grid, u, v),
+                               _clamped_lookup(grid, u, v))
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 40),
+           st.integers(0, 10 ** 9))
+    @settings(max_examples=120, deadline=None)
+    def test_padded_plan_equals_clamped_plan_bitwise(self, h, w, n, seed):
+        """The padded grid's plan reads what the clamped corners read,
+        bit for bit: on the last row and column exactly, past them
+        (clamped), and with -0.0 and +-inf in the border cells, where a
+        zero weight still decides the sign and NaN of the result."""
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-2.5, w + 1.5, n + 4)
+        v = rng.uniform(-2.5, h + 1.5, n + 4)
+        u[:2], v[:2] = w - 1.0, h - 1.0
+        u[2:4] = rng.integers(0, w, 2)
+        v[2:4] = rng.integers(0, h, 2)
+        u[4::3] = w - 1.0
+        v[5::3] = h - 1.0
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, 1.5, -2.0])
+        plan = _bilinear_plan((h, w), u, v)
+        for _ in range(3):
+            grid = rng.normal(0.0, 50.0, (h, w))
+            grid[-1] = rng.choice(special, w)
+            grid[:, -1] = rng.choice(special, h)
+            maps = KeyframeMaps(dt=grid, grad_u=-grid, grad_v=grid * 2)
+            with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf
+                want = _clamped_lookup(grid, u, v)
+                _assert_bits_equal(_blend(_edge_pad(grid), plan), want)
+                _assert_bits_equal(_bilinear(grid, u, v), want)
+                for name in ("dt", "grad_u", "grad_v"):
+                    field = getattr(maps, name)
+                    _assert_bits_equal(_blend(maps.grid(name), plan),
+                                       _clamped_lookup(field, u, v))
 
     def test_non_contiguous_grid(self):
         grid = np.arange(30, dtype=np.float64).reshape(5, 6).T
@@ -131,17 +209,17 @@ def _full_length_reference(fe, feats, pose, maps):
     a, b, c = feats
     res = warp_float(pose, a, b, c, fe.config.camera)
     valid = res.valid
-    plan = _bilinear_plan(maps.dt.shape, res.u[valid], res.v[valid])
+    plan = _clamped_plan(maps.dt.shape, res.u[valid], res.v[valid])
     r = np.zeros_like(res.u)
-    r[valid] = _blend(maps.dt, plan)
+    r[valid] = _clamped_blend(maps.dt, plan)
     np.minimum(r, fe.config.residual_clamp, out=r)
     n = int(valid.sum())
     if n == 0:
         return (np.inf, 0), (np.zeros((6, 6)), np.zeros(6), np.inf, 0)
     z_real = res.z[valid] / np.asarray(c)[valid]
     jac = jacobian_float(res.rx[valid] * z_real, res.ry[valid] * z_real,
-                         z_real, _blend(maps.grad_u, plan),
-                         _blend(maps.grad_v, plan))
+                         z_real, _clamped_blend(maps.grad_u, plan),
+                         _clamped_blend(maps.grad_v, plan))
     rv = r[valid]
     err = float(np.mean(r[valid] ** 2))
     return (err, n), (jac.T @ jac, jac.T @ rv, float(np.mean(rv ** 2)), n)
@@ -201,6 +279,97 @@ class TestValidLaneLookup:
             # lanes fall off the grid there and are clamped; levels 0
             # and 3 (30x40) have the camera's shape.
             assert camera_shaped == 5 * 2 and clamped_outside > 0
+
+
+class TestFloatLinearize:
+    @pytest.mark.parametrize("huber", [None, 0.5])
+    @pytest.mark.parametrize("twist", [
+        np.zeros(6),
+        np.array([0.01, -0.02, 0.015, 0.004, -0.003, 0.002]),
+        np.array([0.3, 0.2, -0.1, 0.05, 0.08, -0.06]),
+    ])
+    def test_equals_reference_jacobian_normal_equations(self, float_pair,
+                                                        twist, huber):
+        """``H`` and ``b`` are ``jac.T @ jac`` and ``jac.T @ rv`` of the
+        reference :func:`jacobian_float`, bit for bit."""
+        fe, maps, feats = float_pair
+        fe = FloatFrontend(TrackerConfig(camera=fe.config.camera,
+                                         huber_delta=huber))
+        pose = SE3.exp(twist)
+        err, n, lookup = fe.error(feats, pose, maps)
+        res, rv, valid, _ = lookup
+        c = np.asarray(feats[2])[valid]
+        z_real = res.z[valid] / c
+        u, v = res.u[valid], res.v[valid]
+        jac = jacobian_float(res.rx[valid] * z_real, res.ry[valid] * z_real,
+                             z_real, _clamped_lookup(maps.grad_u, u, v),
+                             _clamped_lookup(maps.grad_v, u, v))
+        if huber is None:
+            want_h, want_b = jac.T @ jac, jac.T @ rv
+        else:
+            weight = np.minimum(1.0, huber / np.maximum(np.abs(rv), 1e-12))
+            jw = jac * weight[:, None]
+            want_h, want_b = jw.T @ jac, jw.T @ rv
+        h, b, got_err, got_n = fe.linearize(feats, pose, maps, lookup)
+        _assert_bits_equal(h, want_h)
+        _assert_bits_equal(b, want_b)
+        assert (got_err, got_n) == (err, n) and n > 0
+
+    @given(st.integers(1, 50), st.integers(0, 10 ** 9),
+           st.sampled_from([0.0, 1e-13, 0.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_reference_kernel(self, n, seed, near_zero):
+        """Column for column, including depths the reference guards
+        (``|z| < 1e-12``, +-0.0) and negative ones."""
+        rng = np.random.default_rng(seed)
+        x, y, iu, iv = (rng.normal(0.0, s, n) for s in (1.0, 1.0, 300, 300))
+        z = rng.uniform(-0.5, 5.0, n)
+        z[::4] = near_zero
+        z[1::7] = -near_zero
+        want = jacobian_float(x, y, z, iu, iv)
+        got = _jacobian_rows(x.copy(), y.copy(), z, iu, iv)
+        assert got.shape == (n, 6) and got.flags.c_contiguous
+        _assert_bits_equal(got, want)
+
+
+class TestKeyframeGrids:
+    def test_float_maps_are_views_of_edge_replicated_grids(self, float_pair):
+        _, maps, _ = float_pair
+        h, w = maps.dt.shape
+        for name in ("dt", "grad_u", "grad_v"):
+            field, grid = getattr(maps, name), maps.grid(name)
+            assert grid.shape == (h + 1, w + 1)
+            assert field.base is grid
+            assert not field.flags.writeable and not grid.flags.writeable
+            _assert_bits_equal(grid[:h, :w], field)
+            _assert_bits_equal(grid[h, :w], field[h - 1])
+            _assert_bits_equal(grid[:, w], grid[:, w - 1])
+
+    def test_pim_maps_have_no_grids(self):
+        maps = PIMFrontend(TrackerConfig(camera=TUM_QVGA.scaled(0.25))
+                           ).prepare_keyframe(np.eye(60, 80, dtype=bool))
+        with pytest.raises(KeyError):
+            maps.grid("dt")
+
+
+class TestEdgePixelHistogram:
+    def test_observes_the_edge_count(self):
+        seq = make_sequence("fr3_st_ntex_far", n_frames=2,
+                            camera=TUM_QVGA.scaled(0.5))
+        fe = PIMFrontend(TrackerConfig(camera=seq.camera,
+                                       pim_device_detect=True))
+        old = get_registry()
+        set_registry(MetricsRegistry())
+        try:
+            edges = [fe.detect(f.gray) for f in seq.frames]
+            summary = get_registry().get("frame_edge_pixels").summary()
+        finally:
+            set_registry(old)
+        counts = [int(np.count_nonzero(e)) for e in edges]
+        assert summary["count"] == 2 and min(counts) > 0
+        assert summary["sum"] == sum(counts)
+        assert (summary["min"], summary["max"]) == (min(counts),
+                                                    max(counts))
 
 
 class TestQuarterPixelBilinear:

@@ -345,12 +345,6 @@ class TestKeyframeGrids:
             _assert_bits_equal(grid[h, :w], field[h - 1])
             _assert_bits_equal(grid[:, w], grid[:, w - 1])
 
-    def test_pim_maps_have_no_grids(self):
-        maps = PIMFrontend(TrackerConfig(camera=TUM_QVGA.scaled(0.25))
-                           ).prepare_keyframe(np.eye(60, 80, dtype=bool))
-        with pytest.raises(KeyError):
-            maps.grid("dt")
-
 
 class TestEdgePixelHistogram:
     def test_observes_the_edge_count(self):

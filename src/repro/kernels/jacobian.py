@@ -50,6 +50,9 @@ _LANE_BITS = 16
 def jacobian_float(x, y, z, grad_u, grad_v) -> np.ndarray:
     """Float reference Jacobian (N x 6) from *real-scale* coordinates.
 
+    Depths with ``|z| < 1e-12`` are divided as ``1e-12``.  The six
+    columns are written into one C-ordered ``(..., 6)`` array.
+
     Args:
         x, y, z: Warped point in keyframe coordinates (real scale).
         grad_u, grad_v: DT gradient at the warped pixel, pre-multiplied
@@ -60,18 +63,29 @@ def jacobian_float(x, y, z, grad_u, grad_v) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     iu = np.asarray(grad_u, dtype=np.float64)
     iv = np.asarray(grad_v, dtype=np.float64)
-    safe_z = np.where(np.abs(z) < 1e-12, 1e-12, z)
+    safe_z = z
+    if np.any(np.abs(z) < 1e-12):
+        safe_z = np.where(np.abs(z) < 1e-12, 1e-12, z)
     k = (x * iu + y * iv) / safe_z
     w = 1.0 / safe_z
     rx, ry = x / safe_z, y / safe_z
-    return np.stack([
-        iu * w,
-        iv * w,
-        -(k * w),
-        -(ry * k + iv),
-        rx * k + iu,
-        rx * iv - ry * iu,
-    ], axis=-1)
+    jac = np.empty(k.shape + (6,))
+    np.multiply(iu, w, out=jac[..., 0])               # J1 = Iu w
+    np.multiply(iv, w, out=jac[..., 1])               # J2 = Iv w
+    col = jac[..., 2]                                 # J3 = -(K w)
+    np.multiply(k, w, out=col)
+    np.negative(col, out=col)
+    col = jac[..., 3]                                 # J4 = -(ry K + Iv)
+    np.multiply(ry, k, out=col)
+    col += iv
+    np.negative(col, out=col)
+    col = jac[..., 4]                                 # J5 = rx K + Iu
+    np.multiply(rx, k, out=col)
+    col += iu
+    col = jac[..., 5]                                 # J6 = rx Iv - ry Iu
+    np.multiply(rx, iv, out=col)
+    col -= ry * iu
+    return jac
 
 
 def _qmul(a, b, f: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from repro.geometry.camera import inverse_depth_coords
 from repro.geometry.se3 import SE3
 from repro.kernels.edge_detect import detect_edges_fast, detect_edges_replay
 from repro.kernels.hessian import hessian_fast, unpack_symmetric
-from repro.kernels.jacobian import jacobian_fast
+from repro.kernels.jacobian import jacobian_fast, jacobian_float
 from repro.kernels.warp import (
     UV_FORMAT,
     quantize_features,
@@ -155,68 +155,16 @@ def _bilinear_plan(shape, u: np.ndarray, v: np.ndarray,
 
 def _blend(grid: np.ndarray, plan: tuple) -> np.ndarray:
     """Bilinear interpolation of a padded ``grid`` by a
-    :func:`_bilinear_plan`.
-
-    ``wv0 * (wu0 * g00 + wu1 * g01) + wv1 * (wu0 * g10 + wu1 * g11)``,
-    operand for operand, in two gathered buffers.
-    """
+    :func:`_bilinear_plan`."""
     i00, i01, i10, i11, wu0, wu1, wv0, wv1 = plan
     flat = grid.ravel()
-    top = flat.take(i00)
-    np.multiply(wu0, top, out=top)
-    other = flat.take(i01)
-    np.multiply(wu1, other, out=other)
-    top += other
-    np.multiply(wv0, top, out=top)
-    bottom = flat.take(i10)
-    np.multiply(wu0, bottom, out=bottom)
-    flat.take(i11, out=other)
-    np.multiply(wu1, other, out=other)
-    bottom += other
-    np.multiply(wv1, bottom, out=bottom)
-    top += bottom
-    return top
+    return (wv0 * (wu0 * flat.take(i00) + wu1 * flat.take(i01)) +
+            wv1 * (wu0 * flat.take(i10) + wu1 * flat.take(i11)))
 
 
 def _bilinear(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bilinear interpolation with edge clamping."""
     return _blend(_edge_pad(grid), _bilinear_plan(grid.shape, u, v))
-
-
-def _jacobian_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                   iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
-    """:func:`~repro.kernels.jacobian.jacobian_float` of float64 arrays,
-    bit for bit: the same operations in the same order, each written
-    into its column of one C-ordered ``(n, 6)`` array.
-
-    ``x`` and ``y`` are overwritten.
-    """
-    safe_z = z
-    if np.abs(z).min() < 1e-12:
-        safe_z = np.where(np.abs(z) < 1e-12, 1e-12, z)
-    k = x * iu
-    k += y * iv
-    k /= safe_z
-    w = 1.0 / safe_z
-    rx = np.divide(x, safe_z, out=x)
-    ry = np.divide(y, safe_z, out=y)
-    jac = np.empty((z.size, 6))
-    np.multiply(iu, w, out=jac[:, 0])
-    np.multiply(iv, w, out=jac[:, 1])
-    col = jac[:, 2]
-    np.multiply(k, w, out=col)
-    np.negative(col, out=col)
-    col = jac[:, 3]
-    np.multiply(ry, k, out=col)
-    col += iv
-    np.negative(col, out=col)
-    col = jac[:, 4]
-    np.multiply(rx, k, out=col)
-    col += iu
-    col = jac[:, 5]
-    np.multiply(rx, iv, out=col)
-    col -= np.multiply(ry, iu, out=w)
-    return jac
 
 
 def _energy_counters(ledger) -> tuple:
@@ -308,7 +256,7 @@ class FloatFrontend:
         z_real = res.z[valid] / cv
         x_real = res.rx[valid] * z_real
         y_real = res.ry[valid] * z_real
-        jac = _jacobian_rows(x_real, y_real, z_real, gu, gv)
+        jac = jacobian_float(x_real, y_real, z_real, gu, gv)
         if self.config.huber_delta is not None:
             # Iteratively reweighted least squares with Huber weights
             # w = min(1, delta / |r|) applied to H and b.

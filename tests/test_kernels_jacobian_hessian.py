@@ -189,6 +189,33 @@ class TestJacobianFloat:
         jac = jacobian_float([0.1], [0.2], [2.0], [0.0], [0.0])
         np.testing.assert_allclose(jac, 0.0)
 
+    @given(st.integers(0, 50), st.integers(0, 10 ** 9),
+           st.sampled_from([0.0, 1e-13, 0.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_stacked_expressions_bitwise(self, n, seed, near_zero):
+        """The six columns equal the Fig. 5-d expressions stacked, bit
+        for bit, including guarded depths (``|z| < 1e-12``, +-0.0) and
+        negative ones; the inputs are left as they were."""
+        rng = np.random.default_rng(seed)
+        x, y, iu, iv = (rng.normal(0.0, s, n) for s in (1.0, 1.0, 300, 300))
+        z = rng.uniform(-0.5, 5.0, n)
+        z[::4] = near_zero
+        z[1::7] = -near_zero
+        inputs = [a.copy() for a in (x, y, z, iu, iv)]
+        safe_z = np.where(np.abs(z) < 1e-12, 1e-12, z)
+        k = (x * iu + y * iv) / safe_z
+        w = 1.0 / safe_z
+        rx, ry = x / safe_z, y / safe_z
+        want = np.stack([iu * w, iv * w, -(k * w), -(ry * k + iv),
+                         rx * k + iu, rx * iv - ry * iu], axis=-1)
+        got = jacobian_float(x, y, z, iu, iv)
+        assert got.shape == (n, 6) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+        for before, after in zip(inputs, (x, y, z, iu, iv)):
+            np.testing.assert_array_equal(before.view(np.uint64),
+                                          after.view(np.uint64))
+
 
 class TestJacobianFast:
     def quantized_inputs(self, seed=2, n=160):

@@ -20,7 +20,6 @@ from repro.vo.frontend import (
     _bilinear_plan,
     _blend,
     _edge_pad,
-    _jacobian_rows,
 )
 
 
@@ -314,22 +313,6 @@ class TestFloatLinearize:
         _assert_bits_equal(h, want_h)
         _assert_bits_equal(b, want_b)
         assert (got_err, got_n) == (err, n) and n > 0
-
-    @given(st.integers(1, 50), st.integers(0, 10 ** 9),
-           st.sampled_from([0.0, 1e-13, 0.5]))
-    @settings(max_examples=60, deadline=None)
-    def test_rows_equal_reference_kernel(self, n, seed, near_zero):
-        """Column for column, including depths the reference guards
-        (``|z| < 1e-12``, +-0.0) and negative ones."""
-        rng = np.random.default_rng(seed)
-        x, y, iu, iv = (rng.normal(0.0, s, n) for s in (1.0, 1.0, 300, 300))
-        z = rng.uniform(-0.5, 5.0, n)
-        z[::4] = near_zero
-        z[1::7] = -near_zero
-        want = jacobian_float(x, y, z, iu, iv)
-        got = _jacobian_rows(x.copy(), y.copy(), z, iu, iv)
-        assert got.shape == (n, 6) and got.flags.c_contiguous
-        _assert_bits_equal(got, want)
 
 
 class TestKeyframeGrids:

@@ -75,26 +75,35 @@ def _left_jacobian(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
+#: The 3x3 identity, read-only, for :func:`se3_exp`.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
 def se3_exp(xi: np.ndarray) -> "SE3":
     """Exponential map: twist ``(v, w)`` to a rigid transform.
 
     :func:`so3_exp` of ``w`` and ``_left_jacobian(w) @ v``, bit for bit,
     with ``theta``, ``hat(w)``, its square, ``sin`` and ``cos`` taken
-    once for both.
+    once for both.  ``hat(w)`` is built from Python floats, which hold
+    the same doubles (and signed zeros) as the array's entries.
     """
     xi = np.asarray(xi, dtype=np.float64)
     v, w = xi[:3], xi[3:]
     theta = np.linalg.norm(w)
-    k = hat(w)
+    wx, wy, wz = w.tolist()
+    k = np.array([[0.0, -wz, wy],
+                  [wz, 0.0, -wx],
+                  [-wy, wx, 0.0]])
     kk = k @ k
     if theta < _EPS:
-        rot = np.eye(3) + k + 0.5 * kk
-        jac = np.eye(3) + 0.5 * k + kk / 6.0
+        rot = _EYE3 + k + 0.5 * kk
+        jac = _EYE3 + 0.5 * k + kk / 6.0
     else:
         sin, cos = np.sin(theta), np.cos(theta)
         c = (1.0 - cos) / (theta * theta)
-        rot = np.eye(3) + (sin / theta) * k + c * kk
-        jac = np.eye(3) + c * k + ((theta - sin) / (theta ** 3)) * kk
+        rot = _EYE3 + (sin / theta) * k + c * kk
+        jac = _EYE3 + c * k + ((theta - sin) / (theta ** 3)) * kk
     return SE3(rot, jac @ v)
 
 

@@ -14,13 +14,19 @@ import numpy as np
 from repro.pim.program import ProgramCache
 
 __all__ = ["KERNEL_PROGRAM_CACHE", "load_image", "read_image",
-           "shift_pixels", "pixels_u8", "zero_extend", "peak", "shr_peak"]
+           "shift_pixels", "pixels_u8", "zero_extend", "peak", "shr_peak",
+           "LANE_PAD"]
 
 #: Process-wide LRU of compiled kernel programs.  Keys include the
 #: device geometry digest (see :func:`repro.pim.program.program_key`),
 #: so devices of different shapes never share entries.  Hits/misses
 #: surface in the metrics registry under ``cache="kernels"``.
 KERNEL_PROGRAM_CACHE = ProgramCache(capacity=64, name="kernels")
+
+#: Zero lanes past the image in the mirrors' flat row layout
+#: (``zero_extend(image, LANE_PAD)``): the edge kernels shift a row by
+#: at most two pixels, so every shifted-in lane is one of these.
+LANE_PAD = 2
 
 
 def load_image(device, image: np.ndarray, base_row: int = 0) -> None:

@@ -24,7 +24,13 @@ from typing import Dict
 
 import numpy as np
 
-from repro.kernels.common import load_image, pixels_u8, read_image
+from repro.kernels.common import (
+    LANE_PAD,
+    load_image,
+    pixels_u8,
+    read_image,
+    zero_extend,
+)
 from repro.kernels.hpf import hpf_pim, hpf_pim_replay, hpf_u8
 from repro.kernels.lpf import lpf_pim, lpf_u8
 from repro.kernels.nms import nms_pim, nms_pim_replay, nms_u8
@@ -77,14 +83,23 @@ def detect_edges_fast(image: np.ndarray, th1: int = DEFAULT_TH1,
                       th2: int = DEFAULT_TH2) -> EdgeDetectionResult:
     """Edge detection with exact PIM arithmetic, vectorized.
 
-    The three stages chain on uint8 lanes, as the device's 8-bit rows
-    do.  The image is truncated to integers and refused outside
-    ``[0, 255]`` exactly like :func:`load_image` refuses it.
+    The three stages chain on flat uint8 lanes, as the device's 8-bit
+    rows do (:func:`~repro.kernels.lpf.lpf_u8`), and the mask's valid
+    interior is copied into image coordinates once, as
+    :func:`mask_to_image_coords` would place it.  The image is
+    truncated to integers and refused outside ``[0, 255]`` exactly
+    like :func:`load_image` refuses it.
     """
     img = pixels_u8(image)
-    mask = nms_u8(hpf_u8(lpf_u8(img)), th1, th2)
-    return EdgeDetectionResult(
-        edge_map=mask_to_image_coords(mask, *img.shape))
+    height, width = img.shape
+    mask = nms_u8(hpf_u8(lpf_u8(zero_extend(img, LANE_PAD))), th1, th2)
+    edge = np.zeros((height, width), dtype=bool)
+    m = VALID_MARGIN
+    if height > 2 * m and width > 2 * m:
+        edge[m:height - m, m:width - m] = mask[
+            m - EDGE_ROW_OFFSET:height - m - EDGE_ROW_OFFSET,
+            m - EDGE_COL_OFFSET:width - m - EDGE_COL_OFFSET]
+    return EdgeDetectionResult(edge_map=edge)
 
 
 def detect_edges_pim(device, image: np.ndarray, th1: int = DEFAULT_TH1,

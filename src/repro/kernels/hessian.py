@@ -17,7 +17,7 @@ matrix, the extra cost Fig. 9-b's LM bar reflects.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +36,9 @@ HESSIAN_FORMAT = Q29_3
 #: The 21 unique entries of the symmetric 6x6 Hessian, row-major upper.
 SYM_PAIRS: List[Tuple[int, int]] = [(i, j) for i in range(6)
                                     for j in range(i, 6)]
+
+#: Row and column indices of :data:`SYM_PAIRS`.
+_SYM_ROWS, _SYM_COLS = (np.array(axis) for axis in zip(*SYM_PAIRS))
 
 _ACC_BITS = 32
 #: ``(Q14.2)^2 = scale 2^4`` -> Q29.3 needs one right shift.
@@ -66,7 +69,8 @@ def hessian_float(jacobians: np.ndarray, residuals: np.ndarray) -> tuple:
 
 
 def hessian_fast(j_raw: np.ndarray, r_raw: np.ndarray,
-                 lanes: int = 80, acc_bits: int = _ACC_BITS) -> tuple:
+                 lanes: int = 80, acc_bits: int = _ACC_BITS,
+                 bound: Optional[int] = None) -> tuple:
     """Quantized reduction with exact PIM arithmetic and batch structure.
 
     Bit-identical to :func:`hessian_pim` over ``lanes``-wide batches
@@ -84,7 +88,8 @@ def hessian_fast(j_raw: np.ndarray, r_raw: np.ndarray,
     ``|J_p * J_q| <= 2**30``), nothing saturates: the 27 products are
     formed in int32 and each lane is one plain int32 sum over the
     batches.  Otherwise the sequential saturating loop runs and the
-    call is counted.
+    call is counted.  A caller's ``bound`` on ``m`` is tried first;
+    ``m`` itself is measured only if that bound does not clear.
 
     The lane-reduction tree is checked the same way: each of its
     partial sums is a sum over a subset of lanes, so when ``sum|acc|``
@@ -99,6 +104,7 @@ def hessian_fast(j_raw: np.ndarray, r_raw: np.ndarray,
         r_raw: (N,) residual raws (Q14.2).
         lanes: SIMD lanes of the accumulation precision (80 at 32-bit).
         acc_bits: Accumulator lane width (32 in the paper; 16 fails).
+        bound: A bound on ``max|[J | r]|`` the caller guarantees.
 
     Returns:
         ``(h_raw, b_raw)``: 21 upper-triangular raws and 6 vector raws
@@ -109,10 +115,15 @@ def hessian_fast(j_raw: np.ndarray, r_raw: np.ndarray,
     n = r.size
     batches = max(1, -(-n // lanes))
     hi = (1 << (acc_bits - 1)) - 1
-    m = max(-int(j.min()), int(j.max()), -int(r.min()), int(r.max())) \
-        if n else 0
-    fits = m <= 1 << 15 and \
-        batches * -((-m * m) >> _PROD_SHIFT) <= min(hi, (1 << 31) - 1)
+
+    def clears(m: int) -> bool:
+        return m <= 1 << 15 and \
+            batches * -((-m * m) >> _PROD_SHIFT) <= min(hi, (1 << 31) - 1)
+
+    fits = bound is not None and clears(bound)
+    if not fits:
+        fits = clears(max(-int(j.min()), int(j.max()), -int(r.min()),
+                          int(r.max())) if n else 0)
 
     jr = np.zeros((7, batches * lanes),
                   dtype=np.int32 if fits else np.int64)
@@ -231,8 +242,7 @@ def unpack_symmetric(h21: np.ndarray) -> np.ndarray:
     h21 = np.asarray(h21, dtype=np.float64).reshape(-1)
     if h21.size != 21:
         raise ValueError("expected 21 upper-triangular entries")
-    h = np.zeros((6, 6))
-    for idx, (p, q) in enumerate(SYM_PAIRS):
-        h[p, q] = h21[idx]
-        h[q, p] = h21[idx]
+    h = np.empty((6, 6))
+    h[_SYM_ROWS, _SYM_COLS] = h21
+    h[_SYM_COLS, _SYM_ROWS] = h21
     return h

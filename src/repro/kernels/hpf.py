@@ -24,6 +24,7 @@ import numpy as np
 from repro.fixedpoint import ops
 from repro.kernels.common import (
     KERNEL_PROGRAM_CACHE,
+    LANE_PAD,
     pixels_u8,
     shift_pixels,
     zero_extend,
@@ -45,24 +46,37 @@ def _abs_diff_u8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(a, b) - np.minimum(a, b)
 
 
-def hpf_u8(img: np.ndarray) -> np.ndarray:
-    """The SAD response on uint8 lanes (same layout as :func:`hpf_fast`).
+def hpf_u8(lanes: np.ndarray) -> np.ndarray:
+    """The SAD response on flat uint8 lanes (see :func:`lpf_u8`).
 
-    The four absolute differences are non-negative, so the device's
-    three sequential saturating adds equal one clamp of their plain
-    sum; that sum (at most ``4 * 255``) is formed in uint16.  Operand
-    shifts are slices of the zero-extended image.
+    ``lanes`` is an ``(H, W + LANE_PAD)`` buffer whose trailing lanes
+    are zero; the response has the layout of :func:`hpf_fast` and the
+    same trailing zero lanes.  On the flattened buffer every operand of
+    the response at ``k = r * (W + LANE_PAD) + c`` is one offset slice
+    (rows ``r .. r + 2``, columns ``c - 1 .. c + 1``), and a column
+    past ``W - 1`` reads a zero lane, as the device's shift does.  The
+    four absolute differences are non-negative, so the device's three
+    sequential saturating adds equal one clamp of their plain sum; that
+    sum (at most ``4 * 255``) is formed in uint16.  Lane 0, whose left
+    operands wrap to the row above, and the trailing lanes are
+    re-zeroed.
     """
-    p = zero_extend(img, 2)
-    a, b, c = p[:-2], p[1:-1], p[2:]
-    w = img.shape[1] - 1   # response columns 0 .. W-2 land at 1 .. W-1
-    acc = _abs_diff_u8(a[:, :w], c[:, 2:w + 2]).astype(np.uint16)
-    acc += _abs_diff_u8(a[:, 2:w + 2], c[:, :w])
-    acc += _abs_diff_u8(b[:, :w], b[:, 2:w + 2])
-    acc += _abs_diff_u8(a[:, 1:w + 1], c[:, 1:w + 1])
-    out = np.zeros_like(img)
-    out[:-2, 1:] = np.minimum(acc, 255)
-    return out
+    h, width = lanes.shape
+    f = lanes.ravel()
+    out = np.zeros_like(f)
+    n = (h - 2) * width - 2    # responses k = 1 .. (h - 2) * width - 2
+    if n > 0:
+        d = 2 * width
+        acc = _abs_diff_u8(f[:n], f[d + 2:d + 2 + n]).astype(np.uint16)
+        acc += _abs_diff_u8(f[2:2 + n], f[d:d + n])
+        acc += _abs_diff_u8(f[width:width + n],
+                            f[width + 2:width + 2 + n])
+        acc += _abs_diff_u8(f[1:1 + n], f[d + 1:d + 1 + n])
+        np.minimum(acc, 255, out=out[1:1 + n])
+        grid = out.reshape(h, width)
+        grid[:, 0] = 0
+        grid[:, -LANE_PAD:] = 0
+    return out.reshape(h, width)
 
 
 def hpf_fast(image: np.ndarray) -> np.ndarray:
@@ -78,7 +92,9 @@ def hpf_fast(image: np.ndarray) -> np.ndarray:
         and the two rightmost columns are invalid, as are the two
         bottom rows.
     """
-    return hpf_u8(pixels_u8(image)).astype(np.int64)
+    img = pixels_u8(image)
+    response = hpf_u8(zero_extend(img, LANE_PAD))
+    return response[:, :img.shape[1]].astype(np.int64)
 
 
 def hpf_naive_fast(image: np.ndarray) -> np.ndarray:

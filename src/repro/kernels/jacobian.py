@@ -29,6 +29,7 @@ inverse depth ``c``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -95,21 +96,47 @@ def _qmul(a, b, f: int) -> np.ndarray:
         _LANE_BITS)
 
 
+def _entry_peak(mrx: int, mry: int, miu: int, miv: int, mw: int,
+                f: int) -> Optional[int]:
+    """A bound on every Jacobian entry, or None if an op may saturate.
+
+    The operand peaks ``max|.|`` of ``rx``, ``ry``, ``Iu``, ``Iv`` and
+    ``w`` are pushed through the nine products and the adds of Fig.
+    5-d.  Nothing saturates when every operand is a 16-bit lane (so
+    every product fits int32) and every intermediate peak is at most
+    ``2**15 - 1`` (so no add, subtract or negation clamps); the bound
+    is then the largest of the six entries' peaks.
+    """
+    if max(mrx, mry, miu, miv, mw) > 1 << 15:
+        return None
+    mk = shr_peak(mrx * miu, f) + shr_peak(mry * miv, f)
+    entries = (shr_peak(miu * mw, f), shr_peak(miv * mw, f),
+               shr_peak(mk * mw, f), shr_peak(mry * mk, f) + miv,
+               shr_peak(mrx * mk, f) + miu,
+               shr_peak(mrx * miv, f) + shr_peak(mry * miu, f))
+    top = max(entries)
+    return top if max(top, mk) <= (1 << (_LANE_BITS - 1)) - 1 else None
+
+
 def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
-                  feature_frac: int = FEATURE_FORMAT.fraction_bits
-                  ) -> np.ndarray:
+                  feature_frac: int = FEATURE_FORMAT.fraction_bits,
+                  grad_peaks: Optional[Tuple[int, int]] = None,
+                  return_peak: bool = False):
     """Quantized Jacobian with exact PIM arithmetic.
 
     Bit-identical to :func:`jacobian_pim`.  One bound, taken before any
     product is formed, decides whether any of its saturation can
-    happen: the peaks ``max|.|`` of ``rx``, ``ry``, ``Iu``, ``Iv`` and
-    ``w = c / Z~`` are pushed through the nine products and the adds of
-    Fig. 5-d.  When every operand is a 16-bit lane (so every product
-    fits int32) and every intermediate peak is at most ``2**15 - 1``
-    (so no add, subtract or negation clamps), the six rows are formed in
-    int32 with no clip, into one ``(6, n)`` block returned as its
-    ``(n, 6)`` transpose view.  Otherwise the saturating op sequence
-    runs and ``kernels_jacobian_saturated_total`` counts the call.
+    happen (:func:`_entry_peak`).  When it clears, the six rows are
+    formed in int32 with no clip, into one ``(6, n)`` block returned as
+    its ``(n, 6)`` transpose view.  Otherwise the saturating op
+    sequence runs and ``kernels_jacobian_saturated_total`` counts the
+    call.
+
+    The bound is tried twice, cheapest first.  With ``grad_peaks`` it
+    takes them for ``Iu`` and ``Iv`` and one peak of the warp's ``rx``
+    and ``ry`` rows for both; only if that fails are the five operands'
+    own peaks taken.  Both bounds hold, so which one clears changes
+    nothing but the time.
 
     Args:
         warp: Output of the quantized warp (``rx``, ``ry``, ``z`` raws).
@@ -119,9 +146,13 @@ def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
             features outside the lane and saturates ``z``; the divide
             ``c / z`` does not check them again.
         iu_raw, iv_raw: Gradient lookups as Q14.2 raws.
+        grad_peaks: Bounds on ``|iu_raw|`` and ``|iv_raw|`` (the
+            peaks of the gradient maps they were looked up from).
+        return_peak: Also return a bound on ``max|J|``.
 
     Returns:
-        (N x 6) array of Q14.2 raws.
+        (N x 6) array of Q14.2 raws; with ``return_peak``, the pair
+        ``(jac, peak)``.
     """
     f = feature_frac
     w = _qdiv(np.asarray(c_raw).astype(np.int32, copy=False) << f,
@@ -129,18 +160,18 @@ def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
     rx, ry, iu, iv = (np.asarray(x) for x in (warp.rx, warp.ry, iu_raw,
                                               iv_raw))
     n = w.size
+    top = 0
     if n:
-        mrx, mry, miu, miv, mw = (peak(x) for x in (rx, ry, iu, iv, w))
-        mk = shr_peak(mrx * miu, f) + shr_peak(mry * miv, f)
-        peaks = (shr_peak(miu * mw, f), shr_peak(miv * mw, f), mk,
-                 shr_peak(mk * mw, f), shr_peak(mry * mk, f) + miv,
-                 shr_peak(mrx * mk, f) + miu,
-                 shr_peak(mrx * miv, f) + shr_peak(mry * miu, f))
-        narrow = (max(mrx, mry, miu, miv, mw) <= 1 << 15
-                  and max(peaks) <= (1 << (_LANE_BITS - 1)) - 1)
-    else:
-        narrow = True
-    if narrow:
+        mw = peak(w)
+        top = None
+        if grad_peaks is not None:
+            mrxy = peak(warp.rxy) if warp.rxy is not None \
+                else max(peak(rx), peak(ry))
+            top = _entry_peak(mrxy, mrxy, *grad_peaks, mw, f)
+        if top is None:
+            top = _entry_peak(peak(rx), peak(ry), peak(iu), peak(iv), mw,
+                              f)
+    if top is not None:
         rx, ry, iu, iv = (x.astype(np.int32, copy=False)
                           for x in (rx, ry, iu, iv))
         jac = np.empty((6, n), dtype=np.int32)
@@ -169,7 +200,7 @@ def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
         np.multiply(ry, iu, out=t)
         t >>= f
         j6 -= t
-        return jac.T
+        return (jac.T, top) if return_peak else jac.T
 
     get_registry().counter(
         "kernels_jacobian_saturated_total",
@@ -184,7 +215,8 @@ def jacobian_fast(warp: WarpResult, c_raw, iu_raw, iv_raw,
                      _LANE_BITS)
     j5 = ops.sat_add(_qmul(rx, k, f), iu, _LANE_BITS)
     j6 = ops.sat_sub(_qmul(rx, iv, f), _qmul(ry, iu, f), _LANE_BITS)
-    return np.stack([j1, j2, j3, j4, j5, j6], axis=-1)
+    jac = np.stack([j1, j2, j3, j4, j5, j6], axis=-1)
+    return (jac, 1 << 15) if return_peak else jac
 
 
 @dataclass

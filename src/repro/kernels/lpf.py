@@ -25,8 +25,10 @@ import numpy as np
 from repro.fixedpoint import ops
 from repro.kernels.common import (
     KERNEL_PROGRAM_CACHE,
+    LANE_PAD,
     pixels_u8,
     shift_pixels,
+    zero_extend,
 )
 from repro.obs.tracer import span as obs_span
 from repro.pim.device import TMP, Imm, Rel, Tmp
@@ -45,37 +47,49 @@ _NAIVE_TAPS = [(-1, -1, 4), (-1, 0, 3), (-1, 1, 4),
                (1, -1, 4), (1, 0, 3), (1, 1, 4)]
 
 
-def _avg_u8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lane average ``floor((a + b) / 2)`` without widening.
+def _avg_u8(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lane average ``floor((a + b) / 2)`` into ``out``, without widening.
 
     ``a + b = 2 (a & b) + (a ^ b)``: the shared bits count twice and
     the differing bits once, so the halved sum is
     ``(a & b) + ((a ^ b) >> 1)``, which never exceeds the larger
-    operand and so stays in uint8.
+    operand and so stays in uint8.  ``out`` must not overlap ``a`` or
+    ``b``.
     """
-    out = np.bitwise_xor(a, b)
+    np.bitwise_xor(a, b, out=out)
     out >>= 1
     out += a & b
     return out
 
 
-def lpf_u8(img: np.ndarray) -> np.ndarray:
-    """Both 2x2 averaging passes on uint8 lanes (the device's rows).
+def lpf_u8(lanes: np.ndarray) -> np.ndarray:
+    """Both 2x2 averaging passes on flat uint8 lanes (the device's rows).
 
-    Per pass: ``C = avg(row_r, row_{r+1})`` over every row but the
-    last, then ``E = avg(C, C << 1pix)``; the last lane of ``C << 1pix``
-    is the shifted-in zero, so it averages to ``C >> 1``.  The last
-    row is never written, exactly as on the device.
+    ``lanes`` is an ``(H, W + LANE_PAD)`` :func:`zero_extend` image:
+    each row holds ``W`` pixels and then zero lanes, as the word line
+    holds zeros past the image.  Per pass, on the flattened buffer:
+    ``C = avg(row_r, row_{r+1})`` over every row but the last (a
+    one-row offset), then ``E = avg(C, C << 1pix)`` (a one-lane
+    offset).  Lane ``W`` averages with the zero lane beside it, as
+    the shifted-in zero does on the device; the last lane of a row
+    then holds half of the next row's first pixel and is re-zeroed.
+    The last row is never written, exactly as on the device.  Returns
+    a new buffer of the same layout.
     """
-    a = img
+    h, width = lanes.shape
+    a = lanes.ravel()
+    n = (h - 1) * width
     for _ in range(2):
-        c = a.copy()
-        c[:-1] = _avg_u8(a[:-1], a[1:])
-        e = c.copy()
-        e[:-1, :-1] = _avg_u8(c[:-1, :-1], c[:-1, 1:])
-        e[:-1, -1] >>= 1
+        c = np.empty_like(a)
+        _avg_u8(a[:n], a[width:], out=c[:n])
+        c[n:] = a[n:]
+        e = np.empty_like(a)
+        m = max(n - 1, 0)
+        _avg_u8(c[:m], c[1:m + 1], out=e[:m])
+        e[m:] = c[m:]
+        e.reshape(h, width)[:, -1] = 0
         a = e
-    return a
+    return a.reshape(h, width)
 
 
 def lpf_fast(image: np.ndarray) -> np.ndarray:
@@ -90,7 +104,9 @@ def lpf_fast(image: np.ndarray) -> np.ndarray:
         binomial response at input ``(r + 1, c + 1)``; the last two
         rows/cols are invalid.
     """
-    return lpf_u8(pixels_u8(image)).astype(np.int64)
+    img = pixels_u8(image)
+    smooth = lpf_u8(zero_extend(img, LANE_PAD))
+    return smooth[:, :img.shape[1]].astype(np.int64)
 
 
 def lpf_naive_fast(image: np.ndarray) -> np.ndarray:

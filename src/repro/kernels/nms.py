@@ -28,6 +28,7 @@ import numpy as np
 from repro.fixedpoint import ops
 from repro.kernels.common import (
     KERNEL_PROGRAM_CACHE,
+    LANE_PAD,
     pixels_u8,
     shift_pixels,
     zero_extend,
@@ -52,33 +53,41 @@ def _check_threshold(value) -> int:
     return value
 
 
-def nms_u8(img: np.ndarray, th1: int, th2: int) -> np.ndarray:
-    """Branch-free NMS on uint8 lanes; boolean mask, same layout as
-    :func:`nms_fast`.
+def nms_u8(lanes: np.ndarray, th1: int, th2: int) -> np.ndarray:
+    """Branch-free NMS on flat uint8 lanes (see :func:`lpf_u8`).
 
-    The pair maxima and their minimum ``K`` are uint8 max/min; the
-    saturating ``sat(b2 - th2)`` is ``b2 - min(b2, th2)``, which never
-    wraps.  ``K`` is centre-aligned by writing it one column right of
-    a zero column (the device's shifted-in lane).  Operand shifts are
-    slices of the zero-extended response.
+    ``lanes`` is an ``(H, W + LANE_PAD)`` response whose trailing
+    lanes are zero; the result is a boolean mask of the same layout
+    (:func:`nms_fast`'s; a trailing lane's centre is a zero lane, so
+    it is False).  Operands are offset slices of the flattened buffer,
+    as in :func:`hpf_u8`.  The pair maxima and their minimum ``K`` are
+    uint8 max/min; ``K`` of lane 0, whose left operands wrap to the
+    row above, is re-zeroed, as the device's shifted-in lane is zero.
+    The saturating ``sat(b2 - th2)`` is ``b2 - min(b2, th2)``, which
+    never wraps.
     """
     th1, th2 = _check_threshold(th1), _check_threshold(th2)
-    width = img.shape[1]
-    p = zero_extend(img, 2)
-    a, b, c = p[:-2], p[1:-1], p[2:]
-    w = width - 1
-    k = np.zeros(b.shape[:1] + (width,), dtype=np.uint8)
-    kc = k[:, 1:]
-    # K = min over the pairs {a1,c3}, {a3,c1}, {b1,b3}, {a2,c2} of max.
-    np.maximum(a[:, :w], c[:, 2:w + 2], out=kc)
-    np.minimum(kc, np.maximum(a[:, 2:w + 2], c[:, :w]), out=kc)
-    np.minimum(kc, np.maximum(b[:, :w], b[:, 2:w + 2]), out=kc)
-    np.minimum(kc, np.maximum(a[:, 1:w + 1], c[:, 1:w + 1]), out=kc)
-    b = b[:, :width]
-    low = b - np.minimum(b, th2)       # L = sat(b2 - th2)
-    out = np.zeros(img.shape, dtype=bool)
-    out[:-2] = (low > k) & (b > th1)
-    return out
+    h, width = lanes.shape
+    f = lanes.ravel()
+    out = np.zeros(f.shape, dtype=bool)
+    m = (h - 2) * width        # decisions k = 0 .. m - 1
+    n = m - 2                  # pair minima k = 1 .. m - 2
+    if n > 0:
+        d = 2 * width
+        k = np.empty(m, dtype=np.uint8)
+        kc = k[1:1 + n]
+        # K = min over the pairs {a1,c3}, {a3,c1}, {b1,b3}, {a2,c2} of max.
+        np.maximum(f[:n], f[d + 2:d + 2 + n], out=kc)
+        np.minimum(kc, np.maximum(f[2:2 + n], f[d:d + n]), out=kc)
+        np.minimum(kc, np.maximum(f[width:width + n],
+                                  f[width + 2:width + 2 + n]), out=kc)
+        np.minimum(kc, np.maximum(f[1:1 + n], f[d + 1:d + 1 + n]), out=kc)
+        k.reshape(h - 2, width)[:, 0] = 0
+        b = f[width:width + m]
+        low = b - np.minimum(b, th2)       # L = sat(b2 - th2)
+        np.greater(low, k, out=out[:m])
+        out[:m] &= b > th1
+    return out.reshape(h, width)
 
 
 def nms_fast(response: np.ndarray, th1: int, th2: int) -> np.ndarray:
@@ -96,7 +105,9 @@ def nms_fast(response: np.ndarray, th1: int, th2: int) -> np.ndarray:
         row ``i + 1``, columns centre-aligned; two bottom rows and the
         outermost columns are invalid.
     """
-    return nms_u8(pixels_u8(response), th1, th2).astype(np.int64)
+    img = pixels_u8(response)
+    mask = nms_u8(zero_extend(img, LANE_PAD), th1, th2)
+    return mask[:, :img.shape[1]].astype(np.int64)
 
 
 def nms_naive_fast(response: np.ndarray, th1: int, th2: int) -> np.ndarray:

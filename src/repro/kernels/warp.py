@@ -131,6 +131,9 @@ class WarpResult:
     #: are (:func:`warp_fast`); None otherwise.
     uv: Optional[np.ndarray] = field(default=None, repr=False,
                                      compare=False)
+    #: ``rx`` and ``ry`` likewise.
+    rxy: Optional[np.ndarray] = field(default=None, repr=False,
+                                      compare=False)
 
     def uv_float(self) -> tuple:
         """Warped coordinates in pixels (float)."""
@@ -366,7 +369,8 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     valid = inside[0] & inside[1]
     valid &= den > 0
     u, v, rx, ry, z = out
-    return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid, uv=uv)
+    return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid, uv=uv,
+                      rxy=rxy)
 
 
 @dataclass

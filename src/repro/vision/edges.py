@@ -15,6 +15,8 @@ These are the semantics the PIM kernel mappings in
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.vision.filters import binomial_lpf
@@ -42,15 +44,20 @@ def _neighbour(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
 _INT16_MAX = int(np.iinfo(np.int16).max)
 
 
-def _lanes(values, peak: int) -> np.ndarray:
+def _lanes(values, peak: int, known_peak: Optional[int] = None
+           ) -> np.ndarray:
     """``values`` as integers, in int16 lanes while that is exact.
 
     The bound comes first: int16 when every value truncates into
     ``[-peak, peak]`` (the caller picks ``peak`` so its arithmetic
     cannot leave int16), int64 otherwise.  Float values truncate
-    toward zero either way, as ``astype`` does.
+    toward zero either way, as ``astype`` does.  ``known_peak`` is a
+    bound on ``|values|`` the caller already holds; when it is within
+    ``peak`` the ``min``/``max`` pass is skipped.
     """
     values = np.asarray(values)
+    if known_peak is not None and known_peak <= peak:
+        return values.astype(np.int16, copy=False)
     if values.size and -peak - 1 < values.min() and \
             values.max() < peak + 1:
         return values.astype(np.int16, copy=False)
@@ -63,8 +70,8 @@ def _lanes(values, peak: int) -> np.ndarray:
 _PAIRS = ((-1, -1), (-1, 1), (0, -1), (-1, 0))
 
 
-def hpf_sad_reference(image: np.ndarray, saturate_bits: int = 8
-                      ) -> np.ndarray:
+def hpf_sad_reference(image: np.ndarray, saturate_bits: int = 8,
+                      known_peak: Optional[int] = None) -> np.ndarray:
     """Saturated 4-direction SAD high-pass filter (Fig. 3).
 
     ``HPF(p) = sat( |p(-1,-1) - p(1,1)| + |p(-1,1) - p(1,-1)|
@@ -74,12 +81,14 @@ def hpf_sad_reference(image: np.ndarray, saturate_bits: int = 8
         image: 2D integer-valued array (typically the LPF output).
         saturate_bits: Saturation width of the response (8 in the
             paper, matching the pixel lanes).
+        known_peak: A bound on ``|image|`` the caller guarantees
+            (``None``: measured here).
 
     Returns:
         Integer response array of the image's shape; the one-pixel
         border is zero (no full neighbourhood).
     """
-    img = _lanes(image, _INT16_MAX // 8)
+    img = _lanes(image, _INT16_MAX // 8, known_peak)
     acc = np.zeros_like(img)
     inner = acc[1:-1, 1:-1]
     diff = np.empty_like(inner)
@@ -93,7 +102,8 @@ def hpf_sad_reference(image: np.ndarray, saturate_bits: int = 8
 
 
 def nms_reference(response: np.ndarray, th1: int = DEFAULT_TH1,
-                  th2: int = DEFAULT_TH2) -> np.ndarray:
+                  th2: int = DEFAULT_TH2,
+                  known_peak: Optional[int] = None) -> np.ndarray:
     """The *original* branchy NMS kernel (Fig. 4, left).
 
     A pixel is an edge when its response exceeds ``th1`` and it beats
@@ -105,9 +115,10 @@ def nms_reference(response: np.ndarray, th1: int = DEFAULT_TH1,
     over the four pairs (diagonals, horizontal, vertical).  The PIM
     kernel implements the branch-free simplification
     ``b2 > th1 AND b2 - th2 > min(max(pair) for each pair)`` and is
-    tested to be exactly equivalent.
+    tested to be exactly equivalent.  ``known_peak`` is a bound on
+    ``|response|`` the caller guarantees (``None``: measured here).
     """
-    r = _lanes(response, _INT16_MAX - abs(th2))
+    r = _lanes(response, _INT16_MAX - abs(th2), known_peak)
     centre = r[1:-1, 1:-1]
     # b2 - a > th2  <=>  b2 - th2 > a: one subtraction for all pairs.
     lifted = centre - th2
@@ -171,10 +182,13 @@ def detect_edges_reference(image: np.ndarray, th1: int = DEFAULT_TH1,
     image = np.asarray(image)
     if image.size and image.dtype.kind in "iu" and \
             0 <= image.min() and image.max() <= 255:
-        smooth = _binomial_floor_u8(image)
-    else:
-        smooth = binomial_lpf(image)
-        np.floor(smooth, out=smooth)
+        # Both stages' inputs are int16 in [0, 255]: the LPF floor of
+        # an 8-bit image, then the response saturated to 8 bits.
+        response = hpf_sad_reference(_binomial_floor_u8(image),
+                                     known_peak=255)
+        return nms_reference(response, th1, th2, known_peak=255)
+    smooth = binomial_lpf(image)
+    np.floor(smooth, out=smooth)
     # The HPF casts the floored LPF straight into its lanes.
     response = hpf_sad_reference(smooth)
     return nms_reference(response, th1, th2)

@@ -49,11 +49,17 @@ def _check_frame(gray: np.ndarray) -> np.ndarray:
     caller bypassed it, and failing fast beats silently loading NaN
     bit patterns into the (simulated) PIM array.
 
-    On a real array ``min`` and ``max`` are finite exactly when every
-    value is: a NaN propagates through both, an infinity is one of them.
+    An integer or bool frame (the int64 gray of
+    :func:`~repro.vo.pyramid.build_pyramid`) cannot hold a non-finite
+    value and is passed through unscanned.  On a real float array
+    ``min`` and ``max`` are finite exactly when every value is: a NaN
+    propagates through both, an infinity is one of them.
     """
     gray = np.asarray(gray)
-    if gray.size and gray.dtype.kind in "biuf":
+    kind = gray.dtype.kind
+    if kind in "biu":
+        return gray
+    if gray.size and kind == "f":
         finite = np.isfinite(gray.min()) and np.isfinite(gray.max())
     else:
         finite = np.isfinite(gray).all()
@@ -82,7 +88,9 @@ class KeyframeMaps:
 
     Each float map is the top-left ``(h, w)`` view of its
     :func:`_edge_pad` grid (:meth:`grid`), which the float lookup
-    reads: the maps take no extra memory for it.
+    reads: the maps take no extra memory for it.  Each non-empty raw
+    map's ``(min, max)`` is taken once, into :attr:`ranges`, for the
+    PIM kernels' overflow bounds.
     """
 
     dt: Optional[np.ndarray] = None
@@ -94,6 +102,8 @@ class KeyframeMaps:
 
     def __post_init__(self) -> None:
         self._grids = {}
+        #: ``(min, max)`` of each non-empty raw map, by field name.
+        self.ranges = {}
         for f in fields(self):
             arr = getattr(self, f.name)
             if arr is None:
@@ -104,11 +114,18 @@ class KeyframeMaps:
                 self._grids[f.name] = grid
                 arr = grid[:-1, :-1]
                 setattr(self, f.name, arr)
+            elif arr.size:
+                self.ranges[f.name] = (int(arr.min()), int(arr.max()))
             arr.flags.writeable = False
 
     def grid(self, name: str) -> np.ndarray:
         """The read-only :func:`_edge_pad` grid of float map ``name``."""
         return self._grids[name]
+
+    def peak(self, name: str) -> Optional[int]:
+        """``max|.|`` of raw map ``name``, or None if it has none."""
+        lo_hi = self.ranges.get(name)
+        return None if lo_hi is None else max(-lo_hi[0], lo_hi[1])
 
 
 def _edge_pad(grid: np.ndarray) -> np.ndarray:
@@ -394,22 +411,30 @@ class PIMFrontend:
         index ``vi * w + ui`` of the nearest keyframe pixel, for the
         gradient lookups.  The residual clamp is quantized once, at
         construction.
+
+        A valid lane has ``0 <= u, v <= (size - 1) * 4`` in Q14.2, so its
+        rounded pixel lies in the camera's image: on a map of the
+        camera's shape the index needs no clamp.  An invalid lane's
+        index may fall anywhere; ``take(mode="clip")`` keeps it in the
+        map and ``valid`` zeroes what it reads.
         """
         keyed = self._keyed
         qpose = keyed[1] if keyed is not None and keyed[0] is pose \
             else quantize_pose(pose)
-        res = warp_fast(qpose, qfeats, self.config.camera)
+        cam = self.config.camera
+        res = warp_fast(qpose, qfeats, cam)
         valid = res.valid
         h, w = maps.dt_raw.shape
-        # Nearest integer pixel, clipped into the map: u and v as one
-        # (2, n) pass in the warp's int32 (a 16-bit lane plus ``half``
-        # cannot overflow), then the flat index in intp, which ``take``
-        # would otherwise convert on every gather.
+        # Nearest integer pixel: u and v as one (2, n) pass in the
+        # warp's int32 (a 16-bit lane plus ``half`` cannot overflow),
+        # then the flat index in intp, which ``take`` would otherwise
+        # convert on every gather.
         uvi = res.uv + np.int32(UV_FORMAT.scale // 2)
         uvi >>= 2
-        np.maximum(uvi, np.int32(0), out=uvi)
-        np.minimum(uvi, np.array([[w - 1], [h - 1]], dtype=np.int32),
-                   out=uvi)
+        if (h, w) != (cam.height, cam.width):
+            np.maximum(uvi, np.int32(0), out=uvi)
+            np.minimum(uvi, np.array([[w - 1], [h - 1]], dtype=np.int32),
+                       out=uvi)
         idx = np.multiply(uvi[1], w, dtype=np.intp)
         idx += uvi[0]
         if self.config.pim_bilinear_residual:
@@ -418,10 +443,24 @@ class PIMFrontend:
                 self._bilinear_q2(maps.dt_raw, res.u[valid], res.v[valid]),
                 self._clamp_raw)
         else:
-            r_raw = maps.dt_raw.take(idx)
+            r_raw = maps.dt_raw.take(idx, mode="clip")
             np.minimum(r_raw, self._clamp_raw, out=r_raw)
             r_raw *= valid
         return res, r_raw, idx, valid
+
+    def _hessian_bound(self, maps: KeyframeMaps, j_peak: int
+                       ) -> Optional[int]:
+        """A bound on ``max|[J | r]|`` for :func:`hessian_fast`.
+
+        A residual is ``min(dt, clamp)`` (or zero), and the nearest or
+        bilinear ``dt`` lies in the map's range, so ``|r|`` is at most
+        the larger magnitude of the range's two ends after the clamp.
+        """
+        lo_hi = maps.ranges.get("dt_raw")
+        if lo_hi is None:
+            return None
+        clamp = self._clamp_raw
+        return max(j_peak, *(abs(min(end, clamp)) for end in lo_hi))
 
     @staticmethod
     def _mean_square(r_raw: np.ndarray, n: int) -> float:
@@ -464,12 +503,17 @@ class PIMFrontend:
         n = int(np.count_nonzero(valid))
         if n == 0:
             return np.zeros((6, 6)), np.zeros(6), np.inf, 0
-        iu = maps.gu_raw.take(idx)
+        iu = maps.gu_raw.take(idx, mode="clip")
         iu *= valid
-        iv = maps.gv_raw.take(idx)
+        iv = maps.gv_raw.take(idx, mode="clip")
         iv *= valid
-        jac = jacobian_fast(res, qfeats.lanes[2], iu, iv,
-                            feature_frac=qfeats.fmt.fraction_bits)
-        h_raw, b_raw = hessian_fast(jac, r_raw)
+        grad_peaks = (maps.peak("gu_raw"), maps.peak("gv_raw"))
+        jac, j_peak = jacobian_fast(
+            res, qfeats.lanes[2], iu, iv,
+            feature_frac=qfeats.fmt.fraction_bits,
+            grad_peaks=None if None in grad_peaks else grad_peaks,
+            return_peak=True)
+        h_raw, b_raw = hessian_fast(
+            jac, r_raw, bound=self._hessian_bound(maps, j_peak))
         h = unpack_symmetric(h_raw / 8.0)
         return h, b_raw / 8.0, self._mean_square(r_raw, n), n

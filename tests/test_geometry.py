@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry import (
     SE3,
@@ -58,16 +58,35 @@ def _twist_scales():
           if d[2] else np.array(d[0]) * d[1])
 
 
+def _signed_zeros(xi, mask):
+    """``xi`` with the entries picked by the bits of ``mask`` set to
+    ``-0.0``."""
+    xi = np.array(xi, dtype=np.float64)
+    for i in range(6):
+        if mask >> i & 1:
+            xi[i] = -0.0
+    return xi
+
+
 class TestSE3:
-    @given(_twist_scales())
-    @settings(max_examples=200)
-    def test_exp_equals_the_two_function_formula(self, xi):
-        """``se3_exp`` is ``so3_exp(w)`` and ``V(w) @ v``, bit for bit,
-        on both sides of the ``|w| < 1e-10`` cut."""
-        from repro.geometry.se3 import _left_jacobian
+    @given(_twist_scales(), st.integers(0, 63))
+    @settings(max_examples=300)
+    @example(np.zeros(6), 0b111000)
+    @example(np.array([0.1, 0.2, 0.3, 0.0, 0.0, 1e-11]), 0b011000)
+    @example(np.array([0.1, 0.2, 0.3, 0.5, 0.0, 0.0]), 0b110111)
+    def test_exp_equals_the_two_function_formula(self, xi, mask):
+        """``se3_exp`` is ``so3_exp(w)`` and ``V(w) @ v``, bit for bit
+        (signed zeros included), on both sides of the ``|w| < 1e-10``
+        cut and with ``-0.0`` entries."""
+        from repro.geometry.se3 import _EYE3, _left_jacobian
+        xi = _signed_zeros(xi, mask)
         pose = se3_exp(xi)
-        assert np.array_equal(pose.R, so3_exp(xi[3:]))
-        assert np.array_equal(pose.t, _left_jacobian(xi[3:]) @ xi[:3])
+        bits = (lambda a: np.asarray(a, dtype=np.float64).view(np.uint64))
+        np.testing.assert_array_equal(bits(pose.R), bits(so3_exp(xi[3:])))
+        np.testing.assert_array_equal(
+            bits(pose.t), bits(_left_jacobian(xi[3:]) @ xi[:3]))
+        np.testing.assert_array_equal(_EYE3, np.eye(3))
+        assert not _EYE3.flags.writeable
 
     @given(small_twists())
     @settings(max_examples=50)

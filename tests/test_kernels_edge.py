@@ -25,10 +25,13 @@ from repro.kernels import (
     nms_pim,
     nms_pim_naive,
 )
-from repro.kernels.common import load_image, read_image
-from repro.kernels.hpf import hpf_naive_fast
-from repro.kernels.lpf import lpf_naive_fast
-from repro.kernels.nms import nms_naive_fast
+from repro.dataset import make_sequence
+from repro.kernels.common import LANE_PAD, load_image, read_image, \
+    zero_extend
+from repro.kernels.edge_detect import mask_to_image_coords
+from repro.kernels.hpf import hpf_naive_fast, hpf_u8
+from repro.kernels.lpf import lpf_naive_fast, lpf_u8
+from repro.kernels.nms import nms_naive_fast, nms_u8
 from repro.pim import PIMConfig, PIMDevice
 from repro.vision import binomial_lpf, detect_edges_reference, \
     hpf_sad_reference, nms_reference
@@ -315,3 +318,132 @@ class TestMirrorEqualsDevice:
         np.testing.assert_array_equal(read_image(dev, H, W), lpf_fast(img))
         np.testing.assert_array_equal(lpf_fast(img),
                                       lpf_fast(img.astype(np.int64)))
+
+
+# The 2-D uint8 mirrors the flat-lane kernels replaced: strided windows
+# on an (H, W) image, kept here as the oracle of the flat layout.
+def _avg_2d(a, b):
+    return ((a ^ b) >> 1) + (a & b)
+
+
+def _abs_diff_2d(a, b):
+    return np.maximum(a, b) - np.minimum(a, b)
+
+
+def _lpf_2d(img):
+    a = img
+    for _ in range(2):
+        c = a.copy()
+        c[:-1] = _avg_2d(a[:-1], a[1:])
+        e = c.copy()
+        e[:-1, :-1] = _avg_2d(c[:-1, :-1], c[:-1, 1:])
+        e[:-1, -1] >>= 1
+        a = e
+    return a
+
+
+def _hpf_2d(img):
+    p = zero_extend(img, 2)
+    a, b, c = p[:-2], p[1:-1], p[2:]
+    w = img.shape[1] - 1
+    acc = _abs_diff_2d(a[:, :w], c[:, 2:w + 2]).astype(np.uint16)
+    acc += _abs_diff_2d(a[:, 2:w + 2], c[:, :w])
+    acc += _abs_diff_2d(b[:, :w], b[:, 2:w + 2])
+    acc += _abs_diff_2d(a[:, 1:w + 1], c[:, 1:w + 1])
+    out = np.zeros_like(img)
+    out[:-2, 1:] = np.minimum(acc, 255)
+    return out
+
+
+def _nms_2d(img, th1, th2):
+    width = img.shape[1]
+    p = zero_extend(img, 2)
+    a, b, c = p[:-2], p[1:-1], p[2:]
+    w = width - 1
+    k = np.zeros(b.shape[:1] + (width,), dtype=np.uint8)
+    kc = k[:, 1:]
+    np.maximum(a[:, :w], c[:, 2:w + 2], out=kc)
+    np.minimum(kc, np.maximum(a[:, 2:w + 2], c[:, :w]), out=kc)
+    np.minimum(kc, np.maximum(b[:, :w], b[:, 2:w + 2]), out=kc)
+    np.minimum(kc, np.maximum(a[:, 1:w + 1], c[:, 1:w + 1]), out=kc)
+    b = b[:, :width]
+    low = b - np.minimum(b, th2)
+    out = np.zeros(img.shape, dtype=bool)
+    out[:-2] = (low > k) & (b > th1)
+    return out
+
+
+def _detect_2d(img, th1, th2):
+    u8 = img.astype(np.uint8)
+    mask = _nms_2d(_hpf_2d(_lpf_2d(u8)), th1, th2)
+    return mask_to_image_coords(mask, *u8.shape)
+
+
+@st.composite
+def flat_cases(draw):
+    """Shapes from 1x1 up (odd and minimal ones included) with random,
+    all-0, all-255 and 0/255 pixels, and thresholds at both ends."""
+    shape = (draw(st.integers(1, 26)), draw(st.integers(1, 26)))
+    fill = draw(st.sampled_from(["random", "zeros", "full", "binary"]))
+    if fill == "random":
+        img = draw(hnp.arrays(np.uint8, shape,
+                              elements=st.integers(0, 255)))
+    elif fill == "binary":
+        img = draw(hnp.arrays(np.uint8, shape,
+                              elements=st.sampled_from([0, 255])))
+    else:
+        img = np.full(shape, 0 if fill == "zeros" else 255, np.uint8)
+    th = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
+    return img, draw(th), draw(th)
+
+
+class TestFlatLanes:
+    """Each uint8 stage on the flat ``(H, W + LANE_PAD)`` layout equals
+    the 2-D mirror on the image's lanes and leaves the trailing lanes
+    zero; the chain and ``detect_edges_fast`` equal the 2-D chain."""
+
+    @staticmethod
+    def _check_stage(got, want):
+        width = want.shape[1]
+        assert got.shape == (want.shape[0], width + LANE_PAD)
+        np.testing.assert_array_equal(got[:, :width], want)
+        assert not got[:, width:].any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(flat_cases())
+    @example(case=(np.zeros((1, 1), np.uint8), 0, 0))
+    @example(case=(np.full((3, 3), 255, np.uint8), 0, 0))
+    @example(case=(checkerboard((9, 11)).astype(np.uint8), 0, 255))
+    @example(case=(checkerboard((25, 7)).astype(np.uint8), 255, 0))
+    def test_stages_chain_and_detector(self, case):
+        img, th1, th2 = case
+        lanes = zero_extend(img, LANE_PAD)
+        self._check_stage(lpf_u8(lanes), _lpf_2d(img))
+        self._check_stage(hpf_u8(lanes), _hpf_2d(img))
+        self._check_stage(nms_u8(lanes, th1, th2), _nms_2d(img, th1, th2))
+        smooth = lpf_u8(lanes)
+        response = hpf_u8(smooth)
+        self._check_stage(response, _hpf_2d(_lpf_2d(img)))
+        self._check_stage(nms_u8(response, th1, th2),
+                          _nms_2d(_hpf_2d(_lpf_2d(img)), th1, th2))
+        np.testing.assert_array_equal(
+            detect_edges_fast(img, th1, th2).edge_map,
+            _detect_2d(img, th1, th2))
+
+    @pytest.mark.parametrize("name", ["fr1_xyz", "fr2_desk",
+                                      "fr3_st_ntex_far", "corridor"])
+    def test_rendered_frames(self, name):
+        seq = make_sequence(name, n_frames=3)
+        for frame in seq.frames:
+            img = np.asarray(frame.gray, dtype=np.int64)
+            np.testing.assert_array_equal(
+                detect_edges_fast(img).edge_map, _detect_2d(img, 40, 2))
+
+    def test_inputs_are_not_written(self):
+        img = random_image(3).astype(np.uint8)
+        lanes = zero_extend(img, LANE_PAD)
+        before = lanes.copy()
+        nms_u8(hpf_u8(lpf_u8(lanes)), 40, 2)
+        hpf_u8(lanes)
+        nms_u8(lanes, 40, 2)
+        np.testing.assert_array_equal(lanes, before)

@@ -20,6 +20,7 @@ from repro.kernels.hessian import (
 )
 from repro.kernels.jacobian import (
     JacobianRows,
+    _entry_peak,
     jacobian_fast,
     jacobian_float,
     jacobian_pim,
@@ -28,6 +29,7 @@ from repro.kernels.jacobian import (
 from repro.kernels.warp import (
     WarpResult,
     WarpRows,
+    _qdiv,
     quantize_features,
     quantize_pose,
     warp_fast,
@@ -539,3 +541,127 @@ class TestHessian:
         # 42 multiplies vs 27.
         ratio = dev_naive.ledger.cycles / dev_opt.ledger.cycles
         assert 1.3 < ratio < 1.8
+
+
+def _lm_lanes(n, seed):
+    """LM-scale Jacobian operands on which the exact bound clears."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(-2500, 2501, n), rng.integers(-2500, 2501, n),
+            rng.integers(1000, 20001, n), rng.integers(800, 5001, n),
+            rng.integers(-1100, 1101, n), rng.integers(-1100, 1101, n))
+
+
+def _jacobian_with_peaks(rx, ry, z, c, iu, iv, grad_peaks):
+    """``jacobian_fast`` with ``grad_peaks``: ``(jac, peak, fell_back)``."""
+    warp = WarpResult(u=np.zeros_like(rx), v=np.zeros_like(rx), rx=rx,
+                      ry=ry, z=z, valid=np.ones(len(rx), dtype=bool))
+    before = saturated_calls("kernels_jacobian_saturated_total")
+    jac, peak = jacobian_fast(warp, c, iu, iv, grad_peaks=grad_peaks,
+                              return_peak=True)
+    fell_back = saturated_calls("kernels_jacobian_saturated_total") > before
+    return jac, peak, fell_back
+
+
+class TestJacobianBoundsFromInvariants:
+    """The map-peak bound is tried first and the exact per-call peaks
+    only when it fails; which one clears never changes the rows."""
+
+    def test_map_bound_fails_exact_bound_clears(self):
+        rx, ry, z, c, iu, iv = _lm_lanes(160, 1)
+        grad_peaks = (LANE_MAX, LANE_MAX)
+        mw = int(np.abs(_qdiv(c << 12, z)).max())
+        mrxy = max(np.abs(rx).max(), np.abs(ry).max())
+        # The premise: the map peaks alone cannot clear the bound.
+        assert _entry_peak(mrxy, mrxy, *grad_peaks, mw, 12) is None
+        jac, peak, fell_back = _jacobian_with_peaks(rx, ry, z, c, iu, iv,
+                                                    grad_peaks)
+        assert not fell_back
+        assert jac.dtype == np.int32
+        got, want, _ = jacobian_both(rx, ry, z, c, iu, iv)
+        np.testing.assert_array_equal(jac, want)
+        np.testing.assert_array_equal(jac, got)
+        assert peak >= np.abs(want).max()
+
+    def test_both_bounds_fail(self):
+        n = 160
+        rx, ry = np.full(n, 2000), np.full(n, -1500)
+        z, c = np.ones(n, dtype=np.int64), np.full(n, 4096)
+        iu, iv = np.full(n, LANE_MAX), np.full(n, -700)
+        jac, peak, fell_back = _jacobian_with_peaks(
+            rx, ry, z, c, iu, iv, (LANE_MAX, 700))
+        assert fell_back and peak == 1 << 15
+        _, want, _ = jacobian_both(rx, ry, z, c, iu, iv)
+        np.testing.assert_array_equal(jac, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 160), st.integers(0, 2 ** 32 - 1),
+           st.integers(0, 3))
+    @example(n=8, seed=0, slack=0)
+    def test_map_bound_equals_device(self, n, seed, slack):
+        """With the map peaks at (or above) the lanes' own peaks, the
+        rows equal the device and the returned peak bounds them."""
+        rx, ry, z, c, iu, iv = _lm_lanes(n, seed)
+        grad_peaks = (int(np.abs(iu).max()) + slack,
+                      int(np.abs(iv).max()) + slack)
+        jac, peak, fell_back = _jacobian_with_peaks(rx, ry, z, c, iu, iv,
+                                                    grad_peaks)
+        _, want, _ = jacobian_both(rx, ry, z, c, iu, iv)
+        np.testing.assert_array_equal(jac, want)
+        assert not fell_back
+        assert peak >= np.abs(jac).max()
+
+    @pytest.mark.parametrize("with_map_peaks", [False, True])
+    def test_k_peak_at_the_lane_edge(self, with_map_peaks):
+        """``w = 32767`` (Z~ = c / 8) and ``K = 4097``: ``K w >> 12``
+        is 32775, which the device saturates (J3 = -32767).  The bound
+        sees it only through the exact peak of ``K``: one less would
+        clear every entry (``J1 = Iu w >> 12`` sits at 32767)."""
+        n = 4
+        zeros = np.zeros(n, dtype=np.int64)
+        iu = np.full(n, 4096)
+        lanes = (np.full(n, 4097), zeros, np.full(n, 4096),
+                 np.full(n, LANE_MAX), iu, zeros)
+        jac, peak, fell_back = _jacobian_with_peaks(
+            *lanes, (4096, 0) if with_map_peaks else None)
+        _, want, _ = jacobian_both(*lanes)
+        assert fell_back and want[0, 2] == -LANE_MAX
+        np.testing.assert_array_equal(jac, want)
+
+    def test_returned_peak_is_tight_on_exact_products(self):
+        """Every product here is a multiple of ``2**12``, so the bound
+        is reached: a peak one short would not bound ``J``."""
+        n = 4
+        w_one = np.full(n, 4096)
+        jac, peak, _ = _jacobian_with_peaks(
+            np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+            w_one, w_one, np.full(n, -300), np.full(n, 100), (300, 100))
+        assert peak == np.abs(jac).max() == 300
+
+
+class TestHessianBound:
+    """A caller's bound on ``max|[J | r]|`` decides the int32 path when
+    it clears; when it does not, the measured peak decides, as before."""
+
+    @pytest.mark.parametrize("n,worst", [(3 * 80, 1 << 15),
+                                         (3 * 80 + 1, 1 << 15),
+                                         (MAX_FEATURES, 0)])
+    @pytest.mark.parametrize("slack", [0, 1, 1 << 16])
+    def test_bound_never_changes_the_result(self, n, worst, slack):
+        j, r = worst_raws(n, worst, 80) if worst else lm_raws(n, False, 3)
+        exact = max(int(np.abs(j).max()), int(np.abs(r).max()))
+        before = saturated_calls()
+        got = hessian_fast(j, r, bound=exact + slack)
+        looped = saturated_calls() > before
+        want = hessian_loop_reference(j, r, 80, 32)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        before = saturated_calls()
+        hessian_fast(j, r)
+        assert looped is (saturated_calls() > before)
+
+    def test_unpack_equals_the_pairwise_fill(self):
+        vals = np.random.default_rng(2).normal(size=21)
+        want = np.zeros((6, 6))
+        for idx, (p, q) in enumerate(SYM_PAIRS):
+            want[p, q] = want[q, p] = vals[idx]
+        np.testing.assert_array_equal(unpack_symmetric(vals), want)

@@ -373,3 +373,56 @@ def _count_float_lpf(monkeypatch) -> list:
 
     monkeypatch.setattr(edges_module, "binomial_lpf", counted)
     return calls
+
+
+class TestKnownBounds:
+    """The integer-LPF detector hands its stages their known peak (255:
+    the floored LPF of an 8-bit image, then the 8-bit saturated
+    response), so neither re-measures it; the float path and direct
+    callers measure as before.  The edge maps are unchanged."""
+
+    @staticmethod
+    def _record_lanes(monkeypatch) -> list:
+        seen = []
+
+        def recorded(values, peak, known_peak=None):
+            seen.append(known_peak)
+            return _lanes(values, peak, known_peak)
+
+        monkeypatch.setattr(edges_module, "_lanes", recorded)
+        return seen
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_integer_path_passes_the_peak(self, monkeypatch, dtype):
+        rng = np.random.default_rng(4)
+        image = rng.integers(0, 256, (37, 53)).astype(dtype)
+        image[:, 20:] //= 4
+        want = _float_lpf_detector(image)
+        seen = self._record_lanes(monkeypatch)
+        got = detect_edges_reference(image)
+        assert seen == [255, 255]
+        np.testing.assert_array_equal(got, want)
+        assert got.any()
+
+    @pytest.mark.parametrize("image", [
+        np.random.default_rng(5).uniform(0, 255, (37, 53)),
+        np.random.default_rng(6).integers(-40, 300, (37, 53))],
+        ids=["float", "out-of-range"])
+    def test_other_images_and_direct_callers_measure(self, monkeypatch,
+                                                     image):
+        want = _nms_oracle(_hpf_oracle(np.floor(_lpf_oracle(image))),
+                           40, 2)
+        seen = self._record_lanes(monkeypatch)
+        np.testing.assert_array_equal(detect_edges_reference(image), want)
+        assert seen == [None, None]
+        seen.clear()
+        response = hpf_sad_reference(np.floor(binomial_lpf(image)))
+        nms_reference(response)
+        assert seen == [None, None]
+
+    def test_a_known_peak_past_the_lane_is_measured(self):
+        """A stated peak beyond int16's safe range is not trusted."""
+        values = np.array([[5000, -5000]])
+        assert _lanes(values, 4095, known_peak=5000).dtype == np.int64
+        assert _lanes(values[:, :0], 4095, known_peak=4095).dtype == \
+            np.int16

@@ -431,3 +431,128 @@ class TestKeyframeMaps:
         err, n, _ = fe.error(feats, SE3.identity(), maps)
         assert n == 40
         assert err < 0.4  # sub-pixel quantization residue only
+
+
+def _clamped_pim_lookup(fe, maps, res):
+    """The PIM lookup's gathers with the per-axis pixel clamp the
+    production lookup drops: ``(r_raw, iu, iv)``, zero where invalid."""
+    h, w = maps.dt_raw.shape
+    ui = np.clip((res.u.astype(np.int64) + 2) >> 2, 0, w - 1)
+    vi = np.clip((res.v.astype(np.int64) + 2) >> 2, 0, h - 1)
+    valid = res.valid
+    if fe.config.pim_bilinear_residual:
+        r = np.zeros(len(valid), dtype=np.int64)
+        r[valid] = np.minimum(
+            fe._bilinear_q2(maps.dt_raw, res.u[valid], res.v[valid]),
+            fe._clamp_raw)
+    else:
+        r = np.minimum(maps.dt_raw[vi, ui], fe._clamp_raw) * valid
+    return r, maps.gu_raw[vi, ui] * valid, maps.gv_raw[vi, ui] * valid
+
+
+def _edge_warp(camera, seed):
+    """A warp whose ``uv`` sits at 0, at the valid maximum ``lim``, just
+    past both, far negative and saturated to +-32767 (and -32768)."""
+    from repro.kernels.warp import WarpResult
+    rng = np.random.default_rng(seed)
+    lim = np.array([(camera.width - 1) * 4, (camera.height - 1) * 4])
+    special = [0, 1, 2, 3, -1, -2, -3, -4, 32767, -32767, -32768]
+    cols = []
+    for axis in range(2):
+        edge = [lim[axis] + d for d in (-2, -1, 0, 1, 2, 3)]
+        values = np.array(special + edge)
+        cols.append(np.concatenate([
+            np.repeat(values, len(values)) if axis == 0
+            else np.tile(values, len(values)),
+            rng.integers(0, lim[axis] + 1, 200)]))
+    n = cols[0].size
+    block = np.empty((5, n), dtype=np.int32)
+    block[0], block[1] = cols
+    block[2] = rng.integers(-2000, 2001, n)
+    block[3] = rng.integers(-2000, 2001, n)
+    block[4] = np.where(rng.random(n) < 0.9,
+                        rng.integers(1000, 20000, n), 0)
+    uv = block[:2]
+    inside = uv.view(np.uint32) <= lim.astype(np.uint32)[:, None]
+    valid = inside[0] & inside[1] & (block[4] > 0)
+    u, v, rx, ry, z = block
+    return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid, uv=uv,
+                      rxy=block[2:4])
+
+
+class TestPimLookupAtTheEdges:
+    """The PIM lookup gathers without a pixel clamp on a map of the
+    camera's shape (and with one on any other shape); on ``uv`` exactly
+    at ``lim``, past it, negative and saturated, its residuals and its
+    system equal those of the clamped gathers."""
+
+    @pytest.mark.parametrize("map_shape", ["camera", "short", "long"])
+    @pytest.mark.parametrize("bilinear", [False, True])
+    def test_equals_the_clamped_lookup(self, monkeypatch, map_shape,
+                                       bilinear):
+        from repro.kernels.hessian import hessian_fast, unpack_symmetric
+        from repro.kernels.jacobian import jacobian_fast
+        from repro.kernels.warp import quantize_features
+        import repro.vo.frontend as frontend_module
+        camera = TUM_QVGA.scaled(0.25)
+        cfg = TrackerConfig(camera=camera, pim_bilinear_residual=bilinear)
+        fe = PIMFrontend(cfg)
+        shape = {"camera": (camera.height, camera.width),
+                 "short": (camera.height - 1, camera.width - 1),
+                 "long": (camera.height + 2, camera.width + 3)}[map_shape]
+        rng = np.random.default_rng(len(map_shape))
+        maps = fe.prepare_keyframe(rng.random(shape) < 0.05)
+        res = _edge_warp(camera, 7)
+        n = res.u.size
+        feats = quantize_features(np.zeros(n), np.zeros(n),
+                                  rng.uniform(0.2, 1.0, n))
+        monkeypatch.setattr(frontend_module, "warp_fast",
+                            lambda qpose, qfeats, cam: res)
+        pose = SE3.identity()
+        err, count, lookup = fe.error(feats, pose, maps)
+        r_ref, iu_ref, iv_ref = _clamped_pim_lookup(fe, maps, res)
+        np.testing.assert_array_equal(lookup[1], r_ref)
+        assert count == np.count_nonzero(res.valid) > 0
+        jac = jacobian_fast(res, feats.lanes[2], iu_ref, iv_ref)
+        h_raw, b_raw = hessian_fast(jac, r_ref)
+        got = fe.linearize(feats, pose, maps, lookup)
+        np.testing.assert_array_equal(got[0], unpack_symmetric(h_raw / 8.0))
+        np.testing.assert_array_equal(got[1], b_raw / 8.0)
+        assert got[2:] == (err, count)
+
+
+class TestKeyframeMapRanges:
+    def test_ranges_and_peaks_of_the_raw_maps(self):
+        dt = np.array([[0, 3], [7, 2]])
+        gu = np.array([[-9, 4], [0, 8]], dtype=np.int32)
+        gv = np.array([[5, -5], [1, 2]], dtype=np.int32)
+        maps = KeyframeMaps(dt_raw=dt, gu_raw=gu, gv_raw=gv)
+        assert maps.ranges == {"dt_raw": (0, 7), "gu_raw": (-9, 8),
+                               "gv_raw": (-5, 5)}
+        assert (maps.peak("dt_raw"), maps.peak("gu_raw"),
+                maps.peak("gv_raw")) == (7, 9, 5)
+        assert maps.peak("dt") is None
+        empty = KeyframeMaps(dt_raw=np.zeros((0, 3), dtype=np.int64))
+        assert empty.ranges == {} and empty.peak("dt_raw") is None
+
+    def test_prepared_maps_carry_their_peaks(self):
+        cfg = TrackerConfig(camera=TUM_QVGA.scaled(0.25))
+        edge = np.zeros((60, 80), dtype=bool)
+        edge[20:40, 30] = True
+        maps = PIMFrontend(cfg).prepare_keyframe(edge)
+        for name in ("dt_raw", "gu_raw", "gv_raw"):
+            arr = getattr(maps, name)
+            assert maps.peak(name) == int(np.abs(arr).max()) > 0
+
+    @pytest.mark.parametrize("dt_range,j_peak,want", [
+        ((0, 7), 0, 7),            # every residual below the clamp
+        ((0, 900), 0, 40),         # the clamp (10 px in Q14.2) binds
+        ((-50, 900), 3, 50),       # a negative DT raw passes the clamp
+        ((0, 900), 600, 600),      # the Jacobian peak dominates
+    ])
+    def test_hessian_bound(self, dt_range, j_peak, want):
+        fe = PIMFrontend(TrackerConfig(residual_clamp=10.0))
+        lo, hi = dt_range
+        maps = KeyframeMaps(dt_raw=np.array([[lo, hi]]))
+        assert fe._hessian_bound(maps, j_peak) == want
+        assert fe._hessian_bound(KeyframeMaps(), j_peak) is None

@@ -294,6 +294,23 @@ class TestCheckFrame:
             with pytest.raises(CorruptFrameError):
                 _check_frame(gray)
 
+    def test_nan_float_frame_raises(self):
+        gray = np.full((24, 32), 100.0)
+        gray[3, 5] = np.nan
+        with pytest.raises(CorruptFrameError):
+            _check_frame(gray)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int16,
+                                       bool])
+    def test_integer_frame_passes_unscanned(self, dtype):
+        """An integer or bool frame cannot hold a non-finite value: it
+        is returned as is, extremes included."""
+        gray = np.zeros((24, 32), dtype=dtype)
+        if dtype is not bool:
+            info = np.iinfo(dtype)
+            gray[0, 0], gray[-1, -1] = info.min, info.max
+        assert _check_frame(gray) is gray
+
 
 class TestHealthStateMachine:
     def test_keyframe_fallback_on_lm_nonconvergence(self):

@@ -122,10 +122,10 @@ class KeyframeMaps:
         """The read-only :func:`_edge_pad` grid of float map ``name``."""
         return self._grids[name]
 
-    def peak(self, name: str) -> Optional[int]:
-        """``max|.|`` of raw map ``name``, or None if it has none."""
-        lo_hi = self.ranges.get(name)
-        return None if lo_hi is None else max(-lo_hi[0], lo_hi[1])
+    def peak(self, name: str) -> int:
+        """``max|.|`` of the non-empty raw map ``name``."""
+        lo, hi = self.ranges[name]
+        return max(-lo, hi)
 
 
 def _edge_pad(grid: np.ndarray) -> np.ndarray:
@@ -448,19 +448,16 @@ class PIMFrontend:
             r_raw *= valid
         return res, r_raw, idx, valid
 
-    def _hessian_bound(self, maps: KeyframeMaps, j_peak: int
-                       ) -> Optional[int]:
+    def _hessian_bound(self, maps: KeyframeMaps, j_peak: int) -> int:
         """A bound on ``max|[J | r]|`` for :func:`hessian_fast`.
 
         A residual is ``min(dt, clamp)`` (or zero), and the nearest or
         bilinear ``dt`` lies in the map's range, so ``|r|`` is at most
         the larger magnitude of the range's two ends after the clamp.
         """
-        lo_hi = maps.ranges.get("dt_raw")
-        if lo_hi is None:
-            return None
         clamp = self._clamp_raw
-        return max(j_peak, *(abs(min(end, clamp)) for end in lo_hi))
+        return max(j_peak, *(abs(min(end, clamp))
+                             for end in maps.ranges["dt_raw"]))
 
     @staticmethod
     def _mean_square(r_raw: np.ndarray, n: int) -> float:
@@ -507,11 +504,10 @@ class PIMFrontend:
         iu *= valid
         iv = maps.gv_raw.take(idx, mode="clip")
         iv *= valid
-        grad_peaks = (maps.peak("gu_raw"), maps.peak("gv_raw"))
         jac, j_peak = jacobian_fast(
             res, qfeats.lanes[2], iu, iv,
             feature_frac=qfeats.fmt.fraction_bits,
-            grad_peaks=None if None in grad_peaks else grad_peaks,
+            grad_peaks=(maps.peak("gu_raw"), maps.peak("gv_raw")),
             return_peak=True)
         h_raw, b_raw = hessian_fast(
             jac, r_raw, bound=self._hessian_bound(maps, j_peak))

@@ -69,14 +69,21 @@ class EdgeDetectionResult:
 
 def mask_to_image_coords(mask: np.ndarray, height: int,
                          width: int) -> np.ndarray:
-    """Re-index the kernel-aligned mask into original image coordinates."""
+    """Re-index the kernel-aligned mask into original image coordinates.
+
+    Only the valid interior, ``VALID_MARGIN`` pixels in from each
+    border, is kept, copied out of the mask once.  The mask may be
+    wider than the image (the flat lanes' trailing columns are never
+    read); a non-bool mask counts its positive entries.
+    """
     edge = np.zeros((height, width), dtype=bool)
-    src = mask[:height - EDGE_ROW_OFFSET, :width - EDGE_COL_OFFSET] > 0
-    edge[EDGE_ROW_OFFSET:, EDGE_COL_OFFSET:] = src
     m = VALID_MARGIN
-    interior = np.zeros_like(edge)
-    interior[m:-m, m:-m] = edge[m:-m, m:-m]
-    return interior
+    if height > 2 * m and width > 2 * m:
+        src = mask[m - EDGE_ROW_OFFSET:height - m - EDGE_ROW_OFFSET,
+                   m - EDGE_COL_OFFSET:width - m - EDGE_COL_OFFSET]
+        edge[m:height - m, m:width - m] = src if src.dtype == bool \
+            else src > 0
+    return edge
 
 
 def detect_edges_fast(image: np.ndarray, th1: int = DEFAULT_TH1,
@@ -84,22 +91,14 @@ def detect_edges_fast(image: np.ndarray, th1: int = DEFAULT_TH1,
     """Edge detection with exact PIM arithmetic, vectorized.
 
     The three stages chain on flat uint8 lanes, as the device's 8-bit
-    rows do (:func:`~repro.kernels.lpf.lpf_u8`), and the mask's valid
-    interior is copied into image coordinates once, as
-    :func:`mask_to_image_coords` would place it.  The image is
+    rows do (:func:`~repro.kernels.lpf.lpf_u8`).  The image is
     truncated to integers and refused outside ``[0, 255]`` exactly
     like :func:`load_image` refuses it.
     """
     img = pixels_u8(image)
-    height, width = img.shape
     mask = nms_u8(hpf_u8(lpf_u8(zero_extend(img, LANE_PAD))), th1, th2)
-    edge = np.zeros((height, width), dtype=bool)
-    m = VALID_MARGIN
-    if height > 2 * m and width > 2 * m:
-        edge[m:height - m, m:width - m] = mask[
-            m - EDGE_ROW_OFFSET:height - m - EDGE_ROW_OFFSET,
-            m - EDGE_COL_OFFSET:width - m - EDGE_COL_OFFSET]
-    return EdgeDetectionResult(edge_map=edge)
+    return EdgeDetectionResult(edge_map=mask_to_image_coords(mask,
+                                                             *img.shape))
 
 
 def detect_edges_pim(device, image: np.ndarray, th1: int = DEFAULT_TH1,

@@ -416,7 +416,9 @@ class PIMFrontend:
         rounded pixel lies in the camera's image: on a map of the
         camera's shape the index needs no clamp.  An invalid lane's
         index may fall anywhere; ``take(mode="clip")`` keeps it in the
-        map and ``valid`` zeroes what it reads.
+        map and ``valid`` zeroes what it reads.  A map of another shape
+        (at an odd size, a pyramid level's image can be a column
+        narrower than its scaled camera) keeps the per-axis clamp.
         """
         keyed = self._keyed
         qpose = keyed[1] if keyed is not None and keyed[0] is pose \

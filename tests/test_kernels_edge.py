@@ -28,7 +28,12 @@ from repro.kernels import (
 from repro.dataset import make_sequence
 from repro.kernels.common import LANE_PAD, load_image, read_image, \
     zero_extend
-from repro.kernels.edge_detect import mask_to_image_coords
+from repro.kernels.edge_detect import (
+    EDGE_COL_OFFSET,
+    EDGE_ROW_OFFSET,
+    VALID_MARGIN,
+    mask_to_image_coords,
+)
 from repro.kernels.hpf import hpf_naive_fast, hpf_u8
 from repro.kernels.lpf import lpf_naive_fast, lpf_u8
 from repro.kernels.nms import nms_naive_fast, nms_u8
@@ -321,7 +326,8 @@ class TestMirrorEqualsDevice:
 
 
 # The 2-D uint8 mirrors the flat-lane kernels replaced: strided windows
-# on an (H, W) image, kept here as the oracle of the flat layout.
+# on an (H, W) image, and the three-copy mask placement, kept here as
+# the oracle of the flat layout.
 def _avg_2d(a, b):
     return ((a ^ b) >> 1) + (a & b)
 
@@ -373,10 +379,20 @@ def _nms_2d(img, th1, th2):
     return out
 
 
+def _mask_to_image_2d(mask, height, width):
+    edge = np.zeros((height, width), dtype=bool)
+    src = mask[:height - EDGE_ROW_OFFSET, :width - EDGE_COL_OFFSET] > 0
+    edge[EDGE_ROW_OFFSET:, EDGE_COL_OFFSET:] = src
+    m = VALID_MARGIN
+    interior = np.zeros_like(edge)
+    interior[m:-m, m:-m] = edge[m:-m, m:-m]
+    return interior
+
+
 def _detect_2d(img, th1, th2):
     u8 = img.astype(np.uint8)
     mask = _nms_2d(_hpf_2d(_lpf_2d(u8)), th1, th2)
-    return mask_to_image_coords(mask, *u8.shape)
+    return _mask_to_image_2d(mask, *u8.shape)
 
 
 @st.composite
@@ -438,6 +454,19 @@ class TestFlatLanes:
             img = np.asarray(frame.gray, dtype=np.int64)
             np.testing.assert_array_equal(
                 detect_edges_fast(img).edge_map, _detect_2d(img, 40, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 26), st.integers(1, 26), st.integers(0, 2),
+           st.sampled_from([bool, np.int64]), st.integers(0, 2 ** 32 - 1))
+    def test_mask_placement(self, height, width, extra, dtype, seed):
+        """The one-copy placement equals the three-copy one on bool and
+        integer masks (negative entries included), of the image's width
+        or wider."""
+        rng = np.random.default_rng(seed)
+        mask = rng.integers(-1, 3, (height, width + extra)).astype(dtype)
+        np.testing.assert_array_equal(
+            mask_to_image_coords(mask, height, width),
+            _mask_to_image_2d(mask[:, :width], height, width))
 
     def test_inputs_are_not_written(self):
         img = random_image(3).astype(np.uint8)

@@ -13,9 +13,8 @@ numpy mirror (``mirror_ms``: :func:`detect_edges_fast`,
 (``matches_vectorized_reference``), so the choice between mirror and
 compiled replay as the production path is read off this artifact.
 
-Results are stamped with the git revision and backend versions
-(numpy, numba when importable) so BENCH_pim.json stays attributable
-across the PR sequence.
+Results are stamped with the git revision and the numpy version so
+BENCH_pim.json stays attributable across the PR sequence.
 
 The harness is shared by ``benchmarks/test_wallclock.py`` (asserts
 :func:`gate_failures` is empty), ``benchmarks/run_wallclock.py``
@@ -46,7 +45,6 @@ from repro.kernels.warp import (
 )
 from repro.obs.stamp import run_stamp
 from repro.pim import PIMDevice
-from repro.pim.lowering import NUMBA_VERSION
 
 __all__ = ["run_wallclock", "gate_failures", "write_results",
            "BENCH_FILENAME", "SPEEDUP_FLOORS"]
@@ -177,7 +175,6 @@ def run_wallclock(repeats: int = 5, image_shape=(240, 320),
     return {
         "benchmark": "pim-program-replay-wallclock",
         **run_stamp(),
-        "numba": NUMBA_VERSION,
         "repeats": repeats,
         "edge_pipeline": _bench_edge_pipeline(image, repeats),
         "warp": _bench_warp(num_features, repeats),

@@ -148,7 +148,8 @@ def detect_edges_replay(device, image: np.ndarray, th1: int = DEFAULT_TH1,
     iterations.  ``mode`` is forwarded to
     :meth:`~repro.pim.device.PIMDevice.run_program` (``"eager"``
     executes the same programs row by row -- the equivalence and
-    benchmark reference).
+    benchmark reference).  The mask is read back as the device's lane
+    bytes, one host transfer per row, as :func:`read_image` charges.
     """
     img = np.asarray(image)
     height, width = img.shape
@@ -169,7 +170,8 @@ def detect_edges_replay(device, image: np.ndarray, th1: int = DEFAULT_TH1,
         nms_pim_replay(device, height, th1, th2, base_row, mode=mode)
         cycles["nms"] = device.ledger.cycles - start
 
-    mask = read_image(device, height, width, base_row)
+    # The 8-bit mask lanes are their bytes: no int64 unpack.
+    mask = device._store_row_bytes(base_row, height)
     return EdgeDetectionResult(
         edge_map=mask_to_image_coords(mask, height, width),
         cycles=cycles)

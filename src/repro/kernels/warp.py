@@ -63,7 +63,7 @@ class QuantizedFeatures:
     A feature set is written once and warped many times (every LM trial
     of a frame), so what does not depend on the pose is taken here, at
     construction: ``lanes``, the int32 ``(3, n)`` pack of ``a``, ``b``
-    and ``c``, and whether they fit the 16-bit lane.  ``a``, ``b``,
+    and ``c``, whether they fit the 16-bit lane, and their peaks.  ``a``, ``b``,
     ``c`` and ``lanes`` are marked read-only, so a write through them
     raises instead of leaving the pack stale.  That guards these arrays
     only: pass arrays that nothing writes into afterwards, not views of
@@ -84,15 +84,19 @@ class QuantizedFeatures:
     #: Some value is the lane minimum ``-2**15``, the one operand whose
     #: product with a ``-2**15`` pose raw leaves the lane.
     holds_lane_min: bool = field(init=False, repr=False, compare=False)
+    #: ``max |a|``, ``max |b|`` and ``max |c|`` (zeros when empty).
+    peaks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         components = tuple(np.asarray(x) for x in (self.a, self.b, self.c))
         self.a, self.b, self.c = components
-        lows = [int(x.min()) for x in components] if self.a.size else []
-        self.in_lane = all(
-            low >= _LANE_MIN and int(x.max()) <= _LANE_MAX
-            for low, x in zip(lows, components))
-        self.holds_lane_min = _LANE_MIN in lows
+        ranges = [(int(x.min()), int(x.max())) for x in components] \
+            if self.a.size else []
+        self.in_lane = all(low >= _LANE_MIN and high <= _LANE_MAX
+                           for low, high in ranges)
+        self.holds_lane_min = any(low == _LANE_MIN for low, _ in ranges)
+        self.peaks = tuple(max(-low, high) for low, high in ranges) \
+            if ranges else (0, 0, 0)
         self.lanes = np.array(components, dtype=np.int32)
         for arr in components + (self.lanes,):
             arr.flags.writeable = False
@@ -228,15 +232,43 @@ def _sat16(x: np.ndarray) -> np.ndarray:
     return x.clip(*_SAT16_BOUNDS, out=x)
 
 
+def _product_peak(coef: int, peak: int) -> int:
+    """Bound on ``|(coef * x) >> 15|`` over ``|x| <= peak``: the floor
+    shift rounds a negative product away from zero."""
+    return (abs(coef) * peak + (1 << 15) - 1) >> 15
+
+
+def _sums_in_lane(coef, r2, peaks) -> bool:
+    """Whether every partial sum of X, Y and Z stays inside the lane.
+
+    Per axis, ``m0 + m1``, then ``+ r2``, then ``+ m2``: each partial
+    sum is at most the sum of its terms' bounds, so when the full sum
+    of bounds is within ``2**15 - 1`` no saturation of the chain can
+    clamp.
+    """
+    pa, pb, pc = peaks
+    return all(_product_peak(c0, pa) + _product_peak(c1, pb) + abs(r)
+               + _product_peak(c2, pc) <= _LANE_MAX
+               for (c0, c1, c2), r in zip(coef, r2))
+
+
 @functools.lru_cache(maxsize=16)
 def _intrinsic_lanes(camera: CameraIntrinsics, fraction_bits: int) -> tuple:
     """:func:`warp_fast`'s constants of the intrinsic stage, per camera.
 
-    ``(fxy, cxy, shift, lim)``: the focal lengths and principal point
-    as int32 ``(2, 1)`` columns, the product shift, and the valid
-    ``u``/``v`` maximum as a uint32 ``(2, 1)`` column.
+    ``(fxy, cxy, shift, lim, fits)``: the focal lengths and principal
+    point as int32 ``(2, 1)`` columns, the product shift, the valid
+    ``u``/``v`` maximum as a uint32 ``(2, 1)`` column, and whether
+    neither saturation of ``((r * f) >> shift) + c`` can clamp for any
+    saturated ratio ``r`` in ``[-2**15, 2**15 - 1]``.  The product is
+    monotonic in ``r``, so its two ends bound it.
     """
     fx_q, fy_q, cx_q, cy_q, shift = _intrinsic_raws(camera, fraction_bits)
+    fits = True
+    for f_q, c_q in ((fx_q, cx_q), (fy_q, cy_q)):
+        ends = ((_LANE_MIN * f_q) >> shift, (_LANE_MAX * f_q) >> shift)
+        fits &= _LANE_MIN <= min(ends) and max(ends) <= _LANE_MAX and \
+            _LANE_MIN <= min(ends) + c_q and max(ends) + c_q <= _LANE_MAX
     scale = UV_FORMAT.scale
     consts = (np.array([[fx_q], [fy_q]], dtype=np.int32),
               np.array([[cx_q], [cy_q]], dtype=np.int32),
@@ -245,7 +277,7 @@ def _intrinsic_lanes(camera: CameraIntrinsics, fraction_bits: int) -> tuple:
     for arr in consts:
         arr.flags.writeable = False
     fxy, cxy, lim = consts
-    return fxy, cxy, shift, lim
+    return fxy, cxy, shift, lim, fits
 
 
 def qdiv_lanes(a_raw, b_raw, lshift: int = 0) -> np.ndarray:
@@ -316,10 +348,14 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     the 16-bit lane like :func:`repro.fixedpoint.ops.multiply`, with
     the same :class:`ValueError`.
 
-    Per call only the pose-dependent work is done: the feature pack
-    and its lane check come from :class:`QuantizedFeatures`, the
-    intrinsic constants from :func:`_intrinsic_lanes`.  Fields are the
-    int32 rows of one ``(5, n)`` block.
+    Per call only the pose-dependent work is done: the feature pack,
+    its lane check and its peaks come from :class:`QuantizedFeatures`,
+    the intrinsic constants from :func:`_intrinsic_lanes`.  A
+    saturation that a bound rules out is skipped: the sum chain's when
+    the pose raws and the feature peaks keep every partial sum inside
+    the lane (:func:`_sums_in_lane`), the intrinsic stage's when the
+    camera's constants do.  Fields are the int32 rows of one ``(5, n)``
+    block.
     """
     f = feats.fmt.fraction_bits
     assert f <= 15, "the divide's numerator x << f must fit int32"
@@ -332,8 +368,9 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
               or not all(_LANE_MIN <= v <= _LANE_MAX
                          for row in coef for v in row)):
         raise ValueError(f"operands exceed {_LANE_BITS}-bit lane range")
-    r2 = np.array([max(-(1 << 16), min(int(row[2]) >> (15 - f), 1 << 16))
-                   for row in r], dtype=np.int32).reshape(3, 1)
+    r2_raw = [max(-(1 << 16), min(int(row[2]) >> (15 - f), 1 << 16))
+              for row in r]
+    r2 = np.array(r2_raw, dtype=np.int32).reshape(3, 1)
 
     # (axis, term, feature): products >> 15 lie in [-2**15 + 1, 2**15],
     # so their saturation only ever clamps from above, and only the
@@ -342,11 +379,16 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     m >>= 15
     if feats.holds_lane_min and any(_LANE_MIN in row for row in coef):
         np.minimum(m, _LANE_MAX, out=m)
-    xyz = _sat16(m[:, 0] + m[:, 1])
-    xyz += r2
-    _sat16(xyz)
-    xyz += m[:, 2]
-    _sat16(xyz)
+    xyz = m[:, 0] + m[:, 1]
+    if _sums_in_lane(coef, r2_raw, feats.peaks):
+        xyz += r2
+        xyz += m[:, 2]
+    else:
+        _sat16(xyz)
+        xyz += r2
+        _sat16(xyz)
+        xyz += m[:, 2]
+        _sat16(xyz)
 
     out = np.empty((5, n), dtype=np.int32)   # u, v, rx, ry, z
     den = xyz[2]
@@ -356,13 +398,16 @@ def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
     # qdiv_lanes checks.
     rxy[...] = _qdiv(xyz[:2] << f, den)
 
-    fxy, cxy, shift, lim = _intrinsic_lanes(camera, f)
+    fxy, cxy, shift, lim, fits = _intrinsic_lanes(camera, f)
     uv = out[:2]
     np.multiply(rxy, fxy, out=uv)
     uv >>= shift
-    _sat16(uv)
-    uv += cxy
-    _sat16(uv)
+    if fits:
+        uv += cxy
+    else:
+        _sat16(uv)
+        uv += cxy
+        _sat16(uv)
 
     # 0 <= uv <= lim as one unsigned compare: negative lanes wrap high.
     inside = uv.view(np.uint32) <= lim

@@ -27,6 +27,9 @@ _Labels = Tuple[Tuple[str, str], ...]
 
 
 def _labelkey(labels: Dict[str, object]) -> _Labels:
+    if len(labels) == 1:
+        ((name, value),) = labels.items()
+        return ((name, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -214,6 +217,10 @@ class MetricsRegistry:
 
     def _get_or_create(self, cls, name: str, description: str,
                        **kwargs):
+        # Instruments are never removed, so a hit needs no lock.
+        inst = self._instruments.get(name)
+        if inst is not None and type(inst) is cls:
+            return inst
         with self._lock:
             inst = self._instruments.get(name)
             if inst is None:

@@ -68,6 +68,12 @@ class CostLedger:
             ``logic_ops``.  :meth:`breakdown` renders it as the
             structured per-class cycle/energy table consumers used to
             reconstruct by diffing snapshots around each kernel.
+
+    :meth:`charge_program` adds the scalar totals at once and defers
+    the three histograms: the pending ``aggregate x reps`` charges are
+    folded in, in first-charge order, before any of them is read or
+    charged directly, so every read sees what immediate charging
+    would have left, insertion order included.
     """
 
     cycles: int = 0
@@ -79,6 +85,20 @@ class CostLedger:
     op_counts: Counter = field(default_factory=Counter)
     op_profile: Counter = field(default_factory=Counter)
     op_costs: Counter = field(default_factory=Counter)
+    #: ``id(aggregate) -> [aggregate, reps]`` charged by
+    #: :meth:`charge_program` and not yet folded into the histograms.
+    _pending: Dict[int, list] = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
+
+    def _fold(self) -> None:
+        """Fold the pending program charges into the histograms."""
+        pending, self._pending = self._pending, {}
+        state = self.__dict__
+        for aggregate, reps in pending.values():
+            for name in _HISTOGRAMS:
+                counter = state[name]
+                for key, count in getattr(aggregate, name).items():
+                    counter[key] += count * reps
 
     def charge(self, kind: OpKind, cycles: int, sram_reads: int = 0,
                sram_writes: int = 0, tmp_accesses: int = 0,
@@ -92,15 +112,16 @@ class CostLedger:
         self.op_counts[kind] += 1
         if precision:
             self.op_profile[(kind, precision)] += 1
-        self.op_costs[(kind, "cycles")] += cycles
+        op_costs = self.op_costs
+        op_costs[(kind, "cycles")] += cycles
         if sram_reads:
-            self.op_costs[(kind, "sram_reads")] += sram_reads
+            op_costs[(kind, "sram_reads")] += sram_reads
         if sram_writes:
-            self.op_costs[(kind, "sram_writes")] += sram_writes
+            op_costs[(kind, "sram_writes")] += sram_writes
         if tmp_accesses:
-            self.op_costs[(kind, "tmp_accesses")] += tmp_accesses
+            op_costs[(kind, "tmp_accesses")] += tmp_accesses
         if logic_ops:
-            self.op_costs[(kind, "logic_ops")] += logic_ops
+            op_costs[(kind, "logic_ops")] += logic_ops
 
     def charge_host_transfer(self, rows: int = 1) -> None:
         """Record host DMA traffic (not charged to cycles)."""
@@ -125,12 +146,12 @@ class CostLedger:
         self.tmp_accesses += aggregate.tmp_accesses * reps
         self.logic_ops += aggregate.logic_ops * reps
         self.host_transfers += aggregate.host_transfers * reps
-        for kind, count in aggregate.op_counts.items():
-            self.op_counts[kind] += count * reps
-        for key, count in aggregate.op_profile.items():
-            self.op_profile[key] += count * reps
-        for key, count in aggregate.op_costs.items():
-            self.op_costs[key] += count * reps
+        entry = self._pending.get(id(aggregate))
+        if entry is None:
+            # The entry holds the aggregate, so its id is not reused.
+            self._pending[id(aggregate)] = [aggregate, reps]
+        else:
+            entry[1] += reps
 
     def merge(self, other: "CostLedger") -> None:
         """Fold another ledger into this one."""
@@ -233,6 +254,29 @@ class CostLedger:
         self.tmp_accesses = 0
         self.logic_ops = 0
         self.host_transfers = 0
+        self._pending = {}
         self.op_counts.clear()
         self.op_profile.clear()
         self.op_costs.clear()
+
+
+#: The histogram fields of :class:`CostLedger`.
+_HISTOGRAMS = ("op_counts", "op_profile", "op_costs")
+
+
+def _histogram(name: str) -> property:
+    """A histogram field that folds pending program charges on read."""
+
+    def read(ledger: CostLedger) -> Counter:
+        if ledger._pending:
+            ledger._fold()
+        return ledger.__dict__[name]
+
+    def write(ledger: CostLedger, value: Counter) -> None:
+        ledger.__dict__[name] = value
+
+    return property(read, write)
+
+
+for _name in _HISTOGRAMS:
+    setattr(CostLedger, _name, _histogram(_name))

@@ -481,6 +481,20 @@ class PIMDevice(_DeviceCore):
         self.ledger.charge_host_transfer(int(idx.size))
         return self._unpack(self._mem[idx], signed)
 
+    def _store_row_bytes(self, base_row: int, count: int) -> np.ndarray:
+        """Host DMA: ``count`` rows from ``base_row`` as raw row bytes.
+
+        Charges one host transfer per row, as :meth:`store_rows` does.
+        At 8-bit lanes each byte is an unsigned lane value, so a 0/1
+        mask reads back without the int64 unpack.
+        """
+        if count and (base_row < 0 or
+                      base_row + count > self.config.num_rows):
+            raise IndexError(
+                f"rows outside [0, {self.config.num_rows})")
+        self.ledger.charge_host_transfer(count)
+        return self._mem[base_row:base_row + count].copy()
+
     def read_tmp(self, signed: bool = True, index: int = 0) -> np.ndarray:
         """Host debug view of a Tmp register (no charge)."""
         return self._unpack(self._tmp[index], signed)
@@ -716,22 +730,32 @@ class PIMDevice(_DeviceCore):
                 "pim_replay_fallback_total",
                 "auto-mode compiled->eager fallbacks by hazard rule"
             ).inc(reason=reason)
+        tracer = get_tracer()
+        if not tracer.enabled:
+            self._replay(program, bases, reason is None)
+            return
         attrs = {"program": program.name, "bases": int(bases.size),
                  "requested_mode": mode, "executed_mode": executed}
         if reason is not None:
             attrs["fallback_reason"] = reason
-        with get_tracer().span(f"run_program:{program.name}",
-                               device=self, category="replay",
-                               **attrs) as span:
-            self.set_precision(program.initial_precision)
-            if reason is not None:
-                for base in bases.tolist():
-                    program.replay(self, base)
-                return
-            from repro.pim.lowering import compiled_plan
-            plan = compiled_plan(program, self.config)
-            span.set_attr("lane_dtypes", plan.lane_dtypes)
-            self._replay_compiled(program, plan, bases)
+        with tracer.span(f"run_program:{program.name}", device=self,
+                         category="replay", **attrs) as span:
+            plan = self._replay(program, bases, reason is None)
+            if plan is not None:
+                span.set_attr("lane_dtypes", plan.lane_dtypes)
+
+    def _replay(self, program, bases: np.ndarray, compiled: bool):
+        """:meth:`run_program`'s replay; returns the plan it ran, if
+        compiled."""
+        self.set_precision(program.initial_precision)
+        if not compiled:
+            for base in bases.tolist():
+                program.replay(self, base)
+            return None
+        from repro.pim.lowering import compiled_plan
+        plan = compiled_plan(program, self.config)
+        self._replay_compiled(program, plan, bases)
+        return plan
 
     def _replay_compiled(self, program, plan,
                          bases: np.ndarray) -> None:

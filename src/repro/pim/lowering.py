@@ -48,18 +48,27 @@ bases, so ``|w - r| < min_gap`` proves disjointness -- the warp kernel
 scatters all dirty relative slots before the gather and drops cached
 reads that may have been overwritten.
 
+One row window.  When the bases are a step-1 range (the edge chain's
+always are), every relative offset a section reads is a row slice of
+one window, copied out of SRAM once: rows ``bases[0] + lo`` to
+``bases[-1] + hi`` for the section's smallest and largest read offset.
+A ``shift_lanes`` of such a slice is computed once per shift amount
+over the whole window and sliced per offset, so the HPF's and NMS's
+five opening shifts cost two.  Scatters become slice assignments.  The
+rules above still decide visibility: a relative write drops the window
+and its shifts, and the next relative read re-copies it after any
+flush those rules call for.  That suffices because at a gap of 1 every
+two distinct offsets conflict, so a window is only ever copied with no
+dirty relative slot it could miss; with one base no two offsets ever
+share a row.  Other strides (the warp's blocks of 10) keep per-offset
+gathers and scatters.
+
 Lowering is total: an op that cannot be proven exactly hand-lowerable
 becomes a fallback closure around ``_compute`` (counted in
 :attr:`CompiledPlan.fallback_ops`), so :func:`compiled_plan` returns a
 plan for every program the recorder accepts.  An immediate outside
 int64 -- only a tampered stored program can hold one -- raises
 ``ValueError``, as eager replay does.
-
-``numba.njit`` is used opportunistically when the package is
-importable (it is not a dependency): the hot unsigned saturating-add
-kernel is jitted, everything else is pure NumPy.  Results are
-identical either way; :data:`NUMBA_VERSION` records what the build
-used so benchmark stamps are attributable.
 """
 
 from __future__ import annotations
@@ -77,23 +86,7 @@ from repro.pim.device import (
 )
 from repro.pim.isa import Imm, Rel, _TmpSentinel
 
-__all__ = ["CompiledPlan", "compiled_plan", "NUMBA_VERSION"]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-
-    NUMBA_VERSION: Optional[str] = numba.__version__
-
-    @numba.njit(cache=True)
-    def _njit_sat_add_u(a, b, hi):  # pragma: no cover
-        out = np.empty_like(a)
-        for i in range(a.size):
-            s = a.flat[i] + b.flat[i]
-            out.flat[i] = hi if s > hi else s
-        return out
-except ImportError:  # numba is optional; pure NumPy is the default
-    NUMBA_VERSION = None
-    _njit_sat_add_u = None
+__all__ = ["CompiledPlan", "compiled_plan"]
 
 _LANE_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 
@@ -195,22 +188,35 @@ def _slot_key(operand) -> Optional[Tuple[str, int]]:
 # -- execution state --------------------------------------------------------
 
 class _Exec:
-    """Per-execution state: slot caches, dirty tracking, carriers."""
+    """Per-execution state: slot caches, dirty tracking, carriers and,
+    over a step-1 range of bases, the row window."""
 
-    __slots__ = ("device", "bases", "reps", "min_gap", "n", "D",
+    __slots__ = ("device", "bases", "reps", "min_gap", "first", "n", "D",
                  "lanes", "vals", "dirty", "rel_seq", "_seq",
-                 "carriers")
+                 "carriers", "reads", "window", "shifted")
 
-    def __init__(self, device, bases: np.ndarray, min_gap: Optional[int]):
+    def __init__(self, device, bases: np.ndarray, min_gap: Optional[int],
+                 unit: bool):
         self.device = device
         self.bases = bases
         self.reps = int(bases.size)
         #: Smallest gap between adjacent (sorted) bases; None means a
         #: single base -- no cross-base aliasing is possible at all.
         self.min_gap = min_gap
+        #: The first base when the bases are a step-1 range (relative
+        #: rows are then slices), else None (they are gathers).
+        self.first = int(bases[0]) if unit else None
         self.n = 0
         self.D = np.int64
         self.lanes = 0
+        #: ``(lo, hi)``: the section's smallest and largest relative
+        #: read offset, the rows its window spans around the bases.
+        self.reads: Optional[Tuple[int, int]] = None
+        #: Patterns of rows ``first + lo`` to ``first + reps - 1 + hi``
+        #: (a copy), while no relative write has happened since.
+        self.window: Optional[np.ndarray] = None
+        #: ``shift_lanes`` of the whole window, by shift amount.
+        self.shifted: Dict[int, np.ndarray] = {}
         self.vals: Dict[Tuple[str, int], np.ndarray] = {}
         self.dirty: Dict[Tuple[str, int], bool] = {}
         self.rel_seq: Dict[int, int] = {}
@@ -226,13 +232,16 @@ class _Exec:
 
     # -- section lifecycle ------------------------------------------
 
-    def begin_section(self, n: int, lanes: int, D) -> None:
+    def begin_section(self, n: int, lanes: int, D,
+                      reads: Optional[Tuple[int, int]]) -> None:
         self.n = n
         self.lanes = lanes
         self.D = D
+        self.reads = reads
 
     def end_section(self) -> None:
         self.flush_rel()
+        self.drop_window()
         for key, is_dirty in self.dirty.items():
             if is_dirty and key[0] in ("t", "a"):
                 self.carriers[key] = _pack_pattern(
@@ -259,12 +268,54 @@ class _Exec:
         """Scatter every dirty relative slot, in op order of last write."""
         if not self.rel_seq:
             return
+        mem = self.device._mem
+        first = self.first
         for off in sorted(self.rel_seq, key=self.rel_seq.get):
             key = ("r", off)
-            self.device._mem[self.bases + off] = _pack_pattern(
-                self.vals[key], self.n).reshape(self.reps, -1)
+            packed = _pack_pattern(self.vals[key], self.n).reshape(
+                self.reps, -1)
+            if first is None:
+                mem[self.bases + off] = packed
+            else:
+                mem[first + off:first + off + self.reps] = packed
             self.dirty[key] = False
         self.rel_seq.clear()
+
+    # -- the row window ---------------------------------------------
+
+    def drop_window(self) -> None:
+        self.window = None
+        self.shifted.clear()
+
+    def _window(self) -> np.ndarray:
+        """The section's row window, copied out of SRAM if absent."""
+        window = self.window
+        if window is None:
+            lo, hi = self.reads
+            raw = self.device._mem[self.first + lo:
+                                   self.first + self.reps + hi]
+            # A slice is a view of SRAM, which a flush rewrites: uint8
+            # lanes copy it, and the unpack copies it for the others.
+            window = self.window = raw.copy() if self.D is np.uint8 \
+                else _unpack_pattern(raw, self.n, self.D)
+        return window
+
+    def shifted_rel(self, key: Tuple[str, int],
+                    pixels: int) -> Optional[np.ndarray]:
+        """``shift_lanes`` of a clean relative slot, as a slice of the
+        window shifted once per amount; None when the slot does not
+        read the window (other strides, or written since)."""
+        if self.first is None:
+            return None
+        self.get(key)
+        if self.window is None or self.dirty[key]:
+            return None
+        shifted = self.shifted.get(pixels)
+        if shifted is None:
+            shifted = self.shifted[pixels] = _shift_lanes(
+                self.window, pixels, self.window.shape, self.D)
+        start = key[1] - self.reads[0]
+        return shifted[start:start + self.reps]
 
     # -- slot access ------------------------------------------------
 
@@ -274,11 +325,15 @@ class _Exec:
         if kind == "r":
             if any(self._conflicts(index, off) for off in self.rel_seq):
                 self.flush_rel()
-            raw = dev._mem[self.bases + index]
-            # The gather is a fresh array, so uint8 lanes use it as is;
-            # a row view (below) is copied by the unpack.
-            pat = raw if self.D is np.uint8 else \
-                _unpack_pattern(raw, self.n, self.D)
+            if self.first is not None:
+                start = index - self.reads[0]
+                pat = self._window()[start:start + self.reps]
+            else:
+                raw = dev._mem[self.bases + index]
+                # The gather is a fresh array, so uint8 lanes use it as
+                # is; a row view (below) is copied by the unpack.
+                pat = raw if self.D is np.uint8 else \
+                    _unpack_pattern(raw, self.n, self.D)
         else:
             carrier = self.carriers.get(key)
             if carrier is not None:
@@ -305,6 +360,7 @@ class _Exec:
             off = key[1]
             self._seq += 1
             self.rel_seq[off] = self._seq
+            self.drop_window()
             # A cached (clean) slot whose rows may have been
             # overwritten by this write must be re-gathered after the
             # eventual flush; dirty slots keep their (correct, proven
@@ -385,6 +441,22 @@ def _shift_lanes(a: np.ndarray, pixels: int, shape, D) -> np.ndarray:
     return out
 
 
+def _lower_shift_lanes(op, read, lanes: int, D):
+    """A ``shift_lanes`` step; a relative source takes its shift from
+    the row window when there is one (:meth:`_Exec.shifted_rel`)."""
+    pixels = int(op.kwargs["pixels"])
+    src_key = _slot_key(op.srcs[0])
+    dst_key = _slot_key(op.dst)
+    from_window = src_key is not None and src_key[0] == "r"
+
+    def step(ex):
+        res = ex.shifted_rel(src_key, pixels) if from_window else None
+        if res is None:
+            res = _shift_lanes(read(ex), pixels, (ex.reps, lanes), D)
+        ex.put(dst_key, res)
+    return step
+
+
 def _lower_op(op, n: int, lanes: int):
     """Compile one recorded op into a ``step(ex)`` closure.
 
@@ -425,16 +497,9 @@ def _lower_op(op, n: int, lanes: int):
                 raise _Unsupported("64-bit saturation wraps host-side")
             lo = D(-(1 << (n - 1)) if signed else 0)
             hi = D((1 << (n - 1)) - 1 if signed else mask)
-            use_njit = _njit_sat_add_u is not None and not signed \
-                and not sub
 
             def step(ex):
                 a, b = readers[0](ex), readers[1](ex)
-                if use_njit and a.ndim == 2 and b.ndim == 2:
-                    emit(ex, _njit_sat_add_u(
-                        np.ascontiguousarray(a),
-                        np.ascontiguousarray(b), hi))
-                    return
                 s = a - b if sub else a + b
                 # The sum is a fresh array (only two immediates give a
                 # 0-d one), so it clips in place.
@@ -468,12 +533,7 @@ def _lower_op(op, n: int, lanes: int):
         return step
 
     if method == "shift_lanes":
-        pixels = int(kw["pixels"])
-
-        def step(ex):
-            ex.put(dst_key, _shift_lanes(readers[0](ex), pixels,
-                                         (ex.reps, lanes), D))
-        return step
+        return _lower_shift_lanes(op, readers[0], lanes, D)
 
     if method == "shift_bits":
         amount = int(kw["amount"])
@@ -621,6 +681,23 @@ _U8_KERNELS = {
 }
 
 
+#: The u8 kernels built on ``np.maximum`` / ``np.minimum``.
+_U8_MINMAX_KERNELS = frozenset(("add", "sub", "abs_diff", "maximum",
+                                "minimum"))
+
+
+def _imm_block(read, src, lanes: int):
+    """``read``, with an immediate filled into a full uint8 block.
+
+    numpy's uint8 maximum and minimum take a slow loop for a scalar
+    operand: ~40 us on a QVGA block, against ~4 us for the fill and
+    ~4 us for two full blocks.
+    """
+    if not isinstance(src, Imm):
+        return read
+    return lambda ex: np.full((ex.reps, lanes), read(ex), np.uint8)
+
+
 def _lower_op_u8(op, lanes: int):
     """Compile one 8-bit op into a ``step(ex)`` over uint8 patterns.
 
@@ -648,12 +725,7 @@ def _lower_op_u8(op, lanes: int):
     read = readers[0]
 
     if method == "shift_lanes":
-        pixels = int(kw["pixels"])
-
-        def step(ex):
-            ex.put(dst_key, _shift_lanes(read(ex), pixels,
-                                         (ex.reps, lanes), np.uint8))
-        return step
+        return _lower_shift_lanes(op, read, lanes, np.uint8)
 
     if method == "copy":
         def step(ex):
@@ -664,6 +736,9 @@ def _lower_op_u8(op, lanes: int):
     if fn is None:
         raise _Unsupported(method)
     read_b = readers[1]
+    if method in _U8_MINMAX_KERNELS:
+        read, read_b = (_imm_block(r, src, lanes)
+                        for r, src in zip(readers, op.srcs))
 
     def step(ex):
         ex.put(dst_key, _broadcast2d(fn(read(ex), read_b(ex)), ex))
@@ -675,12 +750,17 @@ def _lower_op_u8(op, lanes: int):
 class _Section:
     """One precision section, lowered in the dtype its ops allow."""
 
-    __slots__ = ("precision", "lanes", "dtype", "steps", "fallback_ops")
+    __slots__ = ("precision", "lanes", "dtype", "steps", "fallback_ops",
+                 "reads")
 
     def __init__(self, precision: int, lanes: int, ops) -> None:
         self.precision = precision
         self.lanes = lanes
         self.dtype = _COMPUTE_DTYPES[precision]
+        offsets = [int(src) for op in ops for src in op.srcs
+                   if isinstance(src, Rel)]
+        #: The smallest and largest relative read offset (None: none).
+        self.reads = (min(offsets), max(offsets)) if offsets else None
         self.steps: List[Callable[[_Exec], None]] = []
         self.fallback_ops = 0
         if precision == 8:
@@ -736,16 +816,20 @@ class CompiledPlan:
         """Run the plan; bit-identical to eager replay.
 
         The caller (``run_program``) has already verified the hazard
-        precondition and charged the ledger aggregate.
+        precondition, strictly increasing bases included, and charged
+        the ledger aggregate.  Strictly increasing bases whose ends are
+        ``size - 1`` apart are a step-1 range.
         """
-        if bases.size > 1:
-            min_gap = int(np.diff(bases).min())
-        else:
+        reps = int(bases.size)
+        unit = reps == 1 or int(bases[-1]) - int(bases[0]) == reps - 1
+        if reps == 1:
             min_gap = None
-        ex = _Exec(device, bases, min_gap)
+        else:
+            min_gap = 1 if unit else int(np.diff(bases).min())
+        ex = _Exec(device, bases, min_gap, unit)
         for section in self.sections:
             ex.begin_section(section.precision, section.lanes,
-                             section.dtype)
+                             section.dtype, section.reads)
             for step in section.steps:
                 step(ex)
             ex.end_section()

@@ -101,3 +101,63 @@ class TestObsBreakdownRows:
     def test_no_ledgers_no_rows(self):
         spans = [Span(name="k", category="kernel", span_id=1)]
         assert op_breakdown_rows(spans) == []
+
+
+def _charge_program_now(ledger, aggregate, reps):
+    """``charge_program`` folded at once: the reference for the
+    deferred histograms."""
+    for name in ("cycles", "sram_reads", "sram_writes", "tmp_accesses",
+                 "logic_ops", "host_transfers"):
+        setattr(ledger, name,
+                getattr(ledger, name) + getattr(aggregate, name) * reps)
+    for name in ("op_counts", "op_profile", "op_costs"):
+        counter = getattr(ledger, name)
+        for key, count in getattr(aggregate, name).items():
+            counter[key] += count * reps
+
+
+def _aggregate(*kinds):
+    ledger = CostLedger()
+    for kind in kinds:
+        ledger.charge(kind, cycles=2, sram_reads=1, tmp_accesses=1,
+                      precision=8)
+    return ledger
+
+
+class TestDeferredProgramCharges:
+    """``charge_program`` defers its histograms; every read sees what
+    charging at once leaves, insertion order included."""
+
+    @pytest.mark.parametrize("reps", [0, 1, 7])
+    def test_interleaved_charges_equal_immediate_folding(self, reps):
+        first = _aggregate(OpKind.AVG, OpKind.SHIFT_LANES)
+        second = _aggregate(OpKind.MUL, OpKind.AVG)
+        got, want = CostLedger(), CostLedger()
+        steps = [("program", first, reps), ("program", second, 3),
+                 ("charge", OpKind.XOR, 0), ("program", first, 2),
+                 ("program", second, reps)]
+        for step, arg, n in steps:
+            if step == "program":
+                got.charge_program(arg, n)
+                _charge_program_now(want, arg, n)
+            else:
+                for ledger in (got, want):
+                    ledger.charge(arg, cycles=1, sram_reads=2)
+        assert got == want
+        for name in ("op_counts", "op_profile", "op_costs"):
+            assert list(getattr(got, name).items()) == \
+                list(getattr(want, name).items()), name
+        assert got.breakdown() == want.breakdown()
+
+    def test_snapshot_delta_and_reset_see_pending_charges(self):
+        aggregate = _aggregate(OpKind.ADD)
+        ledger = CostLedger()
+        snap = ledger.snapshot()
+        ledger.charge_program(aggregate, 5)
+        assert ledger.snapshot().op_counts[OpKind.ADD] == 5
+        assert ledger.delta_since(snap).op_costs[
+            (OpKind.ADD, "cycles")] == 10
+        ledger.charge_program(aggregate, 1)
+        ledger.reset()
+        assert ledger == CostLedger()
+        assert not ledger.op_counts

@@ -34,9 +34,9 @@ from repro.kernels.edge_detect import (
     VALID_MARGIN,
     mask_to_image_coords,
 )
-from repro.kernels.hpf import hpf_naive_fast, hpf_u8
+from repro.kernels.hpf import hpf_naive_fast, hpf_pim_replay, hpf_u8
 from repro.kernels.lpf import lpf_naive_fast, lpf_u8
-from repro.kernels.nms import nms_naive_fast, nms_u8
+from repro.kernels.nms import nms_naive_fast, nms_pim_replay, nms_u8
 from repro.pim import PIMConfig, PIMDevice
 from repro.vision import binomial_lpf, detect_edges_reference, \
     hpf_sad_reference, nms_reference
@@ -239,6 +239,28 @@ class TestEdgeDetectPipeline:
     def test_no_edges_on_flat_image(self):
         img = np.full((H, W), 128, dtype=np.int64)
         assert detect_edges_fast(img).edge_map.sum() == 0
+
+    @pytest.mark.parametrize("shape, base_row", [
+        ((H, W), 0), ((H, W), 3), ((H, 32), 0), ((12, 12), 5)])
+    def test_byte_readback_equals_read_image(self, shape, base_row):
+        """The replay reads its mask back as lane bytes: the edge map
+        and every ledger field, ``host_transfers`` included, equal the
+        same stages read back through :func:`read_image`."""
+        img = random_image(4, shape)
+        height, width = shape
+        dev = fresh_device()
+        res = detect_edges_replay(dev, img, base_row=base_row)
+        ref = fresh_device()
+        load_image(ref, img, base_row)
+        lpf_pim(ref, height, base_row)
+        hpf_pim_replay(ref, height, base_row)
+        nms_pim_replay(ref, height, 40, 2, base_row)
+        mask = read_image(ref, height, width, base_row)
+        np.testing.assert_array_equal(
+            res.edge_map, mask_to_image_coords(mask, height, width))
+        assert dev.ledger == ref.ledger
+        assert dev.ledger.host_transfers == 2 * height
+        np.testing.assert_array_equal(dev._mem, ref._mem)
 
 
 def checkerboard(shape=(H, W)):

@@ -17,7 +17,9 @@ from repro.kernels.warp import (
     QuantizedFeatures,
     QuantizedPose,
     WarpRows,
+    _intrinsic_lanes,
     _intrinsic_raws,
+    _sums_in_lane,
     qdiv_lanes,
     quantize_features,
     quantize_pose,
@@ -422,3 +424,60 @@ class TestLaneMinClamp:
             qdiv_lanes([1], [-(1 << 15) - 1])
         assert qdiv_lanes([LANE_MIN], [1], lshift=15).tolist() == \
             [LANE_MIN]
+
+
+class TestSaturationsClearedByBound:
+    """``warp_fast`` skips a saturation only when a bound rules it out:
+    the sum chain's by the pose raws and the feature peaks, the
+    intrinsic stage's by the camera's constants."""
+
+    def test_peaks_are_taken_at_construction(self):
+        assert _raw_feats([-5, 3], [7, -9], [0, 2]).peaks == (5, 9, 2)
+        assert _raw_feats([LANE_MIN], [LANE_MAX], [0]).peaks == \
+            (1 << 15, LANE_MAX, 0)
+        assert _raw_feats([], [], []).peaks == (0, 0, 0)
+
+    @staticmethod
+    def _at_the_bound(b):
+        """X's partial sum ``m0 + m1 + r2`` reaches ``16383 + b / 2 +
+        4095`` with exact products, so its bound is tight; ``t_z * c``
+        lifts ``Z~`` to 4098, where ``rx`` shows a one-off ``X``."""
+        qp = _raw_pose([[1 << 14, 1 << 14, LANE_MAX], [0, 0, 0],
+                        [0, 0, LANE_MAX]], [0, 0, LANE_MAX])
+        return qp, _raw_feats([32766], [b], [4])
+
+    def test_a_sum_one_past_the_lane_saturates(self):
+        qp, qf = self._at_the_bound(24580)
+        coef = [(int(r[0]), int(r[1]), int(t)) for r, t in zip(qp.r, qp.t)]
+        r2 = [int(r[2]) >> 3 for r in qp.r]
+        assert not _sums_in_lane(coef, r2, qf.peaks)
+        got, want = warp_both(qp, qf)
+        assert want.z.tolist() == [4098]
+        assert want.rx.tolist() == [(LANE_MAX << 12) // 4098]
+        assert_same_fields(got, want)
+
+    def test_a_sum_at_the_lane_edge_skips_the_saturations(self):
+        qp, qf = self._at_the_bound(24578)
+        coef = [(int(r[0]), int(r[1]), int(t)) for r, t in zip(qp.r, qp.t)]
+        r2 = [int(r[2]) >> 3 for r in qp.r]
+        assert _sums_in_lane(coef, r2, qf.peaks)
+        got, want = warp_both(qp, qf)
+        assert want.rx.tolist() == [(LANE_MAX << 12) // 4098]
+        assert_same_fields(got, want)
+
+    def test_negative_products_round_away_from_zero(self):
+        """``(-16384 * 32767) >> 15 = -16384``: the bound of a product
+        that is not a multiple of ``2**15`` rounds up."""
+        qp = _raw_pose([[-(1 << 14), -(1 << 14), -LANE_MAX], [0, 0, 0],
+                        [0, 0, LANE_MAX]], [0, 0, LANE_MAX])
+        qf = _raw_feats([LANE_MAX], [24578], [4])
+        coef = [(int(r[0]), int(r[1]), int(t)) for r, t in zip(qp.r, qp.t)]
+        r2 = [int(r[2]) >> 3 for r in qp.r]
+        assert not _sums_in_lane(coef, r2, qf.peaks)
+        assert_same_fields(*warp_both(qp, qf))
+
+    def test_intrinsic_bound_clears_for_the_qvga_camera(self):
+        assert _intrinsic_lanes(CAM, FEATURE_FORMAT.fraction_bits)[-1]
+        # Q4.4 ratios shift the focal product by 8 bits only: the
+        # stage can saturate (test_intrinsic_saturation_equals_device).
+        assert not _intrinsic_lanes(CAM, 4)[-1]

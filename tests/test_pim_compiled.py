@@ -172,26 +172,147 @@ def test_single_base_always_vectorizes(ops, seed):
     _assert_state_equal(dev_c, dev_e)
 
 
+#: The QVGA detect device of ``PIMFrontend``: one 320-pixel row per
+#: word line, the image in rows 0..239 and the stage scratch below.
+_QVGA = PIMConfig(wordline_bits=320 * 8, num_rows=248)
+
+
+#: ``(config, bases, (hpf, nms) scratch base)`` of the kernel-program
+#: check: strided bases, step-1 ranges (the row window) and one base.
+#: ``None`` bases are the QVGA chain's own ranges -- LPF over rows
+#: 0..238, HPF and NMS over 1..238 with their scratch below the image,
+#: as ``detect_edges_replay`` runs them.
+_KERNEL_CASES = (
+    (PIMConfig(), [5, 20, 35, 50], (200, 210)),
+    (PIMConfig(), range(5, 9), (200, 210)),
+    (PIMConfig(), [5], (200, 210)),
+    (PIMConfig(), range(1, 150), (200, 210)),
+    (_QVGA, None, (240, 240)),
+)
+
+
 def test_compiled_matches_eager_on_kernel_programs(replay_spans):
-    """The real LPF/HPF/NMS stage programs run compiled and match eager."""
-    cfg = PIMConfig()
-    for name, program in (
-            ("lpf", lpf_program(cfg)),
-            ("hpf", hpf_program(cfg, scratch_base=200)),
-            ("nms", nms_program(cfg, th1=20, th2=40, scratch_base=210))):
-        ref, dev = PIMDevice(cfg), PIMDevice(cfg)
-        rng = np.random.default_rng(11)
-        image = rng.integers(0, 256, ref._mem.shape, dtype=np.uint8)
-        ref._mem[:] = image
-        dev._mem[:] = image
-        bases = [5, 20, 35, 50]
-        ref.run_program(program, bases, mode="eager")
-        dev.run_program(program, bases, mode="auto")
-        assert replay_spans()[-1]["executed_mode"] == "compiled", name
-        assert np.array_equal(ref._mem, dev._mem), name
-        for field in _LEDGER_FIELDS:
-            assert getattr(ref.ledger, field) == \
-                getattr(dev.ledger, field), (name, field)
+    """The real LPF/HPF/NMS stage programs run compiled and match
+    eager: memory, Tmp, ledger and trace, over strided bases and over
+    step-1 ranges (the row window)."""
+    for cfg, bases, scratch in _KERNEL_CASES:
+        for name, program, stage_bases in (
+                ("lpf", lpf_program(cfg), range(0, 239)),
+                ("hpf", hpf_program(cfg, scratch_base=scratch[0]),
+                 range(1, 239)),
+                ("nms", nms_program(cfg, th1=20, th2=40,
+                                    scratch_base=scratch[1]),
+                 range(1, 239))):
+            ref = PIMDevice(cfg, trace=True)
+            dev = PIMDevice(cfg, trace=True)
+            rng = np.random.default_rng(11)
+            image = rng.integers(0, 256, ref._mem.shape, dtype=np.uint8)
+            ref._mem[:] = image
+            dev._mem[:] = image
+            run_bases = stage_bases if bases is None else bases
+            ref.run_program(program, run_bases, mode="eager")
+            dev.run_program(program, run_bases, mode="auto")
+            assert replay_spans()[-1]["executed_mode"] == "compiled", \
+                (name, run_bases)
+            _assert_state_equal(dev, ref)
+
+
+_WINDOW_CONFIG = PIMConfig(wordline_bits=64, num_rows=24)
+#: Absolute scratch rows above every relative row (bases 2..13 with
+#: offsets in [-2, 2] touch rows 0..15).
+_WINDOW_SCRATCH = (16, 17, 18, 19, 20)
+#: Unsigned two-source ops every lane width runs, u8 tier included.
+_WINDOW_BINARY = st.sampled_from([
+    ("avg", {"signed": False}), ("abs_diff", {"signed": False}),
+    ("maximum", {"signed": False}), ("minimum", {"signed": False}),
+    ("add", {"saturate": True, "signed": False}),
+    ("sub", {"saturate": True, "signed": False}),
+    ("logic_xor", {}),
+])
+
+
+@st.composite
+def _window_programs(draw):
+    """A program the compiled tier admits over step-1 ranges, built to
+    exercise the row window.
+
+    Relative reads at offsets ``>= w``, most through ``shift_lanes``
+    with amounts drawn from a short list (so amounts repeat), then one
+    relative write at ``w``, then reads at offsets ``<= w``: a read
+    below ``w`` after the write forces the flush and a fresh window
+    (the order :func:`repro.pim.program._rel_hazards_ok` accepts at a
+    base gap of 1).  Scratch rows are written before they are read.
+    """
+    w = draw(st.integers(-2, 2))
+    amounts = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+    before = draw(st.lists(st.integers(w, 2), min_size=2, max_size=4))
+    after = draw(st.lists(st.integers(-2, w), min_size=1, max_size=3))
+    s = _WINDOW_SCRATCH
+    ops = []
+    for k, r in enumerate(before):
+        dst = s[k % 2] if k < 2 else TMP
+        if draw(st.booleans()) or k < 2:
+            ops.append(("shift_lanes", (dst, Rel(r)),
+                        {"pixels": draw(st.sampled_from(amounts))}))
+        else:
+            method, kw = draw(_WINDOW_BINARY)
+            ops.append((method, (dst, Rel(r), s[0]), kw))
+    method, kw = draw(_WINDOW_BINARY)
+    ops.append((method, (s[2], s[0], s[1]), kw))
+    method, kw = draw(_WINDOW_BINARY)
+    ops.append((method, (Rel(w), s[2], Rel(max(before))), kw))
+    for k, r in enumerate(after):
+        if draw(st.booleans()):
+            ops.append(("shift_lanes", (s[3], Rel(r)),
+                        {"pixels": draw(st.sampled_from(amounts))}))
+        else:
+            method, kw = draw(_WINDOW_BINARY)
+            imm = Imm(draw(st.integers(0, 255)))
+            ops.append((method, (s[3], Rel(r), imm), kw))
+        method, kw = draw(_WINDOW_BINARY)
+        ops.append((method, (s[4], s[3], Rel(r)), kw))
+    return ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_window_programs(), precision=st.sampled_from([8, 16]),
+       start=st.integers(2, 13), length=st.integers(1, 12),
+       as_range=_flag, seed=st.integers(0, 2**16))
+@example(ops=[("shift_lanes", (16, Rel(1)), {"pixels": 2}),
+              ("shift_lanes", (17, Rel(-1)), {"pixels": 2}),
+              ("avg", (18, 16, 17), {"signed": False}),
+              ("add", (Rel(-1), 18, Rel(1)),
+               {"saturate": True, "signed": False}),
+              ("shift_lanes", (19, Rel(-2)), {"pixels": 2}),
+              ("maximum", (20, 19, Rel(-2)), {"signed": False})],
+         precision=8, start=2, length=12, as_range=True, seed=0)
+def test_step1_ranges_replay_on_the_row_window(ops, precision, start,
+                                               length, as_range, seed):
+    """Over a step-1 range of bases the compiled replay reads its
+    relative rows from one window, shares each shift amount across
+    offsets, and re-copies the window after a relative write; memory,
+    Tmp, ledger and trace equal eager replay."""
+    length = min(length, 14 - start)
+    bases = range(start, start + length)
+    rec = ProgramRecorder(_WINDOW_CONFIG, name="window")
+    if precision != 8:
+        rec.set_precision(precision)
+    for method, operands, kwargs in ops:
+        getattr(rec, method)(*operands, **kwargs)
+    program = rec.finish()
+
+    def fresh():
+        device = PIMDevice(_WINDOW_CONFIG, trace=True)
+        device._mem[:] = np.random.default_rng(seed).integers(
+            0, 256, size=device._mem.shape, dtype=np.uint8)
+        return device
+
+    dev_c, dev_e = fresh(), fresh()
+    assert dev_c.batch_rejection_reason(program, list(bases)) is None
+    dev_c.run_program(program, bases if as_range else list(bases),
+                      mode="auto")
+    dev_e.run_program(program, bases, mode="eager")
+    _assert_state_equal(dev_c, dev_e)
 
 
 # -- the section's compute dtype ---------------------------------------------

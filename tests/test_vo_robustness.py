@@ -380,6 +380,55 @@ class TestHealthStateMachine:
         assert clean.health == OK
 
 
+@pytest.mark.parametrize("make_frontend", [FloatFrontend, PIMFrontend],
+                         ids=["float", "pim"])
+class TestRejectedFrameCoast:
+    """A frame ``validate_frame`` rejects never reaches a frontend: the
+    tracker coasts on the constant-velocity model and tracks again on
+    the next clean frame."""
+
+    @staticmethod
+    def _nan_frame():
+        gray = np.full((CAM.height, CAM.width), np.nan)
+        return gray, np.full((CAM.height, CAM.width), 2.0)
+
+    def test_coast_after_two_tracked_frames(self, make_frontend):
+        cfg = TrackerConfig(camera=CAM, max_features=2000)
+        tracker = EBVOTracker(make_frontend(cfg), cfg)
+        frames = _walk_frames(make_room_scene(), 3)
+        for _, fr in frames[:2]:
+            assert tracker.process(fr.gray, fr.depth,
+                                   fr.timestamp).health == OK
+        predicted = tracker.results[-1].pose @ tracker.state.last_delta
+        result = tracker.process(*self._nan_frame(), 0.2)
+        assert result.health == DEGRADED
+        assert result.events == ("rejected:gray-mostly-invalid",
+                                 "fallback:motion-model")
+        assert result.lm is None and result.num_features == 0
+        assert not result.is_keyframe
+        assert np.array_equal(result.pose.R, predicted.R)
+        assert np.array_equal(result.pose.t, predicted.t)
+        clean = tracker.process(frames[2][1].gray, frames[2][1].depth,
+                                frames[2][1].timestamp)
+        assert clean.health == OK
+        assert clean.lm is not None and clean.num_features > 0
+        assert tracker.state.degraded_streak == 0
+
+    def test_rejected_first_frame_leaves_no_keyframe(self, make_frontend):
+        cfg = TrackerConfig(camera=CAM, max_features=2000)
+        tracker = EBVOTracker(make_frontend(cfg), cfg)
+        result = tracker.process(*self._nan_frame(), 0.0)
+        assert result.health == DEGRADED
+        assert result.events[-1] == "fallback:motion-model"
+        assert result.lm is None and result.num_features == 0
+        assert np.array_equal(result.pose.matrix, SE3.identity().matrix)
+        assert tracker.state.keyframe is None
+        _, fr = _walk_frames(make_room_scene(), 1)[0]
+        first = tracker.process(fr.gray, fr.depth, fr.timestamp)
+        assert first.is_keyframe and first.health == OK
+        assert tracker.state.keyframe is not None
+
+
 class TestCheckpointRestore:
     def test_deep_checkpoint_round_trip_bit_identical(self):
         scene = make_room_scene()

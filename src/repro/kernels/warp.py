@@ -63,14 +63,14 @@ class QuantizedFeatures:
     A feature set is written once and warped many times (every LM trial
     of a frame), so what does not depend on the pose is taken here, at
     construction: ``lanes``, the int32 ``(3, n)`` pack of ``a``, ``b``
-    and ``c``, whether they fit the 16-bit lane, and their peaks.  ``a``, ``b``,
-    ``c`` and ``lanes`` are marked read-only, so a write through them
-    raises instead of leaving the pack stale.  That guards these arrays
-    only: pass arrays that nothing writes into afterwards, not views of
-    a writable array (:func:`quantize_features` builds fresh ones, and
-    ``lm_pipeline._batched`` slices read-only ones).  Values outside
-    the lane are kept (``in_lane`` is False) and rejected by
-    :func:`warp_fast`.
+    and ``c``, whether they fit the 16-bit lane, and their peaks.
+    ``a``, ``b``, ``c`` and ``lanes`` are marked read-only, so a write
+    through them raises instead of leaving the pack stale.  That guards
+    these arrays only: pass arrays that nothing writes into afterwards,
+    not views of a writable array (:func:`quantize_features` builds
+    fresh ones, and ``lm_pipeline._batched`` slices read-only ones).
+    Values outside the lane are kept (``in_lane`` is False) and
+    rejected by :func:`warp_fast`.
     """
 
     a: np.ndarray
